@@ -28,16 +28,16 @@ from .model import (
     KernelTransform,
     MMInfinityKernel,
     QueueParams,
-    mm_inf_sigma_bar,
-    mm_inf_tau_bar,
     validate_kernel,
 )
 from .oracle import (
+    TransformEntries,
     TransformRowResult,
     TruncationConfig,
     neumann_series_sum,
     solve_row_adaptive,
     solve_row_truncated,
+    solve_rows,
 )
 
 __version__ = "0.1.0"
@@ -52,6 +52,7 @@ __all__ = [
     "QueueParams",
     "RenewalEstimate",
     "SimConfig",
+    "TransformEntries",
     "TransformRowResult",
     "TruncationConfig",
     "euler_inversion",
@@ -59,8 +60,6 @@ __all__ = [
     "generating_function",
     "kummer_m",
     "kummer_series_direct",
-    "mm_inf_sigma_bar",
-    "mm_inf_tau_bar",
     "neumann_series_sum",
     "ode_residual",
     "pochhammer_ratio_step",
@@ -70,6 +69,7 @@ __all__ = [
     "simulate_renewal_counts",
     "solve_row_adaptive",
     "solve_row_truncated",
+    "solve_rows",
     "step_embedded",
     "stehfest_weights",
     "tbar_from_rbar",

@@ -17,7 +17,13 @@ from .hyperg import kummer_m
 from .invert import InversionConfig, renewal_function
 from .mcsim import SimConfig, simulate_renewal_counts
 from .model import MMInfinityKernel, QueueParams
-from .oracle import TruncationConfig, neumann_series_sum, solve_row_adaptive, solve_row_truncated
+from .oracle import (
+    TruncationConfig,
+    neumann_series_sum,
+    solve_row_adaptive,
+    solve_row_truncated,
+    solve_rows,
+)
 
 
 def _fmt(x) -> str:
@@ -94,12 +100,12 @@ def _cmd_transform(args) -> int:
         "both": "s,rbar_oracle,rbar_closedform,rel_diff",
     }
     print(columns[args.solver])
-    for s in args.s_grid:
-        s = float(s)
+    if args.solver in ("oracle", "both"):
+        oracle_values = solve_rows(args.i, args.j, args.s_grid, kernel, trunc).values.real
+    for k, s in enumerate(args.s_grid.tolist()):
         fields = [_fmt(s)]
         if args.solver in ("oracle", "both"):
-            row = solve_row_adaptive(args.i, s, kernel, trunc)
-            oracle_val = float(row.values[args.j].real)
+            oracle_val = float(oracle_values[k])
             fields.append(_fmt(oracle_val))
         if args.solver in ("closedform", "both"):
             closed_val = rbar_closed_form(args.i, args.j, s, p)

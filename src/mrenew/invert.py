@@ -20,7 +20,7 @@ excluded (t_min contract).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from .closedform import rbar_closed_form
 from .model import MMInfinityKernel, QueueParams
-from .oracle import TruncationConfig, solve_row_adaptive
+from .oracle import TruncationConfig, solve_rows
 
 EULER_DEFAULT_M = 11   # binomial averaging length
 EULER_DEFAULT_N = 38   # base partial-sum length
@@ -86,6 +86,11 @@ def stehfest_weights(order: int) -> tuple:
     return tuple(weights)
 
 
+def _stehfest_abscissas(t: float, order: int) -> list:
+    ln2_t = math.log(2.0) / t
+    return [k * ln2_t for k in range(1, order + 1)]
+
+
 def gaver_stehfest(transform, t: float, order: int = 14) -> float:
     """Invert an ordinary Laplace transform at time t > 0.
 
@@ -97,8 +102,13 @@ def gaver_stehfest(transform, t: float, order: int = 14) -> float:
     weights = stehfest_weights(order)
     ln2_t = math.log(2.0) / t
     return ln2_t * math.fsum(
-        w * transform(k * ln2_t) for k, w in enumerate(weights, start=1)
+        w * transform(s) for w, s in zip(weights, _stehfest_abscissas(t, order))
     )
+
+
+def _euler_abscissas(t: float, m: int, n: int) -> list:
+    base = _EULER_A / (2.0 * t)
+    return [complex(base, 0.0)] + [complex(base, k * math.pi / t) for k in range(1, n + m + 1)]
 
 
 def euler_inversion(
@@ -112,13 +122,11 @@ def euler_inversion(
     """
     if t <= 0:
         raise ValueError(f"time must be > 0, got {t}")
-    base = _EULER_A / (2.0 * t)
     terms = np.empty(n + m + 1)
-    terms[0] = 0.5 * complex(transform(complex(base, 0.0))).real
-    for k in range(1, n + m + 1):
-        s_k = complex(base, k * math.pi / t)
+    for k, s_k in enumerate(_euler_abscissas(t, m, n)):
         val = complex(transform(s_k)).real
         terms[k] = val if k % 2 == 0 else -val
+    terms[0] *= 0.5
     partial = np.cumsum(terms) * (math.exp(_EULER_A / 2.0) / t)
     weights = np.array([math.comb(m, q) for q in range(m + 1)], dtype=float)
     return float(weights @ partial[n : n + m + 1] / 2.0**m)
@@ -136,7 +144,8 @@ def renewal_function(
 ) -> np.ndarray:
     """Recover R_ij(t) on a time grid by inverting s -> rbar_ij(s) / s.
 
-    solver "oracle" evaluates rbar through the adaptive truncated solve;
+    solver "oracle" evaluates rbar through the adaptive truncated solve,
+    at every abscissa of the whole grid in one `solve_rows` call;
     "closedform" uses the analytic row formula (real abscissas only, so it
     pairs with Gaver-Stehfest).  The Euler method needs complex abscissas
     and therefore requires the oracle solver.
@@ -148,26 +157,30 @@ def renewal_function(
     if j < 0:
         raise ValueError(f"target state must be >= 0, got {j}")
     times = np.asarray(t_grid, dtype=float)
-    if times.size and times.min() < cfg.t_min:
-        raise ValueError(f"all times must be >= t_min = {cfg.t_min}")
+    if times.size and not (np.isfinite(times).all() and times.min() >= cfg.t_min):
+        raise ValueError(f"all times must be finite and >= t_min = {cfg.t_min}")
 
+    gs = cfg.method == "gaver-stehfest"
     if solver == "oracle":
-        kernel = MMInfinityKernel(p)
-        trunc = replace(truncation, n0=max(truncation.n0, j + 2))
-
-        def transform(s):
-            row = solve_row_adaptive(i, s, kernel, trunc)
-            return row.values[j] / s
-
+        # every abscissa of the whole grid in one batched solve; a time
+        # grid can repeat an abscissa, which is solved once
+        points = list(dict.fromkeys(
+            s
+            for t in times.tolist()
+            for s in (_stehfest_abscissas(t, cfg.order) if gs
+                      else _euler_abscissas(t, cfg.euler_m, cfg.euler_n))
+        ))
+        entries = solve_rows(i, j, points, MMInfinityKernel(p), truncation)
+        transform = {s: value / s for s, value in zip(points, entries.values)}.__getitem__
     else:
 
         def transform(s):
             return rbar_closed_form(i, j, s, p, tol) / s
 
     out = np.empty(times.size)
-    for idx, t in enumerate(times):
-        if cfg.method == "gaver-stehfest":
-            out[idx] = gaver_stehfest(transform, float(t), cfg.order)
+    for idx, t in enumerate(times.tolist()):
+        if gs:
+            out[idx] = gaver_stehfest(transform, t, cfg.order)
         else:
-            out[idx] = euler_inversion(transform, float(t), cfg.euler_m, cfg.euler_n)
+            out[idx] = euler_inversion(transform, t, cfg.euler_m, cfg.euler_n)
     return out

@@ -15,8 +15,11 @@ recovered by the `invert` and `mcsim` modules.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -31,10 +34,10 @@ class QueueParams:
     alpha: float
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"arrival rate must be >= 0, got {self.lam}")
-        if self.alpha <= 0:
-            raise ValueError(f"mean service time must be > 0, got {self.alpha}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"arrival rate must be finite and >= 0, got {self.lam}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"mean service time must be finite and > 0, got {self.alpha}")
 
     @property
     def rho(self) -> float:
@@ -42,43 +45,21 @@ class QueueParams:
 
 
 def _check_state_and_s(j, s):
-    if j < 0:
-        raise ValueError(f"state index must be >= 0, got {j}")
-    if s < 0:
-        raise ValueError(f"transform variable must be >= 0, got {s}")
-
-
-def mm_inf_tau_bar(j: int, s: float, p: QueueParams) -> float:
-    """Up-move transform of the M|M|infinity kernel: rho / (j + rho + alpha*s).
-
-    Identically zero when there are no arrivals, including at the absorbing
-    corner j = 0, s = 0 where the ratio is formally 0/0.
-    """
-    _check_state_and_s(j, s)
-    rho = p.rho
-    if rho == 0.0:
-        return 0.0
-    return rho / (j + rho + p.alpha * s)
-
-
-def mm_inf_sigma_bar(j: int, s: float, p: QueueParams) -> float:
-    """Down-move transform of the M|M|infinity kernel: j / (j + rho + alpha*s).
-
-    Identically zero at j = 0 for every s: there is no death from the empty
-    state.
-    """
-    _check_state_and_s(j, s)
-    if j == 0:
-        return 0.0
-    return j / (j + p.rho + p.alpha * s)
+    if np.min(j) < 0:
+        raise ValueError(f"state index must be >= 0, got {np.min(j)}")
+    if np.min(np.real(s)) < 0:
+        raise ValueError(f"transform variable needs Re(s) >= 0, got Re(s) = {np.min(np.real(s))}")
 
 
 class KernelTransform(ABC):
     """Transform-domain evaluator for a tridiagonal semi-Markov kernel.
 
     Implementations return the pair ``(sigma_bar, tau_bar)`` for integer
-    state j >= 0 and transform variable s.  A valid kernel satisfies, for
-    every j and every s >= 0:
+    states j >= 0 and transform variables s.  Both arguments may be numpy
+    arrays, and the result must broadcast over them: the solvers in
+    `mrenew.oracle` ask for a whole truncation level, at every abscissa of
+    a request, in one call.  A valid kernel satisfies, for every j and
+    every s >= 0:
 
     * sigma_bar(0, s) == 0,
     * 0 <= sigma_bar, 0 <= tau_bar, sigma_bar + tau_bar <= 1,
@@ -88,14 +69,8 @@ class KernelTransform(ABC):
     """
 
     @abstractmethod
-    def transforms(self, j: int, s) -> tuple:
-        """Return (sigma_bar(j, s), tau_bar(j, s))."""
-
-    def sigma_bar(self, j: int, s):
-        return self.transforms(j, s)[0]
-
-    def tau_bar(self, j: int, s):
-        return self.transforms(j, s)[1]
+    def transforms(self, j, s) -> tuple:
+        """Return (sigma_bar(j, s), tau_bar(j, s)), broadcast over j and s."""
 
 
 @dataclass(frozen=True)
@@ -104,25 +79,23 @@ class MMInfinityKernel(KernelTransform):
 
     ``transforms`` additionally accepts complex s with nonnegative real
     part, so the same evaluator can feed complex-abscissa Laplace
-    inversion; the rational formulas extend verbatim.
+    inversion; the rational formulas extend verbatim.  Without arrivals
+    both entries vanish at j = 0 for every s, including the corner s = 0
+    where the ratios are formally 0/0.
     """
 
     params: QueueParams
 
-    def transforms(self, j: int, s) -> tuple:
-        if j < 0:
-            raise ValueError(f"state index must be >= 0, got {j}")
-        if isinstance(s, complex):
-            if s.real < 0:
-                raise ValueError("complex transform variable needs Re(s) >= 0")
-        elif s < 0:
-            raise ValueError(f"transform variable must be >= 0, got {s}")
+    def transforms(self, j, s) -> tuple:
+        _check_state_and_s(j, s)
         p = self.params
-        if j == 0 and p.rho == 0.0:
-            return 0.0, 0.0
         denom = j + p.rho + p.alpha * s
+        if p.rho == 0.0:
+            # sigma = j / denom and tau = 0 / denom are exactly 0 at j = 0
+            # for any nonzero denominator; 1 keeps the corner finite
+            denom = denom + (j == 0)
+        sigma = j / denom
         tau = p.rho / denom
-        sigma = (j / denom) if j > 0 else 0.0
         return sigma, tau
 
 

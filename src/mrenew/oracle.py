@@ -12,17 +12,20 @@ degenerate.  `solve_row_adaptive` doubles n until the normalization sum
 
     sum_k [1 - sigma_bar(k) - tau_bar(k)] * x[k]  ->  1
 
-is met and the leading entries have stopped moving.  `neumann_series_sum`
+is met and the leading entries have stopped moving.  `solve_rows` does the
+same for many abscissas at once: one sweep per truncation level carries
+every abscissa still open, each accepted at its own level, so it gives
+`solve_row_adaptive`'s values for each.  `neumann_series_sum`
 accumulates row i of sum_m Qbar(s)^m over the same truncated operator and
 is the independent second route used by the cross-check suites.
 
-Real s must be > 0.  Complex s with positive real part is accepted
+Real s must be finite and > 0.  Complex s with positive real part is accepted
 throughout (the elimination extends verbatim); results are then complex.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +33,8 @@ from .errors import NonConvergenceError, PivotError
 from .model import KernelTransform
 
 _MIN_PIVOT = 1e-14
+_SWEEP_ELEMENTS = 6144     # states x columns that one sweep may hold
+_MIN_BATCH = 16            # fewest columns worth sweeping together
 
 
 @dataclass
@@ -48,6 +53,22 @@ class TransformRowResult:
     values: np.ndarray
     normalization_residual: float
     converged: bool
+
+
+@dataclass
+class TransformEntries:
+    """rbar_ij(s) at many abscissas, from `solve_rows`.
+
+    values[k], truncation_n[k] and normalization_residual[k] belong to
+    s[k]; each abscissa was accepted at its own truncation level.
+    """
+
+    i: int
+    j: int
+    s: np.ndarray
+    values: np.ndarray
+    truncation_n: np.ndarray
+    normalization_residual: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -75,40 +96,72 @@ class TruncationConfig:
 
 
 def _check_s(s):
-    if isinstance(s, complex):
-        if s.real <= 0:
-            raise ValueError(f"complex transform variable needs Re(s) > 0, got {s}")
-    elif s <= 0:
-        raise ValueError(f"transform variable must be > 0, got {s}")
+    bad = ~np.isfinite(s) | (np.real(s) <= 0)
+    if np.any(bad):
+        value = np.asarray(s)[bad].flat[0]
+        raise ValueError(f"transform variable must be finite with Re(s) > 0, got {value}")
 
 
-def _kernel_arrays(kernel: KernelTransform, n: int, s):
-    dtype = complex if isinstance(s, complex) else float
-    sigma = np.empty(n + 1, dtype=dtype)
-    tau = np.empty(n + 1, dtype=dtype)
-    for j in range(n + 1):
-        sigma[j], tau[j] = kernel.transforms(j, s)
-    return sigma, tau
+def _as_abscissas(s_values) -> np.ndarray:
+    return np.asarray(s_values, dtype=complex if np.iscomplexobj(s_values) else float)
 
 
-def _thomas(sub, sup, rhs):
-    """Solve the unit-diagonal tridiagonal system by elimination, no pivoting."""
-    n = len(rhs)
-    w = np.ones(n, dtype=rhs.dtype)
-    y = rhs.copy()
-    for j in range(1, n):
-        if abs(w[j - 1]) < _MIN_PIVOT:
-            raise PivotError(f"pivot {w[j - 1]!r} below {_MIN_PIVOT} at row {j - 1}")
-        m = sub[j - 1] / w[j - 1]
-        w[j] = 1.0 - m * sup[j - 1]
-        y[j] -= m * y[j - 1]
-    if abs(w[-1]) < _MIN_PIVOT:
-        raise PivotError(f"pivot {w[-1]!r} below {_MIN_PIVOT} at last row")
-    x = np.empty_like(y)
-    x[-1] = y[-1] / w[-1]
-    for j in range(n - 2, -1, -1):
-        x[j] = (y[j] - sup[j] * x[j + 1]) / w[j]
-    return x
+def _thomas(sigma, tau, i):
+    """Solve the truncated system for row i by elimination, no pivoting.
+
+    Equation k reads x[k] - tau[k-1] x[k-1] - sigma[k+1] x[k+1] = delta_ik.
+    The sweep runs along the leading axis.  A 2-D input holds one system
+    per column, all stepped together in the same operations; a 1-D input
+    is stepped through as Python scalars, the fastest for one system.
+    """
+    n = len(sigma) - 1
+    if sigma.ndim == 1:
+        sigma, tau = sigma.tolist(), tau.tolist()
+        w, x = [1.0] * (n + 1), [0.0] * (n + 1)
+    else:
+        w, x = np.ones_like(sigma), np.zeros_like(sigma)
+    x[i] = 1.0          # right-hand side, then solution
+    wk = xk = 1.0       # pivot and right-hand side of the row last eliminated
+    try:
+        with np.errstate(all="ignore"):     # a bad pivot is reported below
+            for k in range(1, n + 1):
+                m = tau[k - 1] / wk
+                wk = w[k] = 1.0 - m * sigma[k]
+                if k > i:
+                    xk = x[k] = m * xk
+    except ZeroDivisionError:
+        pass    # a zero pivot among Python scalars, reported below
+    pivots = np.asarray(w)
+    small = np.abs(pivots) < _MIN_PIVOT
+    if small.any():
+        first = np.flatnonzero(small)[0]
+        row = first // (small.size // (n + 1))
+        where = "last row" if row == n else f"row {row}"
+        raise PivotError(f"pivot {pivots.flat[first]!r} below {_MIN_PIVOT} at {where}")
+    xk = x[n] = x[n] / w[n]
+    for k in range(n - 1, -1, -1):
+        xk = x[k] = (x[k] + sigma[k + 1] * xk) / w[k]
+    return np.asarray(x)
+
+
+def _truncated(i, s, kernel: KernelTransform, n: int):
+    """Row i at truncation level n and its normalization residual.
+
+    A scalar s gives a 1-D row; a 1-D array of abscissas gives one column
+    per abscissa and one residual each.
+    """
+    states = np.arange(n + 1)
+    if np.ndim(s):
+        states = states[:, None]
+    sigma, tau = kernel.transforms(states, s)
+    x = _thomas(sigma, tau, i)
+    weighted = 1.0 - sigma      # in place from here, to hold fewer arrays
+    weighted -= tau
+    del sigma, tau
+    weighted *= x
+    # each column sums along a contiguous row, so its residual does not
+    # depend on which other columns share the sweep
+    return x, np.abs(np.sum(np.ascontiguousarray(weighted.T), axis=-1) - 1.0)
 
 
 def solve_row_truncated(i: int, s, kernel: KernelTransform, n: int) -> TransformRowResult:
@@ -116,21 +169,99 @@ def solve_row_truncated(i: int, s, kernel: KernelTransform, n: int) -> Transform
     _check_s(s)
     if not 0 <= i < n:
         raise ValueError(f"start state must satisfy 0 <= i < n, got i={i}, n={n}")
-    sigma, tau = _kernel_arrays(kernel, n, s)
-    sub = -tau[:-1]     # equation j couples to x[j-1] via -tau_bar(j-1)
-    sup = -sigma[1:]    # equation j couples to x[j+1] via -sigma_bar(j+1)
-    rhs = np.zeros(n + 1, dtype=sigma.dtype)
-    rhs[i] = 1.0
-    values = _thomas(sub, sup, rhs)
-    residual = float(abs(np.sum((1.0 - sigma - tau) * values) - 1.0))
+    values, residual = _truncated(i, s, kernel, n)
     return TransformRowResult(
         i=i,
         s=s,
         truncation_n=n,
         values=values,
-        normalization_residual=residual,
+        normalization_residual=float(residual),
         converged=False,
     )
+
+
+def _sweeps(count: int, n: int) -> list:
+    """Split `count` open columns into the sweeps of truncation level n.
+
+    The sweeps are equal and each holds at most _SWEEP_ELEMENTS states x
+    columns.  Where fewer than _MIN_BATCH columns would share a sweep, the
+    array overhead of a step does not pay and every column sweeps alone.
+    """
+    sweeps = -(-count // max(1, _SWEEP_ELEMENTS // (n + 1)))
+    width = -(-count // sweeps)
+    if width < _MIN_BATCH:
+        width = 1
+    return [slice(lo, lo + width) for lo in range(0, count, width)]
+
+
+def _adaptive(i: int, s: np.ndarray, kernel: KernelTransform, cfg: TruncationConfig,
+              n: int, keep):
+    """Accept each abscissa of s at the first level that passes both tests.
+
+    Levels grow from n by cfg.growth, and only the columns still open are
+    swept again.  Between levels only their leading entries are kept.
+    Returns, per column, the accepted values[:keep] (the whole row when
+    keep is None), the level and the residual.
+    """
+    rows = [None] * s.size
+    levels = np.zeros(s.size, dtype=int)
+    residuals = np.zeros(s.size)
+    todo = np.arange(s.size)    # columns still open
+    prev = None                 # their leading entries at the last level
+    while True:
+        head = min(i + 11, n + 1)
+        cur = np.empty((head, todo.size), dtype=s.dtype)
+        last = np.empty(todo.size)
+        accept = np.zeros(todo.size, dtype=bool)
+        for part in _sweeps(todo.size, n):
+            cols = todo[part]
+            x, residual = _truncated(i, s[cols[0]] if cols.size == 1 else s[cols], kernel, n)
+            x, residual = x.reshape(n + 1, cols.size), np.atleast_1d(residual)
+            cur[:, part] = x[:head]
+            last[part] = residual
+            if prev is None:
+                continue
+            change = np.max(np.abs(x[: len(prev)] - prev[:, part]), axis=0)
+            accept[part] = (residual <= cfg.tol) & (change <= cfg.tol)
+            for k in np.flatnonzero(accept[part]):
+                rows[cols[k]] = x[:keep, k].copy()
+                levels[cols[k]] = n
+                residuals[cols[k]] = residual[k]
+        todo, prev, last = todo[~accept], cur[:, ~accept], last[~accept]
+        if todo.size == 0:
+            return rows, levels, residuals
+        if n >= cfg.n_max:
+            raise NonConvergenceError(
+                f"row (i={i}, s={s[todo[0]]}) did not converge by n_max={cfg.n_max}; "
+                f"last normalization residual {last[0]:.3e}",
+                residual=float(last[0]),
+            )
+        n = min(n * cfg.growth, cfg.n_max)
+
+
+def solve_rows(
+    i: int,
+    j: int,
+    s_values,
+    kernel: KernelTransform,
+    cfg: TruncationConfig = TruncationConfig(),
+) -> TransformEntries:
+    """rbar_ij(s) at every abscissa of s_values, solved together.
+
+    Each abscissa converges on its own, by exactly the tests of
+    `solve_row_adaptive`, and gives the same value.  Levels start at
+    max(cfg.n0, i + 2, j + 2).  Raises NonConvergenceError naming the
+    first abscissa still open at cfg.n_max.
+    """
+    s = _as_abscissas(s_values)
+    if s.ndim != 1:
+        raise ValueError(f"s_values must be one-dimensional, got shape {s.shape}")
+    _check_s(s)
+    if i < 0 or j < 0:
+        raise ValueError(f"states must be >= 0, got i={i}, j={j}")
+    rows, levels, residuals = _adaptive(i, s, kernel, cfg, max(cfg.n0, i + 2, j + 2), j + 1)
+    values = np.array([row[j] for row in rows], dtype=s.dtype)
+    return TransformEntries(i, j, s, values, levels, residuals)
 
 
 def solve_row_adaptive(
@@ -149,20 +280,14 @@ def solve_row_adaptive(
     _check_s(s)
     if i < 0:
         raise ValueError(f"start state must be >= 0, got {i}")
-    n = max(cfg.n0, i + 2)
-    prev = solve_row_truncated(i, s, kernel, n)
-    while n < cfg.n_max:
-        n = min(n * cfg.growth, cfg.n_max)
-        cur = solve_row_truncated(i, s, kernel, n)
-        head = min(i + 11, len(prev.values))
-        change = float(np.max(np.abs(cur.values[:head] - prev.values[:head])))
-        if cur.normalization_residual <= cfg.tol and change <= cfg.tol:
-            return replace(cur, converged=True)
-        prev = cur
-    raise NonConvergenceError(
-        f"row (i={i}, s={s}) did not converge by n_max={cfg.n_max}; "
-        f"last normalization residual {prev.normalization_residual:.3e}",
-        residual=prev.normalization_residual,
+    rows, levels, residuals = _adaptive(i, _as_abscissas([s]), kernel, cfg, max(cfg.n0, i + 2), None)
+    return TransformRowResult(
+        i=i,
+        s=s,
+        truncation_n=int(levels[0]),
+        values=rows[0],
+        normalization_residual=float(residuals[0]),
+        converged=True,
     )
 
 
@@ -187,7 +312,7 @@ def neumann_series_sum(
         raise ValueError(f"start state must satisfy 0 <= i <= n, got i={i}, n={n}")
     if m_terms < 0:
         raise ValueError(f"m_terms must be >= 0, got {m_terms}")
-    sigma, tau = _kernel_arrays(kernel, n, s)
+    sigma, tau = kernel.transforms(np.arange(n + 1), s)
     power = np.zeros(n + 1, dtype=sigma.dtype)
     power[i] = 1.0
     total = power.copy()

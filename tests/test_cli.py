@@ -110,13 +110,27 @@ class TestArgumentErrors:
         assert code == 2
         assert "invalid arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "renewal --i 0 --j 0 --t-grid 1:1:1 --lambda nan --alpha 1 --method gs",
+            "transform --i 0 --j 0 --s-grid 1:1:1 --lambda 1 --alpha inf",
+            "transform --i 0 --j 0 --s-grid nan:1:2 --lambda 1 --alpha 1 --solver oracle",
+        ],
+        ids=["renewal-lambda-nan", "transform-alpha-inf", "transform-s-nan"],
+    )
+    def test_nonfinite_value_maps_to_two(self, argv, capsys):
+        # rejected up front: a NaN must never run the truncation to n_max
+        assert run(argv.split()) == 2
+        assert "invalid arguments" in capsys.readouterr().err
+
 
 class TestNumericalFailureExit:
     def test_nonconvergence_maps_to_one(self, capsys, monkeypatch):
         def _explode(*args, **kwargs):
             raise NonConvergenceError("forced failure", residual=1.0)
 
-        monkeypatch.setattr(cli, "solve_row_adaptive", _explode)
+        monkeypatch.setattr(cli, "solve_rows", _explode)
         code = run("transform --i 0 --j 0 --s-grid 1:1:1 --lambda 1 --alpha 1 --solver oracle".split())
         assert code == 1
         assert "numerical failure" in capsys.readouterr().err

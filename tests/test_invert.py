@@ -5,10 +5,13 @@ import pytest
 
 from mrenew import (
     InversionConfig,
+    MMInfinityKernel,
     QueueParams,
+    TruncationConfig,
     euler_inversion,
     gaver_stehfest,
     renewal_function,
+    solve_row_adaptive,
     stehfest_weights,
 )
 
@@ -151,3 +154,54 @@ class TestRenewalFunction:
     def test_times_below_t_min_rejected(self):
         with pytest.raises(ValueError):
             renewal_function(0, 0, [1e-12], UNIT)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_nonfinite_times_rejected(self, t):
+        with pytest.raises(ValueError):
+            renewal_function(0, 0, [1.0, t], UNIT)
+
+
+class TestBatchedAbscissas:
+    """renewal_function solves every abscissa of its grid in one solve_rows call."""
+
+    P = QueueParams(3.0, 0.5)
+
+    def _one_at_a_time(self, i, j, s):
+        row = solve_row_adaptive(i, s, MMInfinityKernel(self.P), TruncationConfig(n0=max(64, j + 2)))
+        return row.values[j] / s
+
+    def test_gaver_stehfest_bit_identical_to_one_solve_per_abscissa(self):
+        times = [0.3, 1.0, 2.0, 7.5]
+        values = renewal_function(2, 4, times, self.P, cfg=InversionConfig(order=16))
+        for t, value in zip(times, values):
+            assert value == gaver_stehfest(lambda s: self._one_at_a_time(2, 4, s), t, 16)
+
+    def test_euler_matches_one_solve_per_abscissa(self):
+        times = [0.5, 3.0]
+        values = renewal_function(1, 0, times, self.P, cfg=InversionConfig(method="euler"))
+        for t, value in zip(times, values):
+            one = euler_inversion(lambda s: self._one_at_a_time(1, 0, s), t)
+            assert value == pytest.approx(one, rel=1e-12)
+
+    @pytest.mark.parametrize("order", [16, 18])
+    def test_one_sweep_per_level_whatever_the_grid_length(self, order, monkeypatch):
+        # Structural guard, no timing: the kernel is evaluated once per
+        # truncation level for the whole grid.  These grids fit one sweep
+        # at every level they reach.
+        calls = []
+        real = MMInfinityKernel.transforms
+
+        def spy(self, j, s):
+            calls.append(np.shape(s))
+            return real(self, j, s)
+
+        monkeypatch.setattr(MMInfinityKernel, "transforms", spy)
+        cfg = InversionConfig(order=order)
+        counts = []
+        for times in ([1.0], [0.5, 1.0], [0.5, 1.0, 1.5]):
+            calls.clear()
+            renewal_function(0, 1, times, UNIT, cfg=cfg)
+            counts.append(len(calls))
+            assert all(len(shape) == 1 and shape[0] >= order for shape in calls)
+        # UNIT rows settle one doubling after n0 = 64 at these abscissas
+        assert counts == [2, 2, 2]

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -8,8 +9,6 @@ from mrenew import (
     KernelTransform,
     MMInfinityKernel,
     QueueParams,
-    mm_inf_sigma_bar,
-    mm_inf_tau_bar,
     validate_kernel,
 )
 
@@ -28,37 +27,59 @@ class TestQueueParams:
         with pytest.raises(ValueError):
             QueueParams(lam=1.0, alpha=alpha)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_rejects_nonfinite_arrival_rate(self, lam):
+        with pytest.raises(ValueError):
+            QueueParams(lam=lam, alpha=1.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_rejects_nonfinite_service_time(self, alpha):
+        with pytest.raises(ValueError):
+            QueueParams(lam=1.0, alpha=alpha)
+
     def test_zero_arrivals_allowed(self):
         assert QueueParams(lam=0.0, alpha=1.0).rho == 0.0
+
+
+def _entries(j, s, p):
+    """(sigma_bar, tau_bar) of the M|M|infinity kernel."""
+    return MMInfinityKernel(p).transforms(j, s)
+
+
+def _sigma(j, s, p):
+    return _entries(j, s, p)[0]
+
+
+def _tau(j, s, p):
+    return _entries(j, s, p)[1]
 
 
 class TestKernelEntries:
     def test_tau_at_origin_is_one(self):
         # rho/(0 + rho + 0) with lam = alpha = 1
-        assert mm_inf_tau_bar(0, 0.0, QueueParams(1.0, 1.0)) == pytest.approx(1.0, rel=1e-15)
+        assert _tau(0, 0.0, QueueParams(1.0, 1.0)) == pytest.approx(1.0, rel=1e-15)
 
     def test_tau_example(self):
-        assert mm_inf_tau_bar(1, 2.0, QueueParams(2.0, 1.0)) == pytest.approx(0.4, rel=1e-15)
+        assert _tau(1, 2.0, QueueParams(2.0, 1.0)) == pytest.approx(0.4, rel=1e-15)
 
     def test_tau_vanishes_without_arrivals(self):
-        assert mm_inf_tau_bar(5, 0.0, QueueParams(0.0, 1.0)) == 0.0
+        assert _tau(5, 0.0, QueueParams(0.0, 1.0)) == 0.0
 
     def test_sigma_zero_at_state_zero(self):
-        assert mm_inf_sigma_bar(0, 7.3, QueueParams(3.0, 2.0)) == 0.0
+        assert _sigma(0, 7.3, QueueParams(3.0, 2.0)) == 0.0
 
     def test_sigma_example(self):
-        assert mm_inf_sigma_bar(3, 1.0, QueueParams(1.0, 1.0)) == pytest.approx(0.6, rel=1e-15)
+        assert _sigma(3, 1.0, QueueParams(1.0, 1.0)) == pytest.approx(0.6, rel=1e-15)
 
     def test_sigma_pure_death(self):
-        assert mm_inf_sigma_bar(2, 1.0, QueueParams(0.0, 1.0)) == pytest.approx(2.0 / 3.0, rel=1e-15)
+        assert _sigma(2, 1.0, QueueParams(0.0, 1.0)) == pytest.approx(2.0 / 3.0, rel=1e-15)
 
-    @pytest.mark.parametrize("fn", [mm_inf_tau_bar, mm_inf_sigma_bar])
-    def test_domain_errors(self, fn):
+    def test_domain_errors(self):
         p = QueueParams(1.0, 1.0)
         with pytest.raises(ValueError):
-            fn(-1, 1.0, p)
+            _entries(-1, 1.0, p)
         with pytest.raises(ValueError):
-            fn(1, -0.5, p)
+            _entries(1, -0.5, p)
 
     @given(
         j=st.integers(min_value=0, max_value=200),
@@ -72,30 +93,30 @@ class TestKernelEntries:
         # identity away from the absorbing corner j = rho = s = 0
         p = QueueParams(lam, alpha)
         assume(j + p.rho + alpha * s > 0)
-        total = mm_inf_sigma_bar(j, s, p) + mm_inf_tau_bar(j, s, p)
+        total = _sigma(j, s, p) + _tau(j, s, p)
         expected = (j + p.rho) / (j + p.rho + alpha * s)
         assert total == pytest.approx(expected, rel=1e-15)
 
     def test_absorbing_corner_is_zero(self):
         p = QueueParams(0.0, 1.0)
-        assert mm_inf_tau_bar(0, 0.0, p) == 0.0
-        assert mm_inf_sigma_bar(0, 0.0, p) == 0.0
+        assert _tau(0, 0.0, p) == 0.0
+        assert _sigma(0, 0.0, p) == 0.0
         assert MMInfinityKernel(p).transforms(0, 0.0) == (0.0, 0.0)
 
     def test_strict_decrease_in_s(self):
         p = QueueParams(1.0, 1.0)
         for j in (0, 1, 7):
-            taus = [mm_inf_tau_bar(j, s, p) for s in (0.0, 0.5, 1.0, 4.0)]
+            taus = [_tau(j, s, p) for s in (0.0, 0.5, 1.0, 4.0)]
             assert all(a > b for a, b in zip(taus, taus[1:]))
-        sigmas = [mm_inf_sigma_bar(3, s, p) for s in (0.0, 0.5, 1.0, 4.0)]
+        sigmas = [_sigma(3, s, p) for s in (0.0, 0.5, 1.0, 4.0)]
         assert all(a > b for a, b in zip(sigmas, sigmas[1:]))
 
     def test_vanishing_at_large_s(self):
         p = QueueParams(1.0, 1.0)
         s = 1e8 / p.alpha
         for j in (0, 1, 10):
-            assert mm_inf_tau_bar(j, s, p) < 1e-6
-            assert mm_inf_sigma_bar(j, s, p) < 1e-6
+            assert _tau(j, s, p) < 1e-6
+            assert _sigma(j, s, p) < 1e-6
 
 
 class _BadOriginKernel(KernelTransform):
@@ -143,14 +164,14 @@ class TestValidateKernel:
 
 
 class TestMMInfinityKernelEvaluator:
-    def test_matches_module_functions(self):
+    def test_matches_rational_formulas(self):
         p = QueueParams(1.5, 0.7)
         kernel = MMInfinityKernel(p)
         for j in (0, 1, 4):
             for s in (0.0, 0.3, 2.0):
                 sigma, tau = kernel.transforms(j, s)
-                assert sigma == mm_inf_sigma_bar(j, s, p)
-                assert tau == mm_inf_tau_bar(j, s, p)
+                assert sigma == j / (j + p.rho + p.alpha * s)
+                assert tau == p.rho / (j + p.rho + p.alpha * s)
 
     def test_complex_s_accepted(self):
         # j = 2, rho = 1, alpha = 1, s = 1 + 3i: denominator 4 + 3i
@@ -164,8 +185,49 @@ class TestMMInfinityKernelEvaluator:
         with pytest.raises(ValueError):
             kernel.transforms(2, complex(-1.0, 3.0))
 
-    def test_helper_accessors(self):
-        p = QueueParams(1.0, 1.0)
-        kernel = MMInfinityKernel(p)
-        assert kernel.sigma_bar(3, 1.0) == mm_inf_sigma_bar(3, 1.0, p)
-        assert kernel.tau_bar(3, 1.0) == mm_inf_tau_bar(3, 1.0, p)
+
+class TestKernelArrays:
+    """transforms broadcasts over arrays of j and s, entry for entry."""
+
+    @pytest.mark.parametrize("lam", [0.0, 1.5])
+    def test_grid_matches_scalar_calls(self, lam):
+        kernel = MMInfinityKernel(QueueParams(lam, 0.7))
+        states = np.arange(6)[:, None]
+        s = np.array([0.0, 0.3, 2.0, 50.0])
+        sigma, tau = kernel.transforms(states, s)
+        assert sigma.shape == tau.shape == (6, 4)
+        for j in range(6):
+            for k, s_k in enumerate(s.tolist()):
+                assert (sigma[j, k], tau[j, k]) == kernel.transforms(j, s_k)
+
+    def test_complex_grid_matches_scalar_calls(self):
+        kernel = MMInfinityKernel(QueueParams(1.0, 1.0))
+        s = np.array([complex(1.0, 3.0), complex(0.5, -2.0)])
+        sigma, tau = kernel.transforms(np.arange(4)[:, None], s)
+        assert sigma[2, 0] == 2 / (4 + 3j)
+        assert tau[2, 0] == 1 / (4 + 3j)
+        for j in range(4):
+            for k, s_k in enumerate(s.tolist()):
+                assert sigma[j, k] == pytest.approx(kernel.transforms(j, s_k)[0], rel=1e-15)
+                assert tau[j, k] == pytest.approx(kernel.transforms(j, s_k)[1], rel=1e-15)
+
+    def test_absorbing_corner_in_an_array(self):
+        # j = 0 and rho = 0: both entries are 0 for every s, s = 0 included
+        sigma, tau = MMInfinityKernel(QueueParams(0.0, 1.0)).transforms(
+            np.arange(3)[:, None], np.array([0.0, 1.0])
+        )
+        np.testing.assert_array_equal(sigma, [[0.0, 0.0], [1.0, 0.5], [1.0, 2.0 / 3.0]])
+        np.testing.assert_array_equal(tau, np.zeros((3, 2)))
+
+    @pytest.mark.parametrize(
+        "j, s",
+        [
+            (np.array([0, 1, -1]), 1.0),
+            (np.arange(3), np.array([1.0, -0.5])[:, None]),
+            (np.arange(3), np.array([1.0 + 1.0j, -1.0 + 3.0j])[:, None]),
+        ],
+        ids=["negative-state", "negative-s", "negative-real-part"],
+    )
+    def test_domain_errors_inside_an_array(self, j, s):
+        with pytest.raises(ValueError):
+            MMInfinityKernel(QueueParams(1.0, 1.0)).transforms(j, s)

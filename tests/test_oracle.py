@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
+import mrenew.oracle as oracle
 from mrenew import (
+    KernelTransform,
     MMInfinityKernel,
     NonConvergenceError,
+    PivotError,
     QueueParams,
     TruncationConfig,
     neumann_series_sum,
     solve_row_adaptive,
     solve_row_truncated,
+    solve_rows,
 )
 
 # rbar_00(1) for lam = alpha = 1, pinned once the adaptive solve first
@@ -57,6 +61,16 @@ class TestSolveRowTruncated:
             solve_row_truncated(0, 0.0, kernel(UNIT), 8)
         with pytest.raises(ValueError):
             solve_row_truncated(0, -1.0, kernel(UNIT), 8)
+
+    @pytest.mark.parametrize(
+        "s", [math.nan, math.inf, complex(math.nan, 1.0), complex(1.0, math.inf)]
+    )
+    def test_rejects_nonfinite_s(self, s):
+        # rejected up front: a NaN would otherwise double n up to n_max
+        with pytest.raises(ValueError):
+            solve_row_truncated(0, s, kernel(UNIT), 8)
+        with pytest.raises(ValueError):
+            solve_row_adaptive(0, s, kernel(UNIT))
 
     def test_rejects_start_state_outside_truncation(self):
         with pytest.raises(ValueError):
@@ -124,6 +138,88 @@ class TestSolveRowAdaptive:
             ]
             for coarse, fine in zip(residuals, residuals[1:]):
                 assert fine <= coarse + 1e-13
+
+
+class _ZeroPivotKernel(KernelTransform):
+    """sigma_bar = tau_bar = 1 away from state 0: the pivot of row 1 is 0."""
+
+    def transforms(self, j, s):
+        ones = np.ones(np.broadcast(j, s).shape)
+        return np.where(j == 0, 0.0, ones), ones
+
+
+class TestSolveRows:
+    # rho = 300 over s in 1e-3..1e3: the columns settle at n = 128, 256 and 512
+    SPREAD = (QueueParams(300.0, 1.0), np.geomspace(1e-3, 1e3, 20))
+
+    def test_real_columns_bit_identical_to_one_column_solves(self):
+        p, s_values = self.SPREAD
+        k = kernel(p)
+        entries = solve_rows(1, 3, s_values, k)
+        assert len(set(entries.truncation_n.tolist())) == 3
+        for col, s in enumerate(s_values.tolist()):
+            row = solve_row_adaptive(1, s, k)
+            assert entries.values[col] == row.values[3]
+            assert entries.truncation_n[col] == row.truncation_n
+            assert entries.normalization_residual[col] == row.normalization_residual
+
+    def test_complex_columns_match_one_column_solves_and_conjugates(self):
+        k = kernel(QueueParams(2.0, 1.0))
+        upper = [complex(0.5, y) for y in np.linspace(0.0, 40.0, 12)]
+        s_values = upper + [s.conjugate() for s in upper]
+        entries = solve_rows(2, 1, s_values, k)
+        for col, s in enumerate(s_values):
+            one = solve_row_adaptive(2, s, k).values[1]
+            assert abs(entries.values[col] - one) <= 1e-13 * abs(one)
+        np.testing.assert_allclose(entries.values[12:], np.conj(entries.values[:12]), rtol=1e-15)
+
+    def test_columns_independent_of_their_company(self):
+        p, s_values = self.SPREAD
+        k = kernel(p)
+        together = solve_rows(0, 0, s_values, k).values
+        reversed_ = solve_rows(0, 0, s_values[::-1], k).values
+        np.testing.assert_array_equal(together, reversed_[::-1])
+
+    def test_nonconvergent_column_named_with_its_residual(self):
+        cfg = TruncationConfig(n0=8, n_max=32)
+        s_values = [10.0, 1.0, 0.01, 5.0]    # 0.01 still moves between 16 and 32
+        with pytest.raises(NonConvergenceError) as err:
+            solve_rows(0, 0, s_values, kernel(UNIT), cfg)
+        assert "s=0.01" in str(err.value)
+        at_cap = solve_row_truncated(0, 0.01, kernel(UNIT), 32).normalization_residual
+        assert err.value.residual == at_cap
+
+    def test_pivot_error_still_raised(self):
+        with pytest.raises(PivotError, match="at row 1"):
+            solve_row_truncated(0, 1.0, _ZeroPivotKernel(), 8)
+        with pytest.raises(PivotError, match="at row 1"):
+            solve_rows(0, 0, np.linspace(1.0, 2.0, 40), _ZeroPivotKernel())
+
+    def test_sweeps_stay_within_the_element_budget(self, monkeypatch):
+        shapes = []
+        real = MMInfinityKernel.transforms
+
+        def spy(self, j, s):
+            shapes.append(np.broadcast(j, s).shape)
+            return real(self, j, s)
+
+        monkeypatch.setattr(MMInfinityKernel, "transforms", spy)
+        p, s_values = self.SPREAD
+        solve_rows(0, 0, np.concatenate([s_values, s_values + 0.5]), kernel(p))
+        assert any(len(shape) == 2 for shape in shapes)
+        for shape in shapes:
+            assert len(shape) == 1 or shape[0] * shape[1] <= oracle._SWEEP_ELEMENTS
+
+    def test_rejects_bad_arguments(self):
+        k = kernel(UNIT)
+        with pytest.raises(ValueError):
+            solve_rows(0, 0, [1.0, math.nan, 2.0], k)
+        with pytest.raises(ValueError):
+            solve_rows(0, 0, [[1.0, 2.0]], k)
+        with pytest.raises(ValueError):
+            solve_rows(0, -1, [1.0], k)
+        with pytest.raises(ValueError):
+            solve_rows(-1, 0, [1.0], k)
 
 
 class TestTruncationConfig:
