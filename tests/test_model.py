@@ -74,12 +74,13 @@ class TestKernelEntries:
     def test_sigma_pure_death(self):
         assert _sigma(2, 1.0, QueueParams(0.0, 1.0)) == pytest.approx(2.0 / 3.0, rel=1e-15)
 
-    def test_domain_errors(self):
+    @pytest.mark.parametrize("entry", [_tau, _sigma], ids=["mm_inf_tau_bar", "mm_inf_sigma_bar"])
+    def test_domain_errors(self, entry):
         p = QueueParams(1.0, 1.0)
         with pytest.raises(ValueError):
-            _entries(-1, 1.0, p)
+            entry(-1, 1.0, p)
         with pytest.raises(ValueError):
-            _entries(1, -0.5, p)
+            entry(1, -0.5, p)
 
     @given(
         j=st.integers(min_value=0, max_value=200),
