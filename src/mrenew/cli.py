@@ -11,19 +11,15 @@ import sys
 
 import numpy as np
 
+from . import crosscheck
 from .closedform import rbar_closed_form
 from .errors import EventCapError, NonConvergenceError, PivotError
 from .hyperg import kummer_m
 from .invert import InversionConfig, renewal_function
 from .mcsim import SimConfig, simulate_renewal_counts
+# perfbench/checks.py reads MMInfinityKernel, QueueParams, TruncationConfig, solve_row_adaptive here
 from .model import MMInfinityKernel, QueueParams
-from .oracle import (
-    TruncationConfig,
-    neumann_series_sum,
-    solve_row_adaptive,
-    solve_row_truncated,
-    solve_rows,
-)
+from .oracle import TruncationConfig, solve_row_adaptive, solve_rows  # noqa: F401
 
 
 def _fmt(x) -> str:
@@ -144,67 +140,34 @@ def _cmd_hyperg(args) -> int:
     return 0
 
 
-def _check_two_oracle(quick: bool):
-    states = [0, 2] if quick else [0, 1, 2, 5]
-    s_values = [1.0, 10.0] if quick else [0.1, 1.0, 10.0]
-    params = [(0.5, 1.0), (1.0, 1.0)] if quick else [(0.5, 1.0), (1.0, 1.0), (2.0, 0.5)]
-    n = 256
-    worst = 0.0
-    for lam, alpha in params:
-        kernel = MMInfinityKernel(QueueParams(lam, alpha))
-        for i in states:
-            for s in s_values:
-                direct = solve_row_truncated(i, s, kernel, n).values
-                series = neumann_series_sum(i, s, kernel, n, 200_000, stop_below=1e-12)
-                worst = max(worst, float(np.max(np.abs(direct - series))))
-    return worst <= 1e-8, f"max |diff| = {worst:.3e} (allowed 1e-8)"
+_SIMULATION = dict(i=0, targets=(0, 1), times=(0.5, 1.0, 2.0), lam=1.0, alpha=1.0, seed=20240817)
 
-
-def _check_closed_form(quick: bool):
-    states = range(3) if quick else range(5)
-    s_values = [1.0, 5.0] if quick else [0.5, 1.0, 5.0]
-    rhos = [0.5, 2.0] if quick else [0.5, 1.0, 2.0]
-    worst = 0.0
-    for rho in rhos:
-        p = QueueParams(rho, 1.0)
-        kernel = MMInfinityKernel(p)
-        for i in states:
-            for s in s_values:
-                row = solve_row_adaptive(i, s, kernel)
-                for n in states:
-                    reference = float(row.values[n])
-                    closed = rbar_closed_form(i, n, s, p)
-                    err = abs(closed - reference) / max(abs(reference), 1e-9 / 1e-6)
-                    worst = max(worst, err)
-    return worst <= 1e-6, f"max rel diff = {worst:.3e} (allowed 1e-6)"
-
-
-def _check_inversion_vs_simulation(quick: bool):
-    p = QueueParams(1.0, 1.0)
-    t_grid = [0.5, 1.0, 2.0]
-    n_paths = 20_000 if quick else 100_000
-    cfg = SimConfig(n_paths=n_paths, seed=20240817, t_max=2.0)
-    estimates = simulate_renewal_counts(0, [0, 1], t_grid, p, cfg)
-    worst = 0.0
-    for j in (0, 1):
-        inverted = renewal_function(0, j, t_grid, p, solver="oracle")
-        for est, value in zip([e for e in estimates if e.j == j], inverted):
-            z = abs(value - est.mean) / max(est.std_error, 1e-300)
-            worst = max(worst, z)
-    return worst <= 3.0, f"max |z| = {worst:.2f} (allowed 3 standard errors)"
+# name, cross-check, quick grid, full grid, allowed worst
+_CHECKS = (
+    ("two_oracle_agreement", crosscheck.two_oracle_agreement,
+     dict(states=(0, 2), s_values=(1.0, 10.0), param_pairs=((0.5, 1.0), (1.0, 1.0))),
+     dict(states=(0, 1, 2, 5), s_values=(0.1, 1.0, 10.0),
+          param_pairs=((0.5, 1.0), (1.0, 1.0), (2.0, 0.5))),
+     1e-8),
+    ("closed_form_vs_oracle", crosscheck.closed_form_vs_oracle,
+     dict(states=range(3), s_values=(1.0, 5.0), rhos=(0.5, 2.0)),
+     dict(states=range(5), s_values=(0.5, 1.0, 5.0), rhos=(0.5, 1.0, 2.0)),
+     1e-6),
+    ("inversion_vs_simulation", crosscheck.inversion_vs_simulation,
+     dict(_SIMULATION, n_paths=20_000), dict(_SIMULATION, n_paths=100_000),
+     3.0),
+)
 
 
 def _cmd_validate(args) -> int:
-    checks = [
-        ("two_oracle_agreement", _check_two_oracle),
-        ("closed_form_vs_oracle", _check_closed_form),
-        ("inversion_vs_simulation", _check_inversion_vs_simulation),
-    ]
     all_ok = True
     print(f"{'check':<28}{'result':<8}detail")
-    for name, fn in checks:
-        ok, detail = fn(args.quick)
+    for name, check, quick, full, allowed in _CHECKS:
+        worst, where = check(**(quick if args.quick else full))
+        ok = worst <= allowed
         all_ok &= ok
+        at = ", ".join(f"{k}={v}" for k, v in (where or {}).items())
+        detail = f"worst {worst:.3e} at ({at}) (allowed {allowed:g})"
         print(f"{name:<28}{'PASS' if ok else 'FAIL':<8}{detail}")
     return 0 if all_ok else 1
 

@@ -53,8 +53,8 @@ def generating_function(i: int, x: float, s: float, p: QueueParams, tol: float =
     Defined for x in (-1, 1] and s > 0; equals 1/s at x = 1.  `tol` is
     passed through to the Kummer series.
     """
-    if s <= 0:
-        raise ValueError(f"transform variable must be > 0, got {s}")
+    if not 0 < s < math.inf:
+        raise ValueError(f"transform variable must be finite and > 0, got {s}")
     if not -1.0 < x <= 1.0:
         raise ValueError(f"argument must lie in (-1, 1], got {x}")
     if i < 0:
@@ -104,8 +104,8 @@ def rbar_closed_form(i: int, n: int, s: float, p: QueueParams, tol: float = 1e-1
     coefficients use the multiplicative recurrence; Kummer evaluations at
     -rho are routed through the transformation inside `kummer_m`.
     """
-    if s <= 0:
-        raise ValueError(f"transform variable must be > 0, got {s}")
+    if not 0 < s < math.inf:
+        raise ValueError(f"transform variable must be finite and > 0, got {s}")
     if i < 0 or n < 0:
         raise ValueError(f"states must be >= 0, got i={i}, n={n}")
     a_s = p.alpha * s

@@ -30,14 +30,11 @@ _FORBIDDEN_B_TOL = 1e-12
 _CONSECUTIVE_SMALL = 3
 
 
-def pochhammer_ratio_step(prev_term: float, a: float, b: float, z: float, k: int) -> float:
-    """Series term k+1 from term k: prev * (a+k)/(b+k) * z/(k+1)."""
-    if k < 0:
-        raise ValueError(f"term index must be >= 0, got {k}")
-    return prev_term * ((a + k) / (b + k)) * (z / (k + 1))
-
-
-def _check_b(b: float):
+def _check_args(a: float, b: float, z: float, tol: float):
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(z)):
+        raise ValueError(f"arguments must be finite, got a={a}, b={b}, z={z}")
+    if not 0.0 < tol <= 1e-6:
+        raise ValueError(f"tol must lie in (0, 1e-6], got {tol}")
     nearest = round(b)
     if nearest <= 0 and abs(b - nearest) <= _FORBIDDEN_B_TOL:
         raise ValueError(
@@ -50,16 +47,15 @@ def kummer_series_direct(a: float, b: float, z: float, tol: float = 1e-14) -> fl
     """Sum the Taylor series as-is, without the negative-z transformation.
 
     Stops once the running term stays below tol * |partial sum| for three
-    consecutive terms.  Exposed mainly so the transformation identity can be
-    checked against an independently summed series; prefer `kummer_m`.
+    consecutive terms.  Used to check the transformation identity against an
+    independently summed series; prefer `kummer_m`.
     """
-    _check_tol(tol)
-    _check_b(b)
+    _check_args(a, b, z, tol)
     term = 1.0
     total = 1.0
     small_streak = 0
     for k in range(MAX_TERMS):
-        term = pochhammer_ratio_step(term, a, b, z, k)
+        term = term * ((a + k) / (b + k)) * (z / (k + 1))
         total += term
         if abs(term) <= tol * abs(total):
             small_streak += 1
@@ -74,21 +70,15 @@ def kummer_series_direct(a: float, b: float, z: float, tol: float = 1e-14) -> fl
     )
 
 
-def _check_tol(tol: float):
-    if not 0.0 < tol <= 1e-6:
-        raise ValueError(f"tol must lie in (0, 1e-6], got {tol}")
-
-
 def kummer_m(a: float, b: float, z: float, tol: float = 1e-14) -> float:
     """Evaluate phi(a, b; z) for real arguments.
 
     phi(a, b; 0) = 1 exactly.  Negative arguments go through Kummer's
     transformation to avoid catastrophic cancellation.  Raises ValueError
-    for forbidden b (zero or a negative integer) and NonConvergenceError
-    past 10,000 terms.
+    for non-finite arguments and forbidden b (zero or a negative integer),
+    and NonConvergenceError past 10,000 terms.
     """
-    _check_tol(tol)
-    _check_b(b)
+    _check_args(a, b, z, tol)
     if z == 0:
         return 1.0
     if z < 0:

@@ -40,15 +40,12 @@ class InversionConfig:
     """Inversion method and its term counts.
 
     order applies to Gaver-Stehfest and must be even in [4, 18]; beyond 18
-    the weights overwhelm double precision.  euler_m / euler_n are the
-    averaging and partial-sum lengths of the Euler method.  Times below
-    t_min are rejected.
+    the weights overwhelm double precision.  The Euler method always uses
+    EULER_DEFAULT_M and EULER_DEFAULT_N.  Times below t_min are rejected.
     """
 
     method: str = "gaver-stehfest"
     order: int = 14
-    euler_m: int = EULER_DEFAULT_M
-    euler_n: int = EULER_DEFAULT_N
     t_min: float = 1e-9
 
     def __post_init__(self):
@@ -56,8 +53,6 @@ class InversionConfig:
             raise ValueError(f"unknown inversion method {self.method!r}")
         if self.order % 2 != 0 or not 4 <= self.order <= 18:
             raise ValueError(f"order must be even and within [4, 18], got {self.order}")
-        if self.euler_m < 1 or self.euler_n < 1:
-            raise ValueError("euler_m and euler_n must be >= 1")
         if self.t_min <= 0:
             raise ValueError(f"t_min must be > 0, got {self.t_min}")
 
@@ -168,7 +163,7 @@ def renewal_function(
             s
             for t in times.tolist()
             for s in (_stehfest_abscissas(t, cfg.order) if gs
-                      else _euler_abscissas(t, cfg.euler_m, cfg.euler_n))
+                      else _euler_abscissas(t, EULER_DEFAULT_M, EULER_DEFAULT_N))
         ))
         entries = solve_rows(i, j, points, MMInfinityKernel(p), truncation)
         transform = {s: value / s for s, value in zip(points, entries.values)}.__getitem__
@@ -182,5 +177,5 @@ def renewal_function(
         if gs:
             out[idx] = gaver_stehfest(transform, t, cfg.order)
         else:
-            out[idx] = euler_inversion(transform, t, cfg.euler_m, cfg.euler_n)
+            out[idx] = euler_inversion(transform, t, EULER_DEFAULT_M, EULER_DEFAULT_N)
     return out

@@ -39,8 +39,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
-        if self.t_max <= 0:
-            raise ValueError(f"t_max must be > 0, got {self.t_max}")
+        if not (math.isfinite(self.t_max) and self.t_max > 0):
+            raise ValueError(f"t_max must be finite and > 0, got {self.t_max}")
         if self.max_events < 1:
             raise ValueError(f"max_events must be >= 1, got {self.max_events}")
 
@@ -126,8 +126,8 @@ def simulate_renewal_counts(
     """
     targets = list(j_set)
     times = np.asarray(t_grid, dtype=float)
-    if times.size == 0:
-        raise ValueError("t_grid must be nonempty")
+    if times.size == 0 or not np.isfinite(times).all():
+        raise ValueError("t_grid must be nonempty and finite")
     if np.any(np.diff(times) < 0):
         raise ValueError("t_grid must be sorted ascending")
     if times[0] <= 0 or times[-1] > cfg.t_max:

@@ -82,7 +82,6 @@ class TruncationConfig:
     n0: int = 64
     n_max: int = 2**16
     tol: float = 1e-10
-    growth: int = 2
 
     def __post_init__(self):
         if self.n0 < 2:
@@ -91,8 +90,6 @@ class TruncationConfig:
             raise ValueError(f"n_max must be >= n0, got {self.n_max} < {self.n0}")
         if self.tol <= 0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
-        if self.growth < 2:
-            raise ValueError(f"growth must be >= 2, got {self.growth}")
 
 
 def _check_s(s):
@@ -198,7 +195,7 @@ def _adaptive(i: int, s: np.ndarray, kernel: KernelTransform, cfg: TruncationCon
               n: int, keep):
     """Accept each abscissa of s at the first level that passes both tests.
 
-    Levels grow from n by cfg.growth, and only the columns still open are
+    Levels double from n, and only the columns still open are
     swept again.  Between levels only their leading entries are kept.
     Returns, per column, the accepted values[:keep] (the whole row when
     keep is None), the level and the residual.
@@ -236,7 +233,7 @@ def _adaptive(i: int, s: np.ndarray, kernel: KernelTransform, cfg: TruncationCon
                 f"last normalization residual {last[0]:.3e}",
                 residual=float(last[0]),
             )
-        n = min(n * cfg.growth, cfg.n_max)
+        n = min(2 * n, cfg.n_max)
 
 
 def solve_rows(

@@ -15,19 +15,21 @@ from mrenew import (
     InversionConfig,
     MMInfinityKernel,
     QueueParams,
-    SimConfig,
     generating_function,
     gaver_stehfest,
     kummer_m,
-    neumann_series_sum,
-    ode_residual,
     rbar_closed_form,
     renewal_function,
-    simulate_renewal_counts,
     solve_row_adaptive,
     solve_row_truncated,
 )
 from mrenew.cli import run
+from mrenew.closedform import ode_residual
+from mrenew.crosscheck import (
+    closed_form_vs_oracle,
+    inversion_vs_simulation,
+    two_oracle_agreement,
+)
 
 STATES = (0, 1, 2, 5)
 S_VALUES = (0.1, 1.0, 10.0)
@@ -53,16 +55,9 @@ def test_criterion_1_normalization():
 
 
 def test_criterion_2_two_oracle_equivalence():
-    worst = 0.0
-    for lam, alpha in PARAM_PAIRS:
-        kernel = MMInfinityKernel(QueueParams(lam, alpha))
-        for i in STATES:
-            for s in S_VALUES:
-                direct = solve_row_truncated(i, s, kernel, 256).values
-                series = neumann_series_sum(i, s, kernel, 256, 200_000, stop_below=1e-12)
-                worst = max(worst, float(np.max(np.abs(direct - series))))
+    worst, where = two_oracle_agreement(STATES, S_VALUES, PARAM_PAIRS)
     ok = worst <= 1e-8
-    _report(2, ok, f"two-oracle worst entrywise diff {worst:.3e} (allowed 1e-8)")
+    _report(2, ok, f"two-oracle worst entrywise diff {worst:.3e} at {where} (allowed 1e-8)")
     assert ok
 
 
@@ -81,25 +76,12 @@ def test_criterion_3_pure_death_exactness():
 
 
 def test_criterion_4_closed_form_vs_oracle():
-    worst = 0.0
-    worst_case = None
-    for rho in (0.5, 1.0, 2.0):
-        p = QueueParams(rho, 1.0)
-        kernel = MMInfinityKernel(p)
-        for i in range(5):
-            for s in (0.5, 1.0, 5.0):
-                reference_row = solve_row_adaptive(i, s, kernel).values
-                for n in range(5):
-                    reference = float(reference_row[n])
-                    value = rbar_closed_form(i, n, s, p)
-                    err = abs(value - reference) / max(abs(reference), 1e-9 / 1e-6)
-                    if err > worst:
-                        worst, worst_case = err, (i, n, s, rho)
+    worst, where = closed_form_vs_oracle(range(5), (0.5, 1.0, 5.0), (0.5, 1.0, 2.0))
     ok = worst <= 1e-6
-    _report(4, ok, f"closed form vs oracle worst rel diff {worst:.3e} at (i,n,s,rho)={worst_case} (allowed 1e-6)")
+    _report(4, ok, f"closed form vs oracle worst rel diff {worst:.3e} at {where} (allowed 1e-6)")
     assert ok, (
         "closed-form row formula disagrees with the truncated-system solver: "
-        f"worst relative difference {worst:.3e} at (i, n, s, rho) = {worst_case}; "
+        f"worst relative difference {worst:.3e} at {where}; "
         "no implemented reading of the analytic row formula may ship without "
         "oracle agreement"
     )
@@ -177,17 +159,11 @@ def test_criterion_7_inversion():
 
 
 def test_criterion_8_end_to_end():
-    p = QueueParams(1.0, 1.0)
-    times = [0.5, 1.0, 2.0]
-    cfg = SimConfig(n_paths=100_000, seed=20240817, t_max=2.0)
-    estimates = simulate_renewal_counts(0, [0, 1], times, p, cfg)
-    worst_z = 0.0
-    for j in (0, 1):
-        inverted = renewal_function(0, j, times, p, solver="oracle")
-        for value, est in zip(inverted, (e for e in estimates if e.j == j)):
-            worst_z = max(worst_z, abs(value - est.mean) / est.std_error)
+    worst_z, where = inversion_vs_simulation(
+        0, (0, 1), [0.5, 1.0, 2.0], lam=1.0, alpha=1.0, n_paths=100_000, seed=20240817
+    )
     ok = worst_z <= 3.0
-    _report(8, ok, f"inversion vs Monte Carlo worst |z| {worst_z:.2f} (allowed 3 standard errors)")
+    _report(8, ok, f"inversion vs Monte Carlo worst |z| {worst_z:.2f} at {where} (allowed 3 standard errors)")
     assert ok
 
 

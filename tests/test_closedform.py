@@ -9,12 +9,11 @@ from mrenew import (
     MMInfinityKernel,
     QueueParams,
     generating_function,
-    ode_residual,
     rbar_closed_form,
-    rbar_from_tbar,
     solve_row_adaptive,
-    tbar_from_rbar,
 )
+from mrenew import crosscheck
+from mrenew.closedform import ode_residual, rbar_from_tbar, tbar_from_rbar
 
 UNIT = QueueParams(1.0, 1.0)
 PURE_DEATH = QueueParams(0.0, 1.0)
@@ -77,6 +76,9 @@ class TestGeneratingFunction:
             generating_function(0, 0.5, 0.0, UNIT)
         with pytest.raises(ValueError):
             generating_function(-1, 0.5, 1.0, UNIT)
+        for s in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="transform variable"):
+                generating_function(1, 0.5, s, UNIT)
 
 
 class TestOdeResidual:
@@ -137,6 +139,30 @@ class TestClosedFormRow:
             rbar_closed_form(-1, 0, 1.0, UNIT)
         with pytest.raises(ValueError):
             rbar_closed_form(0, -1, 1.0, UNIT)
+        for s in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="transform variable"):
+                rbar_closed_form(1, 2, s, UNIT)
+
+
+class TestCrossCheck:
+    def test_reports_where_the_worst_occurred(self):
+        worst, where = crosscheck.closed_form_vs_oracle((0, 2), (0.5, 2.0), (1.0, 3.0))
+        assert set(where) == {"i", "n", "s", "rho"}
+        p = QueueParams(where["rho"], 1.0)
+        reference = float(solve_row_adaptive(where["i"], where["s"], MMInfinityKernel(p)).values[where["n"]])
+        value = rbar_closed_form(where["i"], where["n"], where["s"], p)
+        assert worst == abs(value - reference) / max(abs(reference), 1e-3)
+
+    def test_nan_fails_instead_of_passing(self, monkeypatch):
+        # a NaN entry must not read as agreement
+        real = crosscheck.rbar_closed_form
+        monkeypatch.setattr(
+            crosscheck, "rbar_closed_form",
+            lambda i, n, s, p: math.nan if (i, n) == (1, 0) else real(i, n, s, p),
+        )
+        worst, where = crosscheck.closed_form_vs_oracle((0, 1), (1.0,), (1.0,))
+        assert math.isnan(worst) and not worst <= 1e-6
+        assert (where["i"], where["n"]) == (1, 0)
 
 
 def _taylor_coefficients(fn, n_max, radius=0.5, degree=32):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrenew import NonConvergenceError, kummer_m, kummer_series_direct, pochhammer_ratio_step
+from mrenew import NonConvergenceError, kummer_m
+from mrenew.hyperg import kummer_series_direct
 
 # Reference value for phi(2, 3; -1), frozen from direct series summation at
 # 50 decimal digits (mpmath mpf terms, recurrence term *= (a+k)/(b+k)*z/(k+1)):
@@ -22,24 +23,6 @@ def _mp_series(a, b, z, dps=50, terms=400):
             term *= (mp.mpf(a) + k) / (mp.mpf(b) + k) * mp.mpf(z) / (k + 1)
             total += term
         return total
-
-
-class TestPochhammerRatioStep:
-    def test_first_step(self):
-        assert pochhammer_ratio_step(1.0, 1.0, 2.0, 1.0, 0) == pytest.approx(0.5, rel=1e-15)
-
-    def test_second_step(self):
-        assert pochhammer_ratio_step(0.5, 1.0, 2.0, 1.0, 1) == pytest.approx(1.0 / 6.0, rel=1e-15)
-
-    def test_equal_parameters_reduce_to_exponential(self):
-        # a == b: next term is prev * z / (k+1)
-        assert pochhammer_ratio_step(0.81, 3.7, 3.7, -2.2, 4) == pytest.approx(
-            0.81 * -2.2 / 5.0, rel=1e-15
-        )
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
-            pochhammer_ratio_step(1.0, 1.0, 2.0, 1.0, -1)
 
 
 class TestKummerValues:
@@ -105,6 +88,17 @@ class TestKummerValidation:
     def test_tol_range_enforced(self, tol):
         with pytest.raises(ValueError):
             kummer_m(1.0, 2.0, 1.0, tol=tol)
+
+    @pytest.mark.parametrize("fn", [kummer_m, kummer_series_direct])
+    @pytest.mark.parametrize(
+        "a,b,z",
+        [(math.nan, 2.0, 1.0), (1.0, math.nan, 1.0), (1.0, 2.0, math.nan),
+         (math.inf, 2.0, 1.0), (1.0, 2.0, -math.inf)],
+    )
+    def test_nonfinite_arguments_rejected(self, fn, a, b, z):
+        # rejected before summing: a NaN must not run all MAX_TERMS terms
+        with pytest.raises(ValueError, match="must be finite"):
+            fn(a, b, z)
 
     def test_nonconvergence_carries_residual(self):
         with pytest.raises(NonConvergenceError) as err:

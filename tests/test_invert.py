@@ -12,8 +12,8 @@ from mrenew import (
     gaver_stehfest,
     renewal_function,
     solve_row_adaptive,
-    stehfest_weights,
 )
+from mrenew.invert import stehfest_weights
 
 PURE_DEATH = QueueParams(0.0, 1.0)
 UNIT = QueueParams(1.0, 1.0)
@@ -95,7 +95,6 @@ class TestInversionConfig:
             {"order": 2},
             {"order": 20},
             {"t_min": 0.0},
-            {"euler_m": 0},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

@@ -9,8 +9,8 @@ from mrenew import (
     QueueParams,
     SimConfig,
     simulate_renewal_counts,
-    step_embedded,
 )
+from mrenew.mcsim import step_embedded
 
 UNIT = QueueParams(1.0, 1.0)
 PURE_DEATH = QueueParams(0.0, 1.0)
@@ -145,6 +145,10 @@ class TestSimulateRenewalCounts:
             simulate_renewal_counts(0, [-1], [0.5], UNIT, cfg)
         with pytest.raises(ValueError):
             simulate_renewal_counts(0, [0], [0.5], UNIT, cfg, workers=0)
+        # a NaN time is never passed, so every path would walk to max_events
+        for t_grid in ([math.nan], [0.5, math.nan]):
+            with pytest.raises(ValueError, match="finite"):
+                simulate_renewal_counts(0, [0], t_grid, UNIT, cfg)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -153,3 +157,6 @@ class TestSimulateRenewalCounts:
             SimConfig(n_paths=1, seed=1, t_max=0.0)
         with pytest.raises(ValueError):
             SimConfig(n_paths=1, seed=1, t_max=1.0, max_events=0)
+        for t_max in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                SimConfig(n_paths=1, seed=1, t_max=t_max)

@@ -225,7 +225,7 @@ class TestSolveRows:
 class TestTruncationConfig:
     def test_defaults_valid(self):
         cfg = TruncationConfig()
-        assert cfg.n0 == 64 and cfg.n_max == 2**16 and cfg.tol == 1e-10 and cfg.growth == 2
+        assert cfg.n0 == 64 and cfg.n_max == 2**16 and cfg.tol == 1e-10
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -234,7 +234,6 @@ class TestTruncationConfig:
             {"n_max": 32},
             {"tol": 0.0},
             {"tol": -1e-3},
-            {"growth": 1},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
