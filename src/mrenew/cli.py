@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 numerical non-convergence (or failed validation),
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -89,7 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_transform(args) -> int:
     p = QueueParams(args.lam, args.alpha)
     kernel = MMInfinityKernel(p)
-    trunc = TruncationConfig(n0=max(64, args.j + 2))
     columns = {
         "oracle": "s,rbar_oracle",
         "closedform": "s,rbar_closedform",
@@ -97,7 +97,7 @@ def _cmd_transform(args) -> int:
     }
     print(columns[args.solver])
     if args.solver in ("oracle", "both"):
-        oracle_values = solve_rows(args.i, args.j, args.s_grid, kernel, trunc).values.real
+        oracle_values = solve_rows(args.i, args.j, args.s_grid, kernel).values.real
     for k, s in enumerate(args.s_grid.tolist()):
         fields = [_fmt(s)]
         if args.solver in ("oracle", "both"):
@@ -136,7 +136,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_hyperg(args) -> int:
-    print(_fmt(kummer_m(args.a, args.b, args.z)))
+    value = kummer_m(args.a, args.b, args.z)
+    if not math.isfinite(value):
+        raise NonConvergenceError(f"kummer_m(a={args.a}, b={args.b}, z={args.z}) = {value}")
+    print(_fmt(value))
     return 0
 
 

@@ -1,20 +1,22 @@
 """Numerical Laplace inversion and recovery of the renewal function.
 
-Two methods:
+Both methods take one form (Abate & Whitt, INFORMS J. Computing 2006):
+f(t) ~= scale * sum_k w_k Re F(s_k), over a rule of abscissas s_k, scale
+and weights w_k set by the method, t and its term counts.
 
-* Gaver-Stehfest: real abscissas only, alternating Salzer weights.  The
-  weights are computed in exact rational arithmetic, so the only
+* Gaver-Stehfest: abscissas k ln2 / t (k = 1..order), scale ln2 / t, and
+  Salzer weights computed in exact rational arithmetic, so the only
   floating-point damage is the final cancellation among weighted samples
-  (which is what caps the usable order at 18 in double precision).
-* Euler summation: trapezoid discretization of the Bromwich integral at
-  complex abscissas (real part > 0), accelerated by binomial averaging of
-  consecutive partial sums.
+  (which caps the usable order at 18 in double precision).
+* Euler summation: the Bromwich trapezoid at A / 2t + i k pi / t
+  (k = 0..n+m), scale e^{A/2} / t, with the binomial average of the
+  partial sums n..n+m written out as one weight per sample.
 
 The row transform rbar is a Laplace-Stieltjes transform; the renewal
 function R_ij(t) has an ordinary Laplace transform rbar_ij(s) / s, which is
-what `renewal_function` inverts.  The diagonal's unit jump at t = 0 is
-carried correctly into values for t > 0; inversion at t = 0 itself is
-excluded (t_min contract).
+what `renewal_function` inverts, evaluating each distinct abscissa of its
+time grid once.  The diagonal's unit jump at t = 0 is carried correctly
+into values for t > 0; times below T_MIN are rejected.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .oracle import TruncationConfig, solve_rows
 EULER_DEFAULT_M = 11   # binomial averaging length
 EULER_DEFAULT_N = 38   # base partial-sum length
 _EULER_A = 18.4        # discretization parameter; error ~ exp(-A)
+T_MIN = 1e-9           # smallest time renewal_function inverts at
 
 
 @dataclass(frozen=True)
@@ -41,20 +44,17 @@ class InversionConfig:
 
     order applies to Gaver-Stehfest and must be even in [4, 18]; beyond 18
     the weights overwhelm double precision.  The Euler method always uses
-    EULER_DEFAULT_M and EULER_DEFAULT_N.  Times below t_min are rejected.
+    EULER_DEFAULT_M and EULER_DEFAULT_N.
     """
 
     method: str = "gaver-stehfest"
     order: int = 14
-    t_min: float = 1e-9
 
     def __post_init__(self):
         if self.method not in ("gaver-stehfest", "euler"):
             raise ValueError(f"unknown inversion method {self.method!r}")
         if self.order % 2 != 0 or not 4 <= self.order <= 18:
             raise ValueError(f"order must be even and within [4, 18], got {self.order}")
-        if self.t_min <= 0:
-            raise ValueError(f"t_min must be > 0, got {self.t_min}")
 
 
 @lru_cache(maxsize=None)
@@ -81,9 +81,34 @@ def stehfest_weights(order: int) -> tuple:
     return tuple(weights)
 
 
-def _stehfest_abscissas(t: float, order: int) -> list:
-    ln2_t = math.log(2.0) / t
-    return [k * ln2_t for k in range(1, order + 1)]
+@lru_cache(maxsize=None)
+def _euler_weights(m: int, n: int) -> tuple:
+    """w_0..w_{n+m}: alternating, 1/2 at k = 0, times the share of the average
+    2^-m sum_q C(m, q) S_{n+q} of partial sums that holds term k (q >= k - n)."""
+    if m < 0 or n < 0:
+        raise ValueError(f"m and n must be >= 0, got m={m}, n={n}")
+    weights = []
+    for k in range(n + m + 1):
+        share = sum(math.comb(m, q) for q in range(max(0, k - n), m + 1)) / 2.0**m
+        weights.append((-1) ** k * (0.5 * share if k == 0 else share))
+    return tuple(weights)
+
+
+def _rule(method: str, t: float, order: int = 14, m: int = EULER_DEFAULT_M,
+          n: int = EULER_DEFAULT_N):
+    """(abscissas, scale, weights) with f(t) ~= scale * sum_k w_k Re F(s_k)."""
+    if t <= 0:
+        raise ValueError(f"time must be > 0, got {t}")
+    if method == "gaver-stehfest":
+        ln2_t = math.log(2.0) / t
+        return [k * ln2_t for k in range(1, order + 1)], ln2_t, stehfest_weights(order)
+    base = _EULER_A / (2.0 * t)
+    abscissas = [complex(base, k * math.pi / t) for k in range(n + m + 1)]
+    return abscissas, math.exp(_EULER_A / 2.0) / t, _euler_weights(m, n)
+
+
+def _combine(scale: float, weights, samples) -> float:
+    return scale * math.fsum(w * complex(f).real for w, f in zip(weights, samples))
 
 
 def gaver_stehfest(transform, t: float, order: int = 14) -> float:
@@ -92,18 +117,8 @@ def gaver_stehfest(transform, t: float, order: int = 14) -> float:
     `transform` is called at the real abscissas k ln2 / t, k = 1..order.
     Deterministic: same inputs, same float result.
     """
-    if t <= 0:
-        raise ValueError(f"time must be > 0, got {t}")
-    weights = stehfest_weights(order)
-    ln2_t = math.log(2.0) / t
-    return ln2_t * math.fsum(
-        w * transform(s) for w, s in zip(weights, _stehfest_abscissas(t, order))
-    )
-
-
-def _euler_abscissas(t: float, m: int, n: int) -> list:
-    base = _EULER_A / (2.0 * t)
-    return [complex(base, 0.0)] + [complex(base, k * math.pi / t) for k in range(1, n + m + 1)]
+    abscissas, scale, weights = _rule("gaver-stehfest", t, order)
+    return _combine(scale, weights, map(transform, abscissas))
 
 
 def euler_inversion(
@@ -115,16 +130,8 @@ def euler_inversion(
     real part of its value is used.  m and n are the binomial-averaging
     and base partial-sum lengths.
     """
-    if t <= 0:
-        raise ValueError(f"time must be > 0, got {t}")
-    terms = np.empty(n + m + 1)
-    for k, s_k in enumerate(_euler_abscissas(t, m, n)):
-        val = complex(transform(s_k)).real
-        terms[k] = val if k % 2 == 0 else -val
-    terms[0] *= 0.5
-    partial = np.cumsum(terms) * (math.exp(_EULER_A / 2.0) / t)
-    weights = np.array([math.comb(m, q) for q in range(m + 1)], dtype=float)
-    return float(weights @ partial[n : n + m + 1] / 2.0**m)
+    abscissas, scale, weights = _rule("euler", t, m=m, n=n)
+    return _combine(scale, weights, map(transform, abscissas))
 
 
 def renewal_function(
@@ -135,15 +142,15 @@ def renewal_function(
     solver: str = "oracle",
     cfg: InversionConfig = InversionConfig(),
     truncation: TruncationConfig = TruncationConfig(),
-    tol: float = 1e-13,
 ) -> np.ndarray:
     """Recover R_ij(t) on a time grid by inverting s -> rbar_ij(s) / s.
 
-    solver "oracle" evaluates rbar through the adaptive truncated solve,
-    at every abscissa of the whole grid in one `solve_rows` call;
-    "closedform" uses the analytic row formula (real abscissas only, so it
-    pairs with Gaver-Stehfest).  The Euler method needs complex abscissas
-    and therefore requires the oracle solver.
+    Each distinct abscissa of the whole grid is evaluated once.  solver
+    "oracle" evaluates rbar through the adaptive truncated solve, at all of
+    them in one `solve_rows` call; "closedform" uses the analytic row
+    formula (real abscissas only, so it pairs with Gaver-Stehfest).  The
+    Euler method needs complex abscissas and therefore requires the oracle
+    solver.
     """
     if solver not in ("oracle", "closedform"):
         raise ValueError(f"unknown solver {solver!r}")
@@ -152,30 +159,19 @@ def renewal_function(
     if j < 0:
         raise ValueError(f"target state must be >= 0, got {j}")
     times = np.asarray(t_grid, dtype=float)
-    if times.size and not (np.isfinite(times).all() and times.min() >= cfg.t_min):
-        raise ValueError(f"all times must be finite and >= t_min = {cfg.t_min}")
+    if times.size and not (np.isfinite(times).all() and times.min() >= T_MIN):
+        raise ValueError(f"all times must be finite and >= T_MIN = {T_MIN}")
 
-    gs = cfg.method == "gaver-stehfest"
+    rules = [_rule(cfg.method, t, cfg.order) for t in times.tolist()]
+    # a time grid can repeat an abscissa (k ln2 / t at t and 2t)
+    points = list(dict.fromkeys(s for abscissas, _, _ in rules for s in abscissas))
     if solver == "oracle":
-        # every abscissa of the whole grid in one batched solve; a time
-        # grid can repeat an abscissa, which is solved once
-        points = list(dict.fromkeys(
-            s
-            for t in times.tolist()
-            for s in (_stehfest_abscissas(t, cfg.order) if gs
-                      else _euler_abscissas(t, EULER_DEFAULT_M, EULER_DEFAULT_N))
-        ))
-        entries = solve_rows(i, j, points, MMInfinityKernel(p), truncation)
-        transform = {s: value / s for s, value in zip(points, entries.values)}.__getitem__
+        values = solve_rows(i, j, points, MMInfinityKernel(p), truncation).values
     else:
-
-        def transform(s):
-            return rbar_closed_form(i, j, s, p, tol) / s
-
-    out = np.empty(times.size)
-    for idx, t in enumerate(times.tolist()):
-        if gs:
-            out[idx] = gaver_stehfest(transform, t, cfg.order)
-        else:
-            out[idx] = euler_inversion(transform, t, EULER_DEFAULT_M, EULER_DEFAULT_N)
-    return out
+        values = [rbar_closed_form(i, j, s, p) for s in points]
+    transform = {s: value / s for s, value in zip(points, values)}
+    return np.array(
+        [_combine(scale, weights, [transform[s] for s in abscissas])
+         for abscissas, scale, weights in rules],
+        dtype=float,
+    )

@@ -132,8 +132,8 @@ def simulate_renewal_counts(
         raise ValueError("t_grid must be sorted ascending")
     if times[0] <= 0 or times[-1] > cfg.t_max:
         raise ValueError(f"t_grid must lie in (0, t_max={cfg.t_max}]")
-    if any(j < 0 for j in targets):
-        raise ValueError("target states must be >= 0")
+    if i < 0 or any(j < 0 for j in targets):
+        raise ValueError(f"states must be >= 0, got i={i}, j_set={targets}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +88,14 @@ class TestHypergCommand:
         out = capsys.readouterr().out.strip()
         assert float(out) == pytest.approx(math.e - 1.0, rel=1e-15)
 
+    def test_overflow_maps_to_one(self, capsys):
+        # the series overflows to inf; a value that is not finite is a
+        # numerical failure, not a result
+        assert run("hyperg --a 1 --b 2 --z 1e6".split()) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical failure" in captured.err and "z=1000000.0" in captured.err
+
 
 class TestArgumentErrors:
     @pytest.mark.parametrize(
@@ -98,6 +108,8 @@ class TestArgumentErrors:
             ["transform", "--i", "0", "--j", "0", "--s-grid", "1:2:0", "--lambda", "1", "--alpha", "1"],
             ["renewal", "--i", "0", "--j", "0", "--t-grid", "1:1:1", "--lambda", "1", "--alpha", "1", "--method", "talbot"],
             ["renewal", "--i", "0", "--j", "0", "--t-grid", "1:1:1", "--lambda", "1", "--alpha", "1"],
+            ["simulate", "--i", "-1", "--j", "0", "--t-grid", "1:1:1", "--lambda", "1", "--alpha", "1",
+             "--paths", "5", "--seed", "1"],
         ],
     )
     def test_exit_code_two(self, argv, capsys):
@@ -150,6 +162,21 @@ class TestBenchmarkContract:
     def test_oracle_recheck_names_stay_on_cli(self, name):
         # perfbench/checks.py rechecks transform rows through these attributes
         assert callable(getattr(cli, name))
+
+    @pytest.mark.parametrize("workload", ["inversion", "transform", "simulation"])
+    def test_benchmark_requests_parse(self, workload):
+        # perfbench/workloads.py generates the argv the benchmark sends to
+        # cli.run; a CLI change must not make any of them an argument error
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        parser = cli._build_parser()
+        for argv in workloads.requests(workload, 0):
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"mrenew {' '.join(argv)} no longer parses")
 
 
 class TestValidateCommand:

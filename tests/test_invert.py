@@ -13,6 +13,7 @@ from mrenew import (
     renewal_function,
     solve_row_adaptive,
 )
+import mrenew.invert as invert
 from mrenew.invert import stehfest_weights
 
 PURE_DEATH = QueueParams(0.0, 1.0)
@@ -81,6 +82,38 @@ class TestEulerInversion:
         with pytest.raises(ValueError):
             euler_inversion(lambda s: 1.0 / s, -1.0)
 
+    @pytest.mark.parametrize("counts", [{"m": -1}, {"n": -3}])
+    def test_rejects_negative_term_counts(self, counts):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            euler_inversion(lambda s: 1.0 / s, 1.0, **counts)
+
+    @pytest.mark.parametrize(
+        "transform",
+        [
+            lambda s: 1.0 / s,
+            lambda s: 1.0 / s**2,
+            lambda s: 1.0 / (s + 1.0),
+            lambda s: 1.0 / (s + 1.0) ** 2,
+            lambda s: 1.0 / (s * s + 1.0),
+            lambda s: s / (s * s + 1.0),
+        ],
+        ids=["one", "ramp", "exp", "t-exp", "sin", "cos"],
+    )
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.5])
+    def test_weight_table_matches_partial_sum_averaging(self, transform, t):
+        # Euler summation as usually written: alternating trapezoid terms
+        # (the first halved), their partial sums S_n..S_{n+m}, and the
+        # binomial average of those.  The weight table is the same sum
+        # reordered, so only rounding may differ.
+        m, n, a = invert.EULER_DEFAULT_M, invert.EULER_DEFAULT_N, 18.4
+        terms = []
+        for k in range(n + m + 1):
+            value = complex(transform(complex(a / (2 * t), k * math.pi / t))).real
+            terms.append((0.5 if k == 0 else 1.0) * (-1) ** k * value)
+        partial = np.cumsum(terms) * (math.exp(a / 2) / t)
+        reference = math.fsum(math.comb(m, q) * partial[n + q] for q in range(m + 1)) / 2**m
+        assert euler_inversion(transform, t) == pytest.approx(reference, rel=1e-13, abs=0)
+
 
 class TestInversionConfig:
     def test_defaults(self):
@@ -94,7 +127,6 @@ class TestInversionConfig:
             {"order": 13},
             {"order": 2},
             {"order": 20},
-            {"t_min": 0.0},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -181,6 +213,23 @@ class TestBatchedAbscissas:
         for t, value in zip(times, values):
             one = euler_inversion(lambda s: self._one_at_a_time(1, 0, s), t)
             assert value == pytest.approx(one, rel=1e-12)
+
+    def test_closed_form_evaluates_each_distinct_abscissa_once(self, monkeypatch):
+        # GS14 at t = 1 and t = 2: k ln2 / 2 for even k is an abscissa of
+        # t = 1 as well, so 28 abscissas hold 21 distinct values
+        calls = []
+        real = invert.rbar_closed_form
+
+        def spy(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(invert, "rbar_closed_form", spy)
+        values = renewal_function(0, 0, [1.0, 2.0], UNIT, solver="closedform")
+        assert len(calls) == len(set(calls)) == 21
+        monkeypatch.undo()
+        for t, value in zip([1.0, 2.0], values):
+            assert value == gaver_stehfest(lambda s: real(0, 0, s, UNIT) / s, t, 14)
 
     @pytest.mark.parametrize("order", [16, 18])
     def test_one_sweep_per_level_whatever_the_grid_length(self, order, monkeypatch):

@@ -143,6 +143,8 @@ class TestSimulateRenewalCounts:
             simulate_renewal_counts(0, [0], [], UNIT, cfg)
         with pytest.raises(ValueError):
             simulate_renewal_counts(0, [-1], [0.5], UNIT, cfg)
+        with pytest.raises(ValueError, match="states must be >= 0"):
+            simulate_renewal_counts(-1, [0], [0.5], UNIT, cfg)
         with pytest.raises(ValueError):
             simulate_renewal_counts(0, [0], [0.5], UNIT, cfg, workers=0)
         # a NaN time is never passed, so every path would walk to max_events
