@@ -9,10 +9,14 @@ lam / (lam + j/alpha).  The transform of one such step reproduces the
 kernel entries exactly, which is what ties the simulator to the rest of
 the package (and what the kernel-consistency test checks).
 
-Randomness is counter-based: path p draws from a Philox stream keyed by
-(seed, p), so estimates are bit-identical for any worker count; per-worker
-results are placed into one array indexed by absolute path number and all
-statistics are reduced over that array in a fixed order.
+Paths are walked in blocks of _BLOCK, in lock-step: each step draws two
+uniforms for every path of the block still live and moves them all in a
+few array operations.  Randomness is counter-based (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011): block b draws
+from one Philox stream keyed by (seed, b).  Workers take whole blocks, so
+estimates are bit-identical for any worker count; per-worker results are
+placed into one array indexed by absolute path number and all statistics
+are reduced over that array in a fixed order.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .errors import EventCapError
 from .model import QueueParams
 
 _TINY_UNIFORM = 1e-300  # floor on the time uniform; keeps sojourns strictly positive
+_BLOCK = 1024  # paths per random stream; fixed, so results do not depend on workers
 
 
 @dataclass(frozen=True)
@@ -57,56 +62,82 @@ class RenewalEstimate:
     n_paths: int
 
 
-def step_embedded(state: int, p: QueueParams, u_time: float, u_dir: float) -> tuple:
-    """One embedded-chain step from `state` driven by two uniform draws.
+def step_embedded(
+    states: np.ndarray, p: QueueParams, u_time: np.ndarray, u_dir: np.ndarray
+) -> tuple:
+    """One embedded-chain step from each of `states`, driven by two uniforms each.
 
-    Returns (next_state, sojourn).  When both rates vanish (lam = 0 at
-    state 0) the process is absorbed and the sojourn is math.inf.
+    Arrays in, arrays out: returns (next_states, sojourns).  Where both
+    rates vanish (lam = 0 at state 0) the path is absorbed: it keeps its
+    state and its sojourn is inf.
     """
-    rate = p.lam + state / p.alpha
-    if rate <= 0.0:
-        return state, math.inf
-    sojourn = -math.log1p(-max(u_time, _TINY_UNIFORM)) / rate
-    if u_dir * rate < p.lam:
-        return state + 1, sojourn
-    return state - 1, sojourn
+    rate = p.lam + states / p.alpha
+    with np.errstate(divide="ignore"):
+        sojourn = -np.log1p(-np.maximum(u_time, _TINY_UNIFORM)) / rate
+    move = np.where(u_dir * rate < p.lam, 1, np.where(rate > 0.0, -1, 0))
+    return states + move, sojourn
 
 
-def _path_rng(seed: int, path_index: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, path_index], dtype=np.uint64)
+def _block_rng(seed: int, block: int) -> np.random.Generator:
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _walk_paths(lam, alpha, i, targets, t_grid, seed, start, stop, max_events):
-    """Entry counts for paths [start, stop): array (stop-start, n_targets, n_times)."""
-    p = QueueParams(lam, alpha)
-    t_grid = np.asarray(t_grid, dtype=float)
+def _walk_block(p, i, targets, t_grid, seed, block, size, max_events):
+    """Entry counts for the first `size` paths of `block`: (size, n_targets, n_times).
+
+    The paths step in lock-step, so every live path has taken the same
+    number of events; paths past the horizon or absorbed are dropped.
+    """
     horizon = t_grid[-1]
-    target_pos = {state: q for q, state in enumerate(targets)}
-    counts = np.zeros((stop - start, len(targets), t_grid.size))
-    for path in range(start, stop):
-        rng = _path_rng(seed, path)
-        state = i
-        elapsed = 0.0
-        events = 0
-        row = counts[path - start]
-        while True:
-            nxt, sojourn = step_embedded(state, p, rng.random(), rng.random())
-            if not math.isfinite(sojourn):
+    rng = _block_rng(seed, block)
+    live = np.arange(size)              # block-local index of each live path
+    state = np.full(size, i, dtype=np.int64)
+    elapsed = np.zeros(size)
+    hit_paths, hit_cols, hit_times = [], [], []
+    events = 0
+    while True:
+        u = rng.random((2, live.size))
+        state, sojourn = step_embedded(state, p, u[0], u[1])
+        elapsed += sojourn
+        keep = elapsed <= horizon       # an absorbed path's elapsed is inf
+        if not keep.all():
+            live, state, elapsed = live[keep], state[keep], elapsed[keep]
+            if live.size == 0:
                 break
-            elapsed += sojourn
-            if elapsed > horizon:
-                break
-            events += 1
-            if events > max_events:
-                raise EventCapError(
-                    f"path {path} exceeded max_events={max_events} before t={horizon}"
-                )
-            state = nxt
-            pos = target_pos.get(state)
-            if pos is not None:
-                first = int(np.searchsorted(t_grid, elapsed, side="left"))
-                row[pos, first:] += 1.0
+        events += 1
+        if events > max_events:
+            raise EventCapError(
+                f"path {block * _BLOCK + live[0]} exceeded max_events={max_events} "
+                f"before t={horizon}"
+            )
+        rows, cols = np.nonzero(state[:, None] == targets)
+        if rows.size:
+            hit_paths.append(live[rows])
+            hit_cols.append(cols)
+            hit_times.append(elapsed[rows])
+    marks = np.zeros((size, targets.size, t_grid.size))
+    if hit_paths:
+        # an entry at time e counts at every grid time t >= e; e <= horizon
+        first = np.searchsorted(t_grid, np.concatenate(hit_times), side="left")
+        np.add.at(marks, (np.concatenate(hit_paths), np.concatenate(hit_cols), first), 1.0)
+    return np.cumsum(marks, axis=2)
+
+
+def _walk_paths(lam, alpha, i, targets, t_grid, seed, start, stop, max_events):
+    """Entry counts for paths [start, stop): array (stop-start, n_targets, n_times).
+
+    `start` is a multiple of _BLOCK, and `stop` is one too unless it ends
+    the run, so the range is made of whole blocks.
+    """
+    p = QueueParams(lam, alpha)
+    targets = np.asarray(targets, dtype=np.int64)
+    counts = np.empty((stop - start, targets.size, t_grid.size))
+    for lo in range(start, stop, _BLOCK):
+        hi = min(lo + _BLOCK, stop)
+        counts[lo - start : hi - start] = _walk_block(
+            p, i, targets, t_grid, seed, lo // _BLOCK, hi - lo, max_events
+        )
     return start, counts
 
 
@@ -139,7 +170,9 @@ def simulate_renewal_counts(
 
     n_paths = cfg.n_paths
     counts = np.empty((n_paths, len(targets), times.size))
-    bounds = np.linspace(0, n_paths, min(workers, n_paths) + 1).astype(int)
+    n_blocks = -(-n_paths // _BLOCK)
+    blocks = np.linspace(0, n_blocks, min(workers, n_blocks) + 1).astype(int)
+    bounds = np.minimum(blocks * _BLOCK, n_paths)
     chunks = [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     if workers == 1 or len(chunks) == 1:
         for a, b in chunks:

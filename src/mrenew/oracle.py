@@ -205,7 +205,7 @@ def _adaptive(i: int, s: np.ndarray, kernel: KernelTransform, cfg: TruncationCon
     residuals = np.zeros(s.size)
     todo = np.arange(s.size)    # columns still open
     prev = None                 # their leading entries at the last level
-    while True:
+    while todo.size:
         head = min(i + 11, n + 1)
         cur = np.empty((head, todo.size), dtype=s.dtype)
         last = np.empty(todo.size)
@@ -225,15 +225,14 @@ def _adaptive(i: int, s: np.ndarray, kernel: KernelTransform, cfg: TruncationCon
                 levels[cols[k]] = n
                 residuals[cols[k]] = residual[k]
         todo, prev, last = todo[~accept], cur[:, ~accept], last[~accept]
-        if todo.size == 0:
-            return rows, levels, residuals
-        if n >= cfg.n_max:
+        if todo.size and n >= cfg.n_max:
             raise NonConvergenceError(
                 f"row (i={i}, s={s[todo[0]]}) did not converge by n_max={cfg.n_max}; "
                 f"last normalization residual {last[0]:.3e}",
                 residual=float(last[0]),
             )
         n = min(2 * n, cfg.n_max)
+    return rows, levels, residuals
 
 
 def solve_rows(

@@ -174,6 +174,10 @@ class TestRenewalFunction:
         gs_closed = renewal_function(0, 0, [1.0], UNIT, solver="closedform")
         assert gs_closed[0] == pytest.approx(gs_oracle[0], abs=1e-8)
 
+    @pytest.mark.parametrize("solver", ["oracle", "closedform"])
+    def test_empty_time_grid_gives_empty_result(self, solver):
+        assert renewal_function(0, 0, [], UNIT, solver=solver).shape == (0,)
+
     def test_euler_requires_oracle_solver(self):
         with pytest.raises(ValueError):
             renewal_function(0, 0, [1.0], UNIT, solver="closedform", cfg=InversionConfig(method="euler"))

@@ -10,7 +10,8 @@ from mrenew import (
     SimConfig,
     simulate_renewal_counts,
 )
-from mrenew.mcsim import step_embedded
+from mrenew import mcsim
+from mrenew.mcsim import _BLOCK, step_embedded
 
 UNIT = QueueParams(1.0, 1.0)
 PURE_DEATH = QueueParams(0.0, 1.0)
@@ -21,25 +22,31 @@ def _draws(n, seed):
     return rng.random((n, 2))
 
 
+def _step(state, p, u_time, u_dir):
+    """step_embedded on one-element inputs, back as Python scalars."""
+    states, sojourns = step_embedded(np.array([state]), p, np.array([u_time]), np.array([u_dir]))
+    return int(states[0]), float(sojourns[0])
+
+
 class TestStepEmbedded:
     def test_absorbed_at_empty_system_without_arrivals(self):
-        state, sojourn = step_embedded(0, PURE_DEATH, 0.5, 0.5)
+        state, sojourn = _step(0, PURE_DEATH, 0.5, 0.5)
         assert math.isinf(sojourn)
         assert state == 0
 
     def test_state_zero_always_moves_up(self):
         for u in (0.0, 0.3, 0.999999):
-            state, sojourn = step_embedded(0, UNIT, 0.5, u)
+            state, sojourn = _step(0, UNIT, 0.5, u)
             assert state == 1
             assert sojourn > 0.0
 
     def test_sojourn_strictly_positive_even_at_zero_uniform(self):
-        _, sojourn = step_embedded(3, UNIT, 0.0, 0.5)
+        _, sojourn = _step(3, UNIT, 0.0, 0.5)
         assert sojourn > 0.0
 
     def test_moves_are_one_step(self):
         for u in (0.1, 0.9):
-            state, _ = step_embedded(4, UNIT, 0.5, u)
+            state, _ = _step(4, UNIT, 0.5, u)
             assert state in (3, 5)
 
     def test_empirical_race_law(self):
@@ -47,19 +54,12 @@ class TestStepEmbedded:
         # sojourn 1/3; one million draws stay within 3 standard errors
         n = 1_000_000
         draws = _draws(n, seed=2024)
-        ups = 0
-        sojourn_sum = 0.0
-        sojourn_sq = 0.0
-        for u1, u2 in draws:
-            state, sojourn = step_embedded(2, UNIT, u1, u2)
-            ups += state == 3
-            sojourn_sum += sojourn
-            sojourn_sq += sojourn * sojourn
-        up_frac = ups / n
+        states, sojourns = step_embedded(np.full(n, 2), UNIT, draws[:, 0], draws[:, 1])
+        up_frac = np.count_nonzero(states == 3) / n
         se_up = math.sqrt(up_frac * (1 - up_frac) / n)
         assert abs(up_frac - 1.0 / 3.0) <= 3 * se_up
-        mean_sojourn = sojourn_sum / n
-        se_sojourn = math.sqrt((sojourn_sq / n - mean_sojourn**2) / n)
+        mean_sojourn = sojourns.sum() / n
+        se_sojourn = math.sqrt((np.square(sojourns).sum() / n - mean_sojourn**2) / n)
         assert abs(mean_sojourn - 1.0 / 3.0) <= 3 * se_sojourn
 
     @pytest.mark.parametrize("j", [0, 1, 5])
@@ -71,13 +71,10 @@ class TestStepEmbedded:
         draws = _draws(n, seed=90_000 + j)
         kernel = MMInfinityKernel(UNIT)
         sigma_ref, tau_ref = kernel.transforms(j, s)
-        up_vals = np.empty(n)
-        down_vals = np.empty(n)
-        for idx, (u1, u2) in enumerate(draws):
-            state, sojourn = step_embedded(j, UNIT, u1, u2)
-            weight = math.exp(-s * sojourn)
-            up_vals[idx] = weight if state == j + 1 else 0.0
-            down_vals[idx] = weight if state == j - 1 else 0.0
+        states, sojourns = step_embedded(np.full(n, j), UNIT, draws[:, 0], draws[:, 1])
+        weights = np.exp(-s * sojourns)
+        up_vals = np.where(states == j + 1, weights, 0.0)
+        down_vals = np.where(states == j - 1, weights, 0.0)
         for sample, reference in ((up_vals, tau_ref), (down_vals, sigma_ref)):
             mean = sample.mean()
             se = sample.std(ddof=1) / math.sqrt(n)
@@ -133,6 +130,12 @@ class TestSimulateRenewalCounts:
         with pytest.raises(EventCapError):
             simulate_renewal_counts(0, [0], [10.0], QueueParams(5.0, 1.0), cfg)
 
+    def test_repeated_target_counts_in_every_column(self):
+        cfg = SimConfig(n_paths=2_000, seed=1, t_max=1.0)
+        first, second = simulate_renewal_counts(0, [1, 1], [1.0], UNIT, cfg)
+        assert first.mean > 0.5
+        assert (first.mean, first.std_error) == (second.mean, second.std_error)
+
     def test_input_validation(self):
         cfg = SimConfig(n_paths=10, seed=5, t_max=1.0)
         with pytest.raises(ValueError):
@@ -162,3 +165,55 @@ class TestSimulateRenewalCounts:
         for t_max in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 SimConfig(n_paths=1, seed=1, t_max=t_max)
+
+
+class TestBlockContract:
+    """Paths are walked in lock-step blocks of _BLOCK, one stream per block."""
+
+    TIMES = [0.25, 0.5]
+
+    def test_partial_last_block_identical_across_worker_counts(self):
+        cfg = SimConfig(n_paths=2 * _BLOCK + 37, seed=8, t_max=0.5)
+        runs = [
+            simulate_renewal_counts(1, [0, 2], self.TIMES, UNIT, cfg, workers=w) for w in (1, 2, 3)
+        ]
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_block_paths_do_not_depend_on_run_length(self):
+        times = np.array(self.TIMES)
+
+        def counts(n_paths):
+            return mcsim._walk_paths(1.0, 1.0, 0, [0, 1], times, 4, 0, n_paths, 1_000)[1]
+
+        assert np.array_equal(counts(2 * _BLOCK)[:_BLOCK], counts(_BLOCK))
+
+    @pytest.mark.parametrize("max_events, raises", [(2, True), (3, False)])
+    def test_event_cap_in_lock_step(self, max_events, raises):
+        # pure death from 3 with a long horizon: every path takes exactly
+        # three events, in a run of two blocks
+        cfg = SimConfig(n_paths=_BLOCK + 5, seed=5, t_max=50.0, max_events=max_events)
+        if raises:
+            with pytest.raises(EventCapError, match=r"path \d+ exceeded max_events=2"):
+                simulate_renewal_counts(3, [0], [50.0], PURE_DEATH, cfg)
+        else:
+            (est,) = simulate_renewal_counts(3, [0], [50.0], PURE_DEATH, cfg)
+            assert est.mean == 1.0
+
+    def test_step_calls_do_not_grow_with_paths(self, monkeypatch):
+        # one array step per lock-step iteration of a block, not one per
+        # path event: pure death from 5 takes five steps and then one
+        # absorbing step in every block, whatever its size
+        calls = []
+        real = mcsim.step_embedded
+
+        def spy(*args):
+            calls.append(args[0].size)
+            return real(*args)
+
+        monkeypatch.setattr(mcsim, "step_embedded", spy)
+        for n_paths, blocks in ((10, 1), (_BLOCK, 1), (_BLOCK + 1, 2)):
+            calls.clear()
+            cfg = SimConfig(n_paths=n_paths, seed=3, t_max=50.0)
+            simulate_renewal_counts(5, [0], [50.0], PURE_DEATH, cfg)
+            assert len(calls) == 6 * blocks
+            assert sum(calls) == 6 * n_paths

@@ -195,6 +195,11 @@ class TestSolveRows:
         with pytest.raises(PivotError, match="at row 1"):
             solve_rows(0, 0, np.linspace(1.0, 2.0, 40), _ZeroPivotKernel())
 
+    def test_no_abscissas_give_empty_entries(self):
+        entries = solve_rows(0, 0, [], kernel(UNIT))
+        for field in (entries.s, entries.values, entries.truncation_n, entries.normalization_residual):
+            assert field.shape == (0,)
+
     def test_sweeps_stay_within_the_element_budget(self, monkeypatch):
         shapes = []
         real = MMInfinityKernel.transforms
