@@ -6,34 +6,37 @@ generating function y_i(x) = sum_j t[j] x^j solves
 
     (1 - x) y' - [rho (1 - x) + alpha s] y + alpha x^i = 0,   y_i(1) = 1/s.
 
-Integrating with the factor e^{-rho x} (1 - x)^{alpha s - 1} gives
+With a = alpha s, its solution is the integral
 
-    y_i(x) = alpha e^{-rho (1-x)} sum_{k=0}^{i} (-1)^k C(i,k)
-             (1-x)^k / (alpha s + k)
-             * phi(alpha s + k, alpha s + k + 1; rho (1-x))
+    y_i(x) = alpha * int_0^1 u^(a-1) (1 - (1-x) u)^i e^{-rho (1-x)(1-u)} du.
 
-and extracting the n-th Taylor coefficient at x = 0 (Leibniz over the
-product w^k * phi(1, alpha s + k + 1; w), w = -rho(1-x)) yields the row
-entry directly:
+Expanding (1 - (1-x) u)^i = ((1-u) + x u)^i binomially and using
+int_0^1 u^(c-1) (1-u)^(q-1) e^{z u} du = B(c, q) phi(c, c+q; z)
+(DLMF 13.4.1) gives the generating function as a finite sum,
 
-    rbar[i][n](s) = (n + rho + alpha s)
-        * sum_{k=0}^{i} (-1)^k C(i,k) / (alpha s + k)
-        * sum_{j=0}^{min(n,k)} (-1)^j C(k,j)
-              rho^{n-j} / rising(alpha s + k + 1, n - j)
-              * phi(n - j + 1, alpha s + k + n - j + 1; -rho)
+    y_i(x) = alpha sum_{j=0}^{i} C(i,j) x^j B(a+j, i-j+1)
+             e^{-z} phi(a+j, a+i+1; z),          z = rho (1-x),
 
-with rising(x, m) = x (x+1) ... (x+m-1).  See README "Formula notes" for
-why this exact form (second Kummer parameter one above the first; inner
-bound min(n, k); rising factorial in the denominator) is the one
-implemented: every output is cross-validated against the truncated-system
-solver by the test suite, and alternative readings fail that check.
+and taking the coefficient of x^n (expand e^{rho x (1-u)} as well) gives
+the row entry
+
+    rbar[i][n](s) = (n + rho + a) * sum_{j=0}^{min(i,n)} C(i,j)
+        rho^(n-j) / (n-j)! * B(a+j, q) * e^{-rho} phi(a+j, a+j+q; rho),
+
+with q = i + n - 2j + 1.  Every factor is positive and every Kummer series
+runs at +rho, so nothing cancels.  The factors e^{-rho} phi and the weights
+(rho^(n-j) overflows from rho ~ 710 on, B(a+j, q) underflows for large a)
+are each carried as a float mantissa and a power-of-two exponent, and only
+the final sum is rounded back to one float.  See README "Formula notes".
 """
 
 from __future__ import annotations
 
 import math
 
-from .hyperg import kummer_m
+import numpy as np
+
+from .hyperg import _running_product, _scaled_kummer
 from .model import QueueParams
 
 
@@ -47,11 +50,26 @@ def rbar_from_tbar(j: int, s: float, tbar: float, p: QueueParams) -> float:
     return tbar * (j + p.rho + p.alpha * s) / p.alpha
 
 
+def _weighted_kummer_sum(factors, steps, a, b, x: float, tol: float) -> float:
+    """sum_j w_j e^{-x} phi(a_j, b_j; x) with w_0 = prod(factors), w_{j+1} = w_j steps[j].
+
+    The weights and the series are multiplied as mantissas and exponents,
+    and the sum is rounded to a float once.
+    """
+    w_m, w_e = _running_product(np.concatenate([factors, steps]))
+    first = len(factors) - 1
+    s_m, s_e = _scaled_kummer(a, b, x, tol)
+    exponents = w_e[first:] + s_e
+    top = int(exponents.max())
+    return math.ldexp(float(np.ldexp(w_m[first:] * s_m, exponents - top).sum()), top)
+
+
 def generating_function(i: int, x: float, s: float, p: QueueParams, tol: float = 1e-13) -> float:
     """Evaluate y_i(x), the generating function of the scaled row.
 
-    Defined for x in (-1, 1] and s > 0; equals 1/s at x = 1.  `tol` is
-    passed through to the Kummer series.
+    Defined for x in (-1, 1] and s > 0; equals 1/s at x = 1.  Sums the
+    finite j-sum of the module docstring, whose terms are positive for
+    x >= 0; `tol` bounds the truncation of each Kummer series.
     """
     if not 0 < s < math.inf:
         raise ValueError(f"transform variable must be finite and > 0, got {s}")
@@ -60,17 +78,13 @@ def generating_function(i: int, x: float, s: float, p: QueueParams, tol: float =
     if i < 0:
         raise ValueError(f"start state must be >= 0, got {i}")
     a_s = p.alpha * s
-    one_minus = 1.0 - x
-    z = p.rho * one_minus
-    total = 0.0
-    binom = 1.0
-    sign = 1.0
-    for k in range(i + 1):
-        if k:
-            binom *= (i - k + 1) / k
-            sign = -sign
-        total += sign * binom * one_minus**k / (a_s + k) * kummer_m(a_s + k, a_s + k + 1, z, tol)
-    return p.alpha * math.exp(-z) * total
+    j = np.arange(i + 1, dtype=float)
+    t = np.arange(1, i + 1, dtype=float)
+    # w_0 = B(a, i+1) = i! / (a)_{i+1};  w_{j+1} / w_j = x (a+j) / (j+1)
+    factors = np.concatenate([[1.0 / a_s], t / (a_s + t)])
+    steps = x * (a_s + j[:-1]) / (j[:-1] + 1.0)
+    total = _weighted_kummer_sum(factors, steps, a_s + j, np.full(i + 1, a_s + i + 1), p.rho * (1.0 - x), tol)
+    return p.alpha * total
 
 
 def ode_residual(i: int, x: float, s: float, p: QueueParams, h: float = 1e-4, y_fn=None) -> float:
@@ -90,19 +104,12 @@ def ode_residual(i: int, x: float, s: float, p: QueueParams, h: float = 1e-4, y_
     return (1.0 - x) * dy - (p.rho * (1.0 - x) + p.alpha * s) * y + p.alpha * x**i
 
 
-def _rising(x: float, m: int) -> float:
-    out = 1.0
-    for q in range(m):
-        out *= x + q
-    return out
-
-
 def rbar_closed_form(i: int, n: int, s: float, p: QueueParams, tol: float = 1e-13) -> float:
     """Closed-form rbar[i][n](s) for the M|M|infinity kernel.
 
-    Evaluates the double finite sum in the module docstring.  Binomial
-    coefficients use the multiplicative recurrence; Kummer evaluations at
-    -rho are routed through the transformation inside `kummer_m`.
+    Evaluates the positive j-sum in the module docstring; `tol` bounds the
+    truncation of each Kummer series.  At rho = 0 only the term j = n is
+    left (rho^0 = 1), and the entry is 0 when n > i.
     """
     if not 0 < s < math.inf:
         raise ValueError(f"transform variable must be finite and > 0, got {s}")
@@ -110,27 +117,21 @@ def rbar_closed_form(i: int, n: int, s: float, p: QueueParams, tol: float = 1e-1
         raise ValueError(f"states must be >= 0, got i={i}, n={n}")
     a_s = p.alpha * s
     rho = p.rho
-    outer = 0.0
-    bin_ik = 1.0
-    sign_k = 1.0
-    for k in range(i + 1):
-        if k:
-            bin_ik *= (i - k + 1) / k
-            sign_k = -sign_k
-        inner = 0.0
-        bin_kj = 1.0
-        sign_j = 1.0
-        for j in range(min(n, k) + 1):
-            if j:
-                bin_kj *= (k - j + 1) / j
-                sign_j = -sign_j
-            m = n - j
-            inner += (
-                sign_j
-                * bin_kj
-                * rho**m
-                / _rising(a_s + k + 1, m)
-                * kummer_m(m + 1, a_s + k + m + 1, -rho, tol)
-            )
-        outer += sign_k * bin_ik * inner / (a_s + k)
-    return (n + rho + a_s) * outer
+    lo = 0 if rho > 0 else n
+    if lo > min(i, n):
+        return 0.0
+    t = np.arange(1, i + n - 2 * lo + 1, dtype=float)
+    # w_lo = (q-1)! / (a+lo)_q * C(i, lo) * rho^(n-lo) / (n-lo)!,  q = i + n - 2 lo + 1
+    factors = np.concatenate([
+        [1.0 / (a_s + lo)],
+        t / (a_s + lo + t),
+        (i - lo + t[:lo]) / t[:lo],
+        rho / t[:n - lo],
+    ])
+    j = np.arange(lo, min(i, n) + 1, dtype=float)
+    # w_{j+1} / w_j, with the Beta function's second argument q_j = i + n - 2j + 1
+    jj = j[:-1]
+    steps = ((i - jj) * (n - jj) * (a_s + jj) * (a_s + i + n - jj)
+             / ((jj + 1.0) * rho * (i + n - 2.0 * jj) * (i + n - 2.0 * jj - 1.0)))
+    total = _weighted_kummer_sum(factors, steps, a_s + j, a_s + i + n + 1.0 - j, rho, tol)
+    return (n + rho + a_s) * total

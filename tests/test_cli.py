@@ -29,6 +29,14 @@ class TestTransformCommand:
         assert closed == pytest.approx(1.0, abs=1e-12)
         assert rel == pytest.approx(0.0, abs=1e-12)
 
+    def test_far_target_at_high_rho(self, capsys):
+        # rho**200 overflowed a float and rho = 800 underflowed e^-rho
+        for argv in ("transform --i 0 --j 200 --s-grid 1:1:1 --lambda 50 --alpha 1 --solver both",
+                     "transform --i 3 --j 3 --s-grid 1:1:1 --lambda 800 --alpha 1 --solver both"):
+            assert run(argv.split()) == 0
+            _, rows = _rows(capsys.readouterr().out)
+            assert float(rows[0][3]) <= 1e-12
+
     def test_solver_specific_columns(self, capsys):
         assert run("transform --i 0 --j 1 --s-grid 1:2:3 --lambda 1 --alpha 1 --solver oracle".split()) == 0
         header, rows = _rows(capsys.readouterr().out)
@@ -95,6 +103,11 @@ class TestHypergCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "numerical failure" in captured.err and "z=1000000.0" in captured.err
+
+    def test_large_negative_argument(self, capsys):
+        # e^-800 underflows; the scaled series still gives (1 - e^-800) / 800
+        assert run("hyperg --a 1 --b 2 --z -800".split()) == 0
+        assert float(capsys.readouterr().out) == pytest.approx(1.0 / 800.0, rel=1e-12)
 
 
 class TestArgumentErrors:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,9 @@ from mrenew import (
     QueueParams,
     generating_function,
     rbar_closed_form,
+    TruncationConfig,
     solve_row_adaptive,
+    solve_rows,
 )
 from mrenew import crosscheck
 from mrenew.closedform import ode_residual, rbar_from_tbar, tbar_from_rbar
@@ -81,6 +84,38 @@ class TestGeneratingFunction:
                 generating_function(1, 0.5, s, UNIT)
 
 
+def _integral_reference(i, x, s, p):
+    """40-digit alpha * int_0^1 t^(a-1) (1 - (1-x) t)^i e^(-rho (1-x)(1-t)) dt.
+
+    Substituting t = u^(1/a) removes the t^(a-1) endpoint singularity that
+    mpmath's quadrature resolves poorly for small a = alpha s.
+    """
+    with mp.workdps(40):
+        a = mp.mpf(p.alpha) * mp.mpf(s)
+        x = mp.mpf(x)
+        z = mp.mpf(p.rho) * (1 - x)
+
+        def integrand(u):
+            t = u ** (1 / a)
+            return (1 - (1 - x) * t) ** i * mp.exp(-z * (1 - t))
+
+        return float(p.alpha / a * mp.quad(integrand, [0, 0.5, 1]))
+
+
+class TestGeneratingFunctionIntegral:
+    @pytest.mark.parametrize(
+        "rho,i,x,s",
+        [(60.0, 15, 0.0, 2.0), (60.0, 15, 0.5, 0.3), (60.0, 15, -0.5, 2.0),
+         (5.0, 8, -0.5, 1.0), (200.0, 30, 0.9, 0.05), (0.5, 3, 0.25, 5.0),
+         (1000.0, 10, 0.2, 1e-3)],
+    )
+    def test_matches_mpmath_quadrature(self, rho, i, x, s):
+        # the alternating k-sum read -2.5e-13 for 3.4e-17 at the first case
+        p = QueueParams(rho, 1.0)
+        reference = _integral_reference(i, x, s, p)
+        assert generating_function(i, x, s, p) == pytest.approx(reference, rel=1e-12)
+
+
 class TestOdeResidual:
     def test_exact_solution_gives_zero_residual(self):
         assert abs(ode_residual(0, 0.5, 1.0, PURE_DEATH, h=1e-4)) <= 1e-10
@@ -142,6 +177,61 @@ class TestClosedFormRow:
         for s in (math.nan, math.inf):
             with pytest.raises(ValueError, match="transform variable"):
                 rbar_closed_form(1, 2, s, UNIT)
+
+
+def _oracle(i, n, s, p, cfg=TruncationConfig()):
+    return float(solve_rows(i, n, [s], MMInfinityKernel(p), cfg).values.real[0])
+
+
+def _assert_criterion_4(value, reference):
+    # criterion 4: 1e-6 relative with a 1e-9 absolute floor
+    assert math.isfinite(value)
+    assert abs(value - reference) <= max(1e-6 * abs(reference), 1e-9)
+
+
+class TestClosedFormDefects:
+    def test_large_start_state_does_not_cancel(self):
+        # the alternating k-sum returned -0.0021 here
+        p = QueueParams(50.0, 1.0)
+        _assert_criterion_4(rbar_closed_form(30, 5, 1.0, p), _oracle(30, 5, 1.0, p))
+
+    def test_far_target_does_not_overflow(self):
+        # rho**200 raised a bare OverflowError
+        p = QueueParams(50.0, 1.0)
+        _assert_criterion_4(rbar_closed_form(0, 200, 1.0, p), _oracle(0, 200, 1.0, p))
+
+    @pytest.mark.parametrize("i,n", [(0, 0), (3, 3), (5, 100), (20, 2)])
+    def test_rho_800(self, i, n):
+        # e^-800 underflowed, giving NaN or 0.0
+        p = QueueParams(800.0, 1.0)
+        value = rbar_closed_form(i, n, 1.0, p)
+        assert value > 0.0
+        _assert_criterion_4(value, _oracle(i, n, 1.0, p))
+
+    def test_pure_death_row_is_exact(self):
+        # criterion 3's row: rho = 0 leaves the single term j = n
+        for n, want in enumerate([1.0 / 3.0, 2.0 / 3.0, 1.0, 0.0, 0.0]):
+            assert rbar_closed_form(2, n, 1.0, PURE_DEATH) == pytest.approx(want, abs=1e-15)
+
+
+class TestClosedFormAgainstOracle:
+    # the range the README states as proved
+    @given(
+        i=st.integers(min_value=0, max_value=30),
+        n=st.integers(min_value=0, max_value=300),
+        rho=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=2000.0)),
+        s=st.floats(min_value=1e-4, max_value=1e3),
+        alpha=st.floats(min_value=0.5, max_value=2.0),
+    )
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_matches_oracle(self, i, n, rho, s, alpha):
+        # Near rho = 2000 and s = 1e-4 rounding holds the solver's
+        # normalization residual at ~3e-10, above its default 1e-10, so it
+        # never accepts a level; its entries there still agree with the
+        # closed form to ~1e-14, so the reference accepts residuals to 1e-8.
+        p = QueueParams(rho / alpha, alpha)
+        reference = _oracle(i, n, s, p, TruncationConfig(tol=1e-8))
+        _assert_criterion_4(rbar_closed_form(i, n, s, p), reference)
 
 
 class TestCrossCheck:

@@ -54,6 +54,21 @@ class TestKummerValues:
         assert kummer_m(a, b, z) == pytest.approx(reference, rel=rel)
 
 
+class TestLargeNegativeArgument:
+    # e^z underflows from z ~ -745 on; the scaled series keeps the value
+    @pytest.mark.parametrize("z", [-700.0, -800.0, -5000.0])
+    @pytest.mark.parametrize("a,b", [(1.0, 2.0), (0.5, 3.5), (2.0, 2.5)])
+    def test_against_mpmath(self, a, b, z):
+        with mp.workdps(40):
+            reference = float(mp.hyp1f1(a, b, z))
+        assert kummer_m(a, b, z) == pytest.approx(reference, rel=1e-12)
+
+    def test_beyond_the_term_cap_raises(self):
+        # the transformed series needs about |z| terms
+        with pytest.raises(NonConvergenceError):
+            kummer_m(1.0, 2.0, -2.0e4)
+
+
 class TestKummerTransformation:
     @given(
         a=st.floats(min_value=0.5, max_value=20.0),
