@@ -24,10 +24,11 @@ the row entry
         rho^(n-j) / (n-j)! * B(a+j, q) * e^{-rho} phi(a+j, a+j+q; rho),
 
 with q = i + n - 2j + 1.  Every factor is positive and every Kummer series
-runs at +rho, so nothing cancels.  The factors e^{-rho} phi and the weights
-(rho^(n-j) overflows from rho ~ 710 on, B(a+j, q) underflows for large a)
-are each carried as a float mantissa and a power-of-two exponent, and only
-the final sum is rounded back to one float.  See README "Formula notes".
+runs at +rho, so nothing cancels.  The factors e^{-rho} phi (e^{-rho}
+underflows from rho ~ 745) and the weights (rho^(n-j) overflows once
+(n-j) ln rho > 709, B(a+j, q) underflows for large a and q) are each
+carried as a float mantissa and a power-of-two exponent, and only the
+final sum is rounded back to one float.  See README "Formula notes".
 """
 
 from __future__ import annotations
