@@ -52,17 +52,19 @@ def rbar_from_tbar(j: int, s: float, tbar: float, p: QueueParams) -> float:
 
 
 def _weighted_kummer_sum(factors, steps, a, b, x: float, tol: float) -> float:
-    """sum_j w_j e^{-x} phi(a_j, b_j; x) with w_0 = prod(factors), w_{j+1} = w_j steps[j].
+    """sum_j w_j e^{-x} phi(a_j, b_j; x) with w_0 = prod(factors), w_{j+1} = w_j prod(steps[j]).
 
-    The weights and the series are multiplied as mantissas and exponents,
-    and the sum is rounded to a float once.
+    `steps` has one row per step, so a step whose size would overflow as
+    one float is passed as several factors.  The weights and the series
+    are multiplied as mantissas and exponents, and the sum is rounded to a
+    float once.
     """
-    w_m, w_e = _running_product(np.concatenate([factors, steps]))
-    first = len(factors) - 1
+    w_m, w_e = _running_product(np.concatenate([factors, steps.ravel()]))
+    at = len(factors) - 1 + steps.shape[1] * np.arange(len(a))
     s_m, s_e = _scaled_kummer(a, b, x, tol)
-    exponents = w_e[first:] + s_e
+    exponents = w_e[at] + s_e
     top = int(exponents.max())
-    return math.ldexp(float(np.ldexp(w_m[first:] * s_m, exponents - top).sum()), top)
+    return math.ldexp(float(np.ldexp(w_m[at] * s_m, exponents - top).sum()), top)
 
 
 def generating_function(i: int, x: float, s: float, p: QueueParams, tol: float = 1e-13) -> float:
@@ -83,7 +85,7 @@ def generating_function(i: int, x: float, s: float, p: QueueParams, tol: float =
     t = np.arange(1, i + 1, dtype=float)
     # w_0 = B(a, i+1) = i! / (a)_{i+1};  w_{j+1} / w_j = x (a+j) / (j+1)
     factors = np.concatenate([[1.0 / a_s], t / (a_s + t)])
-    steps = x * (a_s + j[:-1]) / (j[:-1] + 1.0)
+    steps = np.stack([np.full(i, x), (a_s + j[:-1]) / (j[:-1] + 1.0)], axis=1)
     total = _weighted_kummer_sum(factors, steps, a_s + j, np.full(i + 1, a_s + i + 1), p.rho * (1.0 - x), tol)
     return p.alpha * total
 
@@ -118,21 +120,26 @@ def rbar_closed_form(i: int, n: int, s: float, p: QueueParams, tol: float = 1e-1
         raise ValueError(f"states must be >= 0, got i={i}, n={n}")
     a_s = p.alpha * s
     rho = p.rho
+    hi = min(i, n)
     lo = 0 if rho > 0 else n
-    if lo > min(i, n):
+    if lo > hi:
         return 0.0
-    t = np.arange(1, i + n - 2 * lo + 1, dtype=float)
-    # w_lo = (q-1)! / (a+lo)_q * C(i, lo) * rho^(n-lo) / (n-lo)!,  q = i + n - 2 lo + 1
-    factors = np.concatenate([
-        [1.0 / (a_s + lo)],
-        t / (a_s + lo + t),
-        (i - lo + t[:lo]) / t[:lo],
-        rho / t[:n - lo],
-    ])
-    j = np.arange(lo, min(i, n) + 1, dtype=float)
-    # w_{j+1} / w_j, with the Beta function's second argument q_j = i + n - 2j + 1
-    jj = j[:-1]
-    steps = ((i - jj) * (n - jj) * (a_s + jj) * (a_s + i + n - jj)
-             / ((jj + 1.0) * rho * (i + n - 2.0 * jj) * (i + n - 2.0 * jj - 1.0)))
+    # The weights are built from j = hi down, so rho enters as a factor of
+    # its own per step and its powers are carried in the exponent.
+    # w_hi = C(i, hi) * rho^(n-hi) / (n-hi)! * (q-1)! / (a+hi)_q,  q = |i - n| + 1
+    u = np.arange(1, hi + 1, dtype=float)
+    m = np.arange(1, n - hi + 1, dtype=float)
+    t = np.arange(1, abs(i - n) + 1, dtype=float)
+    factors = np.concatenate([(i - hi + u) / u, rho / m, [1.0 / (a_s + hi)], t / (a_s + hi + t)])
+    # w_{j-1} / w_j, with the Beta function's second argument q_j = i + n - 2j + 1
+    j = np.arange(hi, lo, -1, dtype=float)
+    steps = np.stack([
+        np.full(j.size, rho),
+        j / (i - j + 1.0),
+        (i + n - 2.0 * j + 2.0) / (n - j + 1.0),
+        (i + n - 2.0 * j + 1.0) / (a_s + i + n - j + 1.0),
+        1.0 / (a_s + j - 1.0),
+    ], axis=1)
+    j = np.arange(hi, lo - 1, -1, dtype=float)
     total = _weighted_kummer_sum(factors, steps, a_s + j, a_s + i + n + 1.0 - j, rho, tol)
     return (n + rho + a_s) * total

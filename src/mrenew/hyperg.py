@@ -126,9 +126,14 @@ def _scaled_kummer(a: np.ndarray, b: np.ndarray, x: float, tol: float):
     ratio is bounded by some r < 1 (for k >= K, x (a+k) / ((b+k)(k+1)) <=
     x / (K+1) * max(1, (a+K)/(b+K))) and the geometric bound term r / (1-r)
     on the rest is within tol of the sum.  Raises NonConvergenceError if a
-    series is not done within MAX_TERMS terms.
+    series is not done within MAX_TERMS terms, at once if x >= MAX_TERMS
+    (the bound needs K + 1 > x, so such a series cannot be done).
     """
     _check_tol(tol)
+    if not x < MAX_TERMS:
+        raise NonConvergenceError(
+            f"scaled Kummer series cannot converge within {MAX_TERMS} terms (x={x})"
+        )
     shift = int(x / _LN2_HI)
     first = math.exp(-((x - shift * _LN2_HI) - shift * _LN2_LO))
     total_m = np.full(a.shape, first)

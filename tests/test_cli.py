@@ -109,6 +109,13 @@ class TestHypergCommand:
         assert run("hyperg --a 1 --b 2 --z -800".split()) == 0
         assert float(capsys.readouterr().out) == pytest.approx(1.0 / 800.0, rel=1e-12)
 
+    def test_negative_argument_past_term_cap(self, capsys):
+        # the series would need about 1e19 terms: a numerical failure, not a traceback
+        assert run(["hyperg", "--a", "1", "--b", "2", "--z=-1e19"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical failure" in captured.err
+
 
 class TestArgumentErrors:
     @pytest.mark.parametrize(

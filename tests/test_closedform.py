@@ -159,6 +159,11 @@ class TestClosedFormRow:
         expected = [1.0 / 3.0, 2.0 / 3.0, 1.0, 0.0, 0.0]
         for n, want in enumerate(expected):
             assert rbar_closed_form(2, n, 1.0, PURE_DEATH) == pytest.approx(want, abs=1e-12)
+        # rows i = 3..5 at s = 1: (n + a) C(i,n) B(a+n, i-n+1) = (n + 1) / (i + 1), then 0
+        for i in range(3, 6):
+            for n in range(i + 3):
+                want = (n + 1) / (i + 1) if n <= i else 0.0
+                assert rbar_closed_form(i, n, 1.0, PURE_DEATH) == pytest.approx(want, abs=1e-12)
 
     def test_identity_limit_at_large_s(self):
         s = 1e4
@@ -208,10 +213,11 @@ class TestClosedFormDefects:
         assert value > 0.0
         _assert_criterion_4(value, _oracle(i, n, 1.0, p))
 
-    def test_pure_death_row_is_exact(self):
-        # criterion 3's row: rho = 0 leaves the single term j = n
-        for n, want in enumerate([1.0 / 3.0, 2.0 / 3.0, 1.0, 0.0, 0.0]):
-            assert rbar_closed_form(2, n, 1.0, PURE_DEATH) == pytest.approx(want, abs=1e-15)
+    @pytest.mark.parametrize("i,n", [(30, 300), (30, 3), (3, 30)])
+    def test_tiny_rho_stays_finite(self, i, n):
+        # a step ratio carrying 1/rho overflowed to inf at rho = 1e-300
+        p = QueueParams(1e-300, 1.0)
+        _assert_criterion_4(rbar_closed_form(i, n, 1e6, p), _oracle(i, n, 1e6, p))
 
 
 class TestClosedFormAgainstOracle:
@@ -232,6 +238,18 @@ class TestClosedFormAgainstOracle:
         p = QueueParams(rho / alpha, alpha)
         reference = _oracle(i, n, s, p, TruncationConfig(tol=1e-8))
         _assert_criterion_4(rbar_closed_form(i, n, s, p), reference)
+
+    @given(
+        pair=st.tuples(st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=30)),
+        s=st.floats(min_value=1e-4, max_value=1e3),
+        alpha=st.floats(min_value=0.5, max_value=2.0),
+    )
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_pure_death_matches_oracle(self, pair, s, alpha):
+        # rho = 0 with n <= i, where the entry is the single term j = n
+        n, i = sorted(pair)
+        p = QueueParams(0.0, alpha)
+        _assert_criterion_4(rbar_closed_form(i, n, s, p), _oracle(i, n, s, p))
 
 
 class TestCrossCheck:
