@@ -44,6 +44,9 @@ class SimConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
+        if not 0 <= self.seed < 2**64:
+            # the Philox key holds 64 bits; a seed outside would alias one inside
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if not (math.isfinite(self.t_max) and self.t_max > 0):
             raise ValueError(f"t_max must be finite and > 0, got {self.t_max}")
         if self.max_events < 1:
@@ -79,7 +82,7 @@ def step_embedded(
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, block], dtype=np.uint64)
+    key = np.array([seed, block], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -5,19 +5,26 @@ For a tridiagonal kernel, row i of Rbar(s) = (I - Qbar(s))^-1 satisfies
     -tau_bar(j-1) x[j-1] + x[j] - sigma_bar(j+1) x[j+1] = delta_ij,  j >= 0,
 
 with tau_bar(-1) = 0.  `solve_row_truncated` cuts the system at j = n with
-the Dirichlet condition x[n+1] = 0 and eliminates without pivoting: for
-s > 0 each column k of the truncated operator has off-diagonal mass
-tau_bar(k) + sigma_bar(k) < 1 against a unit diagonal, so pivots cannot
-degenerate.  `solve_row_adaptive` doubles n until the normalization sum
+the Dirichlet condition x[n+1] = 0 and eliminates without pivoting, from
+the boundary up: above row i only the ratios x[k] / x[k-1] and a running
+tail of the normalization sum are carried, the stable direction for the
+minimal solution (Gautschi, SIAM Rev. 1967), and rows 0..i take forward
+pivots.  For s > 0 each column k of the truncated operator has
+off-diagonal mass tau_bar(k) + sigma_bar(k) < 1 against a unit diagonal,
+so pivots cannot degenerate in either direction.  `solve_row_adaptive`
+doubles n until the normalization sum
 
     sum_k [1 - sigma_bar(k) - tau_bar(k)] * x[k]  ->  1
 
 is met and the leading entries have stopped moving.  `solve_rows` does the
 same for many abscissas at once: one sweep per truncation level carries
 every abscissa still open, each accepted at its own level, so it gives
-`solve_row_adaptive`'s values for each.  `neumann_series_sum`
-accumulates row i of sum_m Qbar(s)^m over the same truncated operator and
-is the independent second route used by the cross-check suites.
+`solve_row_adaptive`'s values for each.  A sweep keeps O(1) state per
+abscissa besides the entries it returns, and evaluates the kernel in row
+blocks of bounded size, so its memory does not grow with n.
+`neumann_series_sum` accumulates row i of sum_m Qbar(s)^m over the same
+truncated operator and is the independent second route used by the
+cross-check suites.
 
 Real s must be finite and > 0.  Complex s with positive real part is accepted
 throughout (the elimination extends verbatim); results are then complex.
@@ -33,7 +40,7 @@ from .errors import NonConvergenceError, PivotError
 from .model import KernelTransform
 
 _MIN_PIVOT = 1e-14
-_SWEEP_ELEMENTS = 6144     # states x columns that one sweep may hold
+_SWEEP_ELEMENTS = 6144     # states x columns of one block of kernel values
 _MIN_BATCH = 16            # fewest columns worth sweeping together
 
 
@@ -103,62 +110,73 @@ def _as_abscissas(s_values) -> np.ndarray:
     return np.asarray(s_values, dtype=complex if np.iscomplexobj(s_values) else float)
 
 
-def _thomas(sigma, tau, i):
-    """Solve the truncated system for row i by elimination, no pivoting.
+def _level(i: int, s, kernel: KernelTransform, n: int, top: int):
+    """Row i at truncation level n: entries 0..top and the normalization residual.
 
-    Equation k reads x[k] - tau[k-1] x[k-1] - sigma[k+1] x[k+1] = delta_ik.
-    The sweep runs along the leading axis.  A 2-D input holds one system
-    per column, all stepped together in the same operations; a 1-D input
-    is stepped through as Python scalars, the fastest for one system.
+    Elimination runs up from the boundary x[n+1] = 0.  With g[n] = 1 and
+
+        r[k+1] = tau[k] / g[k+1],   g[k] = 1 - sigma[k+1] r[k+1],
+
+    row k > i reduces to x[k] = r[k] x[k-1], and the tail sum
+    h[k+1] = r[k+1] (c[k+1] + h[k+2]), c = 1 - sigma - tau, carries
+    sum_{l > k} c[l] x[l] / x[k] along.  Row i takes the forward pivot w[i]
+    of rows 0..i in place of the 1, so x[i] = 1 / (w[i] - sigma[i+1] r[i+1]),
+    and rows below i back-substitute through w.  Only the ratios up to
+    `top` are kept: a column holds O(top) state whatever n is.
+
+    A scalar s is stepped through as Python scalars, the fastest for one
+    system; a 1-D array of abscissas holds one column each, all stepped
+    together in the same operations.  The kernel is evaluated in row blocks
+    of at most _SWEEP_ELEMENTS states x columns, from the top down; the
+    lowest block holds states 0..i+1 at least.
     """
-    n = len(sigma) - 1
-    if sigma.ndim == 1:
-        sigma, tau = sigma.tolist(), tau.tolist()
-        w, x = [1.0] * (n + 1), [0.0] * (n + 1)
-    else:
-        w, x = np.ones_like(sigma), np.zeros_like(sigma)
-    x[i] = 1.0          # right-hand side, then solution
-    wk = xk = 1.0       # pivot and right-hand side of the row last eliminated
-    try:
-        with np.errstate(all="ignore"):     # a bad pivot is reported below
-            for k in range(1, n + 1):
-                m = tau[k - 1] / wk
-                wk = w[k] = 1.0 - m * sigma[k]
-                if k > i:
-                    xk = x[k] = m * xk
-    except ZeroDivisionError:
-        pass    # a zero pivot among Python scalars, reported below
-    pivots = np.asarray(w)
-    small = np.abs(pivots) < _MIN_PIVOT
-    if small.any():
-        first = np.flatnonzero(small)[0]
-        row = first // (small.size // (n + 1))
-        where = "last row" if row == n else f"row {row}"
-        raise PivotError(f"pivot {pivots.flat[first]!r} below {_MIN_PIVOT} at {where}")
-    xk = x[n] = x[n] / w[n]
-    for k in range(n - 1, -1, -1):
-        xk = x[k] = (x[k] + sigma[k + 1] * xk) / w[k]
-    return np.asarray(x)
-
-
-def _truncated(i, s, kernel: KernelTransform, n: int):
-    """Row i at truncation level n and its normalization residual.
-
-    A scalar s gives a 1-D row; a 1-D array of abscissas gives one column
-    per abscissa and one residual each.
-    """
-    states = np.arange(n + 1)
-    if np.ndim(s):
-        states = states[:, None]
-    sigma, tau = kernel.transforms(states, s)
-    x = _thomas(sigma, tau, i)
-    weighted = 1.0 - sigma      # in place from here, to hold fewer arrays
-    weighted -= tau
-    del sigma, tau
-    weighted *= x
-    # each column sums along a contiguous row, so its residual does not
-    # depend on which other columns share the sweep
-    return x, np.abs(np.sum(np.ascontiguousarray(weighted.T), axis=-1) - 1.0)
+    batched = np.ndim(s) == 1
+    block = max(i + 2, _SWEEP_ELEMENTS // np.size(s))     # states per block
+    ratios = [None] * (top + 1)
+    g, s1, c1, h = np.inf, 0.0, 0.0, 0.0    # g[n+1] = inf gives r[n+1] = 0
+    hi, lo = n + 1, n // block * block
+    while True:
+        states = np.arange(lo, hi)
+        sigma, tau = kernel.transforms(states[:, None] if batched else states, s)
+        c = 1.0 - sigma - tau
+        if batched:
+            pivots = np.ones_like(c)
+        else:
+            sigma, tau, c = sigma.tolist(), tau.tolist(), c.tolist()
+            pivots = [1.0] * len(c)
+        try:
+            with np.errstate(all="ignore"):     # a bad pivot is reported below
+                if lo == 0:
+                    for k in range(1, i + 1):
+                        pivots[k] = 1.0 - tau[k - 1] / pivots[k - 1] * sigma[k]
+                for k in range(hi - 1, max(lo, i) - 1, -1):
+                    r = tau[k - lo] / g
+                    h = r * (c1 + h)
+                    if k < top:
+                        ratios[k + 1] = r
+                    g = pivots[k - lo] = (1.0 if k > i else pivots[i]) - s1 * r
+                    s1, c1 = sigma[k - lo], c[k - lo]
+        except ZeroDivisionError:
+            pass    # a zero pivot among Python scalars, reported below
+        pivots = np.asarray(pivots)
+        small = np.abs(pivots) < _MIN_PIVOT
+        if small.any():
+            last = np.flatnonzero(small)[-1]    # the sweep meets the highest row first
+            row = lo + last // (small.size // len(small))
+            raise PivotError(f"pivot {pivots.flat[last]!r} below {_MIN_PIVOT} at row {row}")
+        if lo == 0:
+            break
+        hi, lo = lo, lo - block
+    x = [None] * (top + 1)
+    xk = x[i] = 1.0 / g         # g is row i's pivot now
+    total = xk * (c1 + h)       # sum_{l >= i} c[l] x[l]
+    for k in range(i - 1, -1, -1):
+        xk = x[k] = sigma[k + 1] * xk / pivots[k]
+        total = total + c[k] * xk
+    xk = x[i]
+    for k in range(i + 1, top + 1):
+        xk = x[k] = ratios[k] * xk
+    return np.array(x), np.abs(total - 1.0)
 
 
 def solve_row_truncated(i: int, s, kernel: KernelTransform, n: int) -> TransformRowResult:
@@ -166,7 +184,7 @@ def solve_row_truncated(i: int, s, kernel: KernelTransform, n: int) -> Transform
     _check_s(s)
     if not 0 <= i < n:
         raise ValueError(f"start state must satisfy 0 <= i < n, got i={i}, n={n}")
-    values, residual = _truncated(i, s, kernel, n)
+    values, residual = _level(i, s, kernel, n, n)
     return TransformRowResult(
         i=i,
         s=s,
@@ -177,59 +195,46 @@ def solve_row_truncated(i: int, s, kernel: KernelTransform, n: int) -> Transform
     )
 
 
-def _sweeps(count: int, n: int) -> list:
-    """Split `count` open columns into the sweeps of truncation level n.
-
-    The sweeps are equal and each holds at most _SWEEP_ELEMENTS states x
-    columns.  Where fewer than _MIN_BATCH columns would share a sweep, the
-    array overhead of a step does not pay and every column sweeps alone.
-    """
-    sweeps = -(-count // max(1, _SWEEP_ELEMENTS // (n + 1)))
-    width = -(-count // sweeps)
-    if width < _MIN_BATCH:
-        width = 1
-    return [slice(lo, lo + width) for lo in range(0, count, width)]
-
-
 def _adaptive(i: int, s: np.ndarray, kernel: KernelTransform, cfg: TruncationConfig,
               n: int, keep):
     """Accept each abscissa of s at the first level that passes both tests.
 
-    Levels double from n, and only the columns still open are
-    swept again.  Between levels only their leading entries are kept.
-    Returns, per column, the accepted values[:keep] (the whole row when
-    keep is None), the level and the residual.
+    Levels double from n, and only the columns still open are solved
+    again, all in one sweep per level.  Fewer than _MIN_BATCH columns do
+    not pay for the array overhead of a step and are solved one at a
+    time.  Returns, per column, the accepted values[:keep] (the whole row
+    when keep is None), the level and the residual.
     """
     rows = [None] * s.size
     levels = np.zeros(s.size, dtype=int)
     residuals = np.zeros(s.size)
     todo = np.arange(s.size)    # columns still open
     prev = None                 # their leading entries at the last level
+    width = max(1, _SWEEP_ELEMENTS // (i + 2))  # a block holds states 0..i+1
     while todo.size:
         head = min(i + 11, n + 1)
-        cur = np.empty((head, todo.size), dtype=s.dtype)
-        last = np.empty(todo.size)
+        top = n if keep is None else max(head, keep) - 1
+        if todo.size < _MIN_BATCH:
+            parts = [_level(i, s[col], kernel, n, top) for col in todo]
+        else:
+            parts = [_level(i, s[todo[lo:lo + width]], kernel, n, top)
+                     for lo in range(0, todo.size, width)]
+        x = np.column_stack([values for values, _ in parts])
+        residual = np.hstack([part for _, part in parts])
         accept = np.zeros(todo.size, dtype=bool)
-        for part in _sweeps(todo.size, n):
-            cols = todo[part]
-            x, residual = _truncated(i, s[cols[0]] if cols.size == 1 else s[cols], kernel, n)
-            x, residual = x.reshape(n + 1, cols.size), np.atleast_1d(residual)
-            cur[:, part] = x[:head]
-            last[part] = residual
-            if prev is None:
-                continue
-            change = np.max(np.abs(x[: len(prev)] - prev[:, part]), axis=0)
-            accept[part] = (residual <= cfg.tol) & (change <= cfg.tol)
-            for k in np.flatnonzero(accept[part]):
-                rows[cols[k]] = x[:keep, k].copy()
-                levels[cols[k]] = n
-                residuals[cols[k]] = residual[k]
-        todo, prev, last = todo[~accept], cur[:, ~accept], last[~accept]
+        if prev is not None:
+            change = np.max(np.abs(x[: len(prev)] - prev), axis=0)
+            accept = (residual <= cfg.tol) & (change <= cfg.tol)
+        for k in np.flatnonzero(accept):
+            rows[todo[k]] = x[:keep, k].copy()
+            levels[todo[k]] = n
+            residuals[todo[k]] = residual[k]
+        todo, prev, residual = todo[~accept], x[:head, ~accept], residual[~accept]
         if todo.size and n >= cfg.n_max:
             raise NonConvergenceError(
                 f"row (i={i}, s={s[todo[0]]}) did not converge by n_max={cfg.n_max}; "
-                f"last normalization residual {last[0]:.3e}",
-                residual=float(last[0]),
+                f"last normalization residual {residual[0]:.3e}",
+                residual=float(residual[0]),
             )
         n = min(2 * n, cfg.n_max)
     return rows, levels, residuals

@@ -130,6 +130,10 @@ class TestArgumentErrors:
             ["renewal", "--i", "0", "--j", "0", "--t-grid", "1:1:1", "--lambda", "1", "--alpha", "1"],
             ["simulate", "--i", "-1", "--j", "0", "--t-grid", "1:1:1", "--lambda", "1", "--alpha", "1",
              "--paths", "5", "--seed", "1"],
+            ["simulate", "--i", "0", "--j", "0", "--t-grid", "1:1:1", "--lambda", "1", "--alpha", "1",
+             "--paths", "5", "--seed", "-1"],
+            ["simulate", "--i", "0", "--j", "0", "--t-grid", "1:1:1", "--lambda", "1", "--alpha", "1",
+             "--paths", "5", "--seed", str(2**64)],
         ],
     )
     def test_exit_code_two(self, argv, capsys):

@@ -162,6 +162,11 @@ class TestSimulateRenewalCounts:
             SimConfig(n_paths=1, seed=1, t_max=0.0)
         with pytest.raises(ValueError):
             SimConfig(n_paths=1, seed=1, t_max=1.0, max_events=0)
+        # -1 would alias 2**64 - 1 and 2**64 would alias 0 in the 64-bit key
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed"):
+                SimConfig(n_paths=1, seed=seed, t_max=1.0)
+        SimConfig(n_paths=1, seed=2**64 - 1, t_max=1.0)
         for t_max in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 SimConfig(n_paths=1, seed=1, t_max=t_max)

@@ -141,7 +141,7 @@ class TestSolveRowAdaptive:
 
 
 class _ZeroPivotKernel(KernelTransform):
-    """sigma_bar = tau_bar = 1 away from state 0: the pivot of row 1 is 0."""
+    """sigma_bar = tau_bar = 1 away from state 0: the pivots of rows 1 and n-1 are 0."""
 
     def transforms(self, j, s):
         ones = np.ones(np.broadcast(j, s).shape)
@@ -190,9 +190,10 @@ class TestSolveRows:
         assert err.value.residual == at_cap
 
     def test_pivot_error_still_raised(self):
-        with pytest.raises(PivotError, match="at row 1"):
+        # the backward sweep meets the zero pivot at row n - 1 first
+        with pytest.raises(PivotError, match="at row 7$"):
             solve_row_truncated(0, 1.0, _ZeroPivotKernel(), 8)
-        with pytest.raises(PivotError, match="at row 1"):
+        with pytest.raises(PivotError, match="at row 63$"):
             solve_rows(0, 0, np.linspace(1.0, 2.0, 40), _ZeroPivotKernel())
 
     def test_no_abscissas_give_empty_entries(self):
@@ -215,6 +216,22 @@ class TestSolveRows:
         for shape in shapes:
             assert len(shape) == 1 or shape[0] * shape[1] <= oracle._SWEEP_ELEMENTS
 
+    def test_deep_complex_grid_shares_one_sweep_per_block(self, monkeypatch):
+        # the 100 Euler abscissas of t = 2 and t = 5 at rho = 1000 settle at
+        # n = 1024 and 2048; no column may fall back to a sweep of its own
+        shapes = []
+        real = MMInfinityKernel.transforms
+
+        def spy(self, j, s):
+            shapes.append((np.shape(j), np.shape(s)))
+            return real(self, j, s)
+
+        monkeypatch.setattr(MMInfinityKernel, "transforms", spy)
+        grid = [complex(9.2 / t, k * math.pi / t) for t in (2.0, 5.0) for k in range(50)]
+        entries = solve_rows(0, 0, grid, kernel(QueueParams(1000.0, 1.0)))
+        assert entries.truncation_n.max() >= 1024
+        assert all(len(j) == 2 and len(s) == 1 and s[0] >= oracle._MIN_BATCH for j, s in shapes)
+
     def test_rejects_bad_arguments(self):
         k = kernel(UNIT)
         with pytest.raises(ValueError):
@@ -225,6 +242,34 @@ class TestSolveRows:
             solve_rows(0, -1, [1.0], k)
         with pytest.raises(ValueError):
             solve_rows(-1, 0, [1.0], k)
+
+
+class TestLevelSolve:
+    """The backward sweep against a dense solve of the same truncated system."""
+
+    K = kernel(QueueParams(8.0, 1.0))
+
+    @staticmethod
+    def dense(i, s, k, n):
+        sigma, tau = k.transforms(np.arange(n + 1), s)
+        a = np.eye(n + 1, dtype=sigma.dtype)    # equation k, as in the module docstring
+        a[np.arange(1, n + 1), np.arange(n)] = -tau[:-1]
+        a[np.arange(n), np.arange(1, n + 1)] = -sigma[1:]
+        x = np.linalg.solve(a, np.eye(n + 1)[i])
+        return x, abs(np.sum((1.0 - sigma - tau) * x) - 1.0)
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    @pytest.mark.parametrize("i", [0, 5])
+    @pytest.mark.parametrize("shift", [0.0, 3j], ids=["real", "complex"])
+    @pytest.mark.parametrize("count", [1, oracle._MIN_BATCH], ids=["scalars", "batched"])
+    def test_rows_and_residuals_match_dense_solve(self, n, i, shift, count):
+        s_values = np.geomspace(0.01, 100.0, count) + shift
+        values, residuals = oracle._level(i, s_values[0] if count == 1 else s_values, self.K, n, n)
+        values, residuals = values.reshape(n + 1, count), np.atleast_1d(residuals)
+        for col, s in enumerate(s_values):
+            x, residual = self.dense(i, s, self.K, n)
+            assert np.max(np.abs(values[:, col] - x)) <= 1e-13 * np.max(np.abs(x))
+            assert abs(residuals[col] - residual) <= 1e-13
 
 
 class TestTruncationConfig:
