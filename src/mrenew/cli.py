@@ -87,6 +87,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: building costs about ten times a parse
+_PARSER = _build_parser()
+
+
 def _cmd_transform(args) -> int:
     p = QueueParams(args.lam, args.alpha)
     kernel = MMInfinityKernel(p)
@@ -186,9 +190,8 @@ _HANDLERS = {
 
 def run(argv) -> int:
     """Parse argv and dispatch; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -40,18 +40,15 @@ import numpy as np
 from .hyperg import _running_product, _scaled_kummer
 from .model import QueueParams
 
+_TOL = 1e-13  # relative truncation of each Kummer series
+
 
 def tbar_from_rbar(j: int, s: float, rbar: float, p: QueueParams) -> float:
     """Scale a transform-row entry: alpha * rbar / (j + rho + alpha*s)."""
     return p.alpha * rbar / (j + p.rho + p.alpha * s)
 
 
-def rbar_from_tbar(j: int, s: float, tbar: float, p: QueueParams) -> float:
-    """Inverse of `tbar_from_rbar`: tbar * (j + rho + alpha*s) / alpha."""
-    return tbar * (j + p.rho + p.alpha * s) / p.alpha
-
-
-def _weighted_kummer_sum(factors, steps, a, b, x: float, tol: float) -> float:
+def _weighted_kummer_sum(factors, steps, a, b, x: float) -> float:
     """sum_j w_j e^{-x} phi(a_j, b_j; x) with w_0 = prod(factors), w_{j+1} = w_j prod(steps[j]).
 
     `steps` has one row per step, so a step whose size would overflow as
@@ -61,18 +58,18 @@ def _weighted_kummer_sum(factors, steps, a, b, x: float, tol: float) -> float:
     """
     w_m, w_e = _running_product(np.concatenate([factors, steps.ravel()]))
     at = len(factors) - 1 + steps.shape[1] * np.arange(len(a))
-    s_m, s_e = _scaled_kummer(a, b, x, tol)
+    s_m, s_e = _scaled_kummer(a, b, x, _TOL)
     exponents = w_e[at] + s_e
     top = int(exponents.max())
     return math.ldexp(float(np.ldexp(w_m[at] * s_m, exponents - top).sum()), top)
 
 
-def generating_function(i: int, x: float, s: float, p: QueueParams, tol: float = 1e-13) -> float:
+def generating_function(i: int, x: float, s: float, p: QueueParams) -> float:
     """Evaluate y_i(x), the generating function of the scaled row.
 
     Defined for x in (-1, 1] and s > 0; equals 1/s at x = 1.  Sums the
     finite j-sum of the module docstring, whose terms are positive for
-    x >= 0; `tol` bounds the truncation of each Kummer series.
+    x >= 0; each Kummer series stops at a relative 1e-13.
     """
     if not 0 < s < math.inf:
         raise ValueError(f"transform variable must be finite and > 0, got {s}")
@@ -86,7 +83,7 @@ def generating_function(i: int, x: float, s: float, p: QueueParams, tol: float =
     # w_0 = B(a, i+1) = i! / (a)_{i+1};  w_{j+1} / w_j = x (a+j) / (j+1)
     factors = np.concatenate([[1.0 / a_s], t / (a_s + t)])
     steps = np.stack([np.full(i, x), (a_s + j[:-1]) / (j[:-1] + 1.0)], axis=1)
-    total = _weighted_kummer_sum(factors, steps, a_s + j, np.full(i + 1, a_s + i + 1), p.rho * (1.0 - x), tol)
+    total = _weighted_kummer_sum(factors, steps, a_s + j, np.full(i + 1, a_s + i + 1), p.rho * (1.0 - x))
     return p.alpha * total
 
 
@@ -107,11 +104,11 @@ def ode_residual(i: int, x: float, s: float, p: QueueParams, h: float = 1e-4, y_
     return (1.0 - x) * dy - (p.rho * (1.0 - x) + p.alpha * s) * y + p.alpha * x**i
 
 
-def rbar_closed_form(i: int, n: int, s: float, p: QueueParams, tol: float = 1e-13) -> float:
+def rbar_closed_form(i: int, n: int, s: float, p: QueueParams) -> float:
     """Closed-form rbar[i][n](s) for the M|M|infinity kernel.
 
-    Evaluates the positive j-sum in the module docstring; `tol` bounds the
-    truncation of each Kummer series.  At rho = 0 only the term j = n is
+    Evaluates the positive j-sum in the module docstring; each Kummer
+    series stops at a relative 1e-13.  At rho = 0 only the term j = n is
     left (rho^0 = 1), and the entry is 0 when n > i.
     """
     if not 0 < s < math.inf:
@@ -141,5 +138,5 @@ def rbar_closed_form(i: int, n: int, s: float, p: QueueParams, tol: float = 1e-1
         1.0 / (a_s + j - 1.0),
     ], axis=1)
     j = np.arange(hi, lo - 1, -1, dtype=float)
-    total = _weighted_kummer_sum(factors, steps, a_s + j, a_s + i + n + 1.0 - j, rho, tol)
+    total = _weighted_kummer_sum(factors, steps, a_s + j, a_s + i + n + 1.0 - j, rho)
     return (n + rho + a_s) * total

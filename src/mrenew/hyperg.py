@@ -33,6 +33,7 @@ import numpy as np
 from .errors import NonConvergenceError
 
 MAX_TERMS = 10_000
+_TOL = 1e-14  # relative truncation of kummer_m and kummer_series_direct
 
 # ln 2 split so that k * _LN2_HI is exact for k < 2**20 (Cody & Waite):
 # e^{-x} = 2^{-k} e^{-(x - k ln 2)} then never underflows.
@@ -53,15 +54,9 @@ _FORBIDDEN_B_TOL = 1e-12
 _CONSECUTIVE_SMALL = 3
 
 
-def _check_tol(tol: float):
-    if not 0.0 < tol <= 1e-6:
-        raise ValueError(f"tol must lie in (0, 1e-6], got {tol}")
-
-
-def _check_args(a: float, b: float, z: float, tol: float):
+def _check_args(a: float, b: float, z: float):
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(z)):
         raise ValueError(f"arguments must be finite, got a={a}, b={b}, z={z}")
-    _check_tol(tol)
     nearest = round(b)
     if nearest <= 0 and abs(b - nearest) <= _FORBIDDEN_B_TOL:
         raise ValueError(
@@ -70,21 +65,21 @@ def _check_args(a: float, b: float, z: float, tol: float):
         )
 
 
-def kummer_series_direct(a: float, b: float, z: float, tol: float = 1e-14) -> float:
+def kummer_series_direct(a: float, b: float, z: float) -> float:
     """Sum the Taylor series as-is, without the negative-z transformation.
 
-    Stops once the running term stays below tol * |partial sum| for three
-    consecutive terms.  Used to check the transformation identity against an
-    independently summed series; prefer `kummer_m`.
+    Stops once the running term stays below 1e-14 * |partial sum| for
+    three consecutive terms.  Used to check the transformation identity
+    against an independently summed series; prefer `kummer_m`.
     """
-    _check_args(a, b, z, tol)
+    _check_args(a, b, z)
     term = 1.0
     total = 1.0
     small_streak = 0
     for k in range(MAX_TERMS):
         term = term * ((a + k) / (b + k)) * (z / (k + 1))
         total += term
-        if abs(term) <= tol * abs(total):
+        if abs(term) <= _TOL * abs(total):
             small_streak += 1
             if small_streak >= _CONSECUTIVE_SMALL:
                 return total
@@ -129,7 +124,6 @@ def _scaled_kummer(a: np.ndarray, b: np.ndarray, x: float, tol: float):
     series is not done within MAX_TERMS terms, at once if x >= MAX_TERMS
     (the bound needs K + 1 > x, so such a series cannot be done).
     """
-    _check_tol(tol)
     if not x < MAX_TERMS:
         raise NonConvergenceError(
             f"scaled Kummer series cannot converge within {MAX_TERMS} terms (x={x})"
@@ -168,7 +162,7 @@ def _scaled_kummer(a: np.ndarray, b: np.ndarray, x: float, tol: float):
             )
 
 
-def kummer_m(a: float, b: float, z: float, tol: float = 1e-14) -> float:
+def kummer_m(a: float, b: float, z: float) -> float:
     """Evaluate phi(a, b; z) for real arguments.
 
     phi(a, b; 0) = 1 exactly.  Negative arguments go through Kummer's
@@ -179,12 +173,12 @@ def kummer_m(a: float, b: float, z: float, tol: float = 1e-14) -> float:
     arguments and forbidden b (zero or a negative integer), and
     NonConvergenceError past 10,000 terms.
     """
-    _check_args(a, b, z, tol)
+    _check_args(a, b, z)
     if z == 0:
         return 1.0
     if z < 0 and 0 <= a < b:
-        m, e = _scaled_kummer(np.array([b - a]), np.array([b]), -z, tol)
+        m, e = _scaled_kummer(np.array([b - a]), np.array([b]), -z, _TOL)
         return math.ldexp(float(m[0]), int(e[0]))
     if z < 0:
-        return math.exp(z) * kummer_series_direct(b - a, b, -z, tol)
-    return kummer_series_direct(a, b, z, tol)
+        return math.exp(z) * kummer_series_direct(b - a, b, -z)
+    return kummer_series_direct(a, b, z)

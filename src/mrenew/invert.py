@@ -2,7 +2,7 @@
 
 Both methods take one form (Abate & Whitt, INFORMS J. Computing 2006):
 f(t) ~= scale * sum_k w_k Re F(s_k), over a rule of abscissas s_k, scale
-and weights w_k set by the method, t and its term counts.
+and weights w_k set by the method and t, and for Gaver-Stehfest its order.
 
 * Gaver-Stehfest: abscissas k ln2 / t (k = 1..order), scale ln2 / t, and
   Salzer weights computed in exact rational arithmetic, so the only
@@ -10,7 +10,9 @@ and weights w_k set by the method, t and its term counts.
   (which caps the usable order at 18 in double precision).
 * Euler summation: the Bromwich trapezoid at A / 2t + i k pi / t
   (k = 0..n+m), scale e^{A/2} / t, with the binomial average of the
-  partial sums n..n+m written out as one weight per sample.
+  partial sums n..n+m written out as one weight per sample.  The lengths
+  are fixed at n = EULER_DEFAULT_N = 38 and m = EULER_DEFAULT_M = 11,
+  50 abscissas per time.
 
 The row transform rbar is a Laplace-Stieltjes transform; the renewal
 function R_ij(t) has an ordinary Laplace transform rbar_ij(s) / s, which is
@@ -30,7 +32,7 @@ import numpy as np
 
 from .closedform import rbar_closed_form
 from .model import MMInfinityKernel, QueueParams
-from .oracle import TruncationConfig, solve_rows
+from .oracle import solve_rows
 
 EULER_DEFAULT_M = 11   # binomial averaging length
 EULER_DEFAULT_N = 38   # base partial-sum length
@@ -82,11 +84,11 @@ def stehfest_weights(order: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _euler_weights(m: int, n: int) -> tuple:
+def _euler_weights() -> tuple:
     """w_0..w_{n+m}: alternating, 1/2 at k = 0, times the share of the average
-    2^-m sum_q C(m, q) S_{n+q} of partial sums that holds term k (q >= k - n)."""
-    if m < 0 or n < 0:
-        raise ValueError(f"m and n must be >= 0, got m={m}, n={n}")
+    2^-m sum_q C(m, q) S_{n+q} of partial sums that holds term k (q >= k - n),
+    with m = EULER_DEFAULT_M and n = EULER_DEFAULT_N."""
+    m, n = EULER_DEFAULT_M, EULER_DEFAULT_N
     weights = []
     for k in range(n + m + 1):
         share = sum(math.comb(m, q) for q in range(max(0, k - n), m + 1)) / 2.0**m
@@ -94,8 +96,7 @@ def _euler_weights(m: int, n: int) -> tuple:
     return tuple(weights)
 
 
-def _rule(method: str, t: float, order: int = 14, m: int = EULER_DEFAULT_M,
-          n: int = EULER_DEFAULT_N):
+def _rule(method: str, t: float, order: int = 14):
     """(abscissas, scale, weights) with f(t) ~= scale * sum_k w_k Re F(s_k)."""
     if t <= 0:
         raise ValueError(f"time must be > 0, got {t}")
@@ -103,8 +104,9 @@ def _rule(method: str, t: float, order: int = 14, m: int = EULER_DEFAULT_M,
         ln2_t = math.log(2.0) / t
         return [k * ln2_t for k in range(1, order + 1)], ln2_t, stehfest_weights(order)
     base = _EULER_A / (2.0 * t)
-    abscissas = [complex(base, k * math.pi / t) for k in range(n + m + 1)]
-    return abscissas, math.exp(_EULER_A / 2.0) / t, _euler_weights(m, n)
+    weights = _euler_weights()
+    abscissas = [complex(base, k * math.pi / t) for k in range(len(weights))]
+    return abscissas, math.exp(_EULER_A / 2.0) / t, weights
 
 
 def _combine(scale: float, weights, samples) -> float:
@@ -121,16 +123,14 @@ def gaver_stehfest(transform, t: float, order: int = 14) -> float:
     return _combine(scale, weights, map(transform, abscissas))
 
 
-def euler_inversion(
-    transform, t: float, m: int = EULER_DEFAULT_M, n: int = EULER_DEFAULT_N
-) -> float:
+def euler_inversion(transform, t: float) -> float:
     """Euler-summation inversion at time t > 0.
 
     `transform` must accept complex s with positive real part; only the
-    real part of its value is used.  m and n are the binomial-averaging
-    and base partial-sum lengths.
+    real part of its value is used.  The binomial-averaging and base
+    partial-sum lengths are EULER_DEFAULT_M and EULER_DEFAULT_N.
     """
-    abscissas, scale, weights = _rule("euler", t, m=m, n=n)
+    abscissas, scale, weights = _rule("euler", t)
     return _combine(scale, weights, map(transform, abscissas))
 
 
@@ -141,7 +141,6 @@ def renewal_function(
     p: QueueParams,
     solver: str = "oracle",
     cfg: InversionConfig = InversionConfig(),
-    truncation: TruncationConfig = TruncationConfig(),
 ) -> np.ndarray:
     """Recover R_ij(t) on a time grid by inverting s -> rbar_ij(s) / s.
 
@@ -166,7 +165,7 @@ def renewal_function(
     # a time grid can repeat an abscissa (k ln2 / t at t and 2t)
     points = list(dict.fromkeys(s for abscissas, _, _ in rules for s in abscissas))
     if solver == "oracle":
-        values = solve_rows(i, j, points, MMInfinityKernel(p), truncation).values
+        values = solve_rows(i, j, points, MMInfinityKernel(p)).values
     else:
         values = [rbar_closed_form(i, j, s, p) for s in points]
     transform = {s: value / s for s, value in zip(points, values)}

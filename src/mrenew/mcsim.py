@@ -14,9 +14,9 @@ uniforms for every path of the block still live and moves them all in a
 few array operations.  Randomness is counter-based (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC 2011): block b draws
 from one Philox stream keyed by (seed, b).  Workers take whole blocks, so
-estimates are bit-identical for any worker count; per-worker results are
-placed into one array indexed by absolute path number and all statistics
-are reduced over that array in a fixed order.
+estimates are bit-identical for any worker count; the blocks' counts are
+joined in block order into one array and all statistics are reduced over
+that array in a fixed order.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -86,14 +87,17 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _walk_block(p, i, targets, t_grid, seed, block, size, max_events):
-    """Entry counts for the first `size` paths of `block`: (size, n_targets, n_times).
+def _walk_block(p, i, targets, t_grid, cfg, block):
+    """Entry counts for the paths of `block`: (size, n_targets, n_times).
 
-    The paths step in lock-step, so every live path has taken the same
-    number of events; paths past the horizon or absorbed are dropped.
+    A block holds _BLOCK paths, except the last of a run, which holds the
+    rest of cfg.n_paths.  The paths step in lock-step, so every live path
+    has taken the same number of events; paths past the horizon or
+    absorbed are dropped.
     """
     horizon = t_grid[-1]
-    rng = _block_rng(seed, block)
+    size = min(_BLOCK, cfg.n_paths - block * _BLOCK)
+    rng = _block_rng(cfg.seed, block)
     live = np.arange(size)              # block-local index of each live path
     state = np.full(size, i, dtype=np.int64)
     elapsed = np.zeros(size)
@@ -109,9 +113,9 @@ def _walk_block(p, i, targets, t_grid, seed, block, size, max_events):
             if live.size == 0:
                 break
         events += 1
-        if events > max_events:
+        if events > cfg.max_events:
             raise EventCapError(
-                f"path {block * _BLOCK + live[0]} exceeded max_events={max_events} "
+                f"path {block * _BLOCK + live[0]} exceeded max_events={cfg.max_events} "
                 f"before t={horizon}"
             )
         rows, cols = np.nonzero(state[:, None] == targets)
@@ -125,23 +129,6 @@ def _walk_block(p, i, targets, t_grid, seed, block, size, max_events):
         first = np.searchsorted(t_grid, np.concatenate(hit_times), side="left")
         np.add.at(marks, (np.concatenate(hit_paths), np.concatenate(hit_cols), first), 1.0)
     return np.cumsum(marks, axis=2)
-
-
-def _walk_paths(lam, alpha, i, targets, t_grid, seed, start, stop, max_events):
-    """Entry counts for paths [start, stop): array (stop-start, n_targets, n_times).
-
-    `start` is a multiple of _BLOCK, and `stop` is one too unless it ends
-    the run, so the range is made of whole blocks.
-    """
-    p = QueueParams(lam, alpha)
-    targets = np.asarray(targets, dtype=np.int64)
-    counts = np.empty((stop - start, targets.size, t_grid.size))
-    for lo in range(start, stop, _BLOCK):
-        hi = min(lo + _BLOCK, stop)
-        counts[lo - start : hi - start] = _walk_block(
-            p, i, targets, t_grid, seed, lo // _BLOCK, hi - lo, max_events
-        )
-    return start, counts
 
 
 def simulate_renewal_counts(
@@ -172,26 +159,15 @@ def simulate_renewal_counts(
         raise ValueError(f"workers must be >= 1, got {workers}")
 
     n_paths = cfg.n_paths
-    counts = np.empty((n_paths, len(targets), times.size))
     n_blocks = -(-n_paths // _BLOCK)
-    blocks = np.linspace(0, n_blocks, min(workers, n_blocks) + 1).astype(int)
-    bounds = np.minimum(blocks * _BLOCK, n_paths)
-    chunks = [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    if workers == 1 or len(chunks) == 1:
-        for a, b in chunks:
-            _, part = _walk_paths(p.lam, p.alpha, i, targets, times, cfg.seed, a, b, cfg.max_events)
-            counts[a:b] = part
+    workers = min(workers, n_blocks)
+    walk = partial(_walk_block, p, i, np.asarray(targets, dtype=np.int64), times, cfg)
+    if workers == 1:
+        parts = list(map(walk, range(n_blocks)))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _walk_paths, p.lam, p.alpha, i, targets, times, cfg.seed, a, b, cfg.max_events
-                )
-                for a, b in chunks
-            ]
-            for fut in futures:
-                a, part = fut.result()
-                counts[a : a + part.shape[0]] = part
+            parts = list(pool.map(walk, range(n_blocks), chunksize=-(-n_blocks // workers)))
+    counts = np.concatenate(parts)
 
     means = counts.mean(axis=0)
     if n_paths > 1:

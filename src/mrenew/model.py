@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_INVARIANT_TOL = 1e-12  # slack allowed in each kernel invariant
+
 
 @dataclass(frozen=True)
 class QueueParams:
@@ -99,13 +101,14 @@ class MMInfinityKernel(KernelTransform):
         return sigma, tau
 
 
-def validate_kernel(kernel: KernelTransform, j_max: int, s_grid, tol: float = 1e-12) -> list:
+def validate_kernel(kernel: KernelTransform, j_max: int, s_grid) -> list:
     """Check the kernel invariants over j = 0..j_max and the given s grid.
 
     Returns one ``(j, s, message)`` tuple per violated invariant; an empty
     list means the kernel passed.  Violations are data, not errors: nothing
     raises on a bad kernel.  Monotonicity in s is checked between
-    consecutive points of the (ascending-sorted) grid.
+    consecutive points of the (ascending-sorted) grid.  Each inequality
+    allows a slack of 1e-12.
     """
     if j_max < 0:
         raise ValueError(f"j_max must be >= 0, got {j_max}")
@@ -120,19 +123,19 @@ def validate_kernel(kernel: KernelTransform, j_max: int, s_grid, tol: float = 1e
         prev = None
         for s in s_values:
             sigma, tau = kernel.transforms(j, s)
-            if j == 0 and abs(sigma) > tol:
+            if j == 0 and abs(sigma) > _INVARIANT_TOL:
                 report.append((j, s, f"sigma_bar(0, {s}) = {sigma!r}, expected 0"))
-            if sigma < -tol:
+            if sigma < -_INVARIANT_TOL:
                 report.append((j, s, f"sigma_bar({j}, {s}) = {sigma!r} < 0"))
-            if tau < -tol:
+            if tau < -_INVARIANT_TOL:
                 report.append((j, s, f"tau_bar({j}, {s}) = {tau!r} < 0"))
-            if sigma + tau > 1 + tol:
+            if sigma + tau > 1 + _INVARIANT_TOL:
                 report.append((j, s, f"sigma_bar + tau_bar = {sigma + tau!r} > 1"))
             if prev is not None:
                 p_s, p_sigma, p_tau = prev
-                if sigma > p_sigma + tol:
+                if sigma > p_sigma + _INVARIANT_TOL:
                     report.append((j, s, f"sigma_bar({j}, s) increased from s={p_s} to s={s}"))
-                if tau > p_tau + tol:
+                if tau > p_tau + _INVARIANT_TOL:
                     report.append((j, s, f"tau_bar({j}, s) increased from s={p_s} to s={s}"))
             prev = (s, sigma, tau)
     return report

@@ -140,6 +140,15 @@ class TestArgumentErrors:
         assert run(argv) == 2
         capsys.readouterr()
 
+    def test_parser_is_not_rebuilt_per_run(self, capsys, monkeypatch):
+        built = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
+        assert run("hyperg --a 1 --b 2 --z 1".split()) == 0
+        assert run("hyperg --a 1".split()) == 2
+        assert "required" in capsys.readouterr().err
+        assert built == []
+
     def test_invalid_parameter_value_maps_to_two(self, capsys):
         # alpha <= 0 fails QueueParams validation
         code = run("transform --i 0 --j 0 --s-grid 1:1:1 --lambda 1 --alpha 0".split())

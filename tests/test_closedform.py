@@ -16,7 +16,7 @@ from mrenew import (
     solve_rows,
 )
 from mrenew import crosscheck
-from mrenew.closedform import ode_residual, rbar_from_tbar, tbar_from_rbar
+from mrenew.closedform import ode_residual, tbar_from_rbar
 
 UNIT = QueueParams(1.0, 1.0)
 PURE_DEATH = QueueParams(0.0, 1.0)
@@ -28,23 +28,6 @@ class TestScaling:
 
     def test_zero_maps_to_zero(self):
         assert tbar_from_rbar(3, 2.0, 0.0, UNIT) == 0.0
-        assert rbar_from_tbar(3, 2.0, 0.0, UNIT) == 0.0
-
-    def test_inverse_example(self):
-        assert rbar_from_tbar(2, 1.0, 0.1, UNIT) == pytest.approx(0.4, rel=1e-15)
-
-    @given(
-        j=st.integers(min_value=0, max_value=50),
-        s=st.floats(min_value=1e-3, max_value=100.0),
-        value=st.floats(min_value=-10.0, max_value=10.0),
-        lam=st.floats(min_value=0.0, max_value=10.0),
-        alpha=st.floats(min_value=0.1, max_value=10.0),
-    )
-    @settings(max_examples=100, derandomize=True, deadline=None)
-    def test_round_trip(self, j, s, value, lam, alpha):
-        p = QueueParams(lam, alpha)
-        back = rbar_from_tbar(j, s, tbar_from_rbar(j, s, value, p), p)
-        assert back == pytest.approx(value, rel=1e-15, abs=1e-15)
 
 
 class TestGeneratingFunction:

@@ -99,11 +99,6 @@ class TestKummerValidation:
     def test_near_integer_b_allowed_outside_tolerance(self):
         assert kummer_m(1.0, -2.5, 0.5) == pytest.approx(float(_mp_series(1.0, -2.5, 0.5)), rel=1e-10)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-9, 1e-5, 0.5])
-    def test_tol_range_enforced(self, tol):
-        with pytest.raises(ValueError):
-            kummer_m(1.0, 2.0, 1.0, tol=tol)
-
     @pytest.mark.parametrize("fn", [kummer_m, kummer_series_direct])
     @pytest.mark.parametrize(
         "a,b,z",

@@ -113,10 +113,12 @@ class TestSimulateRenewalCounts:
             assert all(a <= b for a, b in zip(means, means[1:]))
 
     def test_seed_determinism_across_worker_counts(self):
+        # two blocks, the second partial
         cfg = SimConfig(n_paths=2_000, seed=42, t_max=2.0)
         serial = simulate_renewal_counts(0, [0, 1], [0.5, 1.0, 2.0], UNIT, cfg, workers=1)
-        parallel = simulate_renewal_counts(0, [0, 1], [0.5, 1.0, 2.0], UNIT, cfg, workers=4)
-        assert serial == parallel
+        for workers in (2, 4):
+            parallel = simulate_renewal_counts(0, [0, 1], [0.5, 1.0, 2.0], UNIT, cfg, workers=workers)
+            assert serial == parallel
 
     def test_different_seeds_differ(self):
         cfg_a = SimConfig(n_paths=500, seed=1, t_max=1.0)
@@ -186,11 +188,15 @@ class TestBlockContract:
 
     def test_block_paths_do_not_depend_on_run_length(self):
         times = np.array(self.TIMES)
+        targets = np.array([0, 1])
 
-        def counts(n_paths):
-            return mcsim._walk_paths(1.0, 1.0, 0, [0, 1], times, 4, 0, n_paths, 1_000)[1]
+        def block(n_paths, b):
+            cfg = SimConfig(n_paths=n_paths, seed=4, t_max=0.5, max_events=1_000)
+            return mcsim._walk_block(UNIT, 0, targets, times, cfg, b)
 
-        assert np.array_equal(counts(2 * _BLOCK)[:_BLOCK], counts(_BLOCK))
+        assert np.array_equal(block(_BLOCK, 0), block(3 * _BLOCK, 0))
+        assert np.array_equal(block(2 * _BLOCK, 1), block(3 * _BLOCK, 1))
+        assert not np.array_equal(block(2 * _BLOCK, 0), block(2 * _BLOCK, 1))
 
     @pytest.mark.parametrize("max_events, raises", [(2, True), (3, False)])
     def test_event_cap_in_lock_step(self, max_events, raises):
