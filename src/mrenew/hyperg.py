@@ -171,14 +171,18 @@ def kummer_m(a: float, b: float, z: float) -> float:
     NaN or 0 (phi(1, 2; -800) = (1 - e^-800)/800); otherwise it is summed
     directly and multiplied by e^z.  Raises ValueError for non-finite
     arguments and forbidden b (zero or a negative integer), and
-    NonConvergenceError past 10,000 terms.
+    NonConvergenceError past 10,000 terms or when the value is not finite.
     """
     _check_args(a, b, z)
     if z == 0:
         return 1.0
     if z < 0 and 0 <= a < b:
         m, e = _scaled_kummer(np.array([b - a]), np.array([b]), -z, _TOL)
-        return math.ldexp(float(m[0]), int(e[0]))
-    if z < 0:
-        return math.exp(z) * kummer_series_direct(b - a, b, -z)
-    return kummer_series_direct(a, b, z)
+        value = math.ldexp(float(m[0]), int(e[0]))
+    elif z < 0:
+        value = math.exp(z) * kummer_series_direct(b - a, b, -z)
+    else:
+        value = kummer_series_direct(a, b, z)
+    if not math.isfinite(value):
+        raise NonConvergenceError(f"kummer_m(a={a}, b={b}, z={z}) = {value}")
+    return value

@@ -104,11 +104,14 @@ class MMInfinityKernel(KernelTransform):
 def validate_kernel(kernel: KernelTransform, j_max: int, s_grid) -> list:
     """Check the kernel invariants over j = 0..j_max and the given s grid.
 
-    Returns one ``(j, s, message)`` tuple per violated invariant; an empty
-    list means the kernel passed.  Violations are data, not errors: nothing
-    raises on a bad kernel.  Monotonicity in s is checked between
-    consecutive points of the (ascending-sorted) grid.  Each inequality
-    allows a slack of 1e-12.
+    The kernel is called once, as the solvers call it: states
+    ``np.arange(j_max + 1)[:, None]`` against the ascending-sorted grid as
+    a row.  Returns one ``(j, s, message)`` tuple per violated invariant,
+    by j then s; an empty list means the kernel passed.  Violations are
+    data, not errors: a call that raises or does not return two arrays of
+    the grid's shape is the one entry ``(None, None, message)``.
+    Monotonicity in s is checked between consecutive grid points.  Each
+    inequality allows a slack of 1e-12.
     """
     if j_max < 0:
         raise ValueError(f"j_max must be >= 0, got {j_max}")
@@ -118,11 +121,18 @@ def validate_kernel(kernel: KernelTransform, j_max: int, s_grid) -> list:
     if s_values[0] < 0:
         raise ValueError("s_grid values must be >= 0")
 
+    shape = (j_max + 1, len(s_values))
+    try:
+        sigmas, taus = kernel.transforms(np.arange(j_max + 1)[:, None], np.array(s_values))
+    except Exception as exc:  # a broken kernel is reported like any violation
+        return [(None, None, f"transforms on a {shape} grid raised {type(exc).__name__}: {exc}")]
+    if np.shape(sigmas) != shape or np.shape(taus) != shape:
+        return [(None, None, f"transforms returned {np.shape(sigmas)} and {np.shape(taus)}, not {shape}")]
+
     report = []
-    for j in range(j_max + 1):
+    for j, (sigma_row, tau_row) in enumerate(zip(np.asarray(sigmas).tolist(), np.asarray(taus).tolist())):
         prev = None
-        for s in s_values:
-            sigma, tau = kernel.transforms(j, s)
+        for s, sigma, tau in zip(s_values, sigma_row, tau_row):
             if j == 0 and abs(sigma) > _INVARIANT_TOL:
                 report.append((j, s, f"sigma_bar(0, {s}) = {sigma!r}, expected 0"))
             if sigma < -_INVARIANT_TOL:

@@ -127,8 +127,8 @@ def _level(i: int, s, kernel: KernelTransform, n: int, top: int):
     A scalar s is stepped through as Python scalars, the fastest for one
     system; a 1-D array of abscissas holds one column each, all stepped
     together in the same operations.  The kernel is evaluated in row blocks
-    of at most _SWEEP_ELEMENTS states x columns, from the top down; the
-    lowest block holds states 0..i+1 at least.
+    of at most _SWEEP_ELEMENTS states x columns, or states 0..i+1 of every
+    column when that is more, from the top down.
     """
     batched = np.ndim(s) == 1
     block = max(i + 2, _SWEEP_ELEMENTS // np.size(s))     # states per block
@@ -210,15 +210,11 @@ def _adaptive(i: int, s: np.ndarray, kernel: KernelTransform, cfg: TruncationCon
     residuals = np.zeros(s.size)
     todo = np.arange(s.size)    # columns still open
     prev = None                 # their leading entries at the last level
-    width = max(1, _SWEEP_ELEMENTS // (i + 2))  # a block holds states 0..i+1
     while todo.size:
         head = min(i + 11, n + 1)
         top = n if keep is None else max(head, keep) - 1
-        if todo.size < _MIN_BATCH:
-            parts = [_level(i, s[col], kernel, n, top) for col in todo]
-        else:
-            parts = [_level(i, s[todo[lo:lo + width]], kernel, n, top)
-                     for lo in range(0, todo.size, width)]
+        sweeps = [s[col] for col in todo] if todo.size < _MIN_BATCH else [s[todo]]
+        parts = [_level(i, sweep, kernel, n, top) for sweep in sweeps]
         x = np.column_stack([values for values, _ in parts])
         residual = np.hstack([part for _, part in parts])
         accept = np.zeros(todo.size, dtype=bool)

@@ -69,6 +69,13 @@ class TestRenewalCommand:
         _, rows = _rows(capsys.readouterr().out)
         assert float(rows[0][1]) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-5)
 
+    def test_euler_ignores_order(self, capsys):
+        argv = "renewal --i 0 --j 1 --t-grid 0.5:2:3 --lambda 1 --alpha 1 --method euler --order".split()
+        assert run(argv + ["4"]) == 0
+        four = capsys.readouterr()
+        assert run(argv + ["5"]) == 0
+        assert capsys.readouterr() == four
+
 
 class TestSimulateCommand:
     ARGS = "simulate --i 0 --j 0 --t-grid 0.5:1:2 --lambda 1 --alpha 1 --paths 400 --seed 9".split()

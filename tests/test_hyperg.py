@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import pytest
@@ -109,6 +110,13 @@ class TestKummerValidation:
         # rejected before summing: a NaN must not run all MAX_TERMS terms
         with pytest.raises(ValueError, match="must be finite"):
             fn(a, b, z)
+
+    @pytest.mark.parametrize("a, b, z", [(2.5, 2, -800), (1, 2, 1e6)], ids=["nan", "inf"])
+    def test_nonfinite_value_raises(self, a, b, z):
+        # e^-800 = 0 times a transformed series that overflows gives NaN;
+        # the direct series at z = 1e6 overflows to inf
+        with pytest.raises(NonConvergenceError, match=re.escape(f"kummer_m(a={a}, b={b}, z={z}) = ")):
+            kummer_m(a, b, z)
 
     def test_nonconvergence_carries_residual(self):
         with pytest.raises(NonConvergenceError) as err:

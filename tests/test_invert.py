@@ -128,6 +128,10 @@ class TestInversionConfig:
         with pytest.raises(ValueError):
             InversionConfig(**kwargs)
 
+    def test_euler_ignores_order(self):
+        # only Gaver-Stehfest has an order; Euler's lengths are fixed
+        assert InversionConfig(method="euler", order=5).order == 5
+
 
 class TestRenewalFunction:
     def test_no_arrivals_stays_at_one(self):

@@ -9,6 +9,7 @@ from mrenew import (
     KernelTransform,
     MMInfinityKernel,
     QueueParams,
+    solve_rows,
     validate_kernel,
 )
 
@@ -124,14 +125,30 @@ class _BadOriginKernel(KernelTransform):
     """sigma_bar(0, s) = 0.5, violating the no-death-from-zero condition."""
 
     def transforms(self, j, s):
-        return 0.5, 0.25
+        shape = np.broadcast(j, s).shape
+        return np.full(shape, 0.5), np.full(shape, 0.25)
 
 
 class _IncreasingKernel(KernelTransform):
     def transforms(self, j, s):
+        j, s = np.broadcast_arrays(j, s)
+        return np.where(j == 0, 0.0, 0.1), s / (1.0 + s)
+
+
+class _ScalarOnlyKernel(KernelTransform):
+    """Meets every invariant, but `if j == 0` cannot take an array of states."""
+
+    def transforms(self, j, s):
         if j == 0:
-            return 0.0, s / (1.0 + s)
-        return 0.1, s / (1.0 + s)
+            return 0.0, 0.5 / (1.0 + s)
+        return 0.25 / (1.0 + s), 0.5 / (1.0 + s)
+
+
+class _ScalarResultKernel(KernelTransform):
+    """Returns one pair of scalars whatever the arrays it is given."""
+
+    def transforms(self, j, s):
+        return 0.0, 0.5
 
 
 class TestValidateKernel:
@@ -152,6 +169,23 @@ class TestValidateKernel:
     def test_monotonicity_violation_reported(self):
         report = validate_kernel(_IncreasingKernel(), 2, [0.5, 1.0, 2.0])
         assert any("increased" in msg for _, _, msg in report)
+
+    def test_scalar_only_kernel_reported(self):
+        # the solvers pass arrays of states and abscissas, and this kernel
+        # cannot take them
+        report = validate_kernel(_ScalarOnlyKernel(), 3, [0.5, 1.0])
+        assert len(report) == 1
+        assert "ambiguous" in report[0][2]
+        with pytest.raises(ValueError, match="ambiguous"):
+            solve_rows(0, 0, np.linspace(1.0, 2.0, 20), _ScalarOnlyKernel())
+
+    def test_wrong_result_shape_reported(self):
+        report = validate_kernel(_ScalarResultKernel(), 3, [0.5, 1.0])
+        assert report == [(None, None, "transforms returned () and (), not (4, 2)")]
+
+    def test_messages_print_python_floats(self):
+        report = validate_kernel(_BadOriginKernel(), 0, [1.0])
+        assert report == [(0, 1.0, "sigma_bar(0, 1.0) = 0.5, expected 0")]
 
     def test_empty_grid_rejected(self):
         kernel = MMInfinityKernel(QueueParams(1.0, 1.0))

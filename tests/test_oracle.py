@@ -216,6 +216,28 @@ class TestSolveRows:
         for shape in shapes:
             assert len(shape) == 1 or shape[0] * shape[1] <= oracle._SWEEP_ELEMENTS
 
+    def test_level_sweeps_every_open_column_together(self, monkeypatch):
+        # 400 columns at i = 15 are more than _SWEEP_ELEMENTS // (i + 2) = 361:
+        # each block grows to states 0..i+1 of every column instead of the
+        # level splitting into sweeps
+        k = kernel(QueueParams(20.0, 1.0))
+        s_values = np.geomspace(0.05, 50.0, 400)
+        halves = [solve_rows(15, 2, half, k) for half in (s_values[:200], s_values[200:])]
+        calls = []      # (lowest state, columns) per kernel call
+        real = MMInfinityKernel.transforms
+
+        def spy(self, j, s):
+            calls.append((int(np.min(j)), np.size(s)))
+            return real(self, j, s)
+
+        monkeypatch.setattr(MMInfinityKernel, "transforms", spy)
+        entries = solve_rows(15, 2, s_values, k)
+        first_level = calls[: [lo for lo, _ in calls].index(0) + 1]
+        assert [columns for _, columns in first_level] == [400] * len(first_level)
+        for field in ("values", "truncation_n", "normalization_residual"):
+            together = getattr(entries, field)
+            np.testing.assert_array_equal(together, np.concatenate([getattr(h, field) for h in halves]))
+
     def test_deep_complex_grid_shares_one_sweep_per_block(self, monkeypatch):
         # the 100 Euler abscissas of t = 2 and t = 5 at rho = 1000 settle at
         # n = 1024 and 2048; no column may fall back to a sweep of its own
