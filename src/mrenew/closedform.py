@@ -43,6 +43,11 @@ from .model import QueueParams
 _TOL = 1e-13  # relative truncation of each Kummer series
 
 
+def _check_s(s):
+    if np.iscomplexobj(s) or not 0 < s < math.inf:
+        raise ValueError(f"transform variable must be real, finite and > 0, got {s}")
+
+
 def tbar_from_rbar(j: int, s: float, rbar: float, p: QueueParams) -> float:
     """Scale a transform-row entry: alpha * rbar / (j + rho + alpha*s)."""
     return p.alpha * rbar / (j + p.rho + p.alpha * s)
@@ -71,8 +76,7 @@ def generating_function(i: int, x: float, s: float, p: QueueParams) -> float:
     finite j-sum of the module docstring, whose terms are positive for
     x >= 0; each Kummer series stops at a relative 1e-13.
     """
-    if not 0 < s < math.inf:
-        raise ValueError(f"transform variable must be finite and > 0, got {s}")
+    _check_s(s)
     if not -1.0 < x <= 1.0:
         raise ValueError(f"argument must lie in (-1, 1], got {x}")
     if i < 0:
@@ -109,10 +113,10 @@ def rbar_closed_form(i: int, n: int, s: float, p: QueueParams) -> float:
 
     Evaluates the positive j-sum in the module docstring; each Kummer
     series stops at a relative 1e-13.  At rho = 0 only the term j = n is
-    left (rho^0 = 1), and the entry is 0 when n > i.
+    left (rho^0 = 1), and the entry is 0 when n > i.  s must be real:
+    complex s raises ValueError, as it does in `generating_function`.
     """
-    if not 0 < s < math.inf:
-        raise ValueError(f"transform variable must be finite and > 0, got {s}")
+    _check_s(s)
     if i < 0 or n < 0:
         raise ValueError(f"states must be >= 0, got i={i}, n={n}")
     a_s = p.alpha * s

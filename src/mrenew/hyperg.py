@@ -55,8 +55,8 @@ _CONSECUTIVE_SMALL = 3
 
 
 def _check_args(a: float, b: float, z: float):
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(z)):
-        raise ValueError(f"arguments must be finite, got a={a}, b={b}, z={z}")
+    if any(np.iscomplexobj(v) for v in (a, b, z)) or not all(map(math.isfinite, (a, b, z))):
+        raise ValueError(f"arguments must be finite real numbers, got a={a}, b={b}, z={z}")
     nearest = round(b)
     if nearest <= 0 and abs(b - nearest) <= _FORBIDDEN_B_TOL:
         raise ValueError(
@@ -169,9 +169,10 @@ def kummer_m(a: float, b: float, z: float) -> float:
     transformation.  Where its series has positive terms (0 <= a < b) it
     is the scaled series, so e^z underflowing does not turn the value into
     NaN or 0 (phi(1, 2; -800) = (1 - e^-800)/800); otherwise it is summed
-    directly and multiplied by e^z.  Raises ValueError for non-finite
-    arguments and forbidden b (zero or a negative integer), and
-    NonConvergenceError past 10,000 terms or when the value is not finite.
+    directly and multiplied by e^z.  Raises ValueError for arguments that
+    are not finite real numbers and for forbidden b (zero or a negative
+    integer), and NonConvergenceError past 10,000 terms or when the value
+    is not finite.
     """
     _check_args(a, b, z)
     if z == 0:

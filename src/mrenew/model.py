@@ -59,7 +59,7 @@ class KernelTransform(ABC):
     Implementations return the pair ``(sigma_bar, tau_bar)`` for integer
     states j >= 0 and transform variables s.  Both arguments may be numpy
     arrays, and the result must broadcast over them: the solvers in
-    `mrenew.oracle` ask for a whole truncation level, at every abscissa of
+    `mrenew.oracle` ask for a whole block of states, at every abscissa of
     a request, in one call.  A valid kernel satisfies, for every j and
     every s >= 0:
 

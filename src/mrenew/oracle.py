@@ -4,27 +4,32 @@ For a tridiagonal kernel, row i of Rbar(s) = (I - Qbar(s))^-1 satisfies
 
     -tau_bar(j-1) x[j-1] + x[j] - sigma_bar(j+1) x[j+1] = delta_ij,  j >= 0,
 
-with tau_bar(-1) = 0.  `solve_row_truncated` cuts the system at j = n with
-the Dirichlet condition x[n+1] = 0 and eliminates without pivoting, from
-the boundary up: above row i only the ratios x[k] / x[k-1] and a running
-tail of the normalization sum are carried, the stable direction for the
-minimal solution (Gautschi, SIAM Rev. 1967), and rows 0..i take forward
-pivots.  For s > 0 each column k of the truncated operator has
-off-diagonal mass tau_bar(k) + sigma_bar(k) < 1 against a unit diagonal,
-so pivots cannot degenerate in either direction.  `solve_row_adaptive`
-doubles n until the normalization sum
+with tau_bar(-1) = 0.  It is eliminated forward from state 0, without
+pivoting (Olver, J. Res. NBS 71B, 1967; Gautschi, SIAM Rev. 1967):
 
-    sum_k [1 - sigma_bar(k) - tau_bar(k)] * x[k]  ->  1
+    w[k] = 1 - tau[k-1] sigma[k] / w[k-1],   g[k] = z[k] / w[k],
+    z[k] = delta_ik + tau[k-1] z[k-1] / w[k-1],   q[k] = sigma[k+1] / w[k],
 
-is met and the leading entries have stopped moving.  `solve_rows` does the
-same for many abscissas at once: one sweep per truncation level carries
-every abscissa still open, each accepted at its own level, so it gives
-`solve_row_adaptive`'s values for each.  A sweep keeps O(1) state per
-abscissa besides the entries it returns, and evaluates the kernel in row
-blocks of bounded size, so its memory does not grow with n.
-`neumann_series_sum` accumulates row i of sum_m Qbar(s)^m over the same
-truncated operator and is the independent second route used by the
-cross-check suites.
+and the system cut at N (x[N+1] = 0) is x[k] = g[k] + q[k] x[k+1].  For
+s > 0 each column k has off-diagonal mass tau_bar(k) + sigma_bar(k) < 1
+against a unit diagonal, so the pivots w cannot degenerate.  The rows sum to
+
+    sum_{k <= N} [1 - sigma_bar(k) - tau_bar(k)] x[k] = 1 - tau[N] g[N],
+
+so the cut at N loses the mass |tau[N] g[N]|, and moving it from N - 1 to N
+moves x[m] by g[N] q[m] .. q[N-1].  `solve_row_truncated` cuts at a given
+n; `solve_rows` (and through it `solve_row_adaptive`) at the first N from a
+floor up where the lost mass is at most `TruncationConfig.tol` and the
+moves of x[top] still to come, |move| r / (1 - r) with r the ratio of the
+last two moves, are at most 2**-52 of x[top].  For real s all terms are
+positive, so no entry 0..top moves more, relative to its value; top is
+max(i + 10, j).  A column keeps O(top) state whatever N is, and
+`solve_rows` sweeps every abscissa of a request at once, each cut at its
+own N.  The normalization residual, summed over the entries, is reported;
+on its rounding floor it can sit above tol (up to ~3e-10 at rho in the
+hundreds and more, s ~ 1e-4).  `neumann_series_sum` accumulates row i of
+sum_m Qbar(s)^m over the same truncated operator and is the independent
+second route used by the cross-check suites.
 
 Real s must be finite and > 0.  Complex s with positive real part is accepted
 throughout (the elimination extends verbatim); results are then complex.
@@ -32,7 +37,7 @@ throughout (the elimination extends verbatim); results are then complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,6 +47,7 @@ from .model import KernelTransform
 _MIN_PIVOT = 1e-14
 _SWEEP_ELEMENTS = 6144     # states x columns of one block of kernel values
 _MIN_BATCH = 16            # fewest columns worth sweeping together
+_EPS = 2.0**-52            # moves still to come allowed, relative to x[top]
 
 
 @dataclass
@@ -67,7 +73,7 @@ class TransformEntries:
     """rbar_ij(s) at many abscissas, from `solve_rows`.
 
     values[k], truncation_n[k] and normalization_residual[k] belong to
-    s[k]; each abscissa was accepted at its own truncation level.
+    s[k]; each abscissa was cut at its own truncation level.
     """
 
     i: int
@@ -80,10 +86,11 @@ class TransformEntries:
 
 @dataclass(frozen=True)
 class TruncationConfig:
-    """Controls for the adaptive doubling of the truncation level.
+    """Where `solve_row_adaptive` and `solve_rows` may cut a row.
 
-    n0 is a floor: solves for start state i always begin at
-    max(n0, i + 2).
+    n0 is a floor: the cut N for start state i (and target j) is at least
+    max(n0, i + 2, j + 2).  n_max caps N.  tol bounds the mass the cut
+    loses, |tau_bar(N) x[N]|.
     """
 
     n0: int = 64
@@ -110,73 +117,98 @@ def _as_abscissas(s_values) -> np.ndarray:
     return np.asarray(s_values, dtype=complex if np.iscomplexobj(s_values) else float)
 
 
-def _level(i: int, s, kernel: KernelTransform, n: int, top: int):
-    """Row i at truncation level n: entries 0..top and the normalization residual.
+def _back_substitute(g, q, c, top: int, x, tail):
+    """Entries 0..top from x[top] = g[top] + x, and the normalization residual.
 
-    Elimination runs up from the boundary x[n+1] = 0.  With g[n] = 1 and
+    x[k] = g[k] + q[k+1] x[k+1] (q[k+1] holds q_k); g, q and c hold a
+    scalar or a row of columns per state, and tail is sum_{k > top} c[k] x[k].
+    """
+    xk = g[top] + x
+    total = tail + c[top] * xk
+    entries = [xk]
+    for k in range(top - 1, -1, -1):
+        xk = g[k] + q[k + 1] * xk
+        total = total + c[k] * xk
+        entries.append(xk)
+    return np.array(entries[::-1]), abs(total - 1.0)
 
-        r[k+1] = tau[k] / g[k+1],   g[k] = 1 - sigma[k+1] r[k+1],
 
-    row k > i reduces to x[k] = r[k] x[k-1], and the tail sum
-    h[k+1] = r[k+1] (c[k+1] + h[k+2]), c = 1 - sigma - tau, carries
-    sum_{l > k} c[l] x[l] / x[k] along.  Row i takes the forward pivot w[i]
-    of rows 0..i in place of the 1, so x[i] = 1 / (w[i] - sigma[i+1] r[i+1]),
-    and rows below i back-substitute through w.  Only the ratios up to
-    `top` are kept: a column holds O(top) state whatever n is.
+def _eliminate(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int, tol):
+    """Row i cut at the first N in [n_lo, n_hi] that passes the stop test, else at n_hi.
 
-    A scalar s is stepped through as Python scalars, the fastest for one
-    system; a 1-D array of abscissas holds one column each, all stepped
-    together in the same operations.  The kernel is evaluated in row blocks
-    of at most _SWEEP_ELEMENTS states x columns, or states 0..i+1 of every
-    column when that is more, from the top down.
+    With tol None the cut is n_hi and every state is kept; otherwise
+    (g, q, c) are kept for states 0..top.  Past top, S = q[top] x[top+1] =
+    sum_M g[M] P[M] (P[M] = q[top] .. q[M-1], so the cut at M moves x[top]
+    by g[M] P[M]) and the tail sum_M g[M] U[M] (U[M] = q[M-1] U[M-1] + c[M])
+    are carried.  A scalar s is stepped as Python scalars; an array of
+    abscissas as one column each, in the same operations, so a real column
+    gives the bits of its scalar solve.  Kernel blocks hold at most
+    _SWEEP_ELEMENTS states x columns.  Returns per abscissa: entries 0..top
+    (0..N when tol is None), N, the residual and whether the test passed.
     """
     batched = np.ndim(s) == 1
-    block = max(i + 2, _SWEEP_ELEMENTS // np.size(s))     # states per block
-    ratios = [None] * (top + 1)
-    g, s1, c1, h = np.inf, 0.0, 0.0, 0.0    # g[n+1] = inf gives r[n+1] = 0
-    hi, lo = n + 1, n // block * block
-    while True:
+    cols = np.size(s)
+    top = min(top, n_hi)
+    first = max(n_lo, top + 1)                      # first N the test may pass at
+    budget = max(1, _SWEEP_ELEMENTS // cols)        # states per block
+    levels, passed, todo = np.zeros(cols, dtype=int), np.zeros(cols, dtype=bool), np.ones(cols, dtype=bool)
+    sums = np.zeros((2, cols))                      # S and the tail where each column was cut
+    kept = kept_g, kept_q, kept_c = [], [], []
+    zero = np.zeros(cols) if batched else 0.0
+    some = np.ndarray.any if batched else bool
+    w, g, tp, p, u, x, tail, move, last = 1.0, 0.0, 0.0, zero + 1.0, zero, zero, zero, zero, zero
+    bound = zero + (-1.0 if tol is None else tol)  # lost mass allowed; -1 once cut
+    lo = 0
+    while todo.any():
+        hi = min(lo + min(budget, max(n_lo + 1, lo)), n_hi + 1)
         states = np.arange(lo, hi)
         sigma, tau = kernel.transforms(states[:, None] if batched else states, s)
         c = 1.0 - sigma - tau
-        if batched:
-            pivots = np.ones_like(c)
-        else:
-            sigma, tau, c = sigma.tolist(), tau.tolist(), c.tolist()
-            pivots = [1.0] * len(c)
+        pivots = np.ones_like(c) if batched else [1.0] * (hi - lo)
         try:
             with np.errstate(all="ignore"):     # a bad pivot is reported below
-                if lo == 0:
-                    for k in range(1, i + 1):
-                        pivots[k] = 1.0 - tau[k - 1] / pivots[k - 1] * sigma[k]
-                for k in range(hi - 1, max(lo, i) - 1, -1):
-                    r = tau[k - lo] / g
-                    h = r * (c1 + h)
-                    if k < top:
-                        ratios[k + 1] = r
-                    g = pivots[k - lo] = (1.0 if k > i else pivots[i]) - s1 * r
-                    s1, c1 = sigma[k - lo], c[k - lo]
+                steps = zip(range(lo, hi), *(a if batched else a.tolist() for a in (sigma, tau, c)))
+                for k, sigma_k, tau_k, c_k in steps:
+                    q = sigma_k / w
+                    w = pivots[k - lo] = 1.0 - tp * q
+                    g = 1.0 / w if k == i else tp * g / w
+                    tp = tau_k
+                    if k <= top or tol is None:
+                        kept_g.append(g)
+                        kept_q.append(q)
+                        kept_c.append(c_k)
+                    if k > top:
+                        last, p, u = move, p * q, u * q + c_k
+                        move = g * p
+                        x, tail = x + move, tail + g * u
+                    if k < n_hi and (k < first or not some(abs(tau_k * g) <= bound)):
+                        continue
+                    # the moves still to come, shrinking by r per state, sum to |move| r / (1 - r)
+                    r = np.abs(np.divide(move, last))
+                    hit = (k >= first) & (abs(tau_k * g) <= bound) & (
+                        (move == 0) | (np.abs(move) * r <= _EPS * (1.0 - r) * np.abs(kept_g[top] + x)))
+                    if k < n_hi and not some(hit):
+                        continue
+                    cut = todo & (hit | (k == n_hi))
+                    levels[cut], todo[cut] = k, False
+                    passed, bound = np.where(cut, hit, passed), np.where(cut, -1.0, bound)
+                    sums = np.where(cut, np.reshape((x, tail), (2, -1)), sums)
+                    if not todo.any():
+                        break
         except ZeroDivisionError:
             pass    # a zero pivot among Python scalars, reported below
         pivots = np.asarray(pivots)
         small = np.abs(pivots) < _MIN_PIVOT
         if small.any():
-            last = np.flatnonzero(small)[-1]    # the sweep meets the highest row first
-            row = lo + last // (small.size // len(small))
-            raise PivotError(f"pivot {pivots.flat[last]!r} below {_MIN_PIVOT} at row {row}")
-        if lo == 0:
-            break
-        hi, lo = lo, lo - block
-    x = [None] * (top + 1)
-    xk = x[i] = 1.0 / g         # g is row i's pivot now
-    total = xk * (c1 + h)       # sum_{l >= i} c[l] x[l]
-    for k in range(i - 1, -1, -1):
-        xk = x[k] = sigma[k + 1] * xk / pivots[k]
-        total = total + c[k] * xk
-    xk = x[i]
-    for k in range(i + 1, top + 1):
-        xk = x[k] = ratios[k] * xk
-    return np.array(x), np.abs(total - 1.0)
+            at = np.flatnonzero(small)[0]     # the sweep meets the lowest row first
+            raise PivotError(f"pivot {pivots.flat[at].item()!r} below {_MIN_PIVOT} at row {lo + at // cols}")
+        lo = hi
+    x, tail = sums if batched else sums[:, 0].tolist()
+    values, residuals = _back_substitute(*(a[: top + 1] for a in kept), top, x, tail)
+    if tol is None and n_hi > top:     # entries top+1..n_hi, from x[n_hi] = g[n_hi] down
+        rest, _ = _back_substitute(*(a[top + 1:] for a in kept), n_hi - top - 1, 0.0, 0.0)
+        values = np.concatenate((values, rest))
+    return list(np.reshape(values, (-1, cols)).T), levels, np.reshape(residuals, cols), passed
 
 
 def solve_row_truncated(i: int, s, kernel: KernelTransform, n: int) -> TransformRowResult:
@@ -184,56 +216,16 @@ def solve_row_truncated(i: int, s, kernel: KernelTransform, n: int) -> Transform
     _check_s(s)
     if not 0 <= i < n:
         raise ValueError(f"start state must satisfy 0 <= i < n, got i={i}, n={n}")
-    values, residual = _level(i, s, kernel, n, n)
+    # top = i + 10 as in solve_rows for j <= i + 10, so both give the same bits at the same n
+    rows, _, residuals, _ = _eliminate(i, s, kernel, i + 10, n, n, None)
     return TransformRowResult(
         i=i,
         s=s,
         truncation_n=n,
-        values=values,
-        normalization_residual=float(residual),
+        values=rows[0],
+        normalization_residual=float(residuals[0]),
         converged=False,
     )
-
-
-def _adaptive(i: int, s: np.ndarray, kernel: KernelTransform, cfg: TruncationConfig,
-              n: int, keep):
-    """Accept each abscissa of s at the first level that passes both tests.
-
-    Levels double from n, and only the columns still open are solved
-    again, all in one sweep per level.  Fewer than _MIN_BATCH columns do
-    not pay for the array overhead of a step and are solved one at a
-    time.  Returns, per column, the accepted values[:keep] (the whole row
-    when keep is None), the level and the residual.
-    """
-    rows = [None] * s.size
-    levels = np.zeros(s.size, dtype=int)
-    residuals = np.zeros(s.size)
-    todo = np.arange(s.size)    # columns still open
-    prev = None                 # their leading entries at the last level
-    while todo.size:
-        head = min(i + 11, n + 1)
-        top = n if keep is None else max(head, keep) - 1
-        sweeps = [s[col] for col in todo] if todo.size < _MIN_BATCH else [s[todo]]
-        parts = [_level(i, sweep, kernel, n, top) for sweep in sweeps]
-        x = np.column_stack([values for values, _ in parts])
-        residual = np.hstack([part for _, part in parts])
-        accept = np.zeros(todo.size, dtype=bool)
-        if prev is not None:
-            change = np.max(np.abs(x[: len(prev)] - prev), axis=0)
-            accept = (residual <= cfg.tol) & (change <= cfg.tol)
-        for k in np.flatnonzero(accept):
-            rows[todo[k]] = x[:keep, k].copy()
-            levels[todo[k]] = n
-            residuals[todo[k]] = residual[k]
-        todo, prev, residual = todo[~accept], x[:head, ~accept], residual[~accept]
-        if todo.size and n >= cfg.n_max:
-            raise NonConvergenceError(
-                f"row (i={i}, s={s[todo[0]]}) did not converge by n_max={cfg.n_max}; "
-                f"last normalization residual {residual[0]:.3e}",
-                residual=float(residual[0]),
-            )
-        n = min(2 * n, cfg.n_max)
-    return rows, levels, residuals
 
 
 def solve_rows(
@@ -245,10 +237,10 @@ def solve_rows(
 ) -> TransformEntries:
     """rbar_ij(s) at every abscissa of s_values, solved together.
 
-    Each abscissa converges on its own, by exactly the tests of
-    `solve_row_adaptive`, and gives the same value.  Levels start at
-    max(cfg.n0, i + 2, j + 2).  Raises NonConvergenceError naming the
-    first abscissa still open at cfg.n_max.
+    Each abscissa is cut at its own N >= max(cfg.n0, i + 2, j + 2), by the
+    stop test of the module docstring with top = max(i + 10, j).  Raises
+    NonConvergenceError naming the first abscissa that has not passed the
+    test by cfg.n_max, with its normalization residual there.
     """
     s = _as_abscissas(s_values)
     if s.ndim != 1:
@@ -256,9 +248,24 @@ def solve_rows(
     _check_s(s)
     if i < 0 or j < 0:
         raise ValueError(f"states must be >= 0, got i={i}, j={j}")
-    rows, levels, residuals = _adaptive(i, s, kernel, cfg, max(cfg.n0, i + 2, j + 2), j + 1)
-    values = np.array([row[j] for row in rows], dtype=s.dtype)
-    return TransformEntries(i, j, s, values, levels, residuals)
+    n_lo = max(cfg.n0, i + 2, j + 2)
+    values, levels, residuals = [], [], []
+    # fewer than _MIN_BATCH abscissas do not pay for the array overhead of a step
+    for sweep in (s.tolist() if s.size < _MIN_BATCH else [s]):
+        rows, level, residual, passed = _eliminate(
+            i, sweep, kernel, max(i + 10, j), n_lo, max(cfg.n_max, n_lo), cfg.tol)
+        if not passed.all():
+            k = np.flatnonzero(~passed)[0]
+            raise NonConvergenceError(
+                f"row (i={i}, s={np.atleast_1d(sweep)[k]}) did not converge by n_max={cfg.n_max}; "
+                f"last normalization residual {residual[k]:.3e}",
+                residual=float(residual[k]),
+            )
+        values += [row[j] for row in rows]
+        levels += level.tolist()
+        residuals += residual.tolist()
+    values = np.array(values, dtype=s.dtype)
+    return TransformEntries(i, j, s, values, np.array(levels, dtype=int), np.array(residuals))
 
 
 def solve_row_adaptive(
@@ -267,25 +274,16 @@ def solve_row_adaptive(
     kernel: KernelTransform,
     cfg: TruncationConfig = TruncationConfig(),
 ) -> TransformRowResult:
-    """Grow the truncation until the row has converged.
+    """Row i solved at the N where `solve_rows(i, i, [s], kernel, cfg)` cuts it.
 
-    Convergence requires both the normalization residual and the maximum
-    change of values[0 .. i+10] between consecutive truncations to fall
-    below cfg.tol.  Raises NonConvergenceError (carrying the last residual)
-    if cfg.n_max is reached first.
+    The stop test (module docstring) bounds the mass lost at N by cfg.tol
+    and what is still to come of the moves of values[0 .. i+10] by 2**-52
+    of their values; entries past i + 10 carry the error of the cut.
+    Raises NonConvergenceError (carrying the residual at the cap) if no N
+    up to cfg.n_max passes.
     """
-    _check_s(s)
-    if i < 0:
-        raise ValueError(f"start state must be >= 0, got {i}")
-    rows, levels, residuals = _adaptive(i, _as_abscissas([s]), kernel, cfg, max(cfg.n0, i + 2), None)
-    return TransformRowResult(
-        i=i,
-        s=s,
-        truncation_n=int(levels[0]),
-        values=rows[0],
-        normalization_residual=float(residuals[0]),
-        converged=True,
-    )
+    n = int(solve_rows(i, i, [s], kernel, cfg).truncation_n[0])
+    return replace(solve_row_truncated(i, s, kernel, n), converged=True)
 
 
 def neumann_series_sum(

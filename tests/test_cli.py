@@ -37,6 +37,13 @@ class TestTransformCommand:
             _, rows = _rows(capsys.readouterr().out)
             assert float(rows[0][3]) <= 1e-12
 
+    def test_oracle_converges_on_the_residual_floor(self, capsys):
+        # the summed residual sits near 3e-10 here, above tol; the cut does not wait for it
+        argv = "transform --i 0 --j 0 --s-grid 1e-4:1e-4:1 --lambda 1715.2 --alpha 1 --solver oracle"
+        assert run(argv.split()) == 0
+        _, rows = _rows(capsys.readouterr().out)
+        assert math.isfinite(float(rows[0][1]))
+
     def test_solver_specific_columns(self, capsys):
         assert run("transform --i 0 --j 1 --s-grid 1:2:3 --lambda 1 --alpha 1 --solver oracle".split()) == 0
         header, rows = _rows(capsys.readouterr().out)

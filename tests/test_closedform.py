@@ -11,7 +11,6 @@ from mrenew import (
     QueueParams,
     generating_function,
     rbar_closed_form,
-    TruncationConfig,
     solve_row_adaptive,
     solve_rows,
 )
@@ -62,7 +61,7 @@ class TestGeneratingFunction:
             generating_function(0, 0.5, 0.0, UNIT)
         with pytest.raises(ValueError):
             generating_function(-1, 0.5, 1.0, UNIT)
-        for s in (math.nan, math.inf):
+        for s in (math.nan, math.inf, complex(1.0, 2.0), np.complex128(1.0)):
             with pytest.raises(ValueError, match="transform variable"):
                 generating_function(1, 0.5, s, UNIT)
 
@@ -162,13 +161,13 @@ class TestClosedFormRow:
             rbar_closed_form(-1, 0, 1.0, UNIT)
         with pytest.raises(ValueError):
             rbar_closed_form(0, -1, 1.0, UNIT)
-        for s in (math.nan, math.inf):
+        for s in (math.nan, math.inf, complex(1.0, 2.0), np.complex128(1.0)):
             with pytest.raises(ValueError, match="transform variable"):
                 rbar_closed_form(1, 2, s, UNIT)
 
 
-def _oracle(i, n, s, p, cfg=TruncationConfig()):
-    return float(solve_rows(i, n, [s], MMInfinityKernel(p), cfg).values.real[0])
+def _oracle(i, n, s, p):
+    return float(solve_rows(i, n, [s], MMInfinityKernel(p)).values.real[0])
 
 
 def _assert_criterion_4(value, reference):
@@ -214,13 +213,8 @@ class TestClosedFormAgainstOracle:
     )
     @settings(max_examples=300, derandomize=True, deadline=None)
     def test_matches_oracle(self, i, n, rho, s, alpha):
-        # Near rho = 2000 and s = 1e-4 rounding holds the solver's
-        # normalization residual at ~3e-10, above its default 1e-10, so it
-        # never accepts a level; its entries there still agree with the
-        # closed form to ~1e-14, so the reference accepts residuals to 1e-8.
         p = QueueParams(rho / alpha, alpha)
-        reference = _oracle(i, n, s, p, TruncationConfig(tol=1e-8))
-        _assert_criterion_4(rbar_closed_form(i, n, s, p), reference)
+        _assert_criterion_4(rbar_closed_form(i, n, s, p), _oracle(i, n, s, p))
 
     @given(
         pair=st.tuples(st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=30)),

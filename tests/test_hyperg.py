@@ -111,6 +111,12 @@ class TestKummerValidation:
         with pytest.raises(ValueError, match="must be finite"):
             fn(a, b, z)
 
+    @pytest.mark.parametrize("fn", [kummer_m, kummer_series_direct])
+    @pytest.mark.parametrize("a, b, z", [(1j, 2.0, 1.0), (1.0, 2.0 + 0j, 1.0), (1.0, 2.0, complex(-3.0, 1.0))])
+    def test_complex_arguments_rejected(self, fn, a, b, z):
+        with pytest.raises(ValueError, match="real numbers"):
+            fn(a, b, z)
+
     @pytest.mark.parametrize("a, b, z", [(2.5, 2, -800), (1, 2, 1e6)], ids=["nan", "inf"])
     def test_nonfinite_value_raises(self, a, b, z):
         # e^-800 = 0 times a transformed series that overflows gives NaN;

@@ -12,6 +12,7 @@ from mrenew import (
     QueueParams,
     TruncationConfig,
     neumann_series_sum,
+    rbar_closed_form,
     solve_row_adaptive,
     solve_row_truncated,
     solve_rows,
@@ -141,7 +142,7 @@ class TestSolveRowAdaptive:
 
 
 class _ZeroPivotKernel(KernelTransform):
-    """sigma_bar = tau_bar = 1 away from state 0: the pivots of rows 1 and n-1 are 0."""
+    """sigma_bar = tau_bar = 1 away from state 0: the forward pivot of row 1 is 0."""
 
     def transforms(self, j, s):
         ones = np.ones(np.broadcast(j, s).shape)
@@ -149,14 +150,14 @@ class _ZeroPivotKernel(KernelTransform):
 
 
 class TestSolveRows:
-    # rho = 300 over s in 1e-3..1e3: the columns settle at n = 128, 256 and 512
+    # rho = 300 over s in 1e-3..1e3: the columns are cut at 18 levels, from N = 64 to 446
     SPREAD = (QueueParams(300.0, 1.0), np.geomspace(1e-3, 1e3, 20))
 
     def test_real_columns_bit_identical_to_one_column_solves(self):
         p, s_values = self.SPREAD
         k = kernel(p)
         entries = solve_rows(1, 3, s_values, k)
-        assert len(set(entries.truncation_n.tolist())) == 3
+        assert len(set(entries.truncation_n.tolist())) == 18
         for col, s in enumerate(s_values.tolist()):
             row = solve_row_adaptive(1, s, k)
             assert entries.values[col] == row.values[3]
@@ -181,20 +182,34 @@ class TestSolveRows:
         np.testing.assert_array_equal(together, reversed_[::-1])
 
     def test_nonconvergent_column_named_with_its_residual(self):
-        cfg = TruncationConfig(n0=8, n_max=32)
-        s_values = [10.0, 1.0, 0.01, 5.0]    # 0.01 still moves between 16 and 32
+        cfg = TruncationConfig(n0=8, n_max=22)
+        s_values = [10.0, 1.0, 0.01, 5.0]    # 0.01 is cut at N = 23, the others by 22
         with pytest.raises(NonConvergenceError) as err:
             solve_rows(0, 0, s_values, kernel(UNIT), cfg)
         assert "s=0.01" in str(err.value)
-        at_cap = solve_row_truncated(0, 0.01, kernel(UNIT), 32).normalization_residual
+        at_cap = solve_row_truncated(0, 0.01, kernel(UNIT), 22).normalization_residual
         assert err.value.residual == at_cap
 
     def test_pivot_error_still_raised(self):
-        # the backward sweep meets the zero pivot at row n - 1 first
-        with pytest.raises(PivotError, match="at row 7$"):
+        # forward elimination meets the zero pivot at row 1 first
+        with pytest.raises(PivotError, match="at row 1$"):
             solve_row_truncated(0, 1.0, _ZeroPivotKernel(), 8)
-        with pytest.raises(PivotError, match="at row 63$"):
+        with pytest.raises(PivotError, match="at row 1$"):
             solve_rows(0, 0, np.linspace(1.0, 2.0, 40), _ZeroPivotKernel())
+
+    def test_cut_past_the_residual_floor(self):
+        # The summed residual sits on a rounding floor of up to ~3e-10 at
+        # some of these points, above tol; the cut tests the lost mass
+        # |tau_N x_N| instead, which has no such floor.
+        worst = 0.0
+        for rho in np.geomspace(100.0, 2000.0, 40):
+            p = QueueParams(rho, 1.0)
+            s_values = np.geomspace(1e-4, 1e-2, 5)
+            entries = solve_rows(0, 0, s_values, kernel(p))
+            for s, value in zip(s_values.tolist(), entries.values.tolist()):
+                closed = rbar_closed_form(0, 0, s, p)
+                worst = max(worst, abs(value - closed) / abs(closed))
+        assert worst <= 1e-12
 
     def test_no_abscissas_give_empty_entries(self):
         entries = solve_rows(0, 0, [], kernel(UNIT))
@@ -217,9 +232,8 @@ class TestSolveRows:
             assert len(shape) == 1 or shape[0] * shape[1] <= oracle._SWEEP_ELEMENTS
 
     def test_level_sweeps_every_open_column_together(self, monkeypatch):
-        # 400 columns at i = 15 are more than _SWEEP_ELEMENTS // (i + 2) = 361:
-        # each block grows to states 0..i+1 of every column instead of the
-        # level splitting into sweeps
+        # 400 columns leave room for 15 states per block: the blocks get
+        # shorter, the sweep never splits its columns
         k = kernel(QueueParams(20.0, 1.0))
         s_values = np.geomspace(0.05, 50.0, 400)
         halves = [solve_rows(15, 2, half, k) for half in (s_values[:200], s_values[200:])]
@@ -232,8 +246,8 @@ class TestSolveRows:
 
         monkeypatch.setattr(MMInfinityKernel, "transforms", spy)
         entries = solve_rows(15, 2, s_values, k)
-        first_level = calls[: [lo for lo, _ in calls].index(0) + 1]
-        assert [columns for _, columns in first_level] == [400] * len(first_level)
+        assert [lo for lo, _ in calls] == list(range(0, 15 * len(calls), 15))
+        assert all(columns == 400 for _, columns in calls)
         for field in ("values", "truncation_n", "normalization_residual"):
             together = getattr(entries, field)
             np.testing.assert_array_equal(together, np.concatenate([getattr(h, field) for h in halves]))
@@ -267,7 +281,7 @@ class TestSolveRows:
 
 
 class TestLevelSolve:
-    """The backward sweep against a dense solve of the same truncated system."""
+    """Forward elimination against a dense solve of the same truncated system."""
 
     K = kernel(QueueParams(8.0, 1.0))
 
@@ -286,11 +300,13 @@ class TestLevelSolve:
     @pytest.mark.parametrize("count", [1, oracle._MIN_BATCH], ids=["scalars", "batched"])
     def test_rows_and_residuals_match_dense_solve(self, n, i, shift, count):
         s_values = np.geomspace(0.01, 100.0, count) + shift
-        values, residuals = oracle._level(i, s_values[0] if count == 1 else s_values, self.K, n, n)
-        values, residuals = values.reshape(n + 1, count), np.atleast_1d(residuals)
+        # kept states 0..i+10 and the sums carried past them, as solve_row_truncated runs it
+        sweep = s_values[0] if count == 1 else s_values
+        rows, levels, residuals, _ = oracle._eliminate(i, sweep, self.K, i + 10, n, n, None)
+        assert levels.tolist() == [n] * count
         for col, s in enumerate(s_values):
             x, residual = self.dense(i, s, self.K, n)
-            assert np.max(np.abs(values[:, col] - x)) <= 1e-13 * np.max(np.abs(x))
+            assert np.max(np.abs(rows[col] - x)) <= 1e-13 * np.max(np.abs(x))
             assert abs(residuals[col] - residual) <= 1e-13
 
 
