@@ -48,29 +48,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    tr = sub.add_parser("transform", help="rbar_ij(s) over an s grid (CSV)")
-    tr.add_argument("--i", type=int, required=True)
-    tr.add_argument("--j", type=int, required=True)
-    tr.add_argument("--s-grid", type=_grid, required=True, metavar="A:B:N")
-    tr.add_argument("--lambda", dest="lam", type=float, required=True)
-    tr.add_argument("--alpha", type=float, required=True)
+    def entry_command(name, about, grid):   # one entry (i, j) of one queue, over a grid
+        cmd = sub.add_parser(name, help=about)
+        cmd.add_argument("--i", type=int, required=True)
+        cmd.add_argument("--j", type=int, required=True)
+        cmd.add_argument(grid, type=_grid, required=True, metavar="A:B:N")
+        cmd.add_argument("--lambda", dest="lam", type=float, required=True)
+        cmd.add_argument("--alpha", type=float, required=True)
+        return cmd
+
+    tr = entry_command("transform", "rbar_ij(s) over an s grid (CSV)", "--s-grid")
     tr.add_argument("--solver", choices=("oracle", "closedform", "both"), default="both")
 
-    rn = sub.add_parser("renewal", help="R_ij(t) by Laplace inversion (CSV)")
-    rn.add_argument("--i", type=int, required=True)
-    rn.add_argument("--j", type=int, required=True)
-    rn.add_argument("--t-grid", type=_grid, required=True, metavar="A:B:N")
-    rn.add_argument("--lambda", dest="lam", type=float, required=True)
-    rn.add_argument("--alpha", type=float, required=True)
+    rn = entry_command("renewal", "R_ij(t) by Laplace inversion (CSV)", "--t-grid")
     rn.add_argument("--method", choices=("gs", "euler"), required=True)
     rn.add_argument("--order", type=int, default=14, help="Gaver-Stehfest order (even, 4..18)")
 
-    sm = sub.add_parser("simulate", help="Monte Carlo estimate of R_ij(t) (CSV)")
-    sm.add_argument("--i", type=int, required=True)
-    sm.add_argument("--j", type=int, required=True)
-    sm.add_argument("--t-grid", type=_grid, required=True, metavar="A:B:N")
-    sm.add_argument("--lambda", dest="lam", type=float, required=True)
-    sm.add_argument("--alpha", type=float, required=True)
+    sm = entry_command("simulate", "Monte Carlo estimate of R_ij(t) (CSV)", "--t-grid")
     sm.add_argument("--paths", type=int, required=True)
     sm.add_argument("--seed", type=int, required=True)
     sm.add_argument("--workers", type=int, default=1)

@@ -26,9 +26,9 @@ the row entry
 with q = i + n - 2j + 1.  Every factor is positive and every Kummer series
 runs at +rho, so nothing cancels.  The factors e^{-rho} phi (e^{-rho}
 underflows from rho ~ 745) and the weights (rho^(n-j) overflows once
-(n-j) ln rho > 709, B(a+j, q) underflows for large a and q) are each
-carried as a float mantissa and a power-of-two exponent, and only the
-final sum is rounded back to one float.  See README "Formula notes".
+(n-j) ln rho > 709, B(a+j, q) underflows for large a and q) are carried
+as mantissas and power-of-two exponents by `hyperg.weighted_kummer_sum`,
+which rounds only the final sum to one float.  See README "Formula notes".
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import math
 
 import numpy as np
 
-from .hyperg import _running_product, _scaled_kummer
+from .hyperg import weighted_kummer_sum
 from .model import QueueParams
 
 _TOL = 1e-13  # relative truncation of each Kummer series
@@ -51,22 +51,6 @@ def _check_s(s):
 def tbar_from_rbar(j: int, s: float, rbar: float, p: QueueParams) -> float:
     """Scale a transform-row entry: alpha * rbar / (j + rho + alpha*s)."""
     return p.alpha * rbar / (j + p.rho + p.alpha * s)
-
-
-def _weighted_kummer_sum(factors, steps, a, b, x: float) -> float:
-    """sum_j w_j e^{-x} phi(a_j, b_j; x) with w_0 = prod(factors), w_{j+1} = w_j prod(steps[j]).
-
-    `steps` has one row per step, so a step whose size would overflow as
-    one float is passed as several factors.  The weights and the series
-    are multiplied as mantissas and exponents, and the sum is rounded to a
-    float once.
-    """
-    w_m, w_e = _running_product(np.concatenate([factors, steps.ravel()]))
-    at = len(factors) - 1 + steps.shape[1] * np.arange(len(a))
-    s_m, s_e = _scaled_kummer(a, b, x, _TOL)
-    exponents = w_e[at] + s_e
-    top = int(exponents.max())
-    return math.ldexp(float(np.ldexp(w_m[at] * s_m, exponents - top).sum()), top)
 
 
 def generating_function(i: int, x: float, s: float, p: QueueParams) -> float:
@@ -87,7 +71,7 @@ def generating_function(i: int, x: float, s: float, p: QueueParams) -> float:
     # w_0 = B(a, i+1) = i! / (a)_{i+1};  w_{j+1} / w_j = x (a+j) / (j+1)
     factors = np.concatenate([[1.0 / a_s], t / (a_s + t)])
     steps = np.stack([np.full(i, x), (a_s + j[:-1]) / (j[:-1] + 1.0)], axis=1)
-    total = _weighted_kummer_sum(factors, steps, a_s + j, np.full(i + 1, a_s + i + 1), p.rho * (1.0 - x))
+    total = weighted_kummer_sum(factors, steps, a_s + j, np.full(i + 1, a_s + i + 1), p.rho * (1.0 - x), _TOL)
     return p.alpha * total
 
 
@@ -142,5 +126,5 @@ def rbar_closed_form(i: int, n: int, s: float, p: QueueParams) -> float:
         1.0 / (a_s + j - 1.0),
     ], axis=1)
     j = np.arange(hi, lo - 1, -1, dtype=float)
-    total = _weighted_kummer_sum(factors, steps, a_s + j, a_s + i + n + 1.0 - j, rho)
+    total = weighted_kummer_sum(factors, steps, a_s + j, a_s + i + n + 1.0 - j, rho, _TOL)
     return (n + rho + a_s) * total

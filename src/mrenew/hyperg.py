@@ -16,8 +16,8 @@ below where its terms are positive.
 The scaled series e^{-x} phi(a, b; x), x >= 0, keeps every term as a float
 mantissa and an integer power-of-two exponent (frexp), so neither the terms
 (up to about e^x) nor the factor e^{-x} (below the smallest double from
-x ~ 745) leave the floating-point range; for 0 < a <= b all its terms are
-positive and the result lies in (0, 1].  This is the scaled-summation
+x ~ 745) leave the floating-point range; for a, b > 0 all its terms are
+positive (for a <= b it lies in (0, 1]).  This is the scaled-summation
 approach of Pearson, Olver & Porter, "Numerical methods for the computation
 of the confluent and Gauss hypergeometric functions" (Numer. Algor. 2017).
 It needs about x + 10 sqrt(x) terms, so |z| is limited to about 9,000 by
@@ -162,11 +162,27 @@ def _scaled_kummer(a: np.ndarray, b: np.ndarray, x: float, tol: float):
             )
 
 
+def weighted_kummer_sum(factors, steps, a, b, x: float, tol: float) -> float:
+    """sum_j w_j e^{-x} phi(a_j, b_j; x) with w_0 = prod(factors), w_{j+1} = w_j prod(steps[j]).
+
+    `steps` has one row per step, so a step whose size would overflow as
+    one float is passed as several factors.  The weights and the scaled
+    series (each to a relative tol) are multiplied as mantissas and
+    exponents, and the sum is rounded to a float once.
+    """
+    w_m, w_e = _running_product(np.concatenate([factors, steps.ravel()]))
+    at = len(factors) - 1 + steps.shape[1] * np.arange(len(a))
+    s_m, s_e = _scaled_kummer(a, b, x, tol)
+    exponents = w_e[at] + s_e
+    top = int(exponents.max())
+    return math.ldexp(float(np.ldexp(w_m[at] * s_m, exponents - top).sum()), top)
+
+
 def kummer_m(a: float, b: float, z: float) -> float:
     """Evaluate phi(a, b; z) for real arguments.
 
     phi(a, b; 0) = 1 exactly.  Negative arguments go through Kummer's
-    transformation.  Where its series has positive terms (0 <= a < b) it
+    transformation.  Where its series has positive terms (a < b, b > 0) it
     is the scaled series, so e^z underflowing does not turn the value into
     NaN or 0 (phi(1, 2; -800) = (1 - e^-800)/800); otherwise it is summed
     directly and multiplied by e^z.  Raises ValueError for arguments that
@@ -177,9 +193,8 @@ def kummer_m(a: float, b: float, z: float) -> float:
     _check_args(a, b, z)
     if z == 0:
         return 1.0
-    if z < 0 and 0 <= a < b:
-        m, e = _scaled_kummer(np.array([b - a]), np.array([b]), -z, _TOL)
-        value = math.ldexp(float(m[0]), int(e[0]))
+    if z < 0 and a < b and b > 0:
+        value = weighted_kummer_sum(np.ones(1), np.empty((0, 1)), np.array([b - a]), np.array([b]), -z, _TOL)
     elif z < 0:
         value = math.exp(z) * kummer_series_direct(b - a, b, -z)
     else:

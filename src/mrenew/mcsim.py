@@ -1,13 +1,13 @@
 """Monte Carlo estimation of the renewal matrix for the M|M|infinity process.
 
-Fully independent of the transform machinery: paths of the embedded jump
-chain are walked in the time domain and entries into each target state by
-each grid time are counted.  From state j the sojourn is the minimum of an
-arrival clock (rate lam) and j service clocks (rate 1/alpha each), i.e.
-exponential with rate lam + j/alpha, and the jump goes up with probability
-lam / (lam + j/alpha).  The transform of one such step reproduces the
-kernel entries exactly, which is what ties the simulator to the rest of
-the package (and what the kernel-consistency test checks).
+Reads only the kernel's jump rates (up, down) = `MMInfinityKernel.rates`:
+paths of the embedded jump chain are walked in the time domain and entries
+into each target state by each grid time are counted.  From state j the
+sojourn is the minimum of an up clock and a down clock, i.e. exponential
+with rate up + down, and the jump goes up with probability up / (up + down).
+The transform of one such step is the kernel's (sigma_bar, tau_bar) =
+(down, up) / (up + down + s), which ties the simulator to the rest of the
+package (and is what the kernel-consistency tests check).
 
 Paths are walked in blocks of _BLOCK, in lock-step: each step draws two
 uniforms for every path of the block still live and moves them all in a
@@ -29,7 +29,7 @@ from functools import partial
 import numpy as np
 
 from .errors import EventCapError
-from .model import QueueParams
+from .model import MMInfinityKernel, QueueParams
 
 _TINY_UNIFORM = 1e-300  # floor on the time uniform; keeps sojourns strictly positive
 _BLOCK = 1024  # paths per random stream; fixed, so results do not depend on workers
@@ -67,18 +67,19 @@ class RenewalEstimate:
 
 
 def step_embedded(
-    states: np.ndarray, p: QueueParams, u_time: np.ndarray, u_dir: np.ndarray
+    states: np.ndarray, kernel: MMInfinityKernel, u_time: np.ndarray, u_dir: np.ndarray
 ) -> tuple:
     """One embedded-chain step from each of `states`, driven by two uniforms each.
 
-    Arrays in, arrays out: returns (next_states, sojourns).  Where both
-    rates vanish (lam = 0 at state 0) the path is absorbed: it keeps its
-    state and its sojourn is inf.
+    Arrays in, arrays out: returns (next_states, sojourns).  Where both of
+    `kernel.rates` vanish (lam = 0 at state 0) the path is absorbed: it
+    keeps its state and its sojourn is inf.
     """
-    rate = p.lam + states / p.alpha
+    up, down = kernel.rates(states)
+    rate = up + down
     with np.errstate(divide="ignore"):
         sojourn = -np.log1p(-np.maximum(u_time, _TINY_UNIFORM)) / rate
-    move = np.where(u_dir * rate < p.lam, 1, np.where(rate > 0.0, -1, 0))
+    move = np.where(u_dir * rate < up, 1, np.where(rate > 0.0, -1, 0))
     return states + move, sojourn
 
 
@@ -87,7 +88,7 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _walk_block(p, i, targets, t_grid, cfg, block):
+def _walk_block(kernel, i, targets, t_grid, cfg, block):
     """Entry counts for the paths of `block`: (size, n_targets, n_times).
 
     A block holds _BLOCK paths, except the last of a run, which holds the
@@ -105,7 +106,7 @@ def _walk_block(p, i, targets, t_grid, cfg, block):
     events = 0
     while True:
         u = rng.random((2, live.size))
-        state, sojourn = step_embedded(state, p, u[0], u[1])
+        state, sojourn = step_embedded(state, kernel, u[0], u[1])
         elapsed += sojourn
         keep = elapsed <= horizon       # an absorbed path's elapsed is inf
         if not keep.all():
@@ -161,7 +162,7 @@ def simulate_renewal_counts(
     n_paths = cfg.n_paths
     n_blocks = -(-n_paths // _BLOCK)
     workers = min(workers, n_blocks)
-    walk = partial(_walk_block, p, i, np.asarray(targets, dtype=np.int64), times, cfg)
+    walk = partial(_walk_block, MMInfinityKernel(p), i, np.asarray(targets, dtype=np.int64), times, cfg)
     if workers == 1:
         parts = list(map(walk, range(n_blocks)))
     else:

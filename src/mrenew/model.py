@@ -9,8 +9,8 @@ service rate 1/alpha:
     tau_bar(j, s)   = rho / (j + rho + alpha*s)
     sigma_bar(j, s) = j   / (j + rho + alpha*s)       rho = lam * alpha
 
-Everything here works in the transform domain; time-domain values are
-recovered by the `invert` and `mcsim` modules.
+`invert` recovers time-domain values from these transforms; `mcsim`
+walks paths from the jump rates behind them (`MMInfinityKernel.rates`).
 """
 
 from __future__ import annotations
@@ -99,6 +99,10 @@ class MMInfinityKernel(KernelTransform):
         sigma = j / denom
         tau = p.rho / denom
         return sigma, tau
+
+    def rates(self, j) -> tuple:
+        """Jump rates (up, down) = (lam, j / alpha); transforms = (down, up) / (up + down + s)."""
+        return self.params.lam, j / self.params.alpha
 
 
 def validate_kernel(kernel: KernelTransform, j_max: int, s_grid) -> list:

@@ -46,8 +46,9 @@ from .model import KernelTransform
 
 _MIN_PIVOT = 1e-14
 _SWEEP_ELEMENTS = 6144     # states x columns of one block of kernel values
-_MIN_BATCH = 16            # fewest columns worth sweeping together
+_MIN_BATCH = 13            # fewest columns worth sweeping together (measured crossover)
 _EPS = 2.0**-52            # moves still to come allowed, relative to x[top]
+_MARGIN = 10               # entries past i that the stop test covers: top = max(i + _MARGIN, j)
 
 
 @dataclass
@@ -216,8 +217,8 @@ def solve_row_truncated(i: int, s, kernel: KernelTransform, n: int) -> Transform
     _check_s(s)
     if not 0 <= i < n:
         raise ValueError(f"start state must satisfy 0 <= i < n, got i={i}, n={n}")
-    # top = i + 10 as in solve_rows for j <= i + 10, so both give the same bits at the same n
-    rows, _, residuals, _ = _eliminate(i, s, kernel, i + 10, n, n, None)
+    # the top solve_rows uses for j <= i + _MARGIN, so both give the same bits at the same n
+    rows, _, residuals, _ = _eliminate(i, s, kernel, i + _MARGIN, n, n, None)
     return TransformRowResult(
         i=i,
         s=s,
@@ -253,7 +254,7 @@ def solve_rows(
     # fewer than _MIN_BATCH abscissas do not pay for the array overhead of a step
     for sweep in (s.tolist() if s.size < _MIN_BATCH else [s]):
         rows, level, residual, passed = _eliminate(
-            i, sweep, kernel, max(i + 10, j), n_lo, max(cfg.n_max, n_lo), cfg.tol)
+            i, sweep, kernel, max(i + _MARGIN, j), n_lo, max(cfg.n_max, n_lo), cfg.tol)
         if not passed.all():
             k = np.flatnonzero(~passed)[0]
             raise NonConvergenceError(

@@ -64,6 +64,15 @@ class TestLargeNegativeArgument:
             reference = float(mp.hyp1f1(a, b, z))
         assert kummer_m(a, b, z) == pytest.approx(reference, rel=1e-12)
 
+    @pytest.mark.parametrize("a,b,z", [(-1.5, 3.2, -800.0), (-0.5, 2.0, -720.0), (-0.3, 1.1, -5000.0)])
+    def test_negative_a_against_mpmath(self, a, b, z):
+        # a < 0 < b: the transformed series phi(b - a, b; -z) still has
+        # positive terms, so it takes the scaled series (e^z * sum gave
+        # NaN at z = -800 and inf at z = -720)
+        with mp.workdps(40):
+            reference = float(mp.hyp1f1(a, b, z))
+        assert kummer_m(a, b, z) == pytest.approx(reference, rel=1e-12)
+
     def test_beyond_the_term_cap_raises(self):
         # the transformed series needs about |z| terms
         with pytest.raises(NonConvergenceError):

@@ -24,7 +24,8 @@ def _draws(n, seed):
 
 def _step(state, p, u_time, u_dir):
     """step_embedded on one-element inputs, back as Python scalars."""
-    states, sojourns = step_embedded(np.array([state]), p, np.array([u_time]), np.array([u_dir]))
+    kernel = MMInfinityKernel(p)
+    states, sojourns = step_embedded(np.array([state]), kernel, np.array([u_time]), np.array([u_dir]))
     return int(states[0]), float(sojourns[0])
 
 
@@ -54,7 +55,7 @@ class TestStepEmbedded:
         # sojourn 1/3; one million draws stay within 3 standard errors
         n = 1_000_000
         draws = _draws(n, seed=2024)
-        states, sojourns = step_embedded(np.full(n, 2), UNIT, draws[:, 0], draws[:, 1])
+        states, sojourns = step_embedded(np.full(n, 2), MMInfinityKernel(UNIT), draws[:, 0], draws[:, 1])
         up_frac = np.count_nonzero(states == 3) / n
         se_up = math.sqrt(up_frac * (1 - up_frac) / n)
         assert abs(up_frac - 1.0 / 3.0) <= 3 * se_up
@@ -71,7 +72,7 @@ class TestStepEmbedded:
         draws = _draws(n, seed=90_000 + j)
         kernel = MMInfinityKernel(UNIT)
         sigma_ref, tau_ref = kernel.transforms(j, s)
-        states, sojourns = step_embedded(np.full(n, j), UNIT, draws[:, 0], draws[:, 1])
+        states, sojourns = step_embedded(np.full(n, j), kernel, draws[:, 0], draws[:, 1])
         weights = np.exp(-s * sojourns)
         up_vals = np.where(states == j + 1, weights, 0.0)
         down_vals = np.where(states == j - 1, weights, 0.0)
@@ -192,7 +193,7 @@ class TestBlockContract:
 
         def block(n_paths, b):
             cfg = SimConfig(n_paths=n_paths, seed=4, t_max=0.5, max_events=1_000)
-            return mcsim._walk_block(UNIT, 0, targets, times, cfg, b)
+            return mcsim._walk_block(MMInfinityKernel(UNIT), 0, targets, times, cfg, b)
 
         assert np.array_equal(block(_BLOCK, 0), block(3 * _BLOCK, 0))
         assert np.array_equal(block(2 * _BLOCK, 1), block(3 * _BLOCK, 1))

@@ -221,6 +221,28 @@ class TestMMInfinityKernelEvaluator:
             kernel.transforms(2, complex(-1.0, 3.0))
 
 
+class TestRates:
+    """rates is the time-domain side of transforms: (sigma, tau) = (down, up) / (up + down + s)."""
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-6, 0.3, 7.5, 2000.0])
+    @pytest.mark.parametrize("alpha", [1e-3, 0.37, 2.9, 50.0])
+    def test_transforms_are_the_rates_race(self, lam, alpha):
+        kernel = MMInfinityKernel(QueueParams(lam, alpha))
+        states = np.arange(201)[:, None]
+        s = np.concatenate([[0.0], np.geomspace(1e-6, 100.0, 40)])
+        sigma, tau = kernel.transforms(states, s)
+        up, down = kernel.rates(states)
+        assert up == lam and np.array_equal(down, states / alpha)
+        live = (states > 0) | (s > 0) | (lam > 0)     # all but the absorbing corner
+        with np.errstate(invalid="ignore"):
+            total = up + down + s
+            for got, want in ((sigma, down / total), (tau, up / total)):
+                np.testing.assert_allclose(got[live], np.broadcast_to(want, got.shape)[live], rtol=1e-15, atol=0)
+        if lam == 0.0:      # j = s = 0 without arrivals: both rates and both transforms are 0
+            assert kernel.rates(0) == (0.0, 0.0)
+            assert kernel.transforms(0, 0.0) == (0.0, 0.0)
+
+
 class TestKernelArrays:
     """transforms broadcasts over arrays of j and s, entry for entry."""
 
