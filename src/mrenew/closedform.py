@@ -123,7 +123,7 @@ def rbar_closed_form(i: int, n: int, s: float, p: QueueParams) -> float:
         j / (i - j + 1.0),
         (i + n - 2.0 * j + 2.0) / (n - j + 1.0),
         (i + n - 2.0 * j + 1.0) / (a_s + i + n - j + 1.0),
-        1.0 / (a_s + j - 1.0),
+        1.0 / (a_s + (j - 1.0)),
     ], axis=1)
     j = np.arange(hi, lo - 1, -1, dtype=float)
     total = weighted_kummer_sum(factors, steps, a_s + j, a_s + i + n + 1.0 - j, rho, _TOL)

@@ -40,6 +40,8 @@ class QueueParams:
             raise ValueError(f"arrival rate must be finite and >= 0, got {self.lam}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"mean service time must be finite and > 0, got {self.alpha}")
+        if not math.isfinite(self.rho):
+            raise ValueError(f"traffic intensity lam * alpha must be finite, got {self.lam} * {self.alpha}")
 
     @property
     def rho(self) -> float:

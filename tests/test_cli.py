@@ -180,10 +180,11 @@ class TestArgumentErrors:
             "simulate --i 0 --j 0 --t-grid 0.5:nan:3 --lambda 1 --alpha 1 --paths 1 --seed 1",
             "hyperg --a nan --b 2 --z 1",
             "hyperg --a 1 --b 2 --z inf",
+            "transform --i 0 --j 0 --s-grid 1:1:1 --lambda 1e308 --alpha 10",
         ],
         ids=["renewal-lambda-nan", "transform-alpha-inf", "transform-s-nan",
              "transform-closedform-s-nan", "simulate-t-nan", "simulate-t-partly-nan",
-             "hyperg-a-nan", "hyperg-z-inf"],
+             "hyperg-a-nan", "hyperg-z-inf", "transform-rho-inf"],
     )
     def test_nonfinite_value_maps_to_two(self, argv, capsys):
         # rejected up front: a NaN must never run the truncation to n_max

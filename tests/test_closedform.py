@@ -176,7 +176,27 @@ def _assert_criterion_4(value, reference):
     assert abs(value - reference) <= max(1e-6 * abs(reference), 1e-9)
 
 
+def _mp_closed_form(i, n, s, p):
+    """rbar[i][n](s) by the module docstring's j-sum in 40-digit mpmath."""
+    with mp.workdps(40):
+        a = mp.mpf(p.alpha) * mp.mpf(s)
+        rho = mp.mpf(p.rho)
+        total = mp.mpf(0)
+        for j in range(min(i, n) + 1):
+            q = i + n - 2 * j + 1
+            total += (mp.binomial(i, j) * rho ** (n - j) / mp.factorial(n - j) * mp.beta(a + j, q)
+                      * mp.exp(-rho) * mp.hyp1f1(a + j, a + j + q, rho))
+        return (n + rho + a) * total
+
+
 class TestClosedFormDefects:
+    @pytest.mark.parametrize("s", [1e-10, 1e-8, 1e-6, 1e-4])
+    def test_small_s_keeps_the_dominant_weight(self, s):
+        # 1 / (a_s + j - 1) at j = 1 rounded a_s + 1 first, so the entry,
+        # about 1/s, was off by eps/s relative (8.3e-8 at s = 1e-10)
+        reference = _mp_closed_form(3, 2, s, UNIT)
+        assert abs(rbar_closed_form(3, 2, s, UNIT) - reference) <= 1e-13 * abs(reference)
+
     def test_large_start_state_does_not_cancel(self):
         # the alternating k-sum returned -0.0021 here
         p = QueueParams(50.0, 1.0)

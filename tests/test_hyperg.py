@@ -3,11 +3,10 @@ import re
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mrenew import NonConvergenceError, kummer_m
-from mrenew.hyperg import kummer_series_direct
 
 # Reference value for phi(2, 3; -1), frozen from direct series summation at
 # 50 decimal digits (mpmath mpf terms, recurrence term *= (a+k)/(b+k)*z/(k+1)):
@@ -24,6 +23,34 @@ def _mp_series(a, b, z, dps=50, terms=400):
             term *= (mp.mpf(a) + k) / (mp.mpf(b) + k) * mp.mpf(z) / (k + 1)
             total += term
         return total
+
+
+def _float_series(a, b, z, terms=400):
+    """The raw Taylor series summed in double precision, as it stands."""
+    term = total = 1.0
+    for k in range(terms):
+        term *= (a + k) / (b + k) * z / (k + 1)
+        total += term
+    return total
+
+
+def _mp_value_and_condition(a, b, z):
+    """phi(a, b; z) at 40 digits and the condition number of the series kummer_m sums.
+
+    That series is phi(a, b; z) for z > 0 and e^z phi(b - a, b; -z) for
+    z < 0; its condition number is sum |terms| / |sum|.  From the first k
+    with c + k > 0 and b + k > 0 on (c its numerator parameter) all terms
+    share one sign, so only the terms before it are summed one by one.
+    """
+    c, x = (a, z) if z > 0 else (b - a, -z)
+    with mp.workdps(40):
+        value = mp.hyp1f1(c, b, x)
+        term, head, head_abs = mp.mpf(1), mp.mpf(0), mp.mpf(0)
+        for k in range(max(0, math.ceil(-c), math.ceil(-b)) + 1):
+            head, head_abs = head + term, head_abs + abs(term)
+            term *= (c + k) / (mp.mpf(b) + k) * x / (k + 1)
+        condition = (head_abs + abs(value - head)) / abs(value)
+        return float(value * mp.exp(min(z, 0))), float(condition)
 
 
 class TestKummerValues:
@@ -96,7 +123,7 @@ class TestKummerTransformation:
         a, b, z = 1.5, 4.5, -30.0
         reference = float(_mp_series(a, b, z))
         assert kummer_m(a, b, z) == pytest.approx(reference, rel=1e-12)
-        direct = kummer_series_direct(a, b, z)
+        direct = _float_series(a, b, z)
         assert abs(direct - reference) > abs(kummer_m(a, b, z) - reference)
 
 
@@ -109,7 +136,7 @@ class TestKummerValidation:
     def test_near_integer_b_allowed_outside_tolerance(self):
         assert kummer_m(1.0, -2.5, 0.5) == pytest.approx(float(_mp_series(1.0, -2.5, 0.5)), rel=1e-10)
 
-    @pytest.mark.parametrize("fn", [kummer_m, kummer_series_direct])
+    @pytest.mark.parametrize("fn", [kummer_m])
     @pytest.mark.parametrize(
         "a,b,z",
         [(math.nan, 2.0, 1.0), (1.0, math.nan, 1.0), (1.0, 2.0, math.nan),
@@ -120,7 +147,7 @@ class TestKummerValidation:
         with pytest.raises(ValueError, match="must be finite"):
             fn(a, b, z)
 
-    @pytest.mark.parametrize("fn", [kummer_m, kummer_series_direct])
+    @pytest.mark.parametrize("fn", [kummer_m])
     @pytest.mark.parametrize("a, b, z", [(1j, 2.0, 1.0), (1.0, 2.0 + 0j, 1.0), (1.0, 2.0, complex(-3.0, 1.0))])
     def test_complex_arguments_rejected(self, fn, a, b, z):
         with pytest.raises(ValueError, match="real numbers"):
@@ -128,16 +155,22 @@ class TestKummerValidation:
 
     @pytest.mark.parametrize("a, b, z", [(2.5, 2, -800), (1, 2, 1e6)], ids=["nan", "inf"])
     def test_nonfinite_value_raises(self, a, b, z):
-        # e^-800 = 0 times a transformed series that overflows gives NaN;
-        # the direct series at z = 1e6 overflows to inf
-        with pytest.raises(NonConvergenceError, match=re.escape(f"kummer_m(a={a}, b={b}, z={z}) = ")):
-            kummer_m(a, b, z)
+        # only a value past the double range raises: phi(1, 2; 1e6) is about
+        # e^1e6.  phi(2.5, 2; -800) once came out as e^-800 (0) times an
+        # overflowed sum, NaN; the scaled series gives it finite
+        with mp.workdps(40):
+            reference = mp.hyp1f1(a, b, z)
+        if abs(reference) < 1e308:
+            assert kummer_m(a, b, z) == pytest.approx(float(reference), rel=1e-12)
+        else:
+            with pytest.raises(NonConvergenceError, match=re.escape(f"kummer_m(a={a}, b={b}, z={z}) = ")):
+                kummer_m(a, b, z)
 
     def test_nonconvergence_carries_residual(self):
-        with pytest.raises(NonConvergenceError) as err:
-            # |z| far above the term cap: the alternating terms overflow and
-            # the stop rule can never be met
-            kummer_series_direct(1.0, 2.0, -4.0e5)
+        with pytest.raises(NonConvergenceError, match=re.escape("kummer_m(a=1.0, b=2.0, z=-9990.0)")) as err:
+            # the ratio bound falls below 1 within the term cap, but the
+            # terms have not yet fallen within the tolerance there
+            kummer_m(1.0, 2.0, -9990.0)
         assert err.value.residual is not None
 
 
@@ -152,3 +185,52 @@ class TestReachableParameterRanges:
                         value = kummer_m(m + 1.0, a_s + k + m + 1.0, -rho)
                         assert math.isfinite(value)
                         assert value > 0.0
+
+
+class TestAgainstMpmath:
+    # every argument is summed by one scaled series; its error is set by the
+    # condition number of that series, not by the sign of a, b or b - a
+    @given(
+        a=st.floats(min_value=-30.0, max_value=30.0),
+        b=st.floats(min_value=-30.0, max_value=30.0),
+        log_x=st.floats(min_value=-3.0, max_value=math.log10(5000.0)),
+        negative=st.booleans(),
+    )
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_sweep(self, a, b, log_x, negative):
+        assume(abs(b - round(b)) > 1e-6 or b > 0.5)
+        z = -(10.0 ** log_x) if negative else 10.0 ** log_x
+        reference, condition = _mp_value_and_condition(a, b, z)
+        if not math.isfinite(reference):
+            with pytest.raises(NonConvergenceError, match=re.escape(f"kummer_m(a={a}, b={b}, z={z}) = ")):
+                kummer_m(a, b, z)
+            return
+        assume(reference == 0.0 or abs(reference) > 1e-300)
+        bound = max(1e-12, 2.0 * 2.0**-52 * condition)
+        assert abs(kummer_m(a, b, z) - reference) <= bound * abs(reference)
+
+    @pytest.mark.parametrize(
+        "a, b, z",
+        [(2.5, 2.0, -800.0), (1.0, -2.5, -800.0), (20.0, 0.5, -2000.0), (1.0, 2.0, 712.0), (1.0, 1e7, 1e6),
+         (-2.0, 1.0, 2e4)],
+    )
+    def test_named_cases(self, a, b, z):
+        # the first three were e^z (0) times a directly summed series that
+        # overflowed, NaN; (1, 2, 712) is within a factor 80 of the largest
+        # double; (1, 1e7, 1e6) converges only by the ratio bound
+        # x / (b + k), with x far above the term cap; phi(-2, 1; 2e4) is a
+        # polynomial, whose series ends with no ratio bound below 1
+        with mp.workdps(40):
+            reference = float(mp.hyp1f1(a, b, z))
+        assert kummer_m(a, b, z) == pytest.approx(reference, rel=1e-12)
+
+    def test_value_far_below_the_double_range_is_zero(self):
+        # phi(a, a + 1; z) < e^{z a / (a + 1)}
+        assert kummer_m(1e7, 1e7 + 1.0, -1e6) == 0.0
+
+    @pytest.mark.parametrize("z", [-2e6, 2e6])
+    def test_past_the_exact_exponent_split_raises(self, z):
+        # e^{-x} = first * 2**-shift is split exactly only below 2**21 ln 2
+        message = f"kummer_m(a=1.0, b={1e8}, z={z}) = ?: scaled Kummer series needs x < "
+        with pytest.raises(NonConvergenceError, match=re.escape(message)):
+            kummer_m(1.0, 1e8, z)

@@ -41,6 +41,12 @@ class TestQueueParams:
     def test_zero_arrivals_allowed(self):
         assert QueueParams(lam=0.0, alpha=1.0).rho == 0.0
 
+    def test_rejects_infinite_traffic_intensity(self):
+        # both rates are finite, but their product overflows; an infinite
+        # rho would sweep NaN to n_max
+        with pytest.raises(ValueError, match="lam \\* alpha must be finite"):
+            QueueParams(lam=1e308, alpha=10.0)
+
 
 def _entries(j, s, p):
     """(sigma_bar, tau_bar) of the M|M|infinity kernel."""
