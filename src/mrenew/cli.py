@@ -62,7 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rn = entry_command("renewal", "R_ij(t) by Laplace inversion (CSV)", "--t-grid")
     rn.add_argument("--method", choices=("gs", "euler"), required=True)
-    rn.add_argument("--order", type=int, default=14, help="Gaver-Stehfest order (even, 4..18)")
+    rn.add_argument("--order", type=int, default=InversionConfig.order,
+                    help="Gaver-Stehfest order (even, 4..18)")
 
     sm = entry_command("simulate", "Monte Carlo estimate of R_ij(t) (CSV)", "--t-grid")
     sm.add_argument("--paths", type=int, required=True)
@@ -86,17 +87,15 @@ _PARSER = _build_parser()
 
 def _cmd_transform(args) -> int:
     p = QueueParams(args.lam, args.alpha)
-    s_grid = args.s_grid.tolist()
-    columns = [("s", s_grid)]
+    columns = [("s", args.s_grid)]
     if args.solver in ("oracle", "both"):
-        oracle = solve_rows(args.i, args.j, args.s_grid, MMInfinityKernel(p)).values.real.tolist()
+        oracle = solve_rows(args.i, args.j, args.s_grid, MMInfinityKernel(p)).values.real
         columns.append(("rbar_oracle", oracle))
     if args.solver in ("closedform", "both"):
-        closed = [rbar_closed_form(args.i, args.j, s, p) for s in s_grid]
+        closed = rbar_closed_form(args.i, args.j, args.s_grid, p)
         columns.append(("rbar_closedform", closed))
     if args.solver == "both":
-        rel = [abs(o - c) / max(abs(o), 1e-300) for o, c in zip(oracle, closed)]
-        columns.append(("rel_diff", rel))
+        columns.append(("rel_diff", np.abs(oracle - closed) / np.maximum(np.abs(oracle), 1e-300)))
     print(",".join(name for name, _ in columns))
     for row in zip(*(values for _, values in columns)):
         print(",".join(map(_fmt, row)))
@@ -116,9 +115,8 @@ def _cmd_renewal(args) -> int:
 
 def _cmd_simulate(args) -> int:
     p = QueueParams(args.lam, args.alpha)
-    t_grid = [float(t) for t in args.t_grid]
-    cfg = SimConfig(n_paths=args.paths, seed=args.seed, t_max=max(t_grid))
-    estimates = simulate_renewal_counts(args.i, [args.j], t_grid, p, cfg, workers=args.workers)
+    cfg = SimConfig(n_paths=args.paths, seed=args.seed)
+    estimates = simulate_renewal_counts(args.i, [args.j], args.t_grid, p, cfg, workers=args.workers)
     print("t,mean,std_error")
     for est in estimates:
         print(f"{_fmt(est.t)},{_fmt(est.mean)},{_fmt(est.std_error)}")

@@ -44,7 +44,7 @@ _TOL = 1e-13  # relative truncation of each Kummer series
 
 
 def _check_s(s):
-    if np.iscomplexobj(s) or not 0 < s < math.inf:
+    if np.iscomplexobj(s) or not (np.greater(s, 0) & np.less(s, math.inf)).all():
         raise ValueError(f"transform variable must be real, finite and > 0, got {s}")
 
 
@@ -92,39 +92,42 @@ def ode_residual(i: int, x: float, s: float, p: QueueParams, h: float = 1e-4, y_
     return (1.0 - x) * dy - (p.rho * (1.0 - x) + p.alpha * s) * y + p.alpha * x**i
 
 
-def rbar_closed_form(i: int, n: int, s: float, p: QueueParams) -> float:
-    """Closed-form rbar[i][n](s) for the M|M|infinity kernel.
+def rbar_closed_form(i: int, n: int, s, p: QueueParams):
+    """Closed-form rbar[i][n](s) for the M|M|infinity kernel, shaped like s.
 
-    Evaluates the positive j-sum in the module docstring; each Kummer
-    series stops at a relative 1e-13.  At rho = 0 only the term j = n is
-    left (rho^0 = 1), and the entry is 0 when n > i.  s must be real:
-    complex s raises ValueError, as it does in `generating_function`.
+    Evaluates the positive j-sum in the module docstring at a float s or
+    at every abscissa of an array in one Kummer call; each series stops at
+    a relative 1e-13.  At rho = 0 only the term j = n is left (rho^0 = 1),
+    and the entry is 0 when n > i.  s must be real: complex s raises
+    ValueError, as it does in `generating_function`.
     """
     _check_s(s)
     if i < 0 or n < 0:
         raise ValueError(f"states must be >= 0, got i={i}, n={n}")
-    a_s = p.alpha * s
+    a_s = p.alpha * np.asarray(s, dtype=float)[..., None]    # one row per abscissa
     rho = p.rho
     hi = min(i, n)
     lo = 0 if rho > 0 else n
     if lo > hi:
-        return 0.0
+        return np.zeros(np.shape(s))[()]
     # The weights are built from j = hi down, so rho enters as a factor of
     # its own per step and its powers are carried in the exponent.
     # w_hi = C(i, hi) * rho^(n-hi) / (n-hi)! * (q-1)! / (a+hi)_q,  q = |i - n| + 1
     u = np.arange(1, hi + 1, dtype=float)
     m = np.arange(1, n - hi + 1, dtype=float)
     t = np.arange(1, abs(i - n) + 1, dtype=float)
-    factors = np.concatenate([(i - hi + u) / u, rho / m, [1.0 / (a_s + hi)], t / (a_s + hi + t)])
+    same = np.concatenate([(i - hi + u) / u, rho / m])     # C(i, hi) rho^(n-hi) / (n-hi)! at every abscissa
+    factors = np.concatenate(
+        [np.broadcast_to(same, a_s.shape[:-1] + same.shape), 1.0 / (a_s + hi), t / (a_s + hi + t)], axis=-1)
     # w_{j-1} / w_j, with the Beta function's second argument q_j = i + n - 2j + 1
     j = np.arange(hi, lo, -1, dtype=float)
-    steps = np.stack([
+    steps = np.stack(np.broadcast_arrays(
         np.full(j.size, rho),
         j / (i - j + 1.0),
         (i + n - 2.0 * j + 2.0) / (n - j + 1.0),
         (i + n - 2.0 * j + 1.0) / (a_s + i + n - j + 1.0),
         1.0 / (a_s + (j - 1.0)),
-    ], axis=1)
+    ), axis=-1)
     j = np.arange(hi, lo - 1, -1, dtype=float)
     total = weighted_kummer_sum(factors, steps, a_s + j, a_s + i + n + 1.0 - j, rho, _TOL)
-    return (n + rho + a_s) * total
+    return (n + rho + a_s[..., 0]) * total

@@ -61,7 +61,7 @@ def closed_form_vs_oracle(states, s_values, rhos):
 def inversion_vs_simulation(i, targets, times, lam, alpha, n_paths, seed):
     """Worst |Gaver-Stehfest R_ij(t) - Monte Carlo mean| in standard errors."""
     p = QueueParams(lam, alpha)
-    cfg = SimConfig(n_paths=n_paths, seed=seed, t_max=max(times))
+    cfg = SimConfig(n_paths=n_paths, seed=seed)
     estimates = simulate_renewal_counts(i, targets, times, p, cfg)
     worst, where = 0.0, None
     for j in targets:

@@ -116,7 +116,7 @@ def _scaled_kummer(a: np.ndarray, b: np.ndarray, x: float, tol: float):
     total_e = np.full(a.shape, -shift)
     term_m, term_e = total_m, total_e
     needed = int(x + 10.0 * math.sqrt(x)) + 32
-    width = max(64, _SERIES_ELEMENTS // a.size)
+    width = max(64, _SERIES_ELEMENTS // max(a.size, 1))
     k0 = 0
     while True:
         k = np.arange(k0, min(k0 + min(width, max(needed - k0, 32)), MAX_TERMS), dtype=float)
@@ -146,20 +146,23 @@ def _scaled_kummer(a: np.ndarray, b: np.ndarray, x: float, tol: float):
             )
 
 
-def weighted_kummer_sum(factors, steps, a, b, x: float, tol: float) -> float:
+def weighted_kummer_sum(factors, steps, a, b, x: float, tol: float):
     """sum_j w_j e^{-x} phi(a_j, b_j; x) with w_0 = prod(factors), w_{j+1} = w_j prod(steps[j]).
 
-    `steps` has one row per step, so a step whose size would overflow as
-    one float is passed as several factors.  The weights and the scaled
-    series (each to a relative tol) are multiplied as mantissas and
-    exponents, and the sum is rounded to a float once.
+    factors (..., F), steps (..., J-1, K) and a, b (..., J) share leading
+    axes, which the result keeps; all their series go to one `_scaled_kummer`
+    call.  A step whose size would overflow as one float is passed as
+    several factors.  The weights and the scaled series (each to a relative
+    tol) are multiplied as mantissas and exponents, and each sum is rounded
+    to a float once.
     """
-    w_m, w_e = _running_product(np.concatenate([factors, steps.ravel()]))
-    at = len(factors) - 1 + steps.shape[1] * np.arange(len(a))
-    s_m, s_e = _scaled_kummer(a, b, x, tol)
-    exponents = w_e[at] + s_e
-    top = int(exponents.max())
-    return math.ldexp(float(np.ldexp(w_m[at] * s_m, exponents - top).sum()), top)
+    *lead, rows, k = steps.shape
+    w_m, w_e = _running_product(np.concatenate([factors, steps.reshape(*lead, rows * k)], axis=-1))
+    at = factors.shape[-1] - 1 + k * np.arange(rows + 1)
+    s_m, s_e = (v.reshape(a.shape) for v in _scaled_kummer(a.ravel(), b.ravel(), x, tol))
+    exponents = w_e[..., at] + s_e
+    top = exponents.max(axis=-1)
+    return np.ldexp(np.ldexp(w_m[..., at] * s_m, exponents - top[..., None]).sum(axis=-1), top)
 
 
 def kummer_m(a: float, b: float, z: float) -> float:

@@ -96,7 +96,7 @@ def _euler_weights() -> tuple:
     return tuple(weights)
 
 
-def _rule(method: str, t: float, order: int = 14):
+def _rule(method: str, t: float, order: int = InversionConfig.order):
     """(abscissas, scale, weights) with f(t) ~= scale * sum_k w_k Re F(s_k)."""
     if t <= 0:
         raise ValueError(f"time must be > 0, got {t}")
@@ -113,7 +113,7 @@ def _combine(scale: float, weights, samples) -> float:
     return scale * math.fsum(w * complex(f).real for w, f in zip(weights, samples))
 
 
-def gaver_stehfest(transform, t: float, order: int = 14) -> float:
+def gaver_stehfest(transform, t: float, order: int = InversionConfig.order) -> float:
     """Invert an ordinary Laplace transform at time t > 0.
 
     `transform` is called at the real abscissas k ln2 / t, k = 1..order.
@@ -167,7 +167,7 @@ def renewal_function(
     if solver == "oracle":
         values = solve_rows(i, j, points, MMInfinityKernel(p)).values
     else:
-        values = [rbar_closed_form(i, j, s, p) for s in points]
+        values = rbar_closed_form(i, j, np.array(points), p)
     transform = {s: value / s for s, value in zip(points, values)}
     return np.array(
         [_combine(scale, weights, [transform[s] for s in abscissas])

@@ -55,6 +55,15 @@ class TestTransformCommand:
         assert header == ["s", "rbar_closedform"]
         assert len(rows) == 3
 
+    def test_one_closed_form_call_per_request(self, capsys, monkeypatch):
+        calls = []
+        real = cli.rbar_closed_form
+        monkeypatch.setattr(cli, "rbar_closed_form", lambda i, n, s, p: calls.append(len(s)) or real(i, n, s, p))
+        assert run("transform --i 2 --j 3 --s-grid 0.5:4:6 --lambda 1 --alpha 1".split()) == 0
+        assert calls == [6]
+        _, rows = _rows(capsys.readouterr().out)
+        assert len(rows) == 6 and all(float(row[3]) <= 1e-12 for row in rows)
+
     def test_grid_endpoints_inclusive(self, capsys):
         assert run("transform --i 0 --j 0 --s-grid 1:3:5 --lambda 0.5 --alpha 1".split()) == 0
         _, rows = _rows(capsys.readouterr().out)
@@ -153,6 +162,11 @@ class TestArgumentErrors:
     def test_exit_code_two(self, argv, capsys):
         assert run(argv) == 2
         capsys.readouterr()
+
+    def test_unparsable_grid_is_a_bad_grid(self, capsys):
+        argv = "transform --i 0 --j 0 --s-grid 1:x:3 --lambda 1 --alpha 1".split()
+        assert run(argv) == 2
+        assert "bad grid" in capsys.readouterr().err
 
     def test_parser_is_not_rebuilt_per_run(self, capsys, monkeypatch):
         built = []

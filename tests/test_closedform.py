@@ -14,7 +14,7 @@ from mrenew import (
     solve_row_adaptive,
     solve_rows,
 )
-from mrenew import crosscheck
+from mrenew import crosscheck, hyperg
 from mrenew.closedform import ode_residual, tbar_from_rbar
 
 UNIT = QueueParams(1.0, 1.0)
@@ -164,6 +164,53 @@ class TestClosedFormRow:
         for s in (math.nan, math.inf, complex(1.0, 2.0), np.complex128(1.0)):
             with pytest.raises(ValueError, match="transform variable"):
                 rbar_closed_form(1, 2, s, UNIT)
+
+
+class TestClosedFormGrid:
+    """An array of abscissas is summed in one call and gives an array back."""
+
+    GRID = np.geomspace(1e-4, 1e2, 7)
+
+    @pytest.mark.parametrize(
+        "i, n, rho",
+        [(0, 0, 1.0), (3, 4, 2.5), (12, 7, 40.0), (3, 3, 800.0), (2, 200, 50.0), (4, 2, 0.0), (2, 4, 0.0)],
+    )
+    def test_grid_matches_scalar_calls(self, i, n, rho):
+        p = QueueParams(rho / 1.5, 1.5)
+        values = rbar_closed_form(i, n, self.GRID, p)
+        assert values.shape == self.GRID.shape
+        for s, value in zip(self.GRID, values):
+            one = rbar_closed_form(i, n, float(s), p)
+            assert abs(value - one) <= 1e-13 * abs(one)
+
+    def test_float_gives_a_float(self):
+        assert isinstance(rbar_closed_form(3, 4, 1.0, UNIT), float)
+        assert isinstance(rbar_closed_form(0, 4, 1.0, PURE_DEATH), float)
+
+    def test_one_series_call_for_the_whole_grid(self, monkeypatch):
+        calls = []
+        real = hyperg._scaled_kummer
+
+        def spy(a, b, x, tol):
+            calls.append(a.size)
+            return real(a, b, x, tol)
+
+        monkeypatch.setattr(hyperg, "_scaled_kummer", spy)
+        rbar_closed_form(3, 4, self.GRID, UNIT)
+        assert calls == [4 * self.GRID.size]    # j = 0..3 at every abscissa
+
+    @pytest.mark.parametrize("p", [UNIT, PURE_DEATH])
+    def test_empty_grid_gives_empty_array(self, p):
+        assert rbar_closed_form(2, 4, np.array([]), p).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_one_bad_abscissa_rejects_the_grid(self, bad):
+        with pytest.raises(ValueError, match="transform variable"):
+            rbar_closed_form(1, 2, np.array([1.0, bad, 2.0]), UNIT)
+
+    def test_complex_grid_rejected(self):
+        with pytest.raises(ValueError, match="transform variable"):
+            rbar_closed_form(1, 2, np.array([1.0, 2.0 + 1.0j]), UNIT)
 
 
 def _oracle(i, n, s, p):

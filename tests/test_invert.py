@@ -191,6 +191,10 @@ class TestRenewalFunction:
         with pytest.raises(ValueError):
             renewal_function(0, 0, [1.0], UNIT, solver="closedform", cfg=InversionConfig(method="euler"))
 
+    def test_negative_target_state_rejected(self):
+        with pytest.raises(ValueError, match="target state"):
+            renewal_function(0, -1, [1.0], UNIT)
+
     def test_unknown_solver_rejected(self):
         with pytest.raises(ValueError):
             renewal_function(0, 0, [1.0], UNIT, solver="montecarlo")
@@ -229,17 +233,21 @@ class TestBatchedAbscissas:
 
     def test_closed_form_evaluates_each_distinct_abscissa_once(self, monkeypatch):
         # GS14 at t = 1 and t = 2: k ln2 / 2 for even k is an abscissa of
-        # t = 1 as well, so 28 abscissas hold 21 distinct values
+        # t = 1 as well, so 28 abscissas hold 21 distinct values, all
+        # passed in one call
         calls = []
         real = invert.rbar_closed_form
 
         def spy(*args):
-            calls.append(args[2])
+            calls.append(np.asarray(args[2]).tolist())
             return real(*args)
 
         monkeypatch.setattr(invert, "rbar_closed_form", spy)
         values = renewal_function(0, 0, [1.0, 2.0], UNIT, solver="closedform")
-        assert len(calls) == len(set(calls)) == 21
+        assert len(calls) == 1
+        expected = {k * (math.log(2.0) / t) for t in (1.0, 2.0) for k in range(1, 15)}
+        assert len(calls[0]) == len(set(calls[0])) == 21
+        assert set(calls[0]) == expected
         monkeypatch.undo()
         for t, value in zip([1.0, 2.0], values):
             assert value == gaver_stehfest(lambda s: real(0, 0, s, UNIT) / s, t, 14)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,21 +85,21 @@ class TestStepEmbedded:
 
 class TestSimulateRenewalCounts:
     def test_absorbed_case_is_exact(self):
-        cfg = SimConfig(n_paths=500, seed=1, t_max=5.0)
+        cfg = SimConfig(n_paths=500, seed=1)
         (est,) = simulate_renewal_counts(0, [0], [5.0], PURE_DEATH, cfg)
         assert est.mean == 1.0
         assert est.std_error == 0.0
 
     def test_single_service_completion_probability(self):
         # count of entries into 0 by t is Bernoulli(1 - exp(-1))
-        cfg = SimConfig(n_paths=100_000, seed=7, t_max=1.0)
+        cfg = SimConfig(n_paths=100_000, seed=7)
         (est,) = simulate_renewal_counts(1, [0], [1.0], PURE_DEATH, cfg)
         exact = 1.0 - math.exp(-1.0)
         assert est.std_error == pytest.approx(0.0015, abs=3e-4)
         assert abs(est.mean - exact) <= 3 * est.std_error
 
     def test_mean_contains_identity_offset(self):
-        cfg = SimConfig(n_paths=200, seed=3, t_max=1.0)
+        cfg = SimConfig(n_paths=200, seed=3)
         estimates = simulate_renewal_counts(2, [2, 3], [0.5, 1.0], UNIT, cfg)
         for est in estimates:
             if est.j == 2:
@@ -107,7 +108,7 @@ class TestSimulateRenewalCounts:
                 assert est.mean >= 0.0
 
     def test_monotone_along_time_grid(self):
-        cfg = SimConfig(n_paths=2_000, seed=11, t_max=3.0)
+        cfg = SimConfig(n_paths=2_000, seed=11)
         estimates = simulate_renewal_counts(0, [0, 1], [0.5, 1.0, 2.0, 3.0], UNIT, cfg)
         for j in (0, 1):
             means = [e.mean for e in estimates if e.j == j]
@@ -115,36 +116,42 @@ class TestSimulateRenewalCounts:
 
     def test_seed_determinism_across_worker_counts(self):
         # two blocks, the second partial
-        cfg = SimConfig(n_paths=2_000, seed=42, t_max=2.0)
+        cfg = SimConfig(n_paths=2_000, seed=42)
         serial = simulate_renewal_counts(0, [0, 1], [0.5, 1.0, 2.0], UNIT, cfg, workers=1)
         for workers in (2, 4):
             parallel = simulate_renewal_counts(0, [0, 1], [0.5, 1.0, 2.0], UNIT, cfg, workers=workers)
             assert serial == parallel
 
     def test_different_seeds_differ(self):
-        cfg_a = SimConfig(n_paths=500, seed=1, t_max=1.0)
-        cfg_b = SimConfig(n_paths=500, seed=2, t_max=1.0)
+        cfg_a = SimConfig(n_paths=500, seed=1)
+        cfg_b = SimConfig(n_paths=500, seed=2)
         a = simulate_renewal_counts(0, [0], [1.0], UNIT, cfg_a)
         b = simulate_renewal_counts(0, [0], [1.0], UNIT, cfg_b)
         assert a != b
 
     def test_event_cap_aborts(self):
-        cfg = SimConfig(n_paths=10, seed=5, t_max=10.0, max_events=3)
+        cfg = SimConfig(n_paths=10, seed=5, max_events=3)
         with pytest.raises(EventCapError):
             simulate_renewal_counts(0, [0], [10.0], QueueParams(5.0, 1.0), cfg)
 
     def test_repeated_target_counts_in_every_column(self):
-        cfg = SimConfig(n_paths=2_000, seed=1, t_max=1.0)
+        cfg = SimConfig(n_paths=2_000, seed=1)
         first, second = simulate_renewal_counts(0, [1, 1], [1.0], UNIT, cfg)
         assert first.mean > 0.5
         assert (first.mean, first.std_error) == (second.mean, second.std_error)
 
+    def test_single_path_has_zero_standard_error(self):
+        # the sample standard deviation of one path is undefined (ddof=1)
+        cfg = SimConfig(n_paths=1, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimates = simulate_renewal_counts(0, [0, 1], [0.5, 1.0], UNIT, cfg)
+        assert [est.std_error for est in estimates] == [0.0] * 4
+
     def test_input_validation(self):
-        cfg = SimConfig(n_paths=10, seed=5, t_max=1.0)
+        cfg = SimConfig(n_paths=10, seed=5)
         with pytest.raises(ValueError):
             simulate_renewal_counts(0, [0], [1.0, 0.5], UNIT, cfg)  # unsorted
-        with pytest.raises(ValueError):
-            simulate_renewal_counts(0, [0], [0.5, 2.0], UNIT, cfg)  # beyond t_max
         with pytest.raises(ValueError):
             simulate_renewal_counts(0, [0], [], UNIT, cfg)
         with pytest.raises(ValueError):
@@ -160,19 +167,17 @@ class TestSimulateRenewalCounts:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SimConfig(n_paths=0, seed=1, t_max=1.0)
+            SimConfig(n_paths=0, seed=1)
         with pytest.raises(ValueError):
-            SimConfig(n_paths=1, seed=1, t_max=0.0)
-        with pytest.raises(ValueError):
-            SimConfig(n_paths=1, seed=1, t_max=1.0, max_events=0)
+            SimConfig(n_paths=1, seed=1, max_events=0)
         # -1 would alias 2**64 - 1 and 2**64 would alias 0 in the 64-bit key
         for seed in (-1, 2**64):
             with pytest.raises(ValueError, match="seed"):
-                SimConfig(n_paths=1, seed=seed, t_max=1.0)
-        SimConfig(n_paths=1, seed=2**64 - 1, t_max=1.0)
-        for t_max in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite"):
-                SimConfig(n_paths=1, seed=1, t_max=t_max)
+                SimConfig(n_paths=1, seed=seed)
+        SimConfig(n_paths=1, seed=2**64 - 1)
+        # keyword-only: a positional third argument cannot land in max_events
+        with pytest.raises(TypeError):
+            SimConfig(1, 1, 5)
 
 
 class TestBlockContract:
@@ -181,7 +186,7 @@ class TestBlockContract:
     TIMES = [0.25, 0.5]
 
     def test_partial_last_block_identical_across_worker_counts(self):
-        cfg = SimConfig(n_paths=2 * _BLOCK + 37, seed=8, t_max=0.5)
+        cfg = SimConfig(n_paths=2 * _BLOCK + 37, seed=8)
         runs = [
             simulate_renewal_counts(1, [0, 2], self.TIMES, UNIT, cfg, workers=w) for w in (1, 2, 3)
         ]
@@ -192,7 +197,7 @@ class TestBlockContract:
         targets = np.array([0, 1])
 
         def block(n_paths, b):
-            cfg = SimConfig(n_paths=n_paths, seed=4, t_max=0.5, max_events=1_000)
+            cfg = SimConfig(n_paths=n_paths, seed=4, max_events=1_000)
             return mcsim._walk_block(MMInfinityKernel(UNIT), 0, targets, times, cfg, b)
 
         assert np.array_equal(block(_BLOCK, 0), block(3 * _BLOCK, 0))
@@ -203,7 +208,7 @@ class TestBlockContract:
     def test_event_cap_in_lock_step(self, max_events, raises):
         # pure death from 3 with a long horizon: every path takes exactly
         # three events, in a run of two blocks
-        cfg = SimConfig(n_paths=_BLOCK + 5, seed=5, t_max=50.0, max_events=max_events)
+        cfg = SimConfig(n_paths=_BLOCK + 5, seed=5, max_events=max_events)
         if raises:
             with pytest.raises(EventCapError, match=r"path \d+ exceeded max_events=2"):
                 simulate_renewal_counts(3, [0], [50.0], PURE_DEATH, cfg)
@@ -225,7 +230,7 @@ class TestBlockContract:
         monkeypatch.setattr(mcsim, "step_embedded", spy)
         for n_paths, blocks in ((10, 1), (_BLOCK, 1), (_BLOCK + 1, 2)):
             calls.clear()
-            cfg = SimConfig(n_paths=n_paths, seed=3, t_max=50.0)
+            cfg = SimConfig(n_paths=n_paths, seed=3)
             simulate_renewal_counts(5, [0], [50.0], PURE_DEATH, cfg)
             assert len(calls) == 6 * blocks
             assert sum(calls) == 6 * n_paths

@@ -157,7 +157,37 @@ class _ScalarResultKernel(KernelTransform):
         return 0.0, 0.5
 
 
+class _FormulaKernel(KernelTransform):
+    """sigma_bar = 0 at j = 0, sigma(s) above it, and tau(s) at every j."""
+
+    def __init__(self, sigma, tau):
+        self.sigma, self.tau = sigma, tau
+
+    def transforms(self, j, s):
+        j, s = np.broadcast_arrays(j, s)
+        return np.where(j == 0, 0.0, self.sigma(s)), np.broadcast_to(self.tau(s), s.shape)
+
+
 class TestValidateKernel:
+    @pytest.mark.parametrize(
+        "sigma, tau, expected",
+        [
+            (lambda s: -0.1, lambda s: 0.5 / (1.0 + s), (1, 0.5, "sigma_bar(1, 0.5) = -0.1 < 0")),
+            (lambda s: 0.25 / (1.0 + s), lambda s: -0.1, (0, 0.5, "tau_bar(0, 0.5) = -0.1 < 0")),
+            (lambda s: 0.6, lambda s: 0.6, (1, 0.5, "sigma_bar + tau_bar = 1.2 > 1")),
+            (lambda s: 0.25 * s / (1.0 + s), lambda s: 0.5 / (1.0 + s),
+             (1, 1.0, "sigma_bar(1, s) increased from s=0.5 to s=1.0")),
+        ],
+        ids=["sigma-negative", "tau-negative", "sum-above-one", "sigma-rising"],
+    )
+    def test_invariant_violation_reported(self, sigma, tau, expected):
+        assert expected in validate_kernel(_FormulaKernel(sigma, tau), 1, [0.5, 1.0])
+
+    def test_negative_j_max_rejected(self):
+        kernel = MMInfinityKernel(QueueParams(1.0, 1.0))
+        with pytest.raises(ValueError, match="j_max"):
+            validate_kernel(kernel, -1, [1.0])
+
     def test_mm_infinity_passes(self):
         kernel = MMInfinityKernel(QueueParams(1.0, 1.0))
         assert validate_kernel(kernel, 50, [0.0, 0.1, 1.0, 10.0]) == []
