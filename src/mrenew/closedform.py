@@ -43,9 +43,11 @@ from .model import QueueParams
 _TOL = 1e-13  # relative truncation of each Kummer series
 
 
-def _check_s(s):
-    if np.iscomplexobj(s) or not (np.greater(s, 0) & np.less(s, math.inf)).all():
-        raise ValueError(f"transform variable must be real, finite and > 0, got {s}")
+def _check_s(s, alpha):
+    with np.errstate(divide="ignore", over="ignore"):    # the weight factor 1 / (alpha s) must be finite too
+        if np.iscomplexobj(s) or not (
+                np.greater(s, 0) & (np.maximum(s, 1 / (alpha * np.asarray(s))) < math.inf)).all():
+            raise ValueError(f"transform variable must be real and > 0 with s and 1/(alpha s) finite, got {s}")
 
 
 def tbar_from_rbar(j: int, s: float, rbar: float, p: QueueParams) -> float:
@@ -60,7 +62,7 @@ def generating_function(i: int, x: float, s: float, p: QueueParams) -> float:
     finite j-sum of the module docstring, whose terms are positive for
     x >= 0; each Kummer series stops at a relative 1e-13.
     """
-    _check_s(s)
+    _check_s(s, p.alpha)
     if not -1.0 < x <= 1.0:
         raise ValueError(f"argument must lie in (-1, 1], got {x}")
     if i < 0:
@@ -101,7 +103,7 @@ def rbar_closed_form(i: int, n: int, s, p: QueueParams):
     and the entry is 0 when n > i.  s must be real: complex s raises
     ValueError, as it does in `generating_function`.
     """
-    _check_s(s)
+    _check_s(s, p.alpha)
     if i < 0 or n < 0:
         raise ValueError(f"states must be >= 0, got i={i}, n={n}")
     a_s = p.alpha * np.asarray(s, dtype=float)[..., None]    # one row per abscissa

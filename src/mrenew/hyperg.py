@@ -107,15 +107,18 @@ def _scaled_kummer(a: np.ndarray, b: np.ndarray, x: float, tol: float):
     """
     if not x < _X_MAX:
         raise NonConvergenceError(f"scaled Kummer series needs x < {_X_MAX}, got x={x}")
+    needed = int(x + 10.0 * math.sqrt(x)) + 32
     if x >= MAX_TERMS:
         ends = (a <= 0) & (a == np.floor(a))
         if not ((_ratio_bound(a, b, x, MAX_TERMS) < 1) | ends).all():
             raise NonConvergenceError(f"scaled Kummer series cannot converge within {MAX_TERMS} terms (x={x})")
+        r = _ratio_bound(a, b, x, 0).max(initial=0.0)
+        if 0 < r < 1:    # b far above x: each term is at most r times the last, so log(tol) / log(r) reach tol
+            needed = min(needed, max(32, math.ceil(math.log(tol) / math.log(r))))
     first, shift = _exp_split(x)
     total_m = np.full(a.shape, first)
     total_e = np.full(a.shape, -shift)
     term_m, term_e = total_m, total_e
-    needed = int(x + 10.0 * math.sqrt(x)) + 32
     width = max(64, _SERIES_ELEMENTS // max(a.size, 1))
     k0 = 0
     while True:

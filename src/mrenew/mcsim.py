@@ -33,13 +33,13 @@ from .model import MMInfinityKernel, QueueParams
 
 _TINY_UNIFORM = 1e-300  # floor on the time uniform; keeps sojourns strictly positive
 _BLOCK = 1024  # paths per random stream; fixed, so results do not depend on workers
+_MAX_EVENTS = 10_000_000  # events a path may take before the run is aborted
 
 
 @dataclass(frozen=True, kw_only=True)
 class SimConfig:
     n_paths: int
     seed: int
-    max_events: int = 10_000_000
 
     def __post_init__(self):
         if self.n_paths < 1:
@@ -47,8 +47,6 @@ class SimConfig:
         if not 0 <= self.seed < 2**64:
             # the Philox key holds 64 bits; a seed outside would alias one inside
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        if self.max_events < 1:
-            raise ValueError(f"max_events must be >= 1, got {self.max_events}")
 
 
 @dataclass(frozen=True)
@@ -91,7 +89,8 @@ def _walk_block(kernel, i, targets, t_grid, cfg, block):
     A block holds _BLOCK paths, except the last of a run, which holds the
     rest of cfg.n_paths.  The paths step in lock-step, so every live path
     has taken the same number of events; paths past the horizon or
-    absorbed are dropped.
+    absorbed are dropped.  A path still live after _MAX_EVENTS events
+    raises EventCapError.
     """
     horizon = t_grid[-1]
     size = min(_BLOCK, cfg.n_paths - block * _BLOCK)
@@ -111,9 +110,9 @@ def _walk_block(kernel, i, targets, t_grid, cfg, block):
             if live.size == 0:
                 break
         events += 1
-        if events > cfg.max_events:
+        if events > _MAX_EVENTS:
             raise EventCapError(
-                f"path {block * _BLOCK + live[0]} exceeded max_events={cfg.max_events} "
+                f"path {block * _BLOCK + live[0]} exceeded max_events={_MAX_EVENTS} "
                 f"before t={horizon}"
             )
         rows, cols = np.nonzero(state[:, None] == targets)

@@ -19,14 +19,14 @@ against a unit diagonal, so the pivots w cannot degenerate.  The rows sum to
 so the cut at N loses the mass |tau[N] g[N]|, and moving it from N - 1 to N
 moves x[m] by g[N] q[m] .. q[N-1].  `solve_row_truncated` cuts at a given
 n; `solve_rows` (and through it `solve_row_adaptive`) at the first N from a
-floor up where the lost mass is at most `TruncationConfig.tol` and the
-moves of x[top] still to come, |move| r / (1 - r) with r the ratio of the
-last two moves, are at most 2**-52 of x[top].  For real s all terms are
+floor up to _N_MAX = 2**16 where the lost mass is at most _TOL = 1e-10 and
+the moves of x[top] still to come, |move| r / (1 - r) with r the ratio of
+the last two moves, are at most 2**-52 of x[top].  For real s all terms are
 positive, so no entry 0..top moves more, relative to its value; top is
 max(i + 10, j).  A column keeps O(top) state whatever N is, and
 `solve_rows` sweeps every abscissa of a request at once, each cut at its
 own N.  The normalization residual, summed over the entries, is reported;
-on its rounding floor it can sit above tol (up to ~3e-10 at rho in the
+on its rounding floor it can sit above _TOL (up to ~3e-10 at rho in the
 hundreds and more, s ~ 1e-4).  `neumann_series_sum` accumulates row i of
 sum_m Qbar(s)^m over the same truncated operator and is the independent
 second route used by the cross-check suites.
@@ -49,6 +49,8 @@ _SWEEP_ELEMENTS = 6144     # states x columns of one block of kernel values
 _MIN_BATCH = 13            # fewest columns worth sweeping together (measured crossover)
 _EPS = 2.0**-52            # moves still to come allowed, relative to x[top]
 _MARGIN = 10               # entries past i that the stop test covers: top = max(i + _MARGIN, j)
+_N_MAX = 2**16             # largest cut N of an adaptive solve
+_TOL = 1e-10               # lost mass |tau_bar(N) x[N]| allowed at the cut
 
 
 @dataclass
@@ -87,24 +89,17 @@ class TransformEntries:
 
 @dataclass(frozen=True)
 class TruncationConfig:
-    """Where `solve_row_adaptive` and `solve_rows` may cut a row.
+    """The floor of the cut of `solve_row_adaptive` and `solve_rows`.
 
-    n0 is a floor: the cut N for start state i (and target j) is at least
-    max(n0, i + 2, j + 2).  n_max caps N.  tol bounds the mass the cut
-    loses, |tau_bar(N) x[N]|.
+    The cut N for start state i (and target j) is at least
+    max(n0, i + 2, j + 2); n0 may not exceed the cap n_max = _N_MAX.
     """
 
     n0: int = 64
-    n_max: int = 2**16
-    tol: float = 1e-10
 
     def __post_init__(self):
-        if self.n0 < 2:
-            raise ValueError(f"n0 must be >= 2, got {self.n0}")
-        if self.n_max < self.n0:
-            raise ValueError(f"n_max must be >= n0, got {self.n_max} < {self.n0}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
+        if not 2 <= self.n0 <= _N_MAX:
+            raise ValueError(f"n0 must be in [2, n_max={_N_MAX}], got {self.n0}")
 
 
 def _check_s(s):
@@ -241,7 +236,7 @@ def solve_rows(
     Each abscissa is cut at its own N >= max(cfg.n0, i + 2, j + 2), by the
     stop test of the module docstring with top = max(i + 10, j).  Raises
     NonConvergenceError naming the first abscissa that has not passed the
-    test by cfg.n_max, with its normalization residual there.
+    test by n_max = _N_MAX, with its normalization residual there.
     """
     s = _as_abscissas(s_values)
     if s.ndim != 1:
@@ -254,11 +249,11 @@ def solve_rows(
     # fewer than _MIN_BATCH abscissas do not pay for the array overhead of a step
     for sweep in (s.tolist() if s.size < _MIN_BATCH else [s]):
         rows, level, residual, passed = _eliminate(
-            i, sweep, kernel, max(i + _MARGIN, j), n_lo, max(cfg.n_max, n_lo), cfg.tol)
+            i, sweep, kernel, max(i + _MARGIN, j), n_lo, max(_N_MAX, n_lo), _TOL)
         if not passed.all():
             k = np.flatnonzero(~passed)[0]
             raise NonConvergenceError(
-                f"row (i={i}, s={np.atleast_1d(sweep)[k]}) did not converge by n_max={cfg.n_max}; "
+                f"row (i={i}, s={np.atleast_1d(sweep)[k]}) did not converge by n_max={_N_MAX}; "
                 f"last normalization residual {residual[k]:.3e}",
                 residual=float(residual[k]),
             )
@@ -277,11 +272,11 @@ def solve_row_adaptive(
 ) -> TransformRowResult:
     """Row i solved at the N where `solve_rows(i, i, [s], kernel, cfg)` cuts it.
 
-    The stop test (module docstring) bounds the mass lost at N by cfg.tol
+    The stop test (module docstring) bounds the mass lost at N by _TOL
     and what is still to come of the moves of values[0 .. i+10] by 2**-52
     of their values; entries past i + 10 carry the error of the cut.
     Raises NonConvergenceError (carrying the residual at the cap) if no N
-    up to cfg.n_max passes.
+    up to n_max = _N_MAX passes.
     """
     n = int(solve_rows(i, i, [s], kernel, cfg).truncation_n[0])
     return replace(solve_row_truncated(i, s, kernel, n), converged=True)

@@ -205,6 +205,14 @@ class TestArgumentErrors:
         assert run(argv.split()) == 2
         assert "invalid arguments" in capsys.readouterr().err
 
+    def test_subnormal_s_maps_to_two_with_the_closed_form(self, capsys):
+        # 1 / (alpha s) overflows: the closed form would print inf
+        argv = "transform --i 0 --j 0 --s-grid 1e-320:1:2 --lambda 1 --alpha 1 --solver closedform"
+        assert run(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "transform variable" in captured.err
+
 
 class TestNumericalFailureExit:
     def test_nonconvergence_maps_to_one(self, capsys, monkeypatch):

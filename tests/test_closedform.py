@@ -165,6 +165,17 @@ class TestClosedFormRow:
             with pytest.raises(ValueError, match="transform variable"):
                 rbar_closed_form(1, 2, s, UNIT)
 
+    def test_s_without_a_finite_reciprocal_rejected(self):
+        # 1 / (alpha s) is a weight factor: past the double range it made the entry inf
+        for i, n, s, p in [(0, 39, 1e-320, QueueParams(751.7, 0.634)), (3, 2, 1e-320, UNIT),
+                           (0, 0, 1e-308, QueueParams(1.0, 0.5))]:
+            with pytest.raises(ValueError, match="transform variable"):
+                rbar_closed_form(i, n, s, p)
+        with pytest.raises(ValueError, match="transform variable"):
+            generating_function(2, 1.0, 1e-320, UNIT)
+        # just inside the range the entry is finite: rbar_00 = (1 + a) e^-1 phi(a, a+1; 1) / a
+        assert rbar_closed_form(0, 0, 1e-300, UNIT) == pytest.approx(math.exp(-1.0) * 1e300, rel=1e-13)
+
 
 class TestClosedFormGrid:
     """An array of abscissas is summed in one call and gives an array back."""
@@ -203,7 +214,7 @@ class TestClosedFormGrid:
     def test_empty_grid_gives_empty_array(self, p):
         assert rbar_closed_form(2, 4, np.array([]), p).shape == (0,)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 1e-320])
     def test_one_bad_abscissa_rejects_the_grid(self, bad):
         with pytest.raises(ValueError, match="transform variable"):
             rbar_closed_form(1, 2, np.array([1.0, bad, 2.0]), UNIT)

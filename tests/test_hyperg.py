@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mrenew import NonConvergenceError, kummer_m
+from mrenew import NonConvergenceError, hyperg, kummer_m
 
 # Reference value for phi(2, 3; -1), frozen from direct series summation at
 # 50 decimal digits (mpmath mpf terms, recurrence term *= (a+k)/(b+k)*z/(k+1)):
@@ -223,6 +223,23 @@ class TestAgainstMpmath:
         with mp.workdps(40):
             reference = float(mp.hyp1f1(a, b, z))
         assert kummer_m(a, b, z) == pytest.approx(reference, rel=1e-12)
+
+    def test_first_step_sized_by_the_ratio_bound(self, monkeypatch):
+        # x / (b + k) <= 0.1 from the first term: 14 terms reach 1e-14, so
+        # the first step is not sized from x = 1e6 (8,192 terms)
+        widths = []
+        real = hyperg._running_product
+
+        def spy(factors):
+            widths.append(factors.shape[-1])
+            return real(factors)
+
+        monkeypatch.setattr(hyperg, "_running_product", spy)
+        value = kummer_m(1.0, 1e7, 1e6)
+        assert widths and max(widths) <= 64
+        with mp.workdps(40):
+            reference = float(mp.hyp1f1(1, 1e7, 1e6))
+        assert value == pytest.approx(reference, rel=1e-15)
 
     def test_value_far_below_the_double_range_is_zero(self):
         # phi(a, a + 1; z) < e^{z a / (a + 1)}

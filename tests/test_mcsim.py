@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -129,9 +130,10 @@ class TestSimulateRenewalCounts:
         b = simulate_renewal_counts(0, [0], [1.0], UNIT, cfg_b)
         assert a != b
 
-    def test_event_cap_aborts(self):
-        cfg = SimConfig(n_paths=10, seed=5, max_events=3)
-        with pytest.raises(EventCapError):
+    def test_event_cap_aborts(self, monkeypatch):
+        monkeypatch.setattr(mcsim, "_MAX_EVENTS", 3)
+        cfg = SimConfig(n_paths=10, seed=5)
+        with pytest.raises(EventCapError, match="max_events=3 "):
             simulate_renewal_counts(0, [0], [10.0], QueueParams(5.0, 1.0), cfg)
 
     def test_repeated_target_counts_in_every_column(self):
@@ -168,16 +170,19 @@ class TestSimulateRenewalCounts:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SimConfig(n_paths=0, seed=1)
-        with pytest.raises(ValueError):
-            SimConfig(n_paths=1, seed=1, max_events=0)
         # -1 would alias 2**64 - 1 and 2**64 would alias 0 in the 64-bit key
         for seed in (-1, 2**64):
             with pytest.raises(ValueError, match="seed"):
                 SimConfig(n_paths=1, seed=seed)
         SimConfig(n_paths=1, seed=2**64 - 1)
-        # keyword-only: a positional third argument cannot land in max_events
+        # keyword-only, so n_paths and seed cannot be swapped by position
         with pytest.raises(TypeError):
-            SimConfig(1, 1, 5)
+            SimConfig(1, 1)
+        # the event cap is the constant _MAX_EVENTS, not an option
+        assert [f.name for f in dataclasses.fields(SimConfig)] == ["n_paths", "seed"]
+        assert mcsim._MAX_EVENTS == 10_000_000
+        with pytest.raises(TypeError):
+            SimConfig(n_paths=1, seed=1, max_events=5)
 
 
 class TestBlockContract:
@@ -197,7 +202,7 @@ class TestBlockContract:
         targets = np.array([0, 1])
 
         def block(n_paths, b):
-            cfg = SimConfig(n_paths=n_paths, seed=4, max_events=1_000)
+            cfg = SimConfig(n_paths=n_paths, seed=4)
             return mcsim._walk_block(MMInfinityKernel(UNIT), 0, targets, times, cfg, b)
 
         assert np.array_equal(block(_BLOCK, 0), block(3 * _BLOCK, 0))
@@ -205,10 +210,11 @@ class TestBlockContract:
         assert not np.array_equal(block(2 * _BLOCK, 0), block(2 * _BLOCK, 1))
 
     @pytest.mark.parametrize("max_events, raises", [(2, True), (3, False)])
-    def test_event_cap_in_lock_step(self, max_events, raises):
+    def test_event_cap_in_lock_step(self, max_events, raises, monkeypatch):
         # pure death from 3 with a long horizon: every path takes exactly
         # three events, in a run of two blocks
-        cfg = SimConfig(n_paths=_BLOCK + 5, seed=5, max_events=max_events)
+        monkeypatch.setattr(mcsim, "_MAX_EVENTS", max_events)
+        cfg = SimConfig(n_paths=_BLOCK + 5, seed=5)
         if raises:
             with pytest.raises(EventCapError, match=r"path \d+ exceeded max_events=2"):
                 simulate_renewal_counts(3, [0], [50.0], PURE_DEATH, cfg)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -126,10 +127,11 @@ class TestSolveRowAdaptive:
         assert res.converged
         assert res.values[100] >= 1.0
 
-    def test_nonconvergence_reports_last_residual(self):
-        cfg = TruncationConfig(n0=4, n_max=8, tol=1e-16)
-        with pytest.raises(NonConvergenceError) as err:
-            solve_row_adaptive(0, 0.01, kernel(UNIT), cfg)
+    def test_nonconvergence_reports_last_residual(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_N_MAX", 8)
+        monkeypatch.setattr(oracle, "_TOL", 1e-16)
+        with pytest.raises(NonConvergenceError, match="n_max=8;") as err:
+            solve_row_adaptive(0, 0.01, kernel(UNIT), TruncationConfig(n0=4))
         assert err.value.residual is not None
         assert err.value.residual > 0.0
 
@@ -150,6 +152,14 @@ class _ZeroPivotKernel(KernelTransform):
     def transforms(self, j, s):
         ones = np.ones(np.broadcast(j, s).shape)
         return np.where(j == 0, 0.0, ones), ones
+
+
+class _SlowWalkKernel(KernelTransform):
+    """Up and down with weight 1 / (2 + 2s) each: a row decays like e^{-sqrt(2s) k}."""
+
+    def transforms(self, j, s):
+        half = np.ones(np.broadcast(j, s).shape) * 0.5 / (1.0 + s)
+        return np.where(j == 0, 0.0, half), half
 
 
 class TestSolveRows:
@@ -184,11 +194,11 @@ class TestSolveRows:
         reversed_ = solve_rows(0, 0, s_values[::-1], k).values
         np.testing.assert_array_equal(together, reversed_[::-1])
 
-    def test_nonconvergent_column_named_with_its_residual(self):
-        cfg = TruncationConfig(n0=8, n_max=22)
+    def test_nonconvergent_column_named_with_its_residual(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_N_MAX", 22)
         s_values = [10.0, 1.0, 0.01, 5.0]    # 0.01 is cut at N = 23, the others by 22
         with pytest.raises(NonConvergenceError) as err:
-            solve_rows(0, 0, s_values, kernel(UNIT), cfg)
+            solve_rows(0, 0, s_values, kernel(UNIT), TruncationConfig(n0=8))
         assert "s=0.01" in str(err.value)
         at_cap = solve_row_truncated(0, 0.01, kernel(UNIT), 22).normalization_residual
         assert err.value.residual == at_cap
@@ -361,23 +371,56 @@ class TestAgainstBandedSolve:
         assert share <= 1.0
 
 
+class TestBottomOfTheRange:
+    """solve_rows against rbar_closed_form at the smallest s of the supported range.
+
+    The bound is the one TestAgainstBandedSolve holds from s = 1e-4 up:
+    1e-12 of the largest entry 0..max(i+10, j), times 0.01 / s.
+    """
+
+    S = np.array([1e-6, 1e-5])
+
+    @pytest.mark.parametrize("rho", np.geomspace(0.1, 2000.0, 12).tolist(), ids="{:.3g}".format)
+    def test_entries_match_the_closed_form(self, rho):
+        p = QueueParams(rho, 1.0)
+        for i in (0, 5, 30):
+            closed = np.array([rbar_closed_form(i, n, self.S, p) for n in range(max(i + 10, 30) + 1)])
+            for j in (0, 5, 30):
+                top = max(i + 10, j)
+                scale = np.max(np.abs(closed[: top + 1]), axis=0)
+                error = np.abs(solve_rows(i, j, self.S, kernel(p)).values - closed[j])
+                assert (error <= 1e-12 * scale * 0.01 / self.S).all(), (i, j, error / scale)
+
+
 class TestTruncationConfig:
     def test_defaults_valid(self):
-        cfg = TruncationConfig()
-        assert cfg.n0 == 64 and cfg.n_max == 2**16 and cfg.tol == 1e-10
+        assert [f.name for f in dataclasses.fields(TruncationConfig)] == ["n0"]
+        assert TruncationConfig().n0 == 64
+        assert oracle._N_MAX == 2**16 and oracle._TOL == 1e-10
+        assert TruncationConfig(n0=2**16).n0 == 2**16
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"n0": 1},
-            {"n_max": 32},
-            {"tol": 0.0},
-            {"tol": -1e-3},
+            {"n0": -64},
+            {"n0": 2**16 + 1},    # above the cap n_max
+            {"n0": 2**17},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TruncationConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"n_max": 2**10}, {"tol": 1e-12}])
+    def test_cap_and_tolerance_are_not_options(self, kwargs):
+        with pytest.raises(TypeError):
+            TruncationConfig(**kwargs)
+
+    def test_real_cap_is_named(self):
+        # a symmetric walk killed at rate s ~ 1e-12 decays over ~1e6 states
+        with pytest.raises(NonConvergenceError, match=r"by n_max=65536;"):
+            solve_rows(0, 0, [1e-12], _SlowWalkKernel())
 
 
 class TestNeumannSeries:
