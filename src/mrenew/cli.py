@@ -26,6 +26,13 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _print_csv(*columns) -> None:
+    """Print the CSV table of (name, values) columns: a header of names, then one row per index."""
+    print(",".join(name for name, _ in columns))
+    for row in zip(*(values for _, values in columns)):
+        print(",".join(map(_fmt, row)))
+
+
 def _grid(text: str) -> np.ndarray:
     """Parse 'A:B:N' into N points linearly spaced over [A, B] inclusive."""
     parts = text.split(":")
@@ -96,9 +103,7 @@ def _cmd_transform(args) -> int:
         columns.append(("rbar_closedform", closed))
     if args.solver == "both":
         columns.append(("rel_diff", np.abs(oracle - closed) / np.maximum(np.abs(oracle), 1e-300)))
-    print(",".join(name for name, _ in columns))
-    for row in zip(*(values for _, values in columns)):
-        print(",".join(map(_fmt, row)))
+    _print_csv(*columns)
     return 0
 
 
@@ -107,9 +112,7 @@ def _cmd_renewal(args) -> int:
     method = "gaver-stehfest" if args.method == "gs" else "euler"
     cfg = InversionConfig(method=method, order=args.order)
     values = renewal_function(args.i, args.j, args.t_grid, p, solver="oracle", cfg=cfg)
-    print("t,R")
-    for t, r in zip(args.t_grid, values):
-        print(f"{_fmt(t)},{_fmt(r)}")
+    _print_csv(("t", args.t_grid), ("R", values))
     return 0
 
 
@@ -117,9 +120,7 @@ def _cmd_simulate(args) -> int:
     p = QueueParams(args.lam, args.alpha)
     cfg = SimConfig(n_paths=args.paths, seed=args.seed)
     estimates = simulate_renewal_counts(args.i, [args.j], args.t_grid, p, cfg, workers=args.workers)
-    print("t,mean,std_error")
-    for est in estimates:
-        print(f"{_fmt(est.t)},{_fmt(est.mean)},{_fmt(est.std_error)}")
+    _print_csv(*((name, [getattr(est, name) for est in estimates]) for name in ("t", "mean", "std_error")))
     return 0
 
 

@@ -37,6 +37,7 @@ import math
 
 import numpy as np
 
+from .errors import NonConvergenceError
 from .hyperg import weighted_kummer_sum
 from .model import QueueParams
 
@@ -48,11 +49,6 @@ def _check_s(s, alpha):
         if np.iscomplexobj(s) or not (
                 np.greater(s, 0) & (np.maximum(s, 1 / (alpha * np.asarray(s))) < math.inf)).all():
             raise ValueError(f"transform variable must be real and > 0 with s and 1/(alpha s) finite, got {s}")
-
-
-def tbar_from_rbar(j: int, s: float, rbar: float, p: QueueParams) -> float:
-    """Scale a transform-row entry: alpha * rbar / (j + rho + alpha*s)."""
-    return p.alpha * rbar / (j + p.rho + p.alpha * s)
 
 
 def generating_function(i: int, x: float, s: float, p: QueueParams) -> float:
@@ -101,7 +97,8 @@ def rbar_closed_form(i: int, n: int, s, p: QueueParams):
     at every abscissa of an array in one Kummer call; each series stops at
     a relative 1e-13.  At rho = 0 only the term j = n is left (rho^0 = 1),
     and the entry is 0 when n > i.  s must be real: complex s raises
-    ValueError, as it does in `generating_function`.
+    ValueError, as it does in `generating_function`.  An entry past the
+    largest double raises NonConvergenceError, naming i, n and its s.
     """
     _check_s(s, p.alpha)
     if i < 0 or n < 0:
@@ -131,5 +128,10 @@ def rbar_closed_form(i: int, n: int, s, p: QueueParams):
         1.0 / (a_s + (j - 1.0)),
     ), axis=-1)
     j = np.arange(hi, lo - 1, -1, dtype=float)
-    total = weighted_kummer_sum(factors, steps, a_s + j, a_s + i + n + 1.0 - j, rho, _TOL)
-    return (n + rho + a_s[..., 0]) * total
+    with np.errstate(over="ignore"):    # every term is positive, so only overflow makes an entry not finite
+        total = weighted_kummer_sum(factors, steps, a_s + j, a_s + i + n + 1.0 - j, rho, _TOL)
+        value = (n + rho + a_s[..., 0]) * total
+    if not np.isfinite(value).all():
+        at = np.asarray(s)[~np.isfinite(value)].flat[0]
+        raise NonConvergenceError(f"rbar_closed_form(i={i}, n={n}, s={at}) = inf: past the largest double")
+    return value

@@ -109,10 +109,6 @@ def _check_s(s):
         raise ValueError(f"transform variable must be finite with Re(s) > 0, got {value}")
 
 
-def _as_abscissas(s_values) -> np.ndarray:
-    return np.asarray(s_values, dtype=complex if np.iscomplexobj(s_values) else float)
-
-
 def _back_substitute(g, q, c, top: int, x, tail):
     """Entries 0..top from x[top] = g[top] + x, and the normalization residual.
 
@@ -238,7 +234,7 @@ def solve_rows(
     NonConvergenceError naming the first abscissa that has not passed the
     test by n_max = _N_MAX, with its normalization residual there.
     """
-    s = _as_abscissas(s_values)
+    s = np.asarray(s_values, dtype=complex if np.iscomplexobj(s_values) else float)
     if s.ndim != 1:
         raise ValueError(f"s_values must be one-dimensional, got shape {s.shape}")
     _check_s(s)

@@ -113,6 +113,26 @@ class TestSimulateCommand:
         assert first == second == third
 
 
+class TestCsvContract:
+    @pytest.mark.parametrize("argv,header,n", [
+        ("transform --i 1 --j 2 --s-grid 0.3:7:5 --lambda 1.7 --alpha 0.6",
+         ["s", "rbar_oracle", "rbar_closedform", "rel_diff"], 5),
+        ("renewal --i 0 --j 1 --t-grid 0.5:2:4 --lambda 1 --alpha 1 --method gs", ["t", "R"], 4),
+        ("simulate --i 0 --j 1 --t-grid 0.5:2:3 --lambda 1 --alpha 1 --paths 300 --seed 7",
+         ["t", "mean", "std_error"], 3),
+    ], ids=["transform", "renewal", "simulate"])
+    def test_header_then_rows_of_round_trip_floats(self, argv, header, n, capsys):
+        assert run(argv.split()) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split(",") == header
+        assert len(lines) == 1 + n
+        for line in lines[1:]:
+            fields = line.split(",")
+            assert len(fields) == len(header)
+            # each field is a float printed with 17 significant digits, so it reads back bit for bit
+            assert all(format(float(f), ".17g") == f for f in fields)
+
+
 class TestHypergCommand:
     def test_single_value(self, capsys):
         assert run("hyperg --a 1 --b 2 --z 1".split()) == 0

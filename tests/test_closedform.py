@@ -14,19 +14,11 @@ from mrenew import (
     solve_row_adaptive,
     solve_rows,
 )
-from mrenew import crosscheck, hyperg
-from mrenew.closedform import ode_residual, tbar_from_rbar
+from mrenew import NonConvergenceError, cli, crosscheck, hyperg
+from mrenew.closedform import ode_residual
 
 UNIT = QueueParams(1.0, 1.0)
 PURE_DEATH = QueueParams(0.0, 1.0)
-
-
-class TestScaling:
-    def test_forward_example(self):
-        assert tbar_from_rbar(0, 1.0, 1.0, PURE_DEATH) == pytest.approx(1.0, rel=1e-15)
-
-    def test_zero_maps_to_zero(self):
-        assert tbar_from_rbar(3, 2.0, 0.0, UNIT) == 0.0
 
 
 class TestGeneratingFunction:
@@ -43,14 +35,12 @@ class TestGeneratingFunction:
             assert generating_function(0, x, 2.0, PURE_DEATH) == pytest.approx(0.5, rel=1e-14)
 
     def test_power_series_of_oracle_row(self):
-        # y_1(0.5) must equal sum_k tbar[1,k] * 0.5^k with tbar from the
-        # adaptively solved transform row
-        i, x, s = 1, 0.5, 1.0
-        row = solve_row_adaptive(i, s, MMInfinityKernel(UNIT))
-        tail = [
-            tbar_from_rbar(n, s, float(v), UNIT) * x**n for n, v in enumerate(row.values)
-        ]
-        assert generating_function(i, x, s, UNIT) == pytest.approx(math.fsum(tail), abs=1e-8)
+        # y_1(0.5) must equal sum_k tbar[1,k] * 0.5^k with the scaled entries
+        # tbar = alpha * rbar / (k + rho + alpha s) of the adaptively solved row
+        i, x, s, p = 1, 0.5, 1.0, UNIT
+        row = solve_row_adaptive(i, s, MMInfinityKernel(p))
+        tail = [p.alpha * float(v) / (n + p.rho + p.alpha * s) * x**n for n, v in enumerate(row.values)]
+        assert generating_function(i, x, s, p) == pytest.approx(math.fsum(tail), abs=1e-8)
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
@@ -279,6 +269,24 @@ class TestClosedFormDefects:
         p = QueueParams(1e-300, 1.0)
         _assert_criterion_4(rbar_closed_form(i, n, 1e6, p), _oracle(i, n, 1e6, p))
 
+    def test_entry_past_the_double_range_raises(self):
+        # (n + rho + a) * sum overflowed to inf with a RuntimeWarning
+        p = QueueParams(2000.0, 1.0)
+        with pytest.raises(NonConvergenceError, match=r"i=0, n=2000, s=1e-307\) = inf: past the largest double"):
+            rbar_closed_form(0, 2000, 1e-307, p)
+        assert rbar_closed_form(0, 2000, 1e-306, p) == 3.568099558394526e+307
+
+    def test_one_entry_past_the_double_range_fails_the_grid(self):
+        with pytest.raises(NonConvergenceError, match="s=1e-307"):
+            rbar_closed_form(0, 2000, np.array([1e-307, 1.0]), QueueParams(2000.0, 1.0))
+
+    def test_cli_exits_one_past_the_double_range(self, capsys):
+        argv = ["transform", "--i", "0", "--j", "2000", "--s-grid", "1e-307:1e-307:1",
+                "--lambda", "2000", "--alpha", "1", "--solver", "closedform"]
+        assert cli.run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "numerical failure" in err
+
 
 class TestClosedFormAgainstOracle:
     # the range the README states as proved
@@ -351,5 +359,5 @@ class TestCoefficientConsistency:
         extracted = _taylor_coefficients(lambda x: generating_function(i, x, s, p), 5)
         row = solve_row_adaptive(i, s, MMInfinityKernel(p))
         for n in range(6):
-            reference = tbar_from_rbar(n, s, float(row.values[n]), p)
+            reference = p.alpha * float(row.values[n]) / (n + p.rho + p.alpha * s)
             assert extracted[n] == pytest.approx(reference, abs=1e-6)
