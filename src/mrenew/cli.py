@@ -111,7 +111,7 @@ def _cmd_renewal(args) -> int:
     p = QueueParams(args.lam, args.alpha)
     method = "gaver-stehfest" if args.method == "gs" else "euler"
     cfg = InversionConfig(method=method, order=args.order)
-    values = renewal_function(args.i, args.j, args.t_grid, p, solver="oracle", cfg=cfg)
+    values = renewal_function(args.i, args.j, args.t_grid, p, cfg=cfg)
     _print_csv(("t", args.t_grid), ("R", values))
     return 0
 

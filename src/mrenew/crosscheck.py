@@ -65,7 +65,7 @@ def inversion_vs_simulation(i, targets, times, lam, alpha, n_paths, seed):
     estimates = simulate_renewal_counts(i, targets, times, p, cfg)
     worst, where = 0.0, None
     for j in targets:
-        inverted = renewal_function(i, j, times, p, solver="oracle")
+        inverted = renewal_function(i, j, times, p)
         for value, est in zip(inverted, (e for e in estimates if e.j == j)):
             z = abs(value - est.mean) / max(est.std_error, 1e-300)
             if z > worst or math.isnan(z):

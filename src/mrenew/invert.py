@@ -30,7 +30,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .closedform import rbar_closed_form
 from .model import MMInfinityKernel, QueueParams
 from .oracle import solve_rows
 
@@ -98,15 +97,20 @@ def _euler_weights() -> tuple:
 
 def _rule(method: str, t: float, order: int = InversionConfig.order):
     """(abscissas, scale, weights) with f(t) ~= scale * sum_k w_k Re F(s_k)."""
-    if t <= 0:
-        raise ValueError(f"time must be > 0, got {t}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"time must be finite and > 0, got {t}")
     if method == "gaver-stehfest":
-        ln2_t = math.log(2.0) / t
-        return [k * ln2_t for k in range(1, order + 1)], ln2_t, stehfest_weights(order)
-    base = _EULER_A / (2.0 * t)
-    weights = _euler_weights()
-    abscissas = [complex(base, k * math.pi / t) for k in range(len(weights))]
-    return abscissas, math.exp(_EULER_A / 2.0) / t, weights
+        scale = math.log(2.0) / t
+        abscissas = [k * scale for k in range(1, order + 1)]
+        weights = stehfest_weights(order)
+    else:
+        weights = _euler_weights()
+        scale = math.exp(_EULER_A / 2.0) / t
+        base = _EULER_A / (2.0 * t)
+        abscissas = [complex(base, k * math.pi / t) for k in range(len(weights))]
+    if not np.isfinite([scale, abscissas[-1]]).all():    # the largest numbers of the rule
+        raise ValueError(f"time {t} is too small: its inversion rule passes the largest double")
+    return abscissas, scale, weights
 
 
 def _combine(scale: float, weights, samples) -> float:
@@ -139,24 +143,10 @@ def renewal_function(
     j: int,
     t_grid,
     p: QueueParams,
-    solver: str = "oracle",
     cfg: InversionConfig = InversionConfig(),
 ) -> np.ndarray:
-    """Recover R_ij(t) on a time grid by inverting s -> rbar_ij(s) / s.
-
-    Each distinct abscissa of the whole grid is evaluated once.  solver
-    "oracle" evaluates rbar through the adaptive truncated solve, at all of
-    them in one `solve_rows` call; "closedform" uses the analytic row
-    formula (real abscissas only, so it pairs with Gaver-Stehfest).  The
-    Euler method needs complex abscissas and therefore requires the oracle
-    solver.
-    """
-    if solver not in ("oracle", "closedform"):
-        raise ValueError(f"unknown solver {solver!r}")
-    if cfg.method == "euler" and solver != "oracle":
-        raise ValueError("euler inversion requires solver='oracle' (complex abscissas)")
-    if j < 0:
-        raise ValueError(f"target state must be >= 0, got {j}")
+    """Recover R_ij(t) on a time grid by inverting s -> rbar_ij(s) / s, with
+    rbar from one `solve_rows` call over each distinct abscissa of the grid."""
     times = np.asarray(t_grid, dtype=float)
     if times.size and not (np.isfinite(times).all() and times.min() >= T_MIN):
         raise ValueError(f"all times must be finite and >= T_MIN = {T_MIN}")
@@ -164,10 +154,7 @@ def renewal_function(
     rules = [_rule(cfg.method, t, cfg.order) for t in times.tolist()]
     # a time grid can repeat an abscissa (k ln2 / t at t and 2t)
     points = list(dict.fromkeys(s for abscissas, _, _ in rules for s in abscissas))
-    if solver == "oracle":
-        values = solve_rows(i, j, points, MMInfinityKernel(p)).values
-    else:
-        values = rbar_closed_form(i, j, np.array(points), p)
+    values = solve_rows(i, j, points, MMInfinityKernel(p)).values
     transform = {s: value / s for s, value in zip(points, values)}
     return np.array(
         [_combine(scale, weights, [transform[s] for s in abscissas])

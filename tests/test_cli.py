@@ -1,5 +1,8 @@
 import importlib.util
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -277,3 +280,28 @@ class TestValidateCommand:
         assert "closed_form_vs_oracle" in out
         assert "inversion_vs_simulation" in out
         assert "FAIL" not in out
+
+
+class TestRuntimeDependencies:
+    def test_commands_run_with_only_numpy(self):
+        # scipy, mpmath and hypothesis are test extras: with each import
+        # blocked, every command must still run, as after `pip install .`
+        script = """
+import sys
+for name in ("scipy", "mpmath", "hypothesis"):
+    sys.modules[name] = None
+from mrenew.cli import run
+for argv in (
+    "transform --i 0 --j 1 --s-grid 0.5:2:4 --lambda 1 --alpha 1 --solver both",
+    "renewal --i 0 --j 1 --t-grid 0.5:2:4 --lambda 1 --alpha 1 --method euler",
+    "simulate --i 0 --j 1 --t-grid 0.5:2:4 --lambda 1 --alpha 1 --paths 2000 --seed 7",
+    "hyperg --a 1 --b 2 --z 1",
+    "validate --quick",
+):
+    if run(argv.split()) != 0:
+        sys.exit(f"mrenew {argv} failed")
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr

@@ -10,6 +10,7 @@ from mrenew import (
     TruncationConfig,
     euler_inversion,
     gaver_stehfest,
+    rbar_closed_form,
     renewal_function,
     solve_row_adaptive,
 )
@@ -61,6 +62,12 @@ class TestGaverStehfest:
         with pytest.raises(ValueError):
             gaver_stehfest(lambda s: 1.0 / s, 0.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 5e-324])
+    def test_rejects_time_without_a_finite_rule(self, t):
+        # at 5e-324 the scale ln2 / t is past the largest double
+        with pytest.raises(ValueError):
+            gaver_stehfest(lambda s: 1.0 / s, t)
+
     def test_deterministic(self):
         a = gaver_stehfest(lambda s: 1.0 / (s + 2.0), 0.7)
         b = gaver_stehfest(lambda s: 1.0 / (s + 2.0), 0.7)
@@ -81,6 +88,11 @@ class TestEulerInversion:
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
             euler_inversion(lambda s: 1.0 / s, -1.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 5e-324])
+    def test_rejects_time_without_a_finite_rule(self, t):
+        with pytest.raises(ValueError):
+            euler_inversion(lambda s: 1.0 / s, t)
 
     @pytest.mark.parametrize(
         "transform",
@@ -168,36 +180,27 @@ class TestRenewalFunction:
             eu = renewal_function(0, j, times, UNIT, cfg=InversionConfig(method="euler"))
             assert np.max(np.abs(gs - eu)) <= 1e-4
 
-    def test_closed_form_solver_route(self):
-        gs_oracle = renewal_function(0, 0, [1.0], UNIT, solver="oracle")
-        gs_closed = renewal_function(0, 0, [1.0], UNIT, solver="closedform")
-        assert gs_closed[0] == pytest.approx(gs_oracle[0], abs=1e-8)
-
     @pytest.mark.parametrize("order, gap", [(16, 2e-8), (18, 1e-6)])
     def test_oracle_precise_enough_for_high_orders(self, order, gap):
         # Gaver-Stehfest 16 and 18 amplify transform errors by ~1e8; a cut
         # taken where the entries move by 1e-10 left 1.4e-7 and 4.7e-6 here
         p = QueueParams(50.0, 1.0)
-        cfg = InversionConfig(order=order)
-        oracle = renewal_function(3, 40, [1.0], p, solver="oracle", cfg=cfg)
-        closed = renewal_function(3, 40, [1.0], p, solver="closedform", cfg=cfg)
-        assert abs(oracle[0] - closed[0]) <= gap
+        oracle = renewal_function(3, 40, [1.0], p, cfg=InversionConfig(order=order))
+        closed = gaver_stehfest(lambda s: rbar_closed_form(3, 40, s, p) / s, 1.0, order)
+        assert abs(oracle[0] - closed) <= gap
 
-    @pytest.mark.parametrize("solver", ["oracle", "closedform"])
-    def test_empty_time_grid_gives_empty_result(self, solver):
-        assert renewal_function(0, 0, [], UNIT, solver=solver).shape == (0,)
-
-    def test_euler_requires_oracle_solver(self):
-        with pytest.raises(ValueError):
-            renewal_function(0, 0, [1.0], UNIT, solver="closedform", cfg=InversionConfig(method="euler"))
+    def test_empty_time_grid_gives_empty_result(self):
+        assert renewal_function(0, 0, [], UNIT).shape == (0,)
 
     def test_negative_target_state_rejected(self):
-        with pytest.raises(ValueError, match="target state"):
-            renewal_function(0, -1, [1.0], UNIT)
+        for times in ([1.0], []):
+            with pytest.raises(ValueError, match="states must be >= 0"):
+                renewal_function(0, -1, times, UNIT)
 
-    def test_unknown_solver_rejected(self):
-        with pytest.raises(ValueError):
-            renewal_function(0, 0, [1.0], UNIT, solver="montecarlo")
+    def test_solver_option_removed(self):
+        # the truncated solve is the only route
+        with pytest.raises(TypeError):
+            renewal_function(0, 0, [1.0], UNIT, solver="oracle")
 
     def test_times_below_t_min_rejected(self):
         with pytest.raises(ValueError):
@@ -231,26 +234,23 @@ class TestBatchedAbscissas:
             one = euler_inversion(lambda s: self._one_at_a_time(1, 0, s), t)
             assert value == pytest.approx(one, rel=1e-12)
 
-    def test_closed_form_evaluates_each_distinct_abscissa_once(self, monkeypatch):
+    def test_evaluates_each_distinct_abscissa_once(self, monkeypatch):
         # GS14 at t = 1 and t = 2: k ln2 / 2 for even k is an abscissa of
         # t = 1 as well, so 28 abscissas hold 21 distinct values, all
         # passed in one call
         calls = []
-        real = invert.rbar_closed_form
+        real = invert.solve_rows
 
-        def spy(*args):
-            calls.append(np.asarray(args[2]).tolist())
-            return real(*args)
+        def spy(i, j, s_values, *args):
+            calls.append(list(s_values))
+            return real(i, j, s_values, *args)
 
-        monkeypatch.setattr(invert, "rbar_closed_form", spy)
-        values = renewal_function(0, 0, [1.0, 2.0], UNIT, solver="closedform")
+        monkeypatch.setattr(invert, "solve_rows", spy)
+        renewal_function(0, 0, [1.0, 2.0], UNIT)
         assert len(calls) == 1
         expected = {k * (math.log(2.0) / t) for t in (1.0, 2.0) for k in range(1, 15)}
         assert len(calls[0]) == len(set(calls[0])) == 21
         assert set(calls[0]) == expected
-        monkeypatch.undo()
-        for t, value in zip([1.0, 2.0], values):
-            assert value == gaver_stehfest(lambda s: real(0, 0, s, UNIT) / s, t, 14)
 
     @pytest.mark.parametrize("order", [16, 18])
     def test_one_sweep_per_level_whatever_the_grid_length(self, order, monkeypatch):
