@@ -189,8 +189,14 @@ class TestRenewalFunction:
         closed = gaver_stehfest(lambda s: rbar_closed_form(3, 40, s, p) / s, 1.0, order)
         assert abs(oracle[0] - closed) <= gap
 
-    def test_empty_time_grid_gives_empty_result(self):
-        assert renewal_function(0, 0, [], UNIT).shape == (0,)
+    @pytest.mark.parametrize("solver", ["oracle", "closedform"])
+    def test_empty_time_grid_gives_empty_result(self, solver):
+        # an empty time grid has no abscissas; the closed form, reached
+        # through rbar_closed_form, takes the empty abscissa grid too
+        if solver == "oracle":
+            assert renewal_function(0, 0, [], UNIT).shape == (0,)
+        else:
+            assert rbar_closed_form(0, 0, np.array([]), UNIT).shape == (0,)
 
     def test_negative_target_state_rejected(self):
         for times in ([1.0], []):
