@@ -34,6 +34,7 @@ which rounds only the final sum to one float.  See README "Formula notes".
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -61,6 +62,7 @@ def generating_function(i: int, x: float, s: float, p: QueueParams) -> float:
     _check_s(s, p.alpha)
     if not -1.0 < x <= 1.0:
         raise ValueError(f"argument must lie in (-1, 1], got {x}")
+    i = operator.index(i)
     if i < 0:
         raise ValueError(f"start state must be >= 0, got {i}")
     a_s = p.alpha * s
@@ -101,6 +103,7 @@ def rbar_closed_form(i: int, n: int, s, p: QueueParams):
     largest double raises NonConvergenceError, naming i, n and its s.
     """
     _check_s(s, p.alpha)
+    i, n = operator.index(i), operator.index(n)
     if i < 0 or n < 0:
         raise ValueError(f"states must be >= 0, got i={i}, n={n}")
     a_s = p.alpha * np.asarray(s, dtype=float)[..., None]    # one row per abscissa

@@ -28,7 +28,7 @@ def two_oracle_agreement(states, s_values, param_pairs):
         for i in states:
             for s in s_values:
                 direct = solve_row_truncated(i, s, kernel, 256).values
-                series = neumann_series_sum(i, s, kernel, 256, 200_000, stop_below=1e-12)
+                series = neumann_series_sum(i, s, kernel, 256)
                 diff = float(np.max(np.abs(direct - series)))
                 if diff > worst or math.isnan(diff):
                     worst, where = diff, {"i": i, "s": s, "lam": lam, "alpha": alpha}

@@ -148,6 +148,8 @@ def renewal_function(
     """Recover R_ij(t) on a time grid by inverting s -> rbar_ij(s) / s, with
     rbar from one `solve_rows` call over each distinct abscissa of the grid."""
     times = np.asarray(t_grid, dtype=float)
+    if times.ndim != 1:
+        raise ValueError("t_grid must be one-dimensional")
     if times.size and not (np.isfinite(times).all() and times.min() >= T_MIN):
         raise ValueError(f"all times must be finite and >= T_MIN = {T_MIN}")
 

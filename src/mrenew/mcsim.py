@@ -22,6 +22,7 @@ that array in a fixed order.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -142,7 +143,7 @@ def simulate_renewal_counts(
     the order of j_set and the (ascending) t_grid.  Deterministic for a
     fixed cfg.seed regardless of `workers`.
     """
-    targets = list(j_set)
+    i, targets = operator.index(i), list(map(operator.index, j_set))
     times = np.asarray(t_grid, dtype=float)
     if times.size == 0 or not np.isfinite(times).all() or times[0] <= 0 or np.any(np.diff(times) < 0):
         raise ValueError("t_grid must be nonempty, finite, > 0 and ascending")

@@ -124,7 +124,7 @@ def validate_kernel(kernel: KernelTransform, j_max: int, s_grid) -> list:
     s_values = sorted(s_grid)
     if not s_values:
         raise ValueError("s_grid must be nonempty")
-    if s_values[0] < 0:
+    if not all(s >= 0 for s in s_values):    # a NaN fails too
         raise ValueError("s_grid values must be >= 0")
 
     shape = (j_max + 1, len(s_values))

@@ -37,6 +37,7 @@ throughout (the elimination extends verbatim); results are then complex.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,6 +52,8 @@ _EPS = 2.0**-52            # moves still to come allowed, relative to x[top]
 _MARGIN = 10               # entries past i that the stop test covers: top = max(i + _MARGIN, j)
 _N_MAX = 2**16             # largest cut N of an adaptive solve
 _TOL = 1e-10               # lost mass |tau_bar(N) x[N]| allowed at the cut
+_NEUMANN_STOP = 1e-12      # largest Neumann term left out of the sum
+_NEUMANN_TERMS = 200_000   # most terms of a Neumann sum
 
 
 @dataclass
@@ -109,6 +112,13 @@ def _check_s(s):
         raise ValueError(f"transform variable must be finite with Re(s) > 0, got {value}")
 
 
+def _check_row(i, s) -> int:
+    if np.ndim(s) != 0:
+        raise ValueError(f"a row takes one transform variable, got shape {np.shape(s)}")
+    _check_s(s)
+    return operator.index(i)
+
+
 def _back_substitute(g, q, c, top: int, x, tail):
     """Entries 0..top from x[top] = g[top] + x, and the normalization residual.
 
@@ -125,18 +135,18 @@ def _back_substitute(g, q, c, top: int, x, tail):
     return np.array(entries[::-1]), abs(total - 1.0)
 
 
-def _eliminate(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int, tol):
+def _eliminate(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int):
     """Row i cut at the first N in [n_lo, n_hi] that passes the stop test, else at n_hi.
 
-    With tol None the cut is n_hi and every state is kept; otherwise
-    (g, q, c) are kept for states 0..top.  Past top, S = q[top] x[top+1] =
-    sum_M g[M] P[M] (P[M] = q[top] .. q[M-1], so the cut at M moves x[top]
-    by g[M] P[M]) and the tail sum_M g[M] U[M] (U[M] = q[M-1] U[M-1] + c[M])
-    are carried.  A scalar s is stepped as Python scalars; an array of
+    (g, q, c) are kept for states 0..top; the test can pass only past top,
+    so top = n_hi cuts at n_hi and keeps every state.  Past top,
+    S = q[top] x[top+1] = sum_M g[M] P[M] (P[M] = q[top] .. q[M-1], so the
+    cut at M moves x[top] by g[M] P[M]) and the tail sum_M g[M] U[M]
+    (U[M] = q[M-1] U[M-1] + c[M]) are carried.  A scalar s is stepped as Python scalars; an array of
     abscissas as one column each, in the same operations, so a real column
     gives the bits of its scalar solve.  Kernel blocks hold at most
-    _SWEEP_ELEMENTS states x columns.  Returns per abscissa: entries 0..top
-    (0..N when tol is None), N, the residual and whether the test passed.
+    _SWEEP_ELEMENTS states x columns.  Returns per abscissa: entries 0..top,
+    N, the residual and whether the test passed.
     """
     batched = np.ndim(s) == 1
     cols = np.size(s)
@@ -149,7 +159,7 @@ def _eliminate(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int, to
     zero = np.zeros(cols) if batched else 0.0
     some = np.ndarray.any if batched else bool
     w, g, tp, p, u, x, tail, move, last = 1.0, 0.0, 0.0, zero + 1.0, zero, zero, zero, zero, zero
-    bound = zero + (-1.0 if tol is None else tol)  # lost mass allowed; -1 once cut
+    bound = zero + _TOL                             # lost mass allowed; -1 once cut
     lo = 0
     while todo.any():
         hi = min(lo + min(budget, max(n_lo + 1, lo)), n_hi + 1)
@@ -165,11 +175,11 @@ def _eliminate(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int, to
                     w = pivots[k - lo] = 1.0 - tp * q
                     g = 1.0 / w if k == i else tp * g / w
                     tp = tau_k
-                    if k <= top or tol is None:
+                    if k <= top:
                         kept_g.append(g)
                         kept_q.append(q)
                         kept_c.append(c_k)
-                    if k > top:
+                    else:
                         last, p, u = move, p * q, u * q + c_k
                         move = g * p
                         x, tail = x + move, tail + g * u
@@ -196,28 +206,17 @@ def _eliminate(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int, to
             raise PivotError(f"pivot {pivots.flat[at].item()!r} below {_MIN_PIVOT} at row {lo + at // cols}")
         lo = hi
     x, tail = sums if batched else sums[:, 0].tolist()
-    values, residuals = _back_substitute(*(a[: top + 1] for a in kept), top, x, tail)
-    if tol is None and n_hi > top:     # entries top+1..n_hi, from x[n_hi] = g[n_hi] down
-        rest, _ = _back_substitute(*(a[top + 1:] for a in kept), n_hi - top - 1, 0.0, 0.0)
-        values = np.concatenate((values, rest))
+    values, residuals = _back_substitute(*kept, top, x, tail)
     return list(np.reshape(values, (-1, cols)).T), levels, np.reshape(residuals, cols), passed
 
 
 def solve_row_truncated(i: int, s, kernel: KernelTransform, n: int) -> TransformRowResult:
     """Solve the truncated system for row i with x[n+1] forced to zero."""
-    _check_s(s)
+    i = _check_row(i, s)
     if not 0 <= i < n:
         raise ValueError(f"start state must satisfy 0 <= i < n, got i={i}, n={n}")
-    # the top solve_rows uses for j <= i + _MARGIN, so both give the same bits at the same n
-    rows, _, residuals, _ = _eliminate(i, s, kernel, i + _MARGIN, n, n, None)
-    return TransformRowResult(
-        i=i,
-        s=s,
-        truncation_n=n,
-        values=rows[0],
-        normalization_residual=float(residuals[0]),
-        converged=False,
-    )
+    rows, _, residuals, _ = _eliminate(i, s, kernel, n, n, n)
+    return TransformRowResult(i, s, n, rows[0], float(residuals[0]), converged=False)
 
 
 def solve_rows(
@@ -238,6 +237,7 @@ def solve_rows(
     if s.ndim != 1:
         raise ValueError(f"s_values must be one-dimensional, got shape {s.shape}")
     _check_s(s)
+    i, j = operator.index(i), operator.index(j)
     if i < 0 or j < 0:
         raise ValueError(f"states must be >= 0, got i={i}, j={j}")
     n_lo = max(cfg.n0, i + 2, j + 2)
@@ -245,7 +245,7 @@ def solve_rows(
     # fewer than _MIN_BATCH abscissas do not pay for the array overhead of a step
     for sweep in (s.tolist() if s.size < _MIN_BATCH else [s]):
         rows, level, residual, passed = _eliminate(
-            i, sweep, kernel, max(i + _MARGIN, j), n_lo, max(_N_MAX, n_lo), _TOL)
+            i, sweep, kernel, max(i + _MARGIN, j), n_lo, max(_N_MAX, n_lo))
         if not passed.all():
             k = np.flatnonzero(~passed)[0]
             raise NonConvergenceError(
@@ -278,43 +278,32 @@ def solve_row_adaptive(
     return replace(solve_row_truncated(i, s, kernel, n), converged=True)
 
 
-def neumann_series_sum(
-    i: int,
-    s,
-    kernel: KernelTransform,
-    n: int,
-    m_terms: int,
-    stop_below: float | None = None,
-) -> np.ndarray:
-    """Row i of sum_{m=0}^{m_terms} Qbar(s)^m over states 0..n.
+def neumann_series_sum(i: int, s, kernel: KernelTransform, n: int) -> np.ndarray:
+    """Row i of sum_m Qbar(s)^m over states 0..n.
 
     Powers are accumulated by repeated row-times-tridiagonal products on
     the same truncated operator `solve_row_truncated` uses, so the two
-    agree in the limit of many terms.  With `stop_below` set, summation
-    ends early once the newly added term has max-abs below the threshold
-    and raises NonConvergenceError if the cap is hit first.
+    agree in the limit of many terms.  Summation ends once the newly added
+    term has max-abs below _NEUMANN_STOP = 1e-12, and raises
+    NonConvergenceError if _NEUMANN_TERMS = 200,000 terms come first.
     """
-    _check_s(s)
+    i = _check_row(i, s)
     if not 0 <= i <= n:
         raise ValueError(f"start state must satisfy 0 <= i <= n, got i={i}, n={n}")
-    if m_terms < 0:
-        raise ValueError(f"m_terms must be >= 0, got {m_terms}")
     sigma, tau = kernel.transforms(np.arange(n + 1), s)
     power = np.zeros(n + 1, dtype=sigma.dtype)
     power[i] = 1.0
     total = power.copy()
-    for _ in range(m_terms):
+    for _ in range(_NEUMANN_TERMS):
         nxt = np.zeros_like(power)
         nxt[1:] = power[:-1] * tau[:-1]
         nxt[:-1] += power[1:] * sigma[1:]
         power = nxt
         total += power
-        if stop_below is not None and np.max(np.abs(power)) < stop_below:
+        if np.max(np.abs(power)) < _NEUMANN_STOP:
             return total
-    if stop_below is not None:
-        raise NonConvergenceError(
-            f"Neumann term still {np.max(np.abs(power)):.3e} after {m_terms} terms "
-            f"(requested stop_below={stop_below})",
-            residual=float(np.max(np.abs(power))),
-        )
-    return total
+    raise NonConvergenceError(
+        f"Neumann term still {np.max(np.abs(power)):.3e} after {_NEUMANN_TERMS} terms "
+        f"(stop below {_NEUMANN_STOP})",
+        residual=float(np.max(np.abs(power))),
+    )

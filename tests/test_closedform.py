@@ -155,6 +155,16 @@ class TestClosedFormRow:
             with pytest.raises(ValueError, match="transform variable"):
                 rbar_closed_form(1, 2, s, UNIT)
 
+    def test_states_must_be_integers(self):
+        # 1.5 gave 0.794, between no two entries of the row
+        p = QueueParams(2.0, 1.0)
+        for i, n in [(1.5, 1), (1, 1.5)]:
+            with pytest.raises(TypeError):
+                rbar_closed_form(i, n, 1.0, p)
+        with pytest.raises(TypeError):
+            generating_function(1.5, 0.5, 1.0, p)
+        assert rbar_closed_form(np.int64(1), np.int64(1), 1.0, p) == rbar_closed_form(1, 1, 1.0, p)
+
     def test_s_without_a_finite_reciprocal_rejected(self):
         # 1 / (alpha s) is a weight factor: past the double range it made the entry inf
         for i, n, s, p in [(0, 39, 1e-320, QueueParams(751.7, 0.634)), (3, 2, 1e-320, UNIT),

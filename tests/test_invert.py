@@ -208,6 +208,11 @@ class TestRenewalFunction:
         with pytest.raises(TypeError):
             renewal_function(0, 0, [1.0], UNIT, solver="oracle")
 
+    @pytest.mark.parametrize("t_grid", [1.0, [[1.0, 2.0]]], ids=["scalar", "2-D"])
+    def test_time_grid_must_be_one_dimensional(self, t_grid):
+        with pytest.raises(ValueError, match="t_grid must be one-dimensional"):
+            renewal_function(0, 0, t_grid, UNIT)
+
     def test_times_below_t_min_rejected(self):
         with pytest.raises(ValueError):
             renewal_function(0, 0, [1e-12], UNIT)

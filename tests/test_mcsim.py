@@ -167,6 +167,17 @@ class TestSimulateRenewalCounts:
             with pytest.raises(ValueError, match="finite"):
                 simulate_renewal_counts(0, [0], t_grid, UNIT, cfg)
 
+    def test_states_must_be_integers(self):
+        # the int64 cast walked 1.5 from state 1 and counted entries into 1 for a target 1.5
+        cfg = SimConfig(n_paths=10, seed=5)
+        with pytest.raises(TypeError):
+            simulate_renewal_counts(1.5, [1], [0.5], UNIT, cfg)
+        with pytest.raises(TypeError):
+            simulate_renewal_counts(1, [1.5], [0.5], UNIT, cfg)
+        estimates = simulate_renewal_counts(np.int64(1), [np.int64(2)], [0.5], UNIT, cfg)
+        assert estimates == simulate_renewal_counts(1, [2], [0.5], UNIT, cfg)
+        assert type(estimates[0].i) is int and type(estimates[0].j) is int
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SimConfig(n_paths=0, seed=1)

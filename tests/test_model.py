@@ -233,6 +233,13 @@ class TestValidateKernel:
         with pytest.raises(ValueError):
             validate_kernel(kernel, 5, [-1.0, 1.0])
 
+    @pytest.mark.parametrize("grid", [[math.nan, 1.0], [1.0, math.nan], [math.nan]])
+    def test_nan_s_rejected(self, grid):
+        # a NaN grid was reported as no violations
+        kernel = MMInfinityKernel(QueueParams(1.0, 1.0))
+        with pytest.raises(ValueError, match="s_grid values must be >= 0"):
+            validate_kernel(kernel, 3, grid)
+
 
 class TestMMInfinityKernelEvaluator:
     def test_matches_rational_formulas(self):

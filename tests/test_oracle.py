@@ -83,6 +83,13 @@ class TestSolveRowTruncated:
         with pytest.raises(ValueError):
             solve_row_truncated(-1, 1.0, kernel(UNIT), 8)
 
+    def test_rejects_array_s(self):
+        # a row is solved at one abscissa; an array gave the row of its first
+        with pytest.raises(ValueError, match="one transform variable"):
+            solve_row_truncated(0, np.array([1.0, 2.0]), kernel(UNIT), 16)
+        with pytest.raises(ValueError, match="one-dimensional"):    # through solve_rows
+            solve_row_adaptive(0, np.array([1.0, 2.0]), kernel(UNIT))
+
     def test_complex_s_conjugate_symmetry(self):
         k = kernel(UNIT)
         plus = solve_row_truncated(1, complex(1.0, 2.0), k, 64)
@@ -172,10 +179,15 @@ class TestSolveRows:
         entries = solve_rows(1, 3, s_values, k)
         assert len(set(entries.truncation_n.tolist())) == 18
         for col, s in enumerate(s_values.tolist()):
+            one = solve_rows(1, 3, [s], k)
+            assert entries.values[col] == one.values[0]
+            assert entries.truncation_n[col] == one.truncation_n[0]
+            assert entries.normalization_residual[col] == one.normalization_residual[0]
+            # the adaptive row is a full back-substitution at the same N; its
+            # residual sits on its rounding floor, so only the entry is pinned
             row = solve_row_adaptive(1, s, k)
             assert entries.values[col] == row.values[3]
             assert entries.truncation_n[col] == row.truncation_n
-            assert entries.normalization_residual[col] == row.normalization_residual
 
     def test_complex_columns_match_one_column_solves_and_conjugates(self):
         k = kernel(QueueParams(2.0, 1.0))
@@ -292,6 +304,20 @@ class TestSolveRows:
         with pytest.raises(ValueError):
             solve_rows(-1, 0, [1.0], k)
 
+    def test_states_must_be_integers(self):
+        k = kernel(UNIT)
+        for call in (
+            lambda: solve_rows(1.5, 0, [1.0], k),
+            lambda: solve_rows(0, 1.5, [1.0], k),
+            lambda: solve_row_truncated(1.5, 1.0, k, 16),
+            lambda: neumann_series_sum(1.5, 1.0, k, 16),
+        ):
+            with pytest.raises(TypeError):
+                call()
+        # numpy integers are integers
+        assert solve_rows(np.int64(1), np.int64(2), [1.0], k).values[0] == solve_rows(1, 2, [1.0], k).values[0]
+        assert solve_row_truncated(np.int64(1), 1.0, k, 16).i == 1
+
 
 class TestLevelSolve:
     """Forward elimination against a dense solve of the same truncated system."""
@@ -313,9 +339,9 @@ class TestLevelSolve:
     @pytest.mark.parametrize("count", [1, oracle._MIN_BATCH], ids=["scalars", "batched"])
     def test_rows_and_residuals_match_dense_solve(self, n, i, shift, count):
         s_values = np.geomspace(0.01, 100.0, count) + shift
-        # kept states 0..i+10 and the sums carried past them, as solve_row_truncated runs it
+        # every state kept, as solve_row_truncated runs it
         sweep = s_values[0] if count == 1 else s_values
-        rows, levels, residuals, _ = oracle._eliminate(i, sweep, self.K, i + 10, n, n, None)
+        rows, levels, residuals, _ = oracle._eliminate(i, sweep, self.K, n, n, n)
         assert levels.tolist() == [n] * count
         for col, s in enumerate(s_values):
             x, residual = self.dense(i, s, self.K, n)
@@ -424,21 +450,15 @@ class TestTruncationConfig:
 
 
 class TestNeumannSeries:
-    def test_zero_terms_is_identity_row(self):
-        row = neumann_series_sum(3, 1.0, kernel(UNIT), 16, 0)
-        expected = np.zeros(17)
-        expected[3] = 1.0
-        np.testing.assert_array_equal(row, expected)
-
     def test_no_arrivals_row_zero_stays_identity(self):
-        row = neumann_series_sum(0, 1.0, kernel(PURE_DEATH), 16, 50)
+        row = neumann_series_sum(0, 1.0, kernel(PURE_DEATH), 16)
         expected = np.zeros(17)
         expected[0] = 1.0
         np.testing.assert_array_equal(row, expected)
 
     def test_agrees_with_truncated_solve(self):
         k = kernel(UNIT)
-        series = neumann_series_sum(0, 1.0, k, 256, 200_000, stop_below=1e-12)
+        series = neumann_series_sum(0, 1.0, k, 256)
         direct = solve_row_truncated(0, 1.0, k, 256).values
         assert np.max(np.abs(series - direct)) <= 1e-8
 
@@ -447,22 +467,30 @@ class TestNeumannSeries:
             k = kernel(QueueParams(lam, alpha))
             for i in (0, 3, 5):
                 for s in (0.1, 1.0, 10.0):
-                    series = neumann_series_sum(i, s, k, 256, 200_000, stop_below=1e-12)
+                    series = neumann_series_sum(i, s, k, 256)
                     direct = solve_row_truncated(i, s, k, 256).values
                     assert np.max(np.abs(series - direct)) <= 1e-8
 
-    def test_stop_below_cap_raises(self):
-        with pytest.raises(NonConvergenceError):
-            neumann_series_sum(0, 0.1, kernel(UNIT), 64, 5, stop_below=1e-12)
+    def test_stop_below_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_NEUMANN_TERMS", 5)
+        with pytest.raises(NonConvergenceError, match="after 5 terms"):
+            neumann_series_sum(0, 0.1, kernel(UNIT), 64)
 
     def test_rejects_bad_arguments(self):
         k = kernel(UNIT)
         with pytest.raises(ValueError):
-            neumann_series_sum(0, 0.0, k, 16, 10)
+            neumann_series_sum(0, 0.0, k, 16)
         with pytest.raises(ValueError):
-            neumann_series_sum(17, 1.0, k, 16, 10)
-        with pytest.raises(ValueError):
-            neumann_series_sum(0, 1.0, k, 16, -1)
+            neumann_series_sum(17, 1.0, k, 16)
+        # an array s paired each state with its own abscissa
+        with pytest.raises(ValueError, match="one transform variable"):
+            neumann_series_sum(0, np.array([1.0, 2.0]), k, 1)
+
+    def test_term_count_and_stop_are_not_arguments(self):
+        with pytest.raises(TypeError):
+            neumann_series_sum(0, 1.0, kernel(UNIT), 16, 10)
+        with pytest.raises(TypeError):
+            neumann_series_sum(0, 1.0, kernel(UNIT), 16, stop_below=1e-12)
 
 
 class TestNormalization:
