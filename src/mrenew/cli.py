@@ -119,8 +119,8 @@ def _cmd_renewal(args) -> int:
 def _cmd_simulate(args) -> int:
     p = QueueParams(args.lam, args.alpha)
     cfg = SimConfig(n_paths=args.paths, seed=args.seed)
-    estimates = simulate_renewal_counts(args.i, [args.j], args.t_grid, p, cfg, workers=args.workers)
-    _print_csv(*((name, [getattr(est, name) for est in estimates]) for name in ("t", "mean", "std_error")))
+    (est,) = simulate_renewal_counts(args.i, [args.j], args.t_grid, p, cfg, workers=args.workers)
+    _print_csv(("t", est.t), ("mean", est.mean), ("std_error", est.std_error))
     return 0
 
 

@@ -62,12 +62,11 @@ def inversion_vs_simulation(i, targets, times, lam, alpha, n_paths, seed):
     """Worst |Gaver-Stehfest R_ij(t) - Monte Carlo mean| in standard errors."""
     p = QueueParams(lam, alpha)
     cfg = SimConfig(n_paths=n_paths, seed=seed)
-    estimates = simulate_renewal_counts(i, targets, times, p, cfg)
     worst, where = 0.0, None
-    for j in targets:
-        inverted = renewal_function(i, j, times, p)
-        for value, est in zip(inverted, (e for e in estimates if e.j == j)):
-            z = abs(value - est.mean) / max(est.std_error, 1e-300)
+    for est in simulate_renewal_counts(i, targets, times, p, cfg):
+        inverted = renewal_function(i, est.j, times, p)
+        for value, t, mean, std_error in zip(inverted, est.t, est.mean, est.std_error):
+            z = abs(value - mean) / max(std_error, 1e-300)
             if z > worst or math.isnan(z):
-                worst, where = z, {"j": j, "t": est.t}
+                worst, where = z, {"j": est.j, "t": float(t)}
     return worst, where

@@ -52,13 +52,13 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class RenewalEstimate:
-    """Monte Carlo estimate of R_ij(t): delta_ij plus mean entries into j by t."""
+    """Monte Carlo estimate of R_ij(t[k]): delta_ij plus mean entries into j by each t[k]."""
 
     i: int
     j: int
-    t: float
-    mean: float
-    std_error: float
+    t: np.ndarray
+    mean: np.ndarray
+    std_error: np.ndarray
     n_paths: int
 
 
@@ -139,12 +139,14 @@ def simulate_renewal_counts(
 ) -> list:
     """Estimate R_ij(t) for every j in j_set and t in t_grid.
 
-    Returns a list of RenewalEstimate in (j, t) row-major order following
-    the order of j_set and the (ascending) t_grid.  Deterministic for a
-    fixed cfg.seed regardless of `workers`.
+    Returns a list of one RenewalEstimate per target, in the order of
+    j_set, each with arrays over the (ascending) t_grid.  Deterministic for
+    a fixed cfg.seed regardless of `workers`.
     """
     i, targets = operator.index(i), list(map(operator.index, j_set))
     times = np.asarray(t_grid, dtype=float)
+    if times.ndim != 1:
+        raise ValueError("t_grid must be one-dimensional")
     if times.size == 0 or not np.isfinite(times).all() or times[0] <= 0 or np.any(np.diff(times) < 0):
         raise ValueError("t_grid must be nonempty, finite, > 0 and ascending")
     if i < 0 or any(j < 0 for j in targets):
@@ -163,24 +165,9 @@ def simulate_renewal_counts(
             parts = list(pool.map(walk, range(n_blocks), chunksize=-(-n_blocks // workers)))
     counts = np.concatenate(parts)
 
-    means = counts.mean(axis=0)
+    means = counts.mean(axis=0) + (np.asarray(targets) == i)[:, None]
     if n_paths > 1:
         errs = counts.std(axis=0, ddof=1) / math.sqrt(n_paths)
     else:
         errs = np.zeros_like(means)
-
-    estimates = []
-    for q, j in enumerate(targets):
-        offset = 1.0 if j == i else 0.0
-        for r, t in enumerate(times):
-            estimates.append(
-                RenewalEstimate(
-                    i=i,
-                    j=j,
-                    t=float(t),
-                    mean=offset + float(means[q, r]),
-                    std_error=float(errs[q, r]),
-                    n_paths=n_paths,
-                )
-            )
-    return estimates
+    return [RenewalEstimate(i, j, times, means[q], errs[q], n_paths) for q, j in enumerate(targets)]

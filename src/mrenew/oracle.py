@@ -112,11 +112,12 @@ def _check_s(s):
         raise ValueError(f"transform variable must be finite with Re(s) > 0, got {value}")
 
 
-def _check_row(i, s) -> int:
+def _check_row(i, s, n=0) -> tuple:
+    """The start state i and the level n as integers, once s is one valid abscissa."""
     if np.ndim(s) != 0:
         raise ValueError(f"a row takes one transform variable, got shape {np.shape(s)}")
     _check_s(s)
-    return operator.index(i)
+    return operator.index(i), operator.index(n)
 
 
 def _back_substitute(g, q, c, top: int, x, tail):
@@ -212,7 +213,7 @@ def _eliminate(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int):
 
 def solve_row_truncated(i: int, s, kernel: KernelTransform, n: int) -> TransformRowResult:
     """Solve the truncated system for row i with x[n+1] forced to zero."""
-    i = _check_row(i, s)
+    i, n = _check_row(i, s, n)
     if not 0 <= i < n:
         raise ValueError(f"start state must satisfy 0 <= i < n, got i={i}, n={n}")
     rows, _, residuals, _ = _eliminate(i, s, kernel, n, n, n)
@@ -274,6 +275,7 @@ def solve_row_adaptive(
     Raises NonConvergenceError (carrying the residual at the cap) if no N
     up to n_max = _N_MAX passes.
     """
+    _check_row(i, s)
     n = int(solve_rows(i, i, [s], kernel, cfg).truncation_n[0])
     return replace(solve_row_truncated(i, s, kernel, n), converged=True)
 
@@ -287,7 +289,7 @@ def neumann_series_sum(i: int, s, kernel: KernelTransform, n: int) -> np.ndarray
     term has max-abs below _NEUMANN_STOP = 1e-12, and raises
     NonConvergenceError if _NEUMANN_TERMS = 200,000 terms come first.
     """
-    i = _check_row(i, s)
+    i, n = _check_row(i, s, n)
     if not 0 <= i <= n:
         raise ValueError(f"start state must satisfy 0 <= i <= n, got i={i}, n={n}")
     sigma, tau = kernel.transforms(np.arange(n + 1), s)

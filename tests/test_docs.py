@@ -38,3 +38,10 @@ EXAMPLES = _examples()
 def test_readme_example_prints_what_it_shows(argv, expected, capsys):
     assert cli.run(argv) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_readme_python_quickstart_runs(capsys):
+    block = README.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("1.26424111765711")

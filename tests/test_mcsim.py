@@ -24,6 +24,15 @@ def _draws(n, seed):
     return rng.random((n, 2))
 
 
+def _same(runs_a, runs_b):
+    """Two results of simulate_renewal_counts hold the same records, bit for bit."""
+    return len(runs_a) == len(runs_b) and all(
+        (a.i, a.j, a.n_paths) == (b.i, b.j, b.n_paths)
+        and all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("t", "mean", "std_error"))
+        for a, b in zip(runs_a, runs_b)
+    )
+
+
 def _step(state, p, u_time, u_dir):
     """step_embedded on one-element inputs, back as Python scalars."""
     kernel = MMInfinityKernel(p)
@@ -85,35 +94,45 @@ class TestStepEmbedded:
 
 
 class TestSimulateRenewalCounts:
+    def test_one_record_per_target_with_arrays_over_the_grid(self):
+        cfg = SimConfig(n_paths=300, seed=2)
+        times = [0.25, 0.5, 1.0, 2.0]
+        estimates = simulate_renewal_counts(1, [3, 0, 1], times, UNIT, cfg)
+        assert [(est.i, est.j, est.n_paths) for est in estimates] == [(1, 3, 300), (1, 0, 300), (1, 1, 300)]
+        for est in estimates:
+            assert np.array_equal(est.t, times)
+            for values in (est.t, est.mean, est.std_error):
+                assert isinstance(values, np.ndarray) and values.dtype == float and values.shape == (4,)
+
     def test_absorbed_case_is_exact(self):
         cfg = SimConfig(n_paths=500, seed=1)
-        (est,) = simulate_renewal_counts(0, [0], [5.0], PURE_DEATH, cfg)
-        assert est.mean == 1.0
-        assert est.std_error == 0.0
+        (est,) = simulate_renewal_counts(0, [0], [0.5, 5.0], PURE_DEATH, cfg)
+        assert np.array_equal(est.mean, [1.0, 1.0])
+        assert np.array_equal(est.std_error, [0.0, 0.0])
 
     def test_single_service_completion_probability(self):
-        # count of entries into 0 by t is Bernoulli(1 - exp(-1))
+        # count of entries into 0 by t is Bernoulli(1 - exp(-t))
         cfg = SimConfig(n_paths=100_000, seed=7)
-        (est,) = simulate_renewal_counts(1, [0], [1.0], PURE_DEATH, cfg)
-        exact = 1.0 - math.exp(-1.0)
-        assert est.std_error == pytest.approx(0.0015, abs=3e-4)
-        assert abs(est.mean - exact) <= 3 * est.std_error
+        (est,) = simulate_renewal_counts(1, [0], [0.5, 1.0, 2.0], PURE_DEATH, cfg)
+        exact = 1.0 - np.exp(-est.t)
+        assert est.std_error[1] == pytest.approx(0.0015, abs=3e-4)
+        assert np.all(np.abs(est.mean - exact) <= 3 * est.std_error)
 
     def test_mean_contains_identity_offset(self):
+        # one block: the means are its counts' means, plus delta_ij
         cfg = SimConfig(n_paths=200, seed=3)
-        estimates = simulate_renewal_counts(2, [2, 3], [0.5, 1.0], UNIT, cfg)
-        for est in estimates:
-            if est.j == 2:
-                assert est.mean >= 1.0
-            else:
-                assert est.mean >= 0.0
+        times = np.array([0.5, 1.0])
+        stay, leave = simulate_renewal_counts(2, [2, 3], times, UNIT, cfg)
+        counts = mcsim._walk_block(MMInfinityKernel(UNIT), 2, np.array([2, 3]), times, cfg, 0)
+        assert np.array_equal(stay.mean, 1.0 + counts.mean(axis=0)[0])
+        assert np.array_equal(leave.mean, counts.mean(axis=0)[1])
+        assert np.all(stay.mean >= 1.0) and np.all(leave.mean >= 0.0)
 
     def test_monotone_along_time_grid(self):
         cfg = SimConfig(n_paths=2_000, seed=11)
         estimates = simulate_renewal_counts(0, [0, 1], [0.5, 1.0, 2.0, 3.0], UNIT, cfg)
-        for j in (0, 1):
-            means = [e.mean for e in estimates if e.j == j]
-            assert all(a <= b for a, b in zip(means, means[1:]))
+        for est in estimates:
+            assert np.all(np.diff(est.mean) >= 0.0)
 
     def test_seed_determinism_across_worker_counts(self):
         # two blocks, the second partial
@@ -121,14 +140,14 @@ class TestSimulateRenewalCounts:
         serial = simulate_renewal_counts(0, [0, 1], [0.5, 1.0, 2.0], UNIT, cfg, workers=1)
         for workers in (2, 4):
             parallel = simulate_renewal_counts(0, [0, 1], [0.5, 1.0, 2.0], UNIT, cfg, workers=workers)
-            assert serial == parallel
+            assert _same(serial, parallel)
 
     def test_different_seeds_differ(self):
         cfg_a = SimConfig(n_paths=500, seed=1)
         cfg_b = SimConfig(n_paths=500, seed=2)
-        a = simulate_renewal_counts(0, [0], [1.0], UNIT, cfg_a)
-        b = simulate_renewal_counts(0, [0], [1.0], UNIT, cfg_b)
-        assert a != b
+        (a,) = simulate_renewal_counts(0, [0], [1.0], UNIT, cfg_a)
+        (b,) = simulate_renewal_counts(0, [0], [1.0], UNIT, cfg_b)
+        assert not np.array_equal(a.mean, b.mean)
 
     def test_event_cap_aborts(self, monkeypatch):
         monkeypatch.setattr(mcsim, "_MAX_EVENTS", 3)
@@ -138,9 +157,10 @@ class TestSimulateRenewalCounts:
 
     def test_repeated_target_counts_in_every_column(self):
         cfg = SimConfig(n_paths=2_000, seed=1)
-        first, second = simulate_renewal_counts(0, [1, 1], [1.0], UNIT, cfg)
-        assert first.mean > 0.5
-        assert (first.mean, first.std_error) == (second.mean, second.std_error)
+        first, second = simulate_renewal_counts(0, [1, 1], [1.0, 2.0], UNIT, cfg)
+        assert np.all(first.mean > 0.5)
+        assert np.array_equal(first.mean, second.mean)
+        assert np.array_equal(first.std_error, second.std_error)
 
     def test_single_path_has_zero_standard_error(self):
         # the sample standard deviation of one path is undefined (ddof=1)
@@ -148,7 +168,8 @@ class TestSimulateRenewalCounts:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             estimates = simulate_renewal_counts(0, [0, 1], [0.5, 1.0], UNIT, cfg)
-        assert [est.std_error for est in estimates] == [0.0] * 4
+        assert len(estimates) == 2
+        assert all(np.array_equal(est.std_error, [0.0, 0.0]) for est in estimates)
 
     def test_input_validation(self):
         cfg = SimConfig(n_paths=10, seed=5)
@@ -167,6 +188,13 @@ class TestSimulateRenewalCounts:
             with pytest.raises(ValueError, match="finite"):
                 simulate_renewal_counts(0, [0], t_grid, UNIT, cfg)
 
+    @pytest.mark.parametrize("t_grid", [1.0, [[0.5, 1.0]]], ids=["scalar", "2-D"])
+    def test_time_grid_must_be_one_dimensional(self, t_grid):
+        # a scalar raised a bare IndexError, a 2-D grid numpy's "truth value ... is ambiguous"
+        cfg = SimConfig(n_paths=10, seed=5)
+        with pytest.raises(ValueError, match="t_grid must be one-dimensional"):
+            simulate_renewal_counts(0, [0], t_grid, UNIT, cfg)
+
     def test_states_must_be_integers(self):
         # the int64 cast walked 1.5 from state 1 and counted entries into 1 for a target 1.5
         cfg = SimConfig(n_paths=10, seed=5)
@@ -175,7 +203,7 @@ class TestSimulateRenewalCounts:
         with pytest.raises(TypeError):
             simulate_renewal_counts(1, [1.5], [0.5], UNIT, cfg)
         estimates = simulate_renewal_counts(np.int64(1), [np.int64(2)], [0.5], UNIT, cfg)
-        assert estimates == simulate_renewal_counts(1, [2], [0.5], UNIT, cfg)
+        assert _same(estimates, simulate_renewal_counts(1, [2], [0.5], UNIT, cfg))
         assert type(estimates[0].i) is int and type(estimates[0].j) is int
 
     def test_config_validation(self):
@@ -206,7 +234,7 @@ class TestBlockContract:
         runs = [
             simulate_renewal_counts(1, [0, 2], self.TIMES, UNIT, cfg, workers=w) for w in (1, 2, 3)
         ]
-        assert runs[0] == runs[1] == runs[2]
+        assert _same(runs[0], runs[1]) and _same(runs[0], runs[2])
 
     def test_block_paths_do_not_depend_on_run_length(self):
         times = np.array(self.TIMES)
@@ -231,7 +259,7 @@ class TestBlockContract:
                 simulate_renewal_counts(3, [0], [50.0], PURE_DEATH, cfg)
         else:
             (est,) = simulate_renewal_counts(3, [0], [50.0], PURE_DEATH, cfg)
-            assert est.mean == 1.0
+            assert np.array_equal(est.mean, [1.0])
 
     def test_step_calls_do_not_grow_with_paths(self, monkeypatch):
         # one array step per lock-step iteration of a block, not one per

@@ -87,8 +87,21 @@ class TestSolveRowTruncated:
         # a row is solved at one abscissa; an array gave the row of its first
         with pytest.raises(ValueError, match="one transform variable"):
             solve_row_truncated(0, np.array([1.0, 2.0]), kernel(UNIT), 16)
-        with pytest.raises(ValueError, match="one-dimensional"):    # through solve_rows
+        with pytest.raises(ValueError, match="one transform variable"):
             solve_row_adaptive(0, np.array([1.0, 2.0]), kernel(UNIT))
+
+    @pytest.mark.parametrize("solve", [solve_row_truncated, neumann_series_sum])
+    def test_level_must_be_an_integer(self, solve):
+        # 16.5 failed inside the elimination or in numpy's array constructor
+        for n in (16.5, 16.0):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                solve(0, 1.0, kernel(UNIT), n)
+        as_numpy = solve(0, 1.0, kernel(UNIT), np.int64(16))
+        as_int = solve(0, 1.0, kernel(UNIT), 16)
+        if solve is solve_row_truncated:
+            assert type(as_numpy.truncation_n) is int
+            as_numpy, as_int = as_numpy.values, as_int.values
+        assert np.array_equal(as_numpy, as_int)
 
     def test_complex_s_conjugate_symmetry(self):
         k = kernel(UNIT)
