@@ -140,8 +140,9 @@ def simulate_renewal_counts(
     """Estimate R_ij(t) for every j in j_set and t in t_grid.
 
     Returns a list of one RenewalEstimate per target, in the order of
-    j_set, each with arrays over the (ascending) t_grid.  Deterministic for
-    a fixed cfg.seed regardless of `workers`.
+    j_set, each with arrays over the (ascending) t_grid and its own copy of
+    t_grid; an empty j_set walks no path.  Deterministic for a fixed
+    cfg.seed regardless of `workers`.
     """
     i, targets = operator.index(i), list(map(operator.index, j_set))
     times = np.asarray(t_grid, dtype=float)
@@ -153,6 +154,8 @@ def simulate_renewal_counts(
         raise ValueError(f"states must be >= 0, got i={i}, j_set={targets}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if not targets:
+        return []
 
     n_paths = cfg.n_paths
     n_blocks = -(-n_paths // _BLOCK)
@@ -170,4 +173,4 @@ def simulate_renewal_counts(
         errs = counts.std(axis=0, ddof=1) / math.sqrt(n_paths)
     else:
         errs = np.zeros_like(means)
-    return [RenewalEstimate(i, j, times, means[q], errs[q], n_paths) for q, j in enumerate(targets)]
+    return [RenewalEstimate(i, j, times.copy(), means[q], errs[q], n_paths) for q, j in enumerate(targets)]

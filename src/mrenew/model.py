@@ -69,7 +69,12 @@ class KernelTransform(ABC):
     * 0 <= sigma_bar, 0 <= tau_bar, sigma_bar + tau_bar <= 1,
     * both nonincreasing in s for fixed j.
 
-    These are exactly what `validate_kernel` checks.
+    These are exactly what `validate_kernel` checks.  A kernel that also
+    takes complex s must satisfy |sigma_bar(j, s)| <= sigma_bar(j, Re s)
+    and |tau_bar(j, s)| <= tau_bar(j, Re s): then every row entry obeys
+    |rbar_ij(s)| <= rbar_ij(Re s), which the cut of `mrenew.oracle.solve_rows`
+    relies on at complex s.  `MMInfinityKernel` does, since
+    |j + rho + alpha s| >= j + rho + alpha Re s.
     """
 
     @abstractmethod

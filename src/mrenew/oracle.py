@@ -18,21 +18,42 @@ against a unit diagonal, so the pivots w cannot degenerate.  The rows sum to
 
 so the cut at N loses the mass |tau[N] g[N]|, and moving it from N - 1 to N
 moves x[m] by g[N] q[m] .. q[N-1].  `solve_row_truncated` cuts at a given
-n; `solve_rows` (and through it `solve_row_adaptive`) at the first N from a
-floor up to _N_MAX = 2**16 where the lost mass is at most _TOL = 1e-10 and
-the moves of x[top] still to come, |move| r / (1 - r) with r the ratio of
-the last two moves, are at most 2**-52 of x[top].  For real s all terms are
-positive, so no entry 0..top moves more, relative to its value; top is
-max(i + 10, j).  A column keeps O(top) state whatever N is, and
-`solve_rows` sweeps every abscissa of a request at once, each cut at its
-own N.  The normalization residual, summed over the entries, is reported;
-on its rounding floor it can sit above _TOL (up to ~3e-10 at rho in the
-hundreds and more, s ~ 1e-4).  `neumann_series_sum` accumulates row i of
+n.  `solve_row_adaptive` cuts at the first N from a floor up to
+_N_MAX = 2**16 that passes the lost-mass test: the lost mass is at most
+_TOL = 1e-10 and the moves of x[top] still to come, |move| r / (1 - r)
+with r the ratio of the last two moves, are at most 2**-52 of x[top].
+For real s all terms are positive, so no entry 0..top moves more,
+relative to its value; top is max(i + 10, j).
+
+`solve_rows` cuts at the first N that passes the lost-mass test or the
+bound test: |q[top] .. q[N]| < 2**-52 c[N+1](Re s) |x[top]|, with
+c = 1 - sigma_bar - tau_bar.  The exact row restricted to 0..N solves the
+system cut at N with boundary value x[N+1], so the cut moves x[top] by
+exactly q[top] .. q[N] x[N+1].  At real s, x >= 0 and
+sum_k c[k] x[k] <= 1, so x[N+1] <= 1 / c[N+1]; at complex s,
+|x(s)| <= x(Re s) (`KernelTransform`), so |x[N+1]| <= 1 / c[N+1](Re s).
+Either way the cut moves x[top] by less than 2**-52 of its value, and for
+real s every entry 0..top by less, relative to its value, as above.  The
+bound test cuts rows whose states past top drift strongly upwards (top
+well below rho for M|M|inf) long before their mass runs out; the two
+tests may give different N, so `solve_row_adaptive`, whose contract is the
+whole row's normalization, does not share `solve_rows`' N.
+
+A column keeps O(top) state whatever N is, and `solve_rows` sweeps every
+abscissa of a request at once, each cut at its own N.  The normalization
+residual, summed over the entries, is reported: where the lost-mass test
+cut, it can sit on its rounding floor above _TOL (up to ~3e-10 at rho in
+the hundreds and more, s ~ 1e-4); where the bound test cut, the mass past
+N is not small and neither is the residual (0.999 at i = 14, j = 9,
+rho = 790, s = 0.01).  `neumann_series_sum` accumulates row i of
 sum_m Qbar(s)^m over the same truncated operator and is the independent
 second route used by the cross-check suites.
 
-Real s must be finite and > 0.  Complex s with positive real part is accepted
-throughout (the elimination extends verbatim); results are then complex.
+Real s must be finite and at least _S_MIN = 1e-14.  Complex s with real
+part at least _S_MIN is accepted throughout (the elimination extends
+verbatim); results are then complex.  The floor comes from the rounding
+bound of the solve, 1e-12 max(1, 0.01 / s) of the largest entry 0..top:
+below s = 1e-14 it passes the entries' own size, and no digit is backed.
 """
 
 from __future__ import annotations
@@ -54,6 +75,7 @@ _N_MAX = 2**16             # largest cut N of an adaptive solve
 _TOL = 1e-10               # lost mass |tau_bar(N) x[N]| allowed at the cut
 _NEUMANN_STOP = 1e-12      # largest Neumann term left out of the sum
 _NEUMANN_TERMS = 200_000   # most terms of a Neumann sum
+_S_MIN = 1e-14             # smallest Re(s): below it the rounding bound 1e-12 * 0.01 / s passes 1
 
 
 @dataclass
@@ -79,7 +101,10 @@ class TransformEntries:
     """rbar_ij(s) at many abscissas, from `solve_rows`.
 
     values[k], truncation_n[k] and normalization_residual[k] belong to
-    s[k]; each abscissa was cut at its own truncation level.
+    s[k]; each abscissa was cut at its own truncation level.  s is a copy
+    of the caller's abscissas.  The residual keeps the definition of
+    `TransformRowResult`'s but is not small where the bound test cut (see
+    the module docstring).
     """
 
     i: int
@@ -106,10 +131,10 @@ class TruncationConfig:
 
 
 def _check_s(s):
-    bad = ~np.isfinite(s) | (np.real(s) <= 0)
+    bad = ~np.isfinite(s) | (np.real(s) < _S_MIN)
     if np.any(bad):
         value = np.asarray(s)[bad].flat[0]
-        raise ValueError(f"transform variable must be finite with Re(s) > 0, got {value}")
+        raise ValueError(f"transform variable must be finite with Re(s) >= {_S_MIN:g}, got {value}")
 
 
 def _check_row(i, s, n=0) -> tuple:
@@ -136,23 +161,26 @@ def _back_substitute(g, q, c, top: int, x, tail):
     return np.array(entries[::-1]), abs(total - 1.0)
 
 
-def _eliminate(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int):
+def _eliminate(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int, proven: bool = True):
     """Row i cut at the first N in [n_lo, n_hi] that passes the stop test, else at n_hi.
 
     (g, q, c) are kept for states 0..top; the test can pass only past top,
     so top = n_hi cuts at n_hi and keeps every state.  Past top,
     S = q[top] x[top+1] = sum_M g[M] P[M] (P[M] = q[top] .. q[M-1], so the
     cut at M moves x[top] by g[M] P[M]) and the tail sum_M g[M] U[M]
-    (U[M] = q[M-1] U[M-1] + c[M]) are carried.  A scalar s is stepped as Python scalars; an array of
-    abscissas as one column each, in the same operations, so a real column
-    gives the bits of its scalar solve.  Kernel blocks hold at most
-    _SWEEP_ELEMENTS states x columns.  Returns per abscissa: entries 0..top,
-    N, the residual and whether the test passed.
+    (U[M] = q[M-1] U[M-1] + c[M]) are carried.  The test is the lost-mass
+    test, or with proven also the bound test, which at state M + 1 cuts at
+    M, once |P[M+1]| < 2**-52 c[M+1](Re s) |x[top]|.  A scalar s is stepped as
+    Python scalars; an array of abscissas as one column each, in the same
+    operations, so a real column gives the bits of its scalar solve.  Kernel
+    blocks hold at most _SWEEP_ELEMENTS states x columns.  Returns per
+    abscissa: entries 0..top, N, the residual and whether the test passed.
     """
     batched = np.ndim(s) == 1
     cols = np.size(s)
     top = min(top, n_hi)
     first = max(n_lo, top + 1)                      # first N the test may pass at
+    proof = first if proven else n_hi               # the bound test runs at states past it
     budget = max(1, _SWEEP_ELEMENTS // cols)        # states per block
     levels, passed, todo = np.zeros(cols, dtype=int), np.zeros(cols, dtype=bool), np.ones(cols, dtype=bool)
     sums = np.zeros((2, cols))                      # S and the tail where each column was cut
@@ -160,18 +188,23 @@ def _eliminate(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int):
     zero = np.zeros(cols) if batched else 0.0
     some = np.ndarray.any if batched else bool
     w, g, tp, p, u, x, tail, move, last = 1.0, 0.0, 0.0, zero + 1.0, zero, zero, zero, zero, zero
-    bound = zero + _TOL                             # lost mass allowed; -1 once cut
+    bound, eps = zero + _TOL, zero + _EPS           # lost mass and bound test factor; -1 once cut
     lo = 0
     while todo.any():
-        hi = min(lo + min(budget, max(n_lo + 1, lo)), n_hi + 1)
+        # the first block reaches n_lo + 1, where the bound test can cut at n_lo
+        hi = min(lo + min(budget, max(n_lo + 2, lo)), n_hi + 1)
         states = np.arange(lo, hi)
         sigma, tau = kernel.transforms(states[:, None] if batched else states, s)
         c = 1.0 - sigma - tau
+        c_re = c                                    # c at Re s, where sum_k c_k x_k <= 1 and x >= |x(s)|
+        if proven and np.iscomplexobj(c):
+            sigma_re, tau_re = kernel.transforms(states[:, None] if batched else states, np.real(s))
+            c_re = 1.0 - sigma_re - tau_re
         pivots = np.ones_like(c) if batched else [1.0] * (hi - lo)
         try:
             with np.errstate(all="ignore"):     # a bad pivot is reported below
-                steps = zip(range(lo, hi), *(a if batched else a.tolist() for a in (sigma, tau, c)))
-                for k, sigma_k, tau_k, c_k in steps:
+                steps = zip(range(lo, hi), *(a if batched else a.tolist() for a in (sigma, tau, c, c_re)))
+                for k, sigma_k, tau_k, c_k, c_re_k in steps:
                     q = sigma_k / w
                     w = pivots[k - lo] = 1.0 - tp * q
                     g = 1.0 / w if k == i else tp * g / w
@@ -182,6 +215,14 @@ def _eliminate(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int):
                         kept_c.append(c_k)
                     else:
                         last, p, u = move, p * q, u * q + c_k
+                        # the cut at k - 1 moves x[top] by p x[k], and |x[k]| <= 1 / c_re_k
+                        if k > proof and some(bounded := abs(p) < eps * c_re_k * abs(kept_g[top] + x)):
+                            cut = todo & bounded
+                            levels[cut], todo[cut], passed[cut] = k - 1, False, True
+                            bound, eps = np.where(cut, -1.0, bound), np.where(cut, -1.0, eps)
+                            sums = np.where(cut, np.reshape((x, tail), (2, -1)), sums)
+                            if not todo.any():
+                                break
                         move = g * p
                         x, tail = x + move, tail + g * u
                     if k < n_hi and (k < first or not some(abs(tau_k * g) <= bound)):
@@ -195,6 +236,7 @@ def _eliminate(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int):
                     cut = todo & (hit | (k == n_hi))
                     levels[cut], todo[cut] = k, False
                     passed, bound = np.where(cut, hit, passed), np.where(cut, -1.0, bound)
+                    eps = np.where(cut, -1.0, eps)
                     sums = np.where(cut, np.reshape((x, tail), (2, -1)), sums)
                     if not todo.any():
                         break
@@ -230,11 +272,16 @@ def solve_rows(
     """rbar_ij(s) at every abscissa of s_values, solved together.
 
     Each abscissa is cut at its own N >= max(cfg.n0, i + 2, j + 2), by the
-    stop test of the module docstring with top = max(i + 10, j).  Raises
-    NonConvergenceError naming the first abscissa that has not passed the
-    test by n_max = _N_MAX, with its normalization residual there.
+    lost-mass test or the bound test of the module docstring, whichever
+    passes first, with top = max(i + 10, j).  Raises NonConvergenceError
+    naming the first abscissa that has passed neither by n_max = _N_MAX,
+    with its normalization residual there.
     """
-    s = np.asarray(s_values, dtype=complex if np.iscomplexobj(s_values) else float)
+    return _solve_rows(i, j, s_values, kernel, cfg, proven=True)
+
+
+def _solve_rows(i, j, s_values, kernel, cfg, proven) -> TransformEntries:
+    s = np.array(s_values, dtype=complex if np.iscomplexobj(s_values) else float)
     if s.ndim != 1:
         raise ValueError(f"s_values must be one-dimensional, got shape {s.shape}")
     _check_s(s)
@@ -246,7 +293,7 @@ def solve_rows(
     # fewer than _MIN_BATCH abscissas do not pay for the array overhead of a step
     for sweep in (s.tolist() if s.size < _MIN_BATCH else [s]):
         rows, level, residual, passed = _eliminate(
-            i, sweep, kernel, max(i + _MARGIN, j), n_lo, max(_N_MAX, n_lo))
+            i, sweep, kernel, max(i + _MARGIN, j), n_lo, max(_N_MAX, n_lo), proven)
         if not passed.all():
             k = np.flatnonzero(~passed)[0]
             raise NonConvergenceError(
@@ -267,16 +314,18 @@ def solve_row_adaptive(
     kernel: KernelTransform,
     cfg: TruncationConfig = TruncationConfig(),
 ) -> TransformRowResult:
-    """Row i solved at the N where `solve_rows(i, i, [s], kernel, cfg)` cuts it.
+    """Row i solved at the first N >= max(cfg.n0, i + 2) that passes the lost-mass test.
 
-    The stop test (module docstring) bounds the mass lost at N by _TOL
-    and what is still to come of the moves of values[0 .. i+10] by 2**-52
-    of their values; entries past i + 10 carry the error of the cut.
-    Raises NonConvergenceError (carrying the residual at the cap) if no N
-    up to n_max = _N_MAX passes.
+    The test (module docstring, top = i + 10) bounds the mass lost at N by
+    _TOL, so the whole row's normalization residual is small, and what is
+    still to come of the moves of values[0 .. i+10] by 2**-52 of their
+    values; entries past i + 10 carry the error of the cut.  The bound
+    test of `solve_rows` is not used, so this N can lie deeper than
+    `solve_rows(i, i, [s])`'s.  Raises NonConvergenceError (carrying the
+    residual at the cap) if no N up to n_max = _N_MAX passes.
     """
     _check_row(i, s)
-    n = int(solve_rows(i, i, [s], kernel, cfg).truncation_n[0])
+    n = int(_solve_rows(i, i, [s], kernel, cfg, proven=False).truncation_n[0])
     return replace(solve_row_truncated(i, s, kernel, n), converged=True)
 
 

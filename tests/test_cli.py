@@ -237,6 +237,15 @@ class TestArgumentErrors:
         assert "transform variable" in captured.err
 
 
+    def test_oracle_s_below_the_floor_maps_to_two(self, capsys):
+        # the oracle printed 7891239400913106 and exited 0; the entry is past the double range
+        argv = "transform --i 0 --j 0 --s-grid 1e-320:1e-320:1 --lambda 1 --alpha 1 --solver oracle"
+        assert run(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Re(s) >= 1e-14" in captured.err
+
+
 class TestNumericalFailureExit:
     def test_nonconvergence_maps_to_one(self, capsys, monkeypatch):
         def _explode(*args, **kwargs):

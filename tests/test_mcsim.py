@@ -171,6 +171,19 @@ class TestSimulateRenewalCounts:
         assert len(estimates) == 2
         assert all(np.array_equal(est.std_error, [0.0, 0.0]) for est in estimates)
 
+    def test_records_keep_their_own_time_grid(self):
+        grid = np.array([0.5, 1.0])
+        estimates = simulate_renewal_counts(0, [0, 1], grid, UNIT, SimConfig(n_paths=10, seed=5))
+        grid[:] = 9.0
+        estimates[0].t[:] = 8.0
+        assert np.array_equal(estimates[1].t, [0.5, 1.0])
+
+    def test_empty_target_set_walks_no_path(self, monkeypatch):
+        walked = []
+        monkeypatch.setattr(mcsim, "_walk_block", lambda *args: walked.append(args))
+        assert simulate_renewal_counts(0, [], [1.0], UNIT, SimConfig(n_paths=10, seed=1)) == []
+        assert walked == []
+
     def test_input_validation(self):
         cfg = SimConfig(n_paths=10, seed=5)
         with pytest.raises(ValueError):

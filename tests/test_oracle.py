@@ -182,15 +182,32 @@ class _SlowWalkKernel(KernelTransform):
         return np.where(j == 0, 0.0, half), half
 
 
+class _ConservativeKernel(KernelTransform):
+    """sigma_bar + tau_bar = 1 at every state and s: a reflecting walk that never loses mass."""
+
+    def transforms(self, j, s):
+        half = np.ones(np.broadcast(j, s).shape) * 0.5
+        return np.where(j == 0, 0.0, half), np.where(j == 0, 1.0, half)
+
+
+class _WellKernel(KernelTransform):
+    """Up with weight 0.9 below state 30 and 0.1 from it, killed at rate s: the row piles up near 30."""
+
+    def transforms(self, j, s):
+        up = np.where(j < 30, 0.9, 0.1) / (1.0 + s)
+        return np.where(j == 0, 0.0, 1.0 / (1.0 + s) - up), np.where(j == 0, 1.0 / (1.0 + s), up)
+
+
 class TestSolveRows:
-    # rho = 300 over s in 1e-3..1e3: the columns are cut at 18 levels, from N = 64 to 446
-    SPREAD = (QueueParams(300.0, 1.0), np.geomspace(1e-3, 1e3, 20))
+    # rho = 50 over s in 1e-3..1e3: for (i, j) = (1, 3) the lost-mass test,
+    # not the bound test, cuts the columns, at 14 levels from N = 64 to 115
+    SPREAD = (QueueParams(50.0, 1.0), np.geomspace(1e-3, 1e3, 20))
 
     def test_real_columns_bit_identical_to_one_column_solves(self):
         p, s_values = self.SPREAD
         k = kernel(p)
         entries = solve_rows(1, 3, s_values, k)
-        assert len(set(entries.truncation_n.tolist())) == 18
+        assert len(set(entries.truncation_n.tolist())) == 14
         for col, s in enumerate(s_values.tolist()):
             one = solve_rows(1, 3, [s], k)
             assert entries.values[col] == one.values[0]
@@ -291,8 +308,9 @@ class TestSolveRows:
             np.testing.assert_array_equal(together, np.concatenate([getattr(h, field) for h in halves]))
 
     def test_deep_complex_grid_shares_one_sweep_per_block(self, monkeypatch):
-        # the 100 Euler abscissas of t = 2 and t = 5 at rho = 1000 settle at
-        # n = 1024 and 2048; no column may fall back to a sweep of its own
+        # the 100 Euler abscissas of t = 2 and t = 5 at rho = 1000, target
+        # j = 1000, are cut by the lost-mass test at N = 1090 to 1252; no
+        # column may fall back to a sweep of its own
         shapes = []
         real = MMInfinityKernel.transforms
 
@@ -302,8 +320,8 @@ class TestSolveRows:
 
         monkeypatch.setattr(MMInfinityKernel, "transforms", spy)
         grid = [complex(9.2 / t, k * math.pi / t) for t in (2.0, 5.0) for k in range(50)]
-        entries = solve_rows(0, 0, grid, kernel(QueueParams(1000.0, 1.0)))
-        assert entries.truncation_n.max() >= 1024
+        entries = solve_rows(0, 1000, grid, kernel(QueueParams(1000.0, 1.0)))
+        assert entries.truncation_n.min() >= 1024
         assert all(len(j) == 2 and len(s) == 1 and s[0] >= oracle._MIN_BATCH for j, s in shapes)
 
     def test_rejects_bad_arguments(self):
@@ -316,6 +334,13 @@ class TestSolveRows:
             solve_rows(0, -1, [1.0], k)
         with pytest.raises(ValueError):
             solve_rows(-1, 0, [1.0], k)
+
+    def test_record_keeps_its_own_abscissas(self):
+        for s_values in (np.array([0.5, 1.0]), np.array([0.5 + 1j, 1.0 - 2j])):
+            before = s_values.copy()
+            entries = solve_rows(0, 0, s_values, kernel(UNIT))
+            s_values[:] = 7.0
+            assert np.array_equal(entries.s, before)
 
     def test_states_must_be_integers(self):
         k = kernel(UNIT)
@@ -377,7 +402,8 @@ def _entry_problems(draw):
 
 
 class TestAgainstBandedSolve:
-    """solve_rows against a banded LU solve of the same system cut at twice its N.
+    """solve_rows against a banded LU solve of the same system cut at twice its N
+    or solve_row_adaptive's, whichever is deeper.
 
     The bound is 1e-12 of the largest entry 0..max(i+10, j), times
     max(1, 0.01 / |s|): I - Qbar(s) loses only mass ~ s per state, so
@@ -397,7 +423,8 @@ class TestAgainstBandedSolve:
         i, j, rho, s = problem
         k = kernel(QueueParams(rho, 1.0))
         entries = solve_rows(i, j, [s], k)
-        n = 2 * int(entries.truncation_n[0])
+        # the bound test can cut solve_rows early; the reference stays as deep as the lost-mass cut
+        n = 2 * max(int(entries.truncation_n[0]), solve_row_adaptive(i, s, k).truncation_n)
         sigma, tau = k.transforms(np.arange(n + 1), s)
         bands = np.zeros((3, n + 1), dtype=sigma.dtype)    # equation k, as in the module docstring
         bands[0, 1:], bands[1], bands[2, :-1] = -sigma[1:], 1.0, -tau[:-1]
@@ -429,6 +456,104 @@ class TestBottomOfTheRange:
                 scale = np.max(np.abs(closed[: top + 1]), axis=0)
                 error = np.abs(solve_rows(i, j, self.S, kernel(p)).values - closed[j])
                 assert (error <= 1e-12 * scale * 0.01 / self.S).all(), (i, j, error / scale)
+
+
+@st.composite
+def _column_problems(draw):
+    """(i, j, rho, s): i, j <= 300, rho <= 2000, real s over [1e-6, 1e3] or an Euler abscissa.
+
+    rho and s are spread evenly over decades; rho = 0 one time in eight.
+    """
+    i, j = draw(st.integers(0, 300)), draw(st.integers(0, 300))
+    rho = 0.0 if draw(st.integers(0, 7)) == 7 else 1e-3 * 2e6 ** draw(st.floats(0.0, 1.0))
+    if draw(st.booleans()):
+        t = 0.05 * 1e3 ** draw(st.floats(0.0, 1.0))
+        return i, j, rho, complex(18.4 / (2.0 * t), draw(st.integers(0, 49)) * math.pi / t)
+    return i, j, rho, 1e-6 * 1e9 ** draw(st.floats(0.0, 1.0))
+
+
+class TestBoundTest:
+    """solve_rows' bound test against the lost-mass test alone (solve_row_adaptive's)."""
+
+    FAR = QueueParams(558.842, 1.41448)     # rho = 790.5, far above the target (14, 9)
+
+    @staticmethod
+    def cut(i, j, s, k, proven):
+        """Entries 0..top, and N, of one column as solve_rows cuts it, or by the lost-mass test alone."""
+        top, n_lo = max(i + oracle._MARGIN, j), max(TruncationConfig().n0, i + 2, j + 2)
+        rows, levels, _, passed = oracle._eliminate(i, s, k, top, n_lo, max(oracle._N_MAX, n_lo), proven)
+        assert passed.all()
+        return rows[0], int(levels[0])
+
+    @pytest.mark.parametrize("method", ["gaver-stehfest", "euler"])
+    def test_cuts_far_below_rho_at_the_floor_with_the_same_bits(self, method):
+        times = (0.5, 5.0, 300.0)
+        if method == "euler":
+            s_values = [complex(9.2 / t, m * math.pi / t) for t in times for m in range(50)]
+        else:
+            s_values = [m * math.log(2.0) / t for t in times for m in range(1, 15)]
+        k = kernel(self.FAR)
+        entries = solve_rows(14, 9, s_values, k)
+        assert entries.truncation_n.tolist() == [64] * len(s_values)
+        lost_mass = oracle._solve_rows(14, 9, s_values, k, TruncationConfig(), proven=False)
+        assert lost_mass.truncation_n.min() > 100
+        assert np.array_equal(entries.values, lost_mass.values)
+
+    @given(_column_problems())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_never_deeper_and_within_one_unit_of_x_top(self, problem):
+        i, j, rho, s = problem
+        k = kernel(QueueParams(rho, 1.0))
+        row, n = self.cut(i, j, s, k, proven=True)
+        reference, n_lost_mass = self.cut(i, j, s, k, proven=False)
+        assert n <= n_lost_mass
+        top = max(i + oracle._MARGIN, j)
+        # the cut moves x[top] by less than 2**-52 of it; then rounding, 2**-52 of the entry
+        assert abs(row[j] - reference[j]) <= 2.0**-52 * (abs(reference[top]) + abs(reference[j]))
+
+    @pytest.mark.parametrize("s", [1e-9, 1e-6, 1e-3])
+    def test_holds_where_the_row_piles_up_past_the_cut(self, s):
+        # x[N+1] reaches ~1e6 below state 30; bounding it by 1 instead of
+        # 1 / c[N+1] cut at N = 26 and moved the entry by 2.6e-10 at s = 1e-9
+        cfg = TruncationConfig(n0=2)
+        value = solve_rows(0, 10, [s], _WellKernel(), cfg).values[0]
+        reference = oracle._solve_rows(0, 10, [s], _WellKernel(), cfg, proven=False).values[0]
+        assert abs(value - reference) <= 2.0**-52 * 2 * abs(reference)
+
+    @pytest.mark.parametrize("s", [1.0, 0.5 + 3j], ids=["real", "complex"])
+    @pytest.mark.parametrize("count", [1, oracle._MIN_BATCH], ids=["scalars", "batched"])
+    def test_no_bound_where_no_mass_is_lost_or_x_top_is_zero(self, s, count, monkeypatch):
+        # with the lost-mass test switched off, only the bound test could cut
+        monkeypatch.setattr(oracle, "_TOL", -1.0)
+        monkeypatch.setattr(oracle, "_N_MAX", 300)
+        assert solve_rows(14, 9, [s] * count, kernel(self.FAR)).truncation_n.tolist() == [64] * count
+        # c = 1 - sigma_bar - tau_bar = 0 everywhere, and at rho = 0 x[top] = 0
+        for k in (_ConservativeKernel(), kernel(PURE_DEATH)):
+            with pytest.raises(NonConvergenceError, match="n_max=300;"):
+                solve_rows(14, 9, [s] * count, k)
+
+
+class TestAbscissaFloor:
+    """Re(s) below 1e-14, where the rounding bound passes the entries' size, is refused."""
+
+    @pytest.mark.parametrize("s", [1e-15, 1e-100, 1e-320, complex(1e-15, 1.0)])
+    def test_refused_below_the_floor(self, s):
+        k = kernel(UNIT)
+        for call in (
+            lambda: solve_rows(0, 0, [s], k),
+            lambda: solve_rows(0, 0, [1.0] * oracle._MIN_BATCH + [s], k),
+            lambda: solve_row_truncated(0, s, k, 16),
+            lambda: solve_row_adaptive(0, s, k),
+            lambda: neumann_series_sum(0, s, k, 16),
+        ):
+            with pytest.raises(ValueError, match=r"Re\(s\) >= 1e-14"):
+                call()
+
+    def test_answered_from_the_floor_up(self):
+        # the accuracy at s = 1e-6 is TestBottomOfTheRange's
+        for s in (1e-14, 1e-6, complex(1e-14, 1.0)):
+            assert np.isfinite(solve_rows(0, 0, [s], kernel(UNIT)).values[0])
+            assert np.isfinite(solve_row_adaptive(0, s, kernel(UNIT)).values[0])
 
 
 class TestTruncationConfig:
