@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Smoke-test the installed `mrenew` entry point: every command once, each
-# exiting 0.  Run it with `mrenew` on PATH, from any directory, e.g.
+# exiting 0, and one argument error exiting 2.  Run it with `mrenew` on
+# PATH, from any directory, e.g.
 # PYTHONWARNINGS=error::RuntimeWarning bash .github/smoke.sh
 set -euo pipefail
 
@@ -12,3 +13,8 @@ mrenew renewal --i 14 --j 9 --t-grid 1:300:3 --lambda 1000 --alpha 1 --method eu
 mrenew transform --i 14 --j 9 --s-grid 0.01:100:6 --lambda 1000 --alpha 1
 mrenew simulate --i 0 --j 1 --t-grid 0.5:2:4 --lambda 1 --alpha 1 --paths 2000 --seed 7 --workers 2
 mrenew hyperg --a 1 --b 2 --z 1
+
+# a time whose inversion rule passes the solvers' floor Re(s) >= 1e-14 is an argument error
+status=0
+mrenew renewal --i 0 --j 0 --t-grid 1e15:1e15:1 --lambda 1 --alpha 1 --method gs || status=$?
+test "$status" -eq 2

@@ -108,18 +108,18 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_renewal(args) -> int:
-    p = QueueParams(args.lam, args.alpha)
+    kernel = MMInfinityKernel(QueueParams(args.lam, args.alpha))
     method = "gaver-stehfest" if args.method == "gs" else "euler"
     cfg = InversionConfig(method=method, order=args.order)
-    values = renewal_function(args.i, args.j, args.t_grid, p, cfg=cfg)
+    values = renewal_function(args.i, args.j, args.t_grid, kernel, cfg=cfg)
     _print_csv(("t", args.t_grid), ("R", values))
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    p = QueueParams(args.lam, args.alpha)
+    kernel = MMInfinityKernel(QueueParams(args.lam, args.alpha))
     cfg = SimConfig(n_paths=args.paths, seed=args.seed)
-    (est,) = simulate_renewal_counts(args.i, [args.j], args.t_grid, p, cfg, workers=args.workers)
+    (est,) = simulate_renewal_counts(args.i, [args.j], args.t_grid, kernel, cfg, workers=args.workers)
     _print_csv(("t", est.t), ("mean", est.mean), ("std_error", est.std_error))
     return 0
 

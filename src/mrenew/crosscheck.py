@@ -60,11 +60,11 @@ def closed_form_vs_oracle(states, s_values, rhos):
 
 def inversion_vs_simulation(i, targets, times, lam, alpha, n_paths, seed):
     """Worst |Gaver-Stehfest R_ij(t) - Monte Carlo mean| in standard errors."""
-    p = QueueParams(lam, alpha)
+    kernel = MMInfinityKernel(QueueParams(lam, alpha))
     cfg = SimConfig(n_paths=n_paths, seed=seed)
     worst, where = 0.0, None
-    for est in simulate_renewal_counts(i, targets, times, p, cfg):
-        inverted = renewal_function(i, est.j, times, p)
+    for est in simulate_renewal_counts(i, targets, times, kernel, cfg):
+        inverted = renewal_function(i, est.j, times, kernel)
         for value, t, mean, std_error in zip(inverted, est.t, est.mean, est.std_error):
             z = abs(value - mean) / max(std_error, 1e-300)
             if z > worst or math.isnan(z):

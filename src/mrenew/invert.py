@@ -18,20 +18,22 @@ The row transform rbar is a Laplace-Stieltjes transform; the renewal
 function R_ij(t) has an ordinary Laplace transform rbar_ij(s) / s, which is
 what `renewal_function` inverts, evaluating each distinct abscissa of its
 time grid once.  The diagonal's unit jump at t = 0 is carried correctly
-into values for t > 0; times below T_MIN are rejected.
+into values for t > 0; times below T_MIN are rejected, and so are times
+whose rule reaches below the solvers' floor Re(s) >= 1e-14.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .model import MMInfinityKernel, QueueParams
-from .oracle import solve_rows
+from .model import KernelTransform
+from .oracle import _S_MIN, solve_rows
 
 EULER_DEFAULT_M = 11   # binomial averaging length
 EULER_DEFAULT_N = 38   # base partial-sum length
@@ -55,7 +57,7 @@ class InversionConfig:
         if self.method not in ("gaver-stehfest", "euler"):
             raise ValueError(f"unknown inversion method {self.method!r}")
         if self.method == "gaver-stehfest":
-            stehfest_weights(self.order)    # rejects an order it has no weights for
+            stehfest_weights(operator.index(self.order))    # rejects an order it has no weights for
 
 
 @lru_cache(maxsize=None)
@@ -102,7 +104,7 @@ def _rule(method: str, t: float, order: int = InversionConfig.order):
     if method == "gaver-stehfest":
         scale = math.log(2.0) / t
         abscissas = [k * scale for k in range(1, order + 1)]
-        weights = stehfest_weights(order)
+        weights = stehfest_weights(operator.index(order))
     else:
         weights = _euler_weights()
         scale = math.exp(_EULER_A / 2.0) / t
@@ -142,11 +144,11 @@ def renewal_function(
     i: int,
     j: int,
     t_grid,
-    p: QueueParams,
+    kernel: KernelTransform,
     cfg: InversionConfig = InversionConfig(),
 ) -> np.ndarray:
-    """Recover R_ij(t) on a time grid by inverting s -> rbar_ij(s) / s, with
-    rbar from one `solve_rows` call over each distinct abscissa of the grid."""
+    """Recover R_ij(t) of `kernel` on a time grid by inverting s -> rbar_ij(s) / s,
+    with rbar from one `solve_rows` call over each distinct abscissa of the grid."""
     times = np.asarray(t_grid, dtype=float)
     if times.ndim != 1:
         raise ValueError("t_grid must be one-dimensional")
@@ -154,9 +156,13 @@ def renewal_function(
         raise ValueError(f"all times must be finite and >= T_MIN = {T_MIN}")
 
     rules = [_rule(cfg.method, t, cfg.order) for t in times.tolist()]
+    for t, (abscissas, _, _) in zip(times.tolist(), rules):
+        low = abscissas[0].real     # the smallest Re(s) of either rule comes first
+        if low < _S_MIN:
+            raise ValueError(f"time {t} is too large: its inversion rule reaches Re(s) = {low:.3g} < {_S_MIN:g}")
     # a time grid can repeat an abscissa (k ln2 / t at t and 2t)
     points = list(dict.fromkeys(s for abscissas, _, _ in rules for s in abscissas))
-    values = solve_rows(i, j, points, MMInfinityKernel(p)).values
+    values = solve_rows(i, j, points, kernel).values
     transform = {s: value / s for s, value in zip(points, values)}
     return np.array(
         [_combine(scale, weights, [transform[s] for s in abscissas])

@@ -1,13 +1,11 @@
-"""Monte Carlo estimation of the renewal matrix for the M|M|infinity process.
+"""Monte Carlo estimation of the renewal matrix of a kernel.
 
-Reads only the kernel's jump rates (up, down) = `MMInfinityKernel.rates`:
-paths of the embedded jump chain are walked in the time domain and entries
-into each target state by each grid time are counted.  From state j the
-sojourn is the minimum of an up clock and a down clock, i.e. exponential
-with rate up + down, and the jump goes up with probability up / (up + down).
-The transform of one such step is the kernel's (sigma_bar, tau_bar) =
-(down, up) / (up + down + s), which ties the simulator to the rest of the
-package (and is what the kernel-consistency tests check).
+Paths of the embedded jump chain are walked in the time domain and entries
+into each target state by each grid time are counted.  Each jump is the
+kernel's: `kernel.step(states, u_time, u_dir)` (the contract is in
+`mrenew.model.KernelTransform`) turns two uniforms per path into the next
+state and the sojourn, and a path with sojourn inf is absorbed.  This
+module walks paths and counts entries, and nothing else.
 
 Paths are walked in blocks of _BLOCK, in lock-step: each step draws two
 uniforms for every path of the block still live and moves them all in a
@@ -30,9 +28,8 @@ from functools import partial
 import numpy as np
 
 from .errors import EventCapError
-from .model import MMInfinityKernel, QueueParams
+from .model import KernelTransform
 
-_TINY_UNIFORM = 1e-300  # floor on the time uniform; keeps sojourns strictly positive
 _BLOCK = 1024  # paths per random stream; fixed, so results do not depend on workers
 _MAX_EVENTS = 10_000_000  # events a path may take before the run is aborted
 
@@ -43,9 +40,9 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if self.n_paths < 1:
+        if operator.index(self.n_paths) < 1:
             raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= operator.index(self.seed) < 2**64:
             # the Philox key holds 64 bits; a seed outside would alias one inside
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
@@ -60,23 +57,6 @@ class RenewalEstimate:
     mean: np.ndarray
     std_error: np.ndarray
     n_paths: int
-
-
-def step_embedded(
-    states: np.ndarray, kernel: MMInfinityKernel, u_time: np.ndarray, u_dir: np.ndarray
-) -> tuple:
-    """One embedded-chain step from each of `states`, driven by two uniforms each.
-
-    Arrays in, arrays out: returns (next_states, sojourns).  Where both of
-    `kernel.rates` vanish (lam = 0 at state 0) the path is absorbed: it
-    keeps its state and its sojourn is inf.
-    """
-    up, down = kernel.rates(states)
-    rate = up + down
-    with np.errstate(divide="ignore"):
-        sojourn = -np.log1p(-np.maximum(u_time, _TINY_UNIFORM)) / rate
-    move = np.where(u_dir * rate < up, 1, np.where(rate > 0.0, -1, 0))
-    return states + move, sojourn
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -103,7 +83,7 @@ def _walk_block(kernel, i, targets, t_grid, cfg, block):
     events = 0
     while True:
         u = rng.random((2, live.size))
-        state, sojourn = step_embedded(state, kernel, u[0], u[1])
+        state, sojourn = kernel.step(state, u[0], u[1])
         elapsed += sojourn
         keep = elapsed <= horizon       # an absorbed path's elapsed is inf
         if not keep.all():
@@ -133,11 +113,11 @@ def simulate_renewal_counts(
     i: int,
     j_set,
     t_grid,
-    p: QueueParams,
+    kernel: KernelTransform,
     cfg: SimConfig,
     workers: int = 1,
 ) -> list:
-    """Estimate R_ij(t) for every j in j_set and t in t_grid.
+    """Estimate R_ij(t) of `kernel` for every j in j_set and t in t_grid.
 
     Returns a list of one RenewalEstimate per target, in the order of
     j_set, each with arrays over the (ascending) t_grid and its own copy of
@@ -152,7 +132,7 @@ def simulate_renewal_counts(
         raise ValueError("t_grid must be nonempty, finite, > 0 and ascending")
     if i < 0 or any(j < 0 for j in targets):
         raise ValueError(f"states must be >= 0, got i={i}, j_set={targets}")
-    if workers < 1:
+    if operator.index(workers) < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if not targets:
         return []
@@ -160,7 +140,7 @@ def simulate_renewal_counts(
     n_paths = cfg.n_paths
     n_blocks = -(-n_paths // _BLOCK)
     workers = min(workers, n_blocks)
-    walk = partial(_walk_block, MMInfinityKernel(p), i, np.asarray(targets, dtype=np.int64), times, cfg)
+    walk = partial(_walk_block, kernel, i, np.asarray(targets, dtype=np.int64), times, cfg)
     if workers == 1:
         parts = list(map(walk, range(n_blocks)))
     else:

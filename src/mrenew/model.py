@@ -9,19 +9,22 @@ service rate 1/alpha:
     tau_bar(j, s)   = rho / (j + rho + alpha*s)
     sigma_bar(j, s) = j   / (j + rho + alpha*s)       rho = lam * alpha
 
-`invert` recovers time-domain values from these transforms; `mcsim`
-walks paths from the jump rates behind them (`MMInfinityKernel.rates`).
+A kernel owns its law in both domains: `transforms` for the solvers and
+the inverters, and `step`, one jump of the embedded chain, for the
+simulator in `mcsim`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
 
 _INVARIANT_TOL = 1e-12  # slack allowed in each kernel invariant
+_TINY_UNIFORM = 1e-300  # floor on the time uniform of `step`; keeps sojourns strictly positive
 
 
 @dataclass(frozen=True)
@@ -75,6 +78,13 @@ class KernelTransform(ABC):
     |rbar_ij(s)| <= rbar_ij(Re s), which the cut of `mrenew.oracle.solve_rows`
     relies on at complex s.  `MMInfinityKernel` does, since
     |j + rho + alpha s| >= j + rho + alpha Re s.
+
+    Simulation also calls ``step(states, u_time, u_dir)``, which is not
+    abstract, so transform-only kernels stay valid.  Given integer states
+    and two arrays of uniforms on [0, 1), one pair per state, it returns
+    (next_states, sojourns).  A state j moves to j - 1 or j + 1 after a
+    sojourn T with E[e^{-sT}; down] = sigma_bar(j, s) and
+    E[e^{-sT}; up] = tau_bar(j, s); an absorbing j stays, with T = inf.
     """
 
     @abstractmethod
@@ -107,9 +117,16 @@ class MMInfinityKernel(KernelTransform):
         tau = p.rho / denom
         return sigma, tau
 
-    def rates(self, j) -> tuple:
-        """Jump rates (up, down) = (lam, j / alpha); transforms = (down, up) / (up + down + s)."""
-        return self.params.lam, j / self.params.alpha
+    def step(self, states, u_time, u_dir) -> tuple:
+        """One jump: the race of an up clock at rate lam and a down clock at rate
+        j / alpha, whose transforms are (sigma_bar, tau_bar) = (down, up) /
+        (up + down + s).  Without arrivals state 0 is absorbing."""
+        up, down = self.params.lam, states / self.params.alpha
+        rate = up + down
+        with np.errstate(divide="ignore"):
+            sojourn = -np.log1p(-np.maximum(u_time, _TINY_UNIFORM)) / rate
+        move = np.where(u_dir * rate < up, 1, np.where(rate > 0.0, -1, 0))
+        return states + move, sojourn
 
 
 def validate_kernel(kernel: KernelTransform, j_max: int, s_grid) -> list:
@@ -124,6 +141,7 @@ def validate_kernel(kernel: KernelTransform, j_max: int, s_grid) -> list:
     Monotonicity in s is checked between consecutive grid points.  Each
     inequality allows a slack of 1e-12.
     """
+    j_max = operator.index(j_max)
     if j_max < 0:
         raise ValueError(f"j_max must be >= 0, got {j_max}")
     s_values = sorted(s_grid)

@@ -126,7 +126,7 @@ class TruncationConfig:
     n0: int = 64
 
     def __post_init__(self):
-        if not 2 <= self.n0 <= _N_MAX:
+        if not 2 <= operator.index(self.n0) <= _N_MAX:
             raise ValueError(f"n0 must be in [2, n_max={_N_MAX}], got {self.n0}")
 
 

@@ -139,8 +139,8 @@ def test_criterion_7_inversion():
     # order 16 everywhere: an even order within the documented [4, 18] range
     order = 16
     times = (0.25, 0.5, 1.0, 2.0, 4.0)
-    p = QueueParams(0.0, 1.0)
-    inverted = renewal_function(1, 0, times, p, cfg=InversionConfig(order=order))
+    pure_death = MMInfinityKernel(QueueParams(0.0, 1.0))
+    inverted = renewal_function(1, 0, times, pure_death, cfg=InversionConfig(order=order))
     death_err = max(abs(v - (1.0 - math.exp(-t))) for v, t in zip(inverted, times))
 
     textbook_err = max(

@@ -245,6 +245,15 @@ class TestArgumentErrors:
         assert captured.out == ""
         assert "Re(s) >= 1e-14" in captured.err
 
+    @pytest.mark.parametrize("method", ["gs", "euler"])
+    def test_time_past_the_solvers_floor_maps_to_two_naming_the_time(self, method, capsys):
+        # the refusal named the abscissa 6.93e-16 (gs), not the time asked for
+        argv = f"renewal --i 0 --j 0 --t-grid 1e15:1e15:1 --lambda 1 --alpha 1 --method {method}"
+        assert run(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "time 1000000000000000.0 is too large" in captured.err
+
 
 class TestNumericalFailureExit:
     def test_nonconvergence_maps_to_one(self, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from mrenew import (
 import mrenew.invert as invert
 from mrenew.invert import stehfest_weights
 
-PURE_DEATH = QueueParams(0.0, 1.0)
-UNIT = QueueParams(1.0, 1.0)
+PURE_DEATH = MMInfinityKernel(QueueParams(0.0, 1.0))
+UNIT = MMInfinityKernel(QueueParams(1.0, 1.0))
 
 
 class TestStehfestWeights:
@@ -140,6 +141,16 @@ class TestInversionConfig:
         with pytest.raises(ValueError):
             InversionConfig(**kwargs)
 
+    def test_order_must_be_an_integer(self):
+        # 16.0 passed once the cached stehfest_weights(16) answered for it,
+        # and raised a bare TypeError from range() before
+        stehfest_weights(16)
+        with pytest.raises(TypeError):
+            InversionConfig(order=16.0)
+        with pytest.raises(TypeError):
+            gaver_stehfest(lambda s: 1.0 / s, 1.0, 16.0)
+        assert InversionConfig(order=np.int64(16)).order == 16
+
     def test_euler_ignores_order(self):
         # only Gaver-Stehfest has an order; Euler's lengths are fixed
         assert InversionConfig(method="euler", order=5).order == 5
@@ -156,7 +167,7 @@ class TestRenewalFunction:
         # order 16 holds the stieltjes-to-ordinary conversion below 1e-5
         p = QueueParams(0.0, alpha)
         times = [0.25, 0.5, 1.0, 2.0, 4.0]
-        values = renewal_function(1, 0, times, p, cfg=InversionConfig(order=16))
+        values = renewal_function(1, 0, times, MMInfinityKernel(p), cfg=InversionConfig(order=16))
         exact = [1.0 - math.exp(-t / alpha) for t in times]
         assert max(abs(a - b) for a, b in zip(values, exact)) <= 1e-5
 
@@ -185,7 +196,7 @@ class TestRenewalFunction:
         # Gaver-Stehfest 16 and 18 amplify transform errors by ~1e8; a cut
         # taken where the entries move by 1e-10 left 1.4e-7 and 4.7e-6 here
         p = QueueParams(50.0, 1.0)
-        oracle = renewal_function(3, 40, [1.0], p, cfg=InversionConfig(order=order))
+        oracle = renewal_function(3, 40, [1.0], MMInfinityKernel(p), cfg=InversionConfig(order=order))
         closed = gaver_stehfest(lambda s: rbar_closed_form(3, 40, s, p) / s, 1.0, order)
         assert abs(oracle[0] - closed) <= gap
 
@@ -196,7 +207,7 @@ class TestRenewalFunction:
         if solver == "oracle":
             assert renewal_function(0, 0, [], UNIT).shape == (0,)
         else:
-            assert rbar_closed_form(0, 0, np.array([]), UNIT).shape == (0,)
+            assert rbar_closed_form(0, 0, np.array([]), UNIT.params).shape == (0,)
 
     def test_negative_target_state_rejected(self):
         for times in ([1.0], []):
@@ -217,6 +228,17 @@ class TestRenewalFunction:
         with pytest.raises(ValueError):
             renewal_function(0, 0, [1e-12], UNIT)
 
+    @pytest.mark.parametrize("method, largest", [("gaver-stehfest", math.log(2.0) / 1e-14), ("euler", 9.2 / 1e-14)],
+                             ids=["gs", "euler"])
+    def test_times_past_the_solvers_floor_rejected_by_their_time(self, method, largest):
+        # the smallest Re(s) of the rule, ln2 / t or A / 2t, may not pass the
+        # oracle's floor 1e-14; the oracle refused the abscissa, not naming t.
+        # Just inside the limit the time is not refused (accuracy is not checked)
+        cfg = InversionConfig(method=method)
+        assert np.isfinite(renewal_function(0, 0, [1.0, 0.99 * largest], UNIT, cfg=cfg)).all()
+        with pytest.raises(ValueError, match=re.escape(f"time {1.01 * largest} is too large: ") + ".* < 1e-14"):
+            renewal_function(0, 0, [1.0, 1.01 * largest], UNIT, cfg=cfg)
+
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_nonfinite_times_rejected(self, t):
         with pytest.raises(ValueError):
@@ -226,21 +248,21 @@ class TestRenewalFunction:
 class TestBatchedAbscissas:
     """renewal_function solves every abscissa of its grid in one solve_rows call."""
 
-    P = QueueParams(3.0, 0.5)
+    KERNEL = MMInfinityKernel(QueueParams(3.0, 0.5))
 
     def _one_at_a_time(self, i, j, s):
-        row = solve_row_adaptive(i, s, MMInfinityKernel(self.P), TruncationConfig(n0=max(64, j + 2)))
+        row = solve_row_adaptive(i, s, self.KERNEL, TruncationConfig(n0=max(64, j + 2)))
         return row.values[j] / s
 
     def test_gaver_stehfest_bit_identical_to_one_solve_per_abscissa(self):
         times = [0.3, 1.0, 2.0, 7.5]
-        values = renewal_function(2, 4, times, self.P, cfg=InversionConfig(order=16))
+        values = renewal_function(2, 4, times, self.KERNEL, cfg=InversionConfig(order=16))
         for t, value in zip(times, values):
             assert value == gaver_stehfest(lambda s: self._one_at_a_time(2, 4, s), t, 16)
 
     def test_euler_matches_one_solve_per_abscissa(self):
         times = [0.5, 3.0]
-        values = renewal_function(1, 0, times, self.P, cfg=InversionConfig(method="euler"))
+        values = renewal_function(1, 0, times, self.KERNEL, cfg=InversionConfig(method="euler"))
         for t, value in zip(times, values):
             one = euler_inversion(lambda s: self._one_at_a_time(1, 0, s), t)
             assert value == pytest.approx(one, rel=1e-12)

@@ -7,16 +7,20 @@ import pytest
 
 from mrenew import (
     EventCapError,
+    InversionConfig,
+    KernelTransform,
     MMInfinityKernel,
     QueueParams,
     SimConfig,
+    renewal_function,
     simulate_renewal_counts,
+    validate_kernel,
 )
 from mrenew import mcsim
-from mrenew.mcsim import _BLOCK, step_embedded
+from mrenew.mcsim import _BLOCK
 
-UNIT = QueueParams(1.0, 1.0)
-PURE_DEATH = QueueParams(0.0, 1.0)
+UNIT = MMInfinityKernel(QueueParams(1.0, 1.0))
+PURE_DEATH = MMInfinityKernel(QueueParams(0.0, 1.0))
 
 
 def _draws(n, seed):
@@ -33,14 +37,15 @@ def _same(runs_a, runs_b):
     )
 
 
-def _step(state, p, u_time, u_dir):
-    """step_embedded on one-element inputs, back as Python scalars."""
-    kernel = MMInfinityKernel(p)
-    states, sojourns = step_embedded(np.array([state]), kernel, np.array([u_time]), np.array([u_dir]))
+def _step(state, kernel, u_time, u_dir):
+    """kernel.step on one-element inputs, back as Python scalars."""
+    states, sojourns = kernel.step(np.array([state]), np.array([u_time]), np.array([u_dir]))
     return int(states[0]), float(sojourns[0])
 
 
 class TestStepEmbedded:
+    """MMInfinityKernel.step, the embedded-chain step the simulator walks."""
+
     def test_absorbed_at_empty_system_without_arrivals(self):
         state, sojourn = _step(0, PURE_DEATH, 0.5, 0.5)
         assert math.isinf(sojourn)
@@ -66,7 +71,7 @@ class TestStepEmbedded:
         # sojourn 1/3; one million draws stay within 3 standard errors
         n = 1_000_000
         draws = _draws(n, seed=2024)
-        states, sojourns = step_embedded(np.full(n, 2), MMInfinityKernel(UNIT), draws[:, 0], draws[:, 1])
+        states, sojourns = UNIT.step(np.full(n, 2), draws[:, 0], draws[:, 1])
         up_frac = np.count_nonzero(states == 3) / n
         se_up = math.sqrt(up_frac * (1 - up_frac) / n)
         assert abs(up_frac - 1.0 / 3.0) <= 3 * se_up
@@ -81,9 +86,8 @@ class TestStepEmbedded:
         # simulator to the transform kernel
         n = 1_000_000
         draws = _draws(n, seed=90_000 + j)
-        kernel = MMInfinityKernel(UNIT)
-        sigma_ref, tau_ref = kernel.transforms(j, s)
-        states, sojourns = step_embedded(np.full(n, j), kernel, draws[:, 0], draws[:, 1])
+        sigma_ref, tau_ref = UNIT.transforms(j, s)
+        states, sojourns = UNIT.step(np.full(n, j), draws[:, 0], draws[:, 1])
         weights = np.exp(-s * sojourns)
         up_vals = np.where(states == j + 1, weights, 0.0)
         down_vals = np.where(states == j - 1, weights, 0.0)
@@ -123,7 +127,7 @@ class TestSimulateRenewalCounts:
         cfg = SimConfig(n_paths=200, seed=3)
         times = np.array([0.5, 1.0])
         stay, leave = simulate_renewal_counts(2, [2, 3], times, UNIT, cfg)
-        counts = mcsim._walk_block(MMInfinityKernel(UNIT), 2, np.array([2, 3]), times, cfg, 0)
+        counts = mcsim._walk_block(UNIT, 2, np.array([2, 3]), times, cfg, 0)
         assert np.array_equal(stay.mean, 1.0 + counts.mean(axis=0)[0])
         assert np.array_equal(leave.mean, counts.mean(axis=0)[1])
         assert np.all(stay.mean >= 1.0) and np.all(leave.mean >= 0.0)
@@ -153,7 +157,7 @@ class TestSimulateRenewalCounts:
         monkeypatch.setattr(mcsim, "_MAX_EVENTS", 3)
         cfg = SimConfig(n_paths=10, seed=5)
         with pytest.raises(EventCapError, match="max_events=3 "):
-            simulate_renewal_counts(0, [0], [10.0], QueueParams(5.0, 1.0), cfg)
+            simulate_renewal_counts(0, [0], [10.0], MMInfinityKernel(QueueParams(5.0, 1.0)), cfg)
 
     def test_repeated_target_counts_in_every_column(self):
         cfg = SimConfig(n_paths=2_000, seed=1)
@@ -219,6 +223,26 @@ class TestSimulateRenewalCounts:
         assert _same(estimates, simulate_renewal_counts(1, [2], [0.5], UNIT, cfg))
         assert type(estimates[0].i) is int and type(estimates[0].j) is int
 
+    def test_seed_must_be_an_integer(self):
+        # 1.9 ran seed 1's stream, bit for bit
+        with pytest.raises(TypeError):
+            SimConfig(n_paths=10, seed=1.9)
+        cfg = SimConfig(n_paths=10, seed=np.uint64(1))
+        assert _same(simulate_renewal_counts(0, [0], [0.5], UNIT, cfg),
+                     simulate_renewal_counts(0, [0], [0.5], UNIT, SimConfig(n_paths=10, seed=1)))
+
+    def test_n_paths_must_be_an_integer(self):
+        # 10.5 was accepted, and the walk then raised a bare TypeError
+        with pytest.raises(TypeError):
+            SimConfig(n_paths=10.5, seed=1)
+        assert SimConfig(n_paths=np.int64(10), seed=1).n_paths == 10
+
+    def test_workers_must_be_an_integer(self):
+        # 1.5 ran one worker on a one-block run, and failed on a longer one
+        cfg = SimConfig(n_paths=10, seed=1)
+        with pytest.raises(TypeError):
+            simulate_renewal_counts(0, [0], [0.5], UNIT, cfg, workers=1.5)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SimConfig(n_paths=0, seed=1)
@@ -235,6 +259,51 @@ class TestSimulateRenewalCounts:
         assert mcsim._MAX_EVENTS == 10_000_000
         with pytest.raises(TypeError):
             SimConfig(n_paths=1, seed=1, max_events=5)
+
+
+@dataclasses.dataclass(frozen=True)
+class _MM1Kernel(KernelTransform):
+    """M|M|1: up at rate lam from every state, down at rate mu from states above 0."""
+
+    lam: float
+    mu: float
+
+    def _rates(self, j):
+        return self.lam, self.mu * (np.asarray(j) > 0)
+
+    def transforms(self, j, s):
+        up, down = self._rates(j)
+        total = up + down + s
+        return down / total, up / total
+
+    def step(self, states, u_time, u_dir):
+        up, down = self._rates(states)
+        rate = up + down
+        return states + np.where(u_dir * rate < up, 1, -1), -np.log1p(-u_time) / rate
+
+
+class TestOtherKernel:
+    """A kernel with transforms and step goes through both time-domain routes, as M|M|infinity does."""
+
+    KERNEL = _MM1Kernel(lam=0.8, mu=1.0)
+
+    def test_kernel_is_valid(self):
+        assert validate_kernel(self.KERNEL, 50, [0.0, 0.1, 1.0, 10.0]) == []
+
+    def test_euler_inversion_and_simulation_agree(self):
+        # seed and the 4-standard-error bound were fixed before the first run;
+        # 12 points, so a 4 SE bound leaves each a two-sided 6e-5 chance
+        times = [0.5, 1.0, 2.0, 4.0]
+        cfg = SimConfig(n_paths=20_000, seed=5)
+        for est in simulate_renewal_counts(0, [0, 1, 2], times, self.KERNEL, cfg):
+            assert np.all(est.std_error > 0)
+            inverted = renewal_function(0, est.j, times, self.KERNEL, cfg=InversionConfig(method="euler"))
+            assert np.all(np.abs(inverted - est.mean) <= 4 * est.std_error), (est.j, inverted, est.mean)
+
+    def test_bit_identical_across_worker_counts(self):
+        cfg = SimConfig(n_paths=_BLOCK + 100, seed=3)
+        serial = simulate_renewal_counts(1, [0, 2], [0.5, 1.0], self.KERNEL, cfg, workers=1)
+        assert _same(serial, simulate_renewal_counts(1, [0, 2], [0.5, 1.0], self.KERNEL, cfg, workers=2))
 
 
 class TestBlockContract:
@@ -255,7 +324,7 @@ class TestBlockContract:
 
         def block(n_paths, b):
             cfg = SimConfig(n_paths=n_paths, seed=4)
-            return mcsim._walk_block(MMInfinityKernel(UNIT), 0, targets, times, cfg, b)
+            return mcsim._walk_block(UNIT, 0, targets, times, cfg, b)
 
         assert np.array_equal(block(_BLOCK, 0), block(3 * _BLOCK, 0))
         assert np.array_equal(block(2 * _BLOCK, 1), block(3 * _BLOCK, 1))
@@ -279,13 +348,13 @@ class TestBlockContract:
         # path event: pure death from 5 takes five steps and then one
         # absorbing step in every block, whatever its size
         calls = []
-        real = mcsim.step_embedded
+        real = MMInfinityKernel.step
 
-        def spy(*args):
-            calls.append(args[0].size)
-            return real(*args)
+        def spy(self, states, *uniforms):
+            calls.append(states.size)
+            return real(self, states, *uniforms)
 
-        monkeypatch.setattr(mcsim, "step_embedded", spy)
+        monkeypatch.setattr(MMInfinityKernel, "step", spy)
         for n_paths, blocks in ((10, 1), (_BLOCK, 1), (_BLOCK + 1, 2)):
             calls.clear()
             cfg = SimConfig(n_paths=n_paths, seed=3)

@@ -188,6 +188,13 @@ class TestValidateKernel:
         with pytest.raises(ValueError, match="j_max"):
             validate_kernel(kernel, -1, [1.0])
 
+    def test_j_max_must_be_an_integer(self):
+        # 3.5 was reported as a shape violation: "transforms returned (5, 1) ..., not (4.5, 1)"
+        kernel = MMInfinityKernel(QueueParams(1.0, 1.0))
+        with pytest.raises(TypeError):
+            validate_kernel(kernel, 3.5, [1.0])
+        assert validate_kernel(kernel, np.int64(3), [1.0]) == []
+
     def test_mm_infinity_passes(self):
         kernel = MMInfinityKernel(QueueParams(1.0, 1.0))
         assert validate_kernel(kernel, 50, [0.0, 0.1, 1.0, 10.0]) == []
@@ -265,7 +272,8 @@ class TestMMInfinityKernelEvaluator:
 
 
 class TestRates:
-    """rates is the time-domain side of transforms: (sigma, tau) = (down, up) / (up + down + s)."""
+    """transforms and step race the same clocks, up at rate lam and down at rate j / alpha:
+    (sigma, tau) = (down, up) / (up + down + s), and step's sojourn has rate up + down."""
 
     @pytest.mark.parametrize("lam", [0.0, 1e-6, 0.3, 7.5, 2000.0])
     @pytest.mark.parametrize("alpha", [1e-3, 0.37, 2.9, 50.0])
@@ -274,15 +282,23 @@ class TestRates:
         states = np.arange(201)[:, None]
         s = np.concatenate([[0.0], np.geomspace(1e-6, 100.0, 40)])
         sigma, tau = kernel.transforms(states, s)
-        up, down = kernel.rates(states)
-        assert up == lam and np.array_equal(down, states / alpha)
+        up, down = lam, states / alpha
         live = (states > 0) | (s > 0) | (lam > 0)     # all but the absorbing corner
         with np.errstate(invalid="ignore"):
             total = up + down + s
             for got, want in ((sigma, down / total), (tau, up / total)):
                 np.testing.assert_allclose(got[live], np.broadcast_to(want, got.shape)[live], rtol=1e-15, atol=0)
-        if lam == 0.0:      # j = s = 0 without arrivals: both rates and both transforms are 0
-            assert kernel.rates(0) == (0.0, 0.0)
+
+        u_time, u_dir = np.random.default_rng(7).random((2, 201))
+        moved, sojourns = kernel.step(states[:, 0], u_time, u_dir)
+        rate = (up + down)[:, 0]
+        live = rate > 0
+        np.testing.assert_allclose(sojourns[live] * rate[live], -np.log1p(-u_time[live]), rtol=1e-15, atol=0)
+        clear = live & (np.abs(u_dir - up / np.where(live, rate, 1.0)) > 1e-12)   # not on the threshold
+        went_up = u_dir[clear] < up / rate[clear]
+        assert np.array_equal(moved[clear], np.where(went_up, states[clear, 0] + 1, states[clear, 0] - 1))
+        if lam == 0.0:      # j = s = 0 without arrivals: no clock runs, both transforms are 0
+            assert (moved[0], sojourns[0]) == (0, math.inf)
             assert kernel.transforms(0, 0.0) == (0.0, 0.0)
 
 

@@ -576,6 +576,12 @@ class TestTruncationConfig:
         with pytest.raises(ValueError):
             TruncationConfig(**kwargs)
 
+    def test_floor_must_be_an_integer(self):
+        # 64.5 was accepted, and the solve then raised a bare TypeError
+        with pytest.raises(TypeError):
+            TruncationConfig(n0=64.5)
+        assert TruncationConfig(n0=np.int64(64)).n0 == 64
+
     @pytest.mark.parametrize("kwargs", [{"n_max": 2**10}, {"tol": 1e-12}])
     def test_cap_and_tolerance_are_not_options(self, kwargs):
         with pytest.raises(TypeError):
