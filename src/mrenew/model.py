@@ -68,6 +68,8 @@ class KernelTransform(ABC):
     a request, in one call.  A valid kernel satisfies, for every j and
     every s >= 0:
 
+    * sigma_bar and tau_bar are finite (the solvers refuse a NaN or an
+      infinity with ValueError),
     * sigma_bar(0, s) == 0,
     * 0 <= sigma_bar, 0 <= tau_bar, sigma_bar + tau_bar <= 1,
     * both nonincreasing in s for fixed j.
@@ -138,8 +140,9 @@ def validate_kernel(kernel: KernelTransform, j_max: int, s_grid) -> list:
     by j then s; an empty list means the kernel passed.  Violations are
     data, not errors: a call that raises or does not return two arrays of
     the grid's shape is the one entry ``(None, None, message)``.
-    Monotonicity in s is checked between consecutive grid points.  Each
-    inequality allows a slack of 1e-12.
+    A NaN or an infinity gets one message per (j, s), and no other check
+    there; monotonicity in s is checked between consecutive grid points
+    whose values are finite.  Each inequality allows a slack of 1e-12.
     """
     j_max = operator.index(j_max)
     if j_max < 0:
@@ -162,6 +165,10 @@ def validate_kernel(kernel: KernelTransform, j_max: int, s_grid) -> list:
     for j, (sigma_row, tau_row) in enumerate(zip(np.asarray(sigmas).tolist(), np.asarray(taus).tolist())):
         prev = None
         for s, sigma, tau in zip(s_values, sigma_row, tau_row):
+            if not (math.isfinite(sigma) and math.isfinite(tau)):
+                name, value = ("sigma_bar", sigma) if not math.isfinite(sigma) else ("tau_bar", tau)
+                report.append((j, s, f"{name}({j}, {s}) = {value!r} is not finite"))
+                continue
             if j == 0 and abs(sigma) > _INVARIANT_TOL:
                 report.append((j, s, f"sigma_bar(0, {s}) = {sigma!r}, expected 0"))
             if sigma < -_INVARIANT_TOL:

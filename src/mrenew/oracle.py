@@ -37,7 +37,12 @@ real s every entry 0..top by less, relative to its value, as above.  The
 bound test cuts rows whose states past top drift strongly upwards (top
 well below rho for M|M|inf) long before their mass runs out; the two
 tests may give different N, so `solve_row_adaptive`, whose contract is the
-whole row's normalization, does not share `solve_rows`' N.
+whole row's normalization, does not share `solve_rows`' N.  The kernel
+is read one state ahead of the elimination, so each level N is judged
+once, at state N, by both tests against one x[top], and a row swept to
+its last level n reads the kernel at n + 1.  Kernel values must be
+finite: a block holding a NaN or an infinity is refused with ValueError,
+naming its first such state and abscissa, before any of it is swept.
 
 A column keeps O(top) state whatever N is, and `solve_rows` sweeps every
 abscissa of a request at once, each cut at its own N.  The normalization
@@ -161,6 +166,23 @@ def _back_substitute(g, q, c, top: int, x, tail):
     return np.array(entries[::-1]), abs(total - 1.0)
 
 
+def _kernel_block(kernel: KernelTransform, states, s) -> tuple:
+    """sigma_bar, tau_bar and c = 1 - sigma_bar - tau_bar at the states and abscissas.
+
+    Raises ValueError naming the first state and abscissa where c is not
+    finite: a NaN or an infinity in sigma_bar or tau_bar reaches c.
+    """
+    sigma, tau = kernel.transforms(states, s)
+    c = 1.0 - sigma - tau
+    if not np.isfinite(c).all():
+        at = np.flatnonzero(~np.isfinite(c))[0]
+        state, s_at, sigma_at, tau_at = (np.broadcast_to(a, c.shape).flat[at].item()
+                                         for a in (states, s, sigma, tau))
+        raise ValueError(f"kernel values at state {state}, s={s_at} are not finite: "
+                         f"sigma_bar = {sigma_at}, tau_bar = {tau_at}")
+    return sigma, tau, c
+
+
 def _eliminate(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int, proven: bool = True):
     """Row i cut at the first N in [n_lo, n_hi] that passes the stop test, else at n_hi.
 
@@ -168,44 +190,45 @@ def _eliminate(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int, pr
     so top = n_hi cuts at n_hi and keeps every state.  Past top,
     S = q[top] x[top+1] = sum_M g[M] P[M] (P[M] = q[top] .. q[M-1], so the
     cut at M moves x[top] by g[M] P[M]) and the tail sum_M g[M] U[M]
-    (U[M] = q[M-1] U[M-1] + c[M]) are carried.  The test is the lost-mass
-    test, or with proven also the bound test, which at state M + 1 cuts at
-    M, once |P[M+1]| < 2**-52 c[M+1](Re s) |x[top]|.  A scalar s is stepped as
-    Python scalars; an array of abscissas as one column each, in the same
-    operations, so a real column gives the bits of its scalar solve.  Kernel
-    blocks hold at most _SWEEP_ELEMENTS states x columns.  Returns per
-    abscissa: entries 0..top, N, the residual and whether the test passed.
+    (U[M] = q[M-1] U[M-1] + c[M]) are carried.  The kernel is read one
+    state ahead, so state N steps q[N] = sigma[N+1] / w[N] and judges level N
+    once, by both tests against one |x[top]|: the lost-mass test, and with
+    proven also the bound test |P[N+1]| < 2**-52 c[N+1](Re s) |x[top]|.  A
+    scalar s is stepped as Python scalars; an array of abscissas as one
+    column each, in the same operations, so a real column gives the bits of
+    its scalar solve.  Kernel blocks, the row read ahead included, hold at
+    most _SWEEP_ELEMENTS states x columns.  Returns per abscissa: entries
+    0..top, N, the residual and whether a test passed.
     """
     batched = np.ndim(s) == 1
     cols = np.size(s)
     top = min(top, n_hi)
-    first = max(n_lo, top + 1)                      # first N the test may pass at
-    proof = first if proven else n_hi               # the bound test runs at states past it
-    budget = max(1, _SWEEP_ELEMENTS // cols)        # states per block
+    first = max(n_lo, top + 1)                      # first N the tests may pass at
+    budget = max(1, _SWEEP_ELEMENTS // cols - 1)    # states stepped per block, which reads one more
     levels, passed, todo = np.zeros(cols, dtype=int), np.zeros(cols, dtype=bool), np.ones(cols, dtype=bool)
     sums = np.zeros((2, cols))                      # S and the tail where each column was cut
     kept = kept_g, kept_q, kept_c = [], [], []
     zero = np.zeros(cols) if batched else 0.0
     some = np.ndarray.any if batched else bool
-    w, g, tp, p, u, x, tail, move, last = 1.0, 0.0, 0.0, zero + 1.0, zero, zero, zero, zero, zero
-    bound, eps = zero + _TOL, zero + _EPS           # lost mass and bound test factor; -1 once cut
+    w, g, tp, q, p, u, x, tail, move, last = 1.0, 0.0, 0.0, 0.0, zero + 1.0, zero, zero, zero, zero, zero
+    hit = False                                     # no level below first passes
+    # lost mass and bound test factor allowed; -1 and 0 once cut, and 0 throughout unless proven
+    bound, eps = zero + _TOL, zero + (_EPS if proven else 0.0)
     lo = 0
     while todo.any():
-        # the first block reaches n_lo + 1, where the bound test can cut at n_lo
-        hi = min(lo + min(budget, max(n_lo + 2, lo)), n_hi + 1)
-        states = np.arange(lo, hi)
-        sigma, tau = kernel.transforms(states[:, None] if batched else states, s)
-        c = 1.0 - sigma - tau
-        c_re = c                                    # c at Re s, where sum_k c_k x_k <= 1 and x >= |x(s)|
-        if proven and np.iscomplexobj(c):
-            sigma_re, tau_re = kernel.transforms(states[:, None] if batched else states, np.real(s))
-            c_re = 1.0 - sigma_re - tau_re
+        hi = min(lo + min(budget, max(n_lo + 1, lo)), n_hi + 1)
+        states = np.arange(lo, hi + 1)
+        rows = states[:, None] if batched else states
+        sigma, tau, c = _kernel_block(kernel, rows, s)
+        # c at Re s, where sum_k c_k x_k <= 1 and x >= |x(s)|
+        c_re = _kernel_block(kernel, rows, np.real(s))[2] if np.iscomplexobj(c) else c
         pivots = np.ones_like(c) if batched else [1.0] * (hi - lo)
         try:
             with np.errstate(all="ignore"):     # a bad pivot is reported below
-                steps = zip(range(lo, hi), *(a if batched else a.tolist() for a in (sigma, tau, c, c_re)))
+                # sigma and c_re of state k + 1 step state k
+                ahead = (sigma[1:], tau, c, c_re[1:])
+                steps = zip(range(lo, hi), *(a if batched else a.tolist() for a in ahead))
                 for k, sigma_k, tau_k, c_k, c_re_k in steps:
-                    q = sigma_k / w
                     w = pivots[k - lo] = 1.0 - tp * q
                     g = 1.0 / w if k == i else tp * g / w
                     tp = tau_k
@@ -215,28 +238,24 @@ def _eliminate(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int, pr
                         kept_c.append(c_k)
                     else:
                         last, p, u = move, p * q, u * q + c_k
-                        # the cut at k - 1 moves x[top] by p x[k], and |x[k]| <= 1 / c_re_k
-                        if k > proof and some(bounded := abs(p) < eps * c_re_k * abs(kept_g[top] + x)):
-                            cut = todo & bounded
-                            levels[cut], todo[cut], passed[cut] = k - 1, False, True
-                            bound, eps = np.where(cut, -1.0, bound), np.where(cut, -1.0, eps)
-                            sums = np.where(cut, np.reshape((x, tail), (2, -1)), sums)
-                            if not todo.any():
-                                break
                         move = g * p
                         x, tail = x + move, tail + g * u
-                    if k < n_hi and (k < first or not some(abs(tau_k * g) <= bound)):
+                    q = sigma_k / w
+                    # level k: the bound test (the cut at k moves x[top] by p q x[k+1], and
+                    # |x[k+1]| <= 1 / c_re_k), then the lost-mass test, against one |x[top]|
+                    if (k < first or not some(hit := abs(p * q) < eps * c_re_k * (x_top := abs(kept_g[top] + x)))
+                            and not some(abs(tau_k * g) <= bound)) and k < n_hi:
                         continue
-                    # the moves still to come, shrinking by r per state, sum to |move| r / (1 - r)
-                    r = np.abs(np.divide(move, last))
-                    hit = (k >= first) & (abs(tau_k * g) <= bound) & (
-                        (move == 0) | (np.abs(move) * r <= _EPS * (1.0 - r) * np.abs(kept_g[top] + x)))
+                    if some(lost := (k >= first) & (abs(tau_k * g) <= bound)):
+                        # the moves still to come, shrinking by r per state, sum to |move| r / (1 - r)
+                        r = abs(np.divide(move, last))
+                        hit = hit | lost & ((move == 0) | (abs(move) * r <= _EPS * (1.0 - r) * x_top))
                     if k < n_hi and not some(hit):
                         continue
                     cut = todo & (hit | (k == n_hi))
                     levels[cut], todo[cut] = k, False
                     passed, bound = np.where(cut, hit, passed), np.where(cut, -1.0, bound)
-                    eps = np.where(cut, -1.0, eps)
+                    eps = np.where(cut, 0.0, eps)
                     sums = np.where(cut, np.reshape((x, tail), (2, -1)), sums)
                     if not todo.any():
                         break
@@ -341,7 +360,7 @@ def neumann_series_sum(i: int, s, kernel: KernelTransform, n: int) -> np.ndarray
     i, n = _check_row(i, s, n)
     if not 0 <= i <= n:
         raise ValueError(f"start state must satisfy 0 <= i <= n, got i={i}, n={n}")
-    sigma, tau = kernel.transforms(np.arange(n + 1), s)
+    sigma, tau, _ = _kernel_block(kernel, np.arange(n + 1), s)
     power = np.zeros(n + 1, dtype=sigma.dtype)
     power[i] = 1.0
     total = power.copy()

@@ -183,6 +183,16 @@ class TestValidateKernel:
     def test_invariant_violation_reported(self, sigma, tau, expected):
         assert expected in validate_kernel(_FormulaKernel(sigma, tau), 1, [0.5, 1.0])
 
+    def test_nonfinite_values_reported_once_each(self):
+        # a NaN passed every comparison, and an infinity showed only as a sum above 1
+        kernel = _FormulaKernel(lambda s: np.where(s < 0.75, math.nan, 0.25),
+                                lambda s: np.where(s < 0.75, 0.5, math.inf))
+        assert validate_kernel(kernel, 1, [0.5, 1.0]) == [
+            (0, 1.0, "tau_bar(0, 1.0) = inf is not finite"),
+            (1, 0.5, "sigma_bar(1, 0.5) = nan is not finite"),
+            (1, 1.0, "tau_bar(1, 1.0) = inf is not finite"),
+        ]
+
     def test_negative_j_max_rejected(self):
         kernel = MMInfinityKernel(QueueParams(1.0, 1.0))
         with pytest.raises(ValueError, match="j_max"):

@@ -282,27 +282,33 @@ class TestSolveRows:
         monkeypatch.setattr(MMInfinityKernel, "transforms", spy)
         p, s_values = self.SPREAD
         solve_rows(0, 0, np.concatenate([s_values, s_values + 0.5]), kernel(p))
+        # 100 Euler abscissas at t = 2, rho = 1000, target 1000: the deep sweep
+        # fills its blocks, 61 states x 100 columns, the row read ahead included
+        grid = [complex(9.2 / 2.0, k * math.pi / 2.0) for k in range(100)]
+        solve_rows(0, 1000, grid, kernel(QueueParams(1000.0, 1.0)))
         assert any(len(shape) == 2 for shape in shapes)
+        assert max(math.prod(shape) for shape in shapes) == 6100
         for shape in shapes:
             assert len(shape) == 1 or shape[0] * shape[1] <= oracle._SWEEP_ELEMENTS
 
     def test_level_sweeps_every_open_column_together(self, monkeypatch):
-        # 400 columns leave room for 15 states per block: the blocks get
-        # shorter, the sweep never splits its columns
+        # 400 columns leave room for 15 states per block: 14 stepped and 1
+        # read ahead.  The blocks get shorter, the sweep never splits its columns
         k = kernel(QueueParams(20.0, 1.0))
         s_values = np.geomspace(0.05, 50.0, 400)
         halves = [solve_rows(15, 2, half, k) for half in (s_values[:200], s_values[200:])]
-        calls = []      # (lowest state, columns) per kernel call
+        calls = []      # (lowest state, highest state, columns) per kernel call
         real = MMInfinityKernel.transforms
 
         def spy(self, j, s):
-            calls.append((int(np.min(j)), np.size(s)))
+            calls.append((int(np.min(j)), int(np.max(j)), np.size(s)))
             return real(self, j, s)
 
         monkeypatch.setattr(MMInfinityKernel, "transforms", spy)
         entries = solve_rows(15, 2, s_values, k)
-        assert [lo for lo, _ in calls] == list(range(0, 15 * len(calls), 15))
-        assert all(columns == 400 for _, columns in calls)
+        assert [lo for lo, _, _ in calls] == list(range(0, 14 * len(calls), 14))
+        assert all(high == low + 14 for low, high, _ in calls)
+        assert all(columns == 400 for _, _, columns in calls)
         for field in ("values", "truncation_n", "normalization_residual"):
             together = getattr(entries, field)
             np.testing.assert_array_equal(together, np.concatenate([getattr(h, field) for h in halves]))
@@ -554,6 +560,47 @@ class TestAbscissaFloor:
         for s in (1e-14, 1e-6, complex(1e-14, 1.0)):
             assert np.isfinite(solve_rows(0, 0, [s], kernel(UNIT)).values[0])
             assert np.isfinite(solve_row_adaptive(0, s, kernel(UNIT)).values[0])
+
+
+class _SpoiltKernel(KernelTransform):
+    """M|M|inf at rho = 2, but entry 0 (sigma_bar) or 1 (tau_bar) is `value` at state 40,
+    at real s only if so asked."""
+
+    def __init__(self, entry, value, real_only=False):
+        self.entry, self.value, self.real_only = entry, value, real_only
+
+    def transforms(self, j, s):
+        pair = list(kernel(QueueParams(2.0, 1.0)).transforms(j, s))
+        if not (self.real_only and np.iscomplexobj(s)):
+            pair[self.entry] = np.where(j == 40, self.value, pair[self.entry])
+        return tuple(pair)
+
+
+class TestNonFiniteKernel:
+    """A kernel value that is not finite is refused at once, naming its state and abscissa."""
+
+    @pytest.mark.parametrize("entry", [0, 1], ids=["sigma", "tau"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_every_route_refuses(self, entry, value):
+        # a NaN swept solve_rows to n_max and the Neumann sum to its term cap;
+        # an infinity gave rows of NaN
+        k = _SpoiltKernel(entry, value)
+        for call in (
+            lambda: solve_rows(0, 0, [0.5, 1.0], k),
+            lambda: solve_rows(0, 0, np.linspace(0.5, 2.0, oracle._MIN_BATCH), k),
+            lambda: solve_row_truncated(0, 0.5, k, 64),
+            lambda: solve_row_adaptive(0, 0.5, k),
+            lambda: neumann_series_sum(0, 0.5, k, 64),
+        ):
+            with pytest.raises(ValueError, match=r"at state 40, s=0\.5 are not finite"):
+                call()
+
+    def test_value_at_the_real_part_refused(self):
+        # the bound test at complex s reads c at Re s; a NaN there went unseen
+        k = _SpoiltKernel(0, math.nan, real_only=True)
+        for s_values in ([complex(0.5, 2.0)], [complex(0.5, y) for y in range(oracle._MIN_BATCH)]):
+            with pytest.raises(ValueError, match=r"at state 40, s=0\.5 are not finite: sigma_bar = nan"):
+                solve_rows(0, 0, s_values, k)
 
 
 class TestTruncationConfig:
