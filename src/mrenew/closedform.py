@@ -24,11 +24,14 @@ the row entry
         rho^(n-j) / (n-j)! * B(a+j, q) * e^{-rho} phi(a+j, a+j+q; rho),
 
 with q = i + n - 2j + 1.  Every factor is positive and every Kummer series
-runs at +rho, so nothing cancels.  The factors e^{-rho} phi (e^{-rho}
-underflows from rho ~ 745) and the weights (rho^(n-j) overflows once
-(n-j) ln rho > 709, B(a+j, q) underflows for large a and q) are carried
-as mantissas and power-of-two exponents by `hyperg.weighted_kummer_sum`,
-which rounds only the final sum to one float.  See README "Formula notes".
+runs at +rho, so nothing cancels.  Each q is an integer, so each
+e^{-rho} phi(a+j, a+j+q; rho) is an expectation over the Poisson(rho)
+weights, which `hyperg.weighted_kummer_sum` sums for every j and every
+abscissa of a call over one window of k around the terms' peak.  Those
+factors (e^{-rho} underflows from rho ~ 745) and the weights (rho^(n-j)
+overflows once (n-j) ln rho > 709, B(a+j, q) underflows for large a and
+q) are carried as mantissas and power-of-two exponents, and only the
+final sum is rounded to one float.  See README "Formula notes".
 """
 
 from __future__ import annotations
@@ -42,9 +45,6 @@ from .errors import NonConvergenceError
 from .hyperg import weighted_kummer_sum
 from .model import QueueParams
 
-_TOL = 1e-13  # relative truncation of each Kummer series
-
-
 def _check_s(s, alpha):
     with np.errstate(divide="ignore", over="ignore"):    # the weight factor 1 / (alpha s) must be finite too
         if np.iscomplexobj(s) or not (
@@ -57,7 +57,8 @@ def generating_function(i: int, x: float, s: float, p: QueueParams) -> float:
 
     Defined for x in (-1, 1] and s > 0; equals 1/s at x = 1.  Sums the
     finite j-sum of the module docstring, whose terms are positive for
-    x >= 0; each Kummer series stops at a relative 1e-13.
+    x >= 0; its Kummer series (q = i + 1 - j) share one Poisson window at
+    rho (1 - x), as in `rbar_closed_form`.
     """
     _check_s(s, p.alpha)
     if not -1.0 < x <= 1.0:
@@ -71,7 +72,7 @@ def generating_function(i: int, x: float, s: float, p: QueueParams) -> float:
     # w_0 = B(a, i+1) = i! / (a)_{i+1};  w_{j+1} / w_j = x (a+j) / (j+1)
     factors = np.concatenate([[1.0 / a_s], t / (a_s + t)])
     steps = np.stack([np.full(i, x), (a_s + j[:-1]) / (j[:-1] + 1.0)], axis=1)
-    total = weighted_kummer_sum(factors, steps, a_s + j, np.full(i + 1, a_s + i + 1), p.rho * (1.0 - x), _TOL)
+    total = weighted_kummer_sum(factors, steps, a_s + j, i + 1.0 - j, p.rho * (1.0 - x))
     return p.alpha * total
 
 
@@ -96,11 +97,13 @@ def rbar_closed_form(i: int, n: int, s, p: QueueParams):
     """Closed-form rbar[i][n](s) for the M|M|infinity kernel, shaped like s.
 
     Evaluates the positive j-sum in the module docstring at a float s or
-    at every abscissa of an array in one Kummer call; each series stops at
-    a relative 1e-13.  At rho = 0 only the term j = n is left (rho^0 = 1),
-    and the entry is 0 when n > i.  s must be real: complex s raises
-    ValueError, as it does in `generating_function`.  An entry past the
-    largest double raises NonConvergenceError, naming i, n and its s.
+    at every abscissa of an array in one Kummer call, whose series share
+    one Poisson window; each is short of its value by at most 2^-53 of it.
+    At rho = 0 only the term j = n is left (rho^0 = 1), and the entry is 0
+    when n > i.  s must be real: complex s raises ValueError, as it does
+    in `generating_function`.  An entry past the largest double raises
+    NonConvergenceError, naming i, n and its s, and so does rho from about
+    1.45e6, where the window sum stops.
     """
     _check_s(s, p.alpha)
     i, n = operator.index(i), operator.index(n)
@@ -132,7 +135,7 @@ def rbar_closed_form(i: int, n: int, s, p: QueueParams):
     ), axis=-1)
     j = np.arange(hi, lo - 1, -1, dtype=float)
     with np.errstate(over="ignore"):    # every term is positive, so only overflow makes an entry not finite
-        total = weighted_kummer_sum(factors, steps, a_s + j, a_s + i + n + 1.0 - j, rho, _TOL)
+        total = weighted_kummer_sum(factors, steps, a_s + j, i + n + 1.0 - 2.0 * j, rho)
         value = (n + rho + a_s[..., 0]) * total
     if not np.isfinite(value).all():
         at = np.asarray(s)[~np.isfinite(value)].flat[0]

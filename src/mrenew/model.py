@@ -51,11 +51,21 @@ class QueueParams:
         return self.lam * self.alpha
 
 
+def _least(values):
+    """The least real part of a number, a list or an array.
+
+    A Python number is compared as it is: np.min would first make it an
+    array, which costs more than the kernel formulas on a block of states.
+    """
+    values = np.real(values)
+    return values.min() if isinstance(values, np.ndarray) else values
+
+
 def _check_state_and_s(j, s):
-    if np.min(j) < 0:
-        raise ValueError(f"state index must be >= 0, got {np.min(j)}")
-    if np.min(np.real(s)) < 0:
-        raise ValueError(f"transform variable needs Re(s) >= 0, got Re(s) = {np.min(np.real(s))}")
+    if (least := _least(j)) < 0:
+        raise ValueError(f"state index must be >= 0, got {least}")
+    if (least := _least(s)) < 0:
+        raise ValueError(f"transform variable needs Re(s) >= 0, got Re(s) = {least}")
 
 
 class KernelTransform(ABC):

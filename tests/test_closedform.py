@@ -198,17 +198,19 @@ class TestClosedFormGrid:
         assert isinstance(rbar_closed_form(3, 4, 1.0, UNIT), float)
         assert isinstance(rbar_closed_form(0, 4, 1.0, PURE_DEATH), float)
 
-    def test_one_series_call_for_the_whole_grid(self, monkeypatch):
+    def test_one_window_for_the_whole_grid(self, monkeypatch):
         calls = []
-        real = hyperg._scaled_kummer
+        real = hyperg._window
 
-        def spy(a, b, x, tol):
-            calls.append(a.size)
-            return real(a, b, x, tol)
+        def spy(x, a, q):
+            calls.append((x, a, q))
+            return real(x, a, q)
 
-        monkeypatch.setattr(hyperg, "_scaled_kummer", spy)
+        monkeypatch.setattr(hyperg, "_window", spy)
         rbar_closed_form(3, 4, self.GRID, UNIT)
-        assert calls == [4 * self.GRID.size]    # j = 0..3 at every abscissa
+        # j = 0..3 at every abscissa share one window: the least a is alpha
+        # times the least s (at j = 0), the largest q = i + n + 1 (at j = 0)
+        assert calls == [(UNIT.rho, UNIT.alpha * self.GRID.min(), 8.0)]
 
     @pytest.mark.parametrize("p", [UNIT, PURE_DEATH])
     def test_empty_grid_gives_empty_array(self, p):
@@ -234,9 +236,9 @@ def _assert_criterion_4(value, reference):
     assert abs(value - reference) <= max(1e-6 * abs(reference), 1e-9)
 
 
-def _mp_closed_form(i, n, s, p):
-    """rbar[i][n](s) by the module docstring's j-sum in 40-digit mpmath."""
-    with mp.workdps(40):
+def _mp_closed_form(i, n, s, p, dps=40):
+    """rbar[i][n](s) by the module docstring's j-sum in dps-digit mpmath."""
+    with mp.workdps(dps):
         a = mp.mpf(p.alpha) * mp.mpf(s)
         rho = mp.mpf(p.rho)
         total = mp.mpf(0)
@@ -296,6 +298,78 @@ class TestClosedFormDefects:
         assert cli.run(argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and "numerical failure" in err
+
+
+def _stated_bound(i, n, s, p):
+    """The relative error rbar_closed_form(i, n, s, p) states, from its window.
+
+    s is the least abscissa of the call, which sets the window of all its series.
+
+    `hyperg._window_sum` states 2^-53 (2 + 4 min(k1, max q) + 10 K) for each
+    series: the window truncation and the rounding of its products.  The
+    weights of the j-sum are running products of n + 1 + |i - n| + 5 min(i, n)
+    factors, each rounded at most three times and once more in the product
+    (4 each); the sum of min(i, n) + 1 positive terms, n + rho + a and the
+    last product add min(i, n) + 4.
+    """
+    q = i + n + 1    # the largest q, at j = 0, whose a = alpha s is the least
+    lo, hi, _ = hyperg._window(p.rho, p.alpha * s, q)
+    series = 2 + 4 * min(max(lo, 1), q) + 10 * (hi - lo + 1)
+    weights = 4 * (n + 1 + abs(i - n) + 5 * min(i, n))
+    return 2.0**-53 * (series + weights + min(i, n) + 4)
+
+
+class TestClosedFormHighRho:
+    """The Poisson window against 40-digit mpmath, within the bound it states.
+
+    The grid was fixed before measuring: rho in {300, 1000, 2000}, the
+    (i, n) of four slow seed-0 transform requests, and three s per point.
+    """
+
+    @pytest.mark.parametrize("rho", [300.0, 1000.0, 2000.0])
+    @pytest.mark.parametrize("i, n", [(26, 24), (8, 21), (28, 20), (5, 191)])
+    def test_matches_mpmath(self, rho, i, n):
+        p = QueueParams(rho, 1.0)
+        s = np.array([0.01, 1.0, 100.0])
+        values = rbar_closed_form(i, n, s, p)
+        for s_k, value in zip(s, values):
+            reference = float(_mp_closed_form(i, n, s_k, p))
+            assert abs(value - reference) <= _stated_bound(i, n, s.min(), p) * reference
+
+    @pytest.mark.parametrize("rho", [9.5e3, 2e4, 1e5])
+    @pytest.mark.parametrize("i, n", [(0, 0), (10, 12), (5, 30)])
+    def test_reaches_rho_1e5(self, rho, i, n):
+        # the series from k = 0 raised NonConvergenceError here: it needed
+        # more than its 10,000 terms from rho ~ 9,500
+        p = QueueParams(rho, 1.0)
+        s = np.array([0.01, 1.0, 100.0])
+        values = rbar_closed_form(i, n, s, p)
+        for s_k, value in zip(s, values):
+            reference = float(_mp_closed_form(i, n, s_k, p, dps=50))
+            assert abs(value - reference) <= _stated_bound(i, n, s.min(), p) * reference
+
+    def test_window_stops_where_the_exponent_split_does(self):
+        p = QueueParams(1.5e6, 1.0)
+        with pytest.raises(NonConvergenceError, match="Poisson window sum needs x < "):
+            rbar_closed_form(0, 0, 1.0, p)
+
+    def test_series_below_the_double_range(self):
+        # e^-2000 phi(1e-4, 1e-4 + 301; 2000) = 8.8495680989901570694e-384 at
+        # 40, 80 and 120 digits: one float of it is 0.0, so the series is
+        # compared as mantissa and exponent
+        m, e = hyperg._window_sum(np.array([1e-4]), np.array([301.0]), 2000.0)
+        lo, hi, _ = hyperg._window(2000.0, 1e-4, 301.0)
+        with mp.workdps(40):
+            value = mp.mpf(float(m[0])) * mp.mpf(2) ** int(e[0])
+            reference = mp.mpf("8.8495680989901570694e-384")
+            assert abs(value / reference - 1) <= 2.0**-53 * (2 + 4 * min(lo, 301) + 10 * (hi - lo + 1))
+
+    def test_entry_fed_by_a_series_below_the_double_range(self):
+        # the same series gives rbar_{0,300}(1e-4) at rho = 2000; mpmath
+        # agrees at 40, 80 and 120 digits
+        p = QueueParams(2000.0, 1.0)
+        reference = 1.3538568193620707
+        assert abs(rbar_closed_form(0, 300, 1e-4, p) - reference) <= _stated_bound(0, 300, 1e-4, p) * reference
 
 
 class TestClosedFormAgainstOracle:

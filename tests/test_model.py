@@ -12,6 +12,7 @@ from mrenew import (
     solve_rows,
     validate_kernel,
 )
+from mrenew import model
 
 
 class TestQueueParams:
@@ -357,3 +358,47 @@ class TestKernelArrays:
     def test_domain_errors_inside_an_array(self, j, s):
         with pytest.raises(ValueError):
             MMInfinityKernel(QueueParams(1.0, 1.0)).transforms(j, s)
+
+
+class TestDomainCheck:
+    """The kernel's domain check refuses a negative state and Re(s) < 0 with one
+    message each, whether j and s come as Python numbers, lists or arrays."""
+
+    KERNEL = MMInfinityKernel(QueueParams(1.5, 0.5))
+
+    @pytest.mark.parametrize(
+        "j, s",
+        [(3, 0.5), (np.int64(3), np.float64(0.5)), (3, complex(0.5, 2.0)), ([0, 3], [0.5, 2.0]),
+         ([[0], [3]], [0.5 + 1j, 2.0]), (np.arange(4)[:, None], np.array([0.0, 0.5, 2.0])),
+         (np.arange(4)[:, None], np.array([0.5 + 1j, 2.0 - 3j]))],
+        ids=["int", "numpy-scalars", "complex", "list", "complex-list", "array", "complex-array"],
+    )
+    def test_accepts_numbers_lists_and_arrays(self, j, s):
+        model._check_state_and_s(j, s)
+        j, s = np.asarray(j), np.asarray(s)    # the kernel's arithmetic takes numbers and arrays
+        sigma, tau = self.KERNEL.transforms(j, s)
+        denom = j + 0.75 + 0.5 * s
+        np.testing.assert_allclose(sigma, j / denom, rtol=1e-15)
+        np.testing.assert_allclose(tau, 0.75 / denom, rtol=1e-15)
+
+    @pytest.mark.parametrize("j", [-1, np.int64(-1), [0, -1], np.array([[0], [-1]])],
+                             ids=["int", "numpy-int", "list", "array"])
+    def test_negative_state_refused(self, j):
+        with pytest.raises(ValueError, match=r"^state index must be >= 0, got -1$"):
+            model._check_state_and_s(j, 1.0)
+        if not isinstance(j, list):
+            with pytest.raises(ValueError, match=r"^state index must be >= 0, got -1$"):
+                self.KERNEL.transforms(j, 1.0)
+
+    @pytest.mark.parametrize(
+        "s", [-0.5, np.float64(-0.5), complex(-0.5, 1.0), [1.0, -0.5], [1.0 + 1j, -0.5 + 3j],
+              np.array([1.0, -0.5]), np.array([1.0 + 1j, -0.5 + 3j])],
+        ids=["float", "numpy-float", "complex", "list", "complex-list", "array", "complex-array"],
+    )
+    def test_negative_real_part_refused(self, s):
+        message = r"^transform variable needs Re\(s\) >= 0, got Re\(s\) = -0\.5$"
+        with pytest.raises(ValueError, match=message):
+            model._check_state_and_s(np.arange(3)[:, None], s)
+        if not isinstance(s, list):
+            with pytest.raises(ValueError, match=message):
+                self.KERNEL.transforms(np.arange(3)[:, None], s)
