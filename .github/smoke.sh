@@ -11,10 +11,12 @@ mrenew renewal --i 0 --j 1 --t-grid 0.5:2:4 --lambda 1 --alpha 1 --method gs
 mrenew renewal --i 0 --j 1 --t-grid 0.5:2:4 --lambda 1 --alpha 1 --method euler
 mrenew renewal --i 14 --j 9 --t-grid 1:300:3 --lambda 1000 --alpha 1 --method euler
 mrenew transform --i 14 --j 9 --s-grid 0.01:100:6 --lambda 1000 --alpha 1
-# the closed form's Poisson window reaches rho = 1e5, past the 10,000-term series cap
+# the closed form's Poisson window reaches rho = 1e5
 mrenew transform --i 5 --j 30 --s-grid 0.01:1:3 --lambda 100000 --alpha 1 --solver closedform
 mrenew simulate --i 0 --j 1 --t-grid 0.5:2:4 --lambda 1 --alpha 1 --paths 2000 --seed 7 --workers 2
 mrenew hyperg --a 1 --b 2 --z 1
+# kummer_m sums over the Poisson window too: no term cap stops it at |z| = 2e4
+mrenew hyperg --a 1 --b 2 --z -20000
 
 # a time whose inversion rule passes the solvers' floor Re(s) >= 1e-14 is an argument error
 status=0

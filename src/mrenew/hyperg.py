@@ -1,41 +1,34 @@
-"""Kummer's confluent hypergeometric function by a Poisson window and by one scaled series.
+"""Kummer's confluent hypergeometric function as a sum over a Poisson window.
 
     phi(a, b; z) = sum_{k>=0} (a)_k / (b)_k * z^k / k!
 
-with (x)_k the rising factorial.  Both sums below carry every value as a
-float mantissa and an integer power-of-two exponent (frexp), and running
-products of many factors in that form (`_running_product`), so no term,
-weight or sum leaves the floating-point range, however far e^{-x}
-underflows (from x ~ 745) or e^x overflows.
+with (x)_k the rising factorial.  With pi_k(x) = e^{-x} x^k / k! the
+Poisson(x) weights,
+
+    e^{-x} phi(a, b; x) = sum_k pi_k(x) R(k),   R(k) = (a)_k / (b)_k,
+
+for any real a and b (b not 0 or a negative integer).  Every Kummer value
+here is that sum (`_window_sum`), over one window of k (`_window`) placed
+from stated bounds on the terms pi_k R(k), with the weights computed from
+the Poisson mode outward and normalized by their own sum over the window
+(Fox & Glynn, "Computing Poisson probabilities", CACM 31(4), 1988).  Only
+the window's terms are summed, so there is no term cap.  Every term,
+weight and sum is carried as a float mantissa and an integer power-of-two
+exponent (frexp), and running products of many factors in that form
+(`_running_product`), so none leaves the floating-point range, however far
+e^{-x} underflows (from x ~ 745) or e^x overflows.
 
 `weighted_kummer_sum`, the sum behind `closedform`, takes series with
-a > 0 and an integer q = b - a >= 1 at x >= 0.  Since
-(a)_k / (a+q)_k = (a)_q / (a+k)_q,
-
-    e^{-x} phi(a, a+q; x) = sum_k pi_k(x) R(k),   R(k) = (a)_q / (a+k)_q,
-
-an expectation over the Poisson(x) weights pi_k, which all the series of
-a call share.  It is summed over one window of k (`_window`), placed from
-stated bounds on the terms pi_k R(k) (whose peak sits near x - q), with
-the weights computed from the Poisson mode outward and normalized by
-their own sum over the window (Fox & Glynn, "Computing Poisson
-probabilities", CACM 31(4), 1988).  Only the window's terms are summed,
-so the sum has no term cap: its cost grows like q + sqrt(x).
-
-`kummer_m` sums one series of any real a and b, by `_scaled_kummer`:
-e^{-x} phi(a, b; x) term by term from k = 0, each term a running product
-of the exact ratios (a+k)/(b+k) * x/(k+1).  This is the scaled summation
-of Pearson, Olver & Porter, "Numerical methods for the computation of the
-confluent and Gauss hypergeometric functions" (Numer. Algor. 2017).  For
-z < 0 the raw series alternates and loses all precision once |z| is
-moderately large; Kummer's transformation (DLMF 13.2.39)
+a > 0 and an integer q = b - a >= 1, for which (a)_k / (a+q)_k =
+(a)_q / (a+k)_q, and all the series of a call share one window.
+`kummer_m` sums one series of any real a and b at x = |z|; for z < 0
+Kummer's transformation (DLMF 13.2.39)
 
     phi(a, b; z) = e^z phi(b - a, b; -z)
 
-makes phi(a, b; z) the scaled series of (b - a, b) at x = -z.  Terms may
-have either sign.  The series needs about x + 10 sqrt(x) terms unless b
-is far above x, so `kummer_m` (and `mrenew hyperg`) is limited to |z|
-below about 9,000 by the term cap.
+makes it the sum for (b - a, b) at x = -z, whose terms have one sign from
+the first k with b - a + k > 0 and b + k > 0 on, where the raw series
+alternates.  Both reach x below 2^21 ln 2 (about 1.45e6).
 """
 
 from __future__ import annotations
@@ -46,12 +39,9 @@ import numpy as np
 
 from .errors import NonConvergenceError
 
-MAX_TERMS = 10_000
-_TOL = 1e-14  # relative truncation of kummer_m
-
 # ln 2 split so that k * _LN2_HI is exact for k <= 2**21 (Cody & Waite;
 # _LN2_HI has 32 significant bits): e^{-x} = 2^{-k} e^{-(x - k ln 2)} then
-# never underflows.  The scaled series takes x below _X_MAX for this.
+# never underflows.  The window sum takes x below _X_MAX for this.
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
 _X_MAX = 2**21 * _LN2_HI
@@ -60,7 +50,7 @@ _X_MAX = 2**21 * _LN2_HI
 # many of them stays above 2**-513 in size before it is renormalized.
 _PRODUCT_BLOCK = 512
 
-# terms x series summed per numpy step of either sum
+# terms x series summed per numpy step of the window sum
 _SERIES_ELEMENTS = 8192
 
 # relative truncation of a window sum: the terms left out below and above
@@ -83,12 +73,12 @@ def _running_product(factors: np.ndarray):
     exponents = np.cumsum(exponents, axis=-1)
     for lo in range(0, mantissas.shape[-1], _PRODUCT_BLOCK):
         block = mantissas[..., lo:lo + _PRODUCT_BLOCK]
-        if lo:
+        if lo:   # carry the last block's product: its mantissa, and its shift to the exponents from here on
             block[..., 0] *= mantissas[..., lo - 1]
+            exponents[..., lo:] += shift[..., -1:]
         np.cumprod(block, axis=-1, out=block)
-        block[...], shift = np.frexp(block)
+        shift = np.frexp(block, out=(block, None))[1]
         exponents[..., lo:lo + _PRODUCT_BLOCK] += shift
-        exponents[..., lo + _PRODUCT_BLOCK:] += shift[..., -1:]
     return mantissas, exponents
 
 
@@ -100,94 +90,134 @@ def _last(pred, lo: int, hi: int) -> int:
     return lo
 
 
-def _window(x: float, a: float, q: float):
+def _peak(x: float, a: float, b: float, k: int) -> int:
+    """The least j >= k from which on the terms of e^{-x} phi(a, b; x) fall: x (a+j) < (j+1)(b+j).
+
+    That holds past the larger root of the quadratic (j+1)(b+j) - x (a+j);
+    a + k > 0 and b + k > 0.
+    """
+    p, c = b + 1.0 - x, b - x * a
+    j = max(k, math.floor((math.sqrt(max(p * p - 4.0 * c, 0.0)) - p) / 2.0) + 1)
+    while x * (a + j) >= (j + 1.0) * (b + j):
+        j += 1
+    return j
+
+
+def _window(x: float, a: float, q: float, b=None):
     """(lo, hi, mode): the k summed for every e^{-x} phi(a_r, a_r + q_r; x) of a call.
 
-    x > 0, a = min a_r > 0 and q = max q_r >= 1.  With t_k = pi_k R(k) the
-    terms of a series and S = sum_k t_k >= t_k for every k, the terms left
-    out are bounded through ratios that hold for every series of the call:
+    x > 0, a = min a_r and q = max q_r >= 1, or b = a + q is given for one
+    series of any real a and b.  With t_k = pi_k R(k) the terms of a series
+    and S the sum of their sizes, which is at least any |t_k|, the terms
+    left out are bounded through ratios that hold for every series of the
+    call:
 
-    * above: t_{k+1} / t_k <= x / (k+1), so past hi >= mode = floor(x) the
-      rest is at most S * pi_hi / pi_mode * r / (1 - r), r = x / (hi+1);
-    * below: t_{m-1} / t_m <= g(m-1) with g(m) = (m+1)/x * (a+m+q)/(a+m),
-      so t_k <= S G(k), G(k) = prod_{m=k}^{top-1} g(m), at any top.  At
-      lo >= 2 the rest is at most S (G(0) + G(lo) r / (1 - r)), r =
-      max(g(1), g(lo-1)) the largest g on [1, lo-1]: (m+1)(a+m+q)/(a+m) is
-      convex in m for a <= 1 and increasing for a >= 1.
+    * below, for a > 0 and a + q > 0 (all terms positive): t_{m-1} / t_m
+      <= g(m-1) with g(m) = (m+1)/x * (p+m)/(a+m), p = a + max(q, 0), so
+      t_k <= S G(k), G(k) = prod_{m=k}^{top-1} g(m), at any top.  At lo >= 2
+      the rest is at most S (G(0) + G(lo) r / (1 - r)), r = max(g(1),
+      g(lo-1)) the largest g on [1, lo-1]: (m+1)(p+m)/(a+m) is convex in m
+      for (p - a)(1 - a) >= 0 and increasing otherwise.
+    * above, with (c, d) = (a, b): |t_{k+1} / t_k| <= r_k = x (c'+k) /
+      ((k+1)(d+k)), c' = max(c, min(1, d)), at every k from the first with
+      c + k > 0 and d + k > 0 on, and r_k does not grow with k.  So from the
+      first m with r_m < 1 on, the rest past hi is at most S r_m ... r_{hi-1}
+      r_hi / (1 - r_hi).  Without b, (c, d) = (1, 1), r_k = x / (k+1),
+      which bounds every series with q >= 0.  A non-positive integer c ends
+      the series at hi = -c.
 
-    hi is the least k and lo the greatest k for which these bounds are
-    each within _WINDOW_TOL / 2 (G(0) and the geometric part a quarter
-    each); lo is 0 when G(0) is not.  The products are log-gamma ratios,
-    and top is the first m where g(m) >= 1, the largest the terms get.
-    The same bounds, with q = 0, hold for the Poisson weights themselves,
-    so the window also holds all but _WINDOW_TOL of their mass.
+    hi is the least k and lo the greatest k for which these bounds are each
+    within _WINDOW_TOL / 2 (G(0) and the geometric part a quarter each); lo
+    is 0 when G(0) is not, or when a series has terms of either sign.  The
+    products are log-gamma ratios, and top is the m past which g(m) >= 1,
+    the largest the terms get.  The same bounds with q = 0 and (c, d) =
+    (1, 1) hold for the Poisson weights themselves, so when lo > 0, where
+    the weights are normalized over the window, p covers them below and hi
+    is taken no less than their edge: the window then also holds all but
+    _WINDOW_TOL of their mass.
     """
-    lg, log_x = math.lgamma, math.log(x)
-    mode = int(x)
-    target = math.log(_WINDOW_TOL / 4)
+    log_x, lg, target = math.log(x), math.lgamma, math.log(_WINDOW_TOL / 4)
 
-    def above(k):   # the bound on the terms past k >= mode; r / (1 - r) = x / (k + 1 - x)
-        return (k - mode + 1) * log_x - lg(k + 1.0) + lg(mode + 1.0) - math.log(k + 1.0 - x) <= target + math.log(2)
+    def log_term(a, b, k):   # log t_k up to a constant, for a + k > 0 and b + k > 0
+        return k * log_x - lg(k + 1.0) + (lg(a + k) - lg(b + k) if a != b else 0.0)
 
-    step = 16 + int(math.sqrt(x))
-    while not above(mode + step):
-        step *= 2
-    hi = mode + step - _last(lambda d: above(mode + step - d), 0, step)
+    def edge(c, d):
+        if c <= 0 and c == math.floor(c):   # a polynomial
+            return int(-c)
+        start = max(0, math.floor(-c) + 1, math.floor(-d) + 1)
+        c = max(c, min(1.0, d))
+        m = _peak(x, c, d, start)
+        bound = log_term(c, d, m) + target + math.log(2)
+
+        def above(k):   # the bound on the terms past k >= m
+            r = x * (c + k) / ((k + 1.0) * (d + k))
+            return r == 0 or log_term(c, d, k) + math.log(r / (1.0 - r)) <= bound
+
+        step = 16 + int(math.sqrt(x))
+        while not above(m + step):
+            step *= 2
+        return m + step - _last(lambda j: above(m + step - j), 0, step)
+
+    p, lo = a + max(q, 0.0), 0
 
     def g(m):
-        return (m + 1.0) / x * (a + m + q) / (a + m)
+        return (m + 1.0) / x * (p + m) / (a + m)
 
-    def log_g(k, top):   # log G(k)
-        return (lg(top + 1.0) - lg(k + 1.0) - (top - k) * log_x
-                + lg(a + top + q) - lg(a + k + q) - lg(a + top) + lg(a + k))
+    if a > 0 and a + q > 0 and g(1) < 1:   # else the terms fall from k = 1 on, and G(0) >= 1/2
+        top = _peak(x, a, p, 1)
+        ref = log_term(a, p, top)
 
-    if g(1) >= 1:
-        return 0, hi, mode
-    # (m+1)(a+m+q) = x (a+m) at m = top: m^2 + (a+q+1-x) m + (a+q - x a) = 0
-    b, c = a + q + 1.0 - x, a + q - x * a
-    top = min(mode, max(1, math.ceil((-b + math.sqrt(max(b * b - 4.0 * c, 0.0))) / 2.0)))
-    if log_g(0, top) > target:
-        return 0, hi, mode
+        def below(k):
+            r = max(g(1), g(k - 1))
+            return k == 1 or (r < 1 and log_term(a, p, k) - ref + math.log(r / (1.0 - r)) <= target)
 
-    def below(k):
-        r = max(g(1), g(k - 1))
-        return k == 1 or (r < 1 and log_g(k, top) + math.log(r / (1.0 - r)) <= target)
-
-    return _last(below, 1, top), hi, mode
+        if log_term(a, p, 0) - ref <= target:
+            lo = _last(below, 1, top)
+    poisson = edge(1.0, 1.0) if lo or b is None else 0
+    return lo, poisson if b is None else max(poisson, edge(a, b)), int(x)
 
 
-def _window_sum(a: np.ndarray, q: np.ndarray, x: float):
-    """e^{-x} phi(a, a + q; x) for 1-D arrays a > 0 and integer q >= 1, as (mantissas, exponents).
+def _window_sum(a: np.ndarray, q: np.ndarray, x: float, b=None):
+    """e^{-x} phi(a, a + q; x) for 1-D arrays a and q, as (mantissas, exponents).
 
-    Sums pi_k R(k) over the K terms of `_window(x, min a, max q)`, so each
-    sum is short by at most _WINDOW_TOL of itself.  The Poisson weights are
-    running products of x/k from the mode up and of k/x down, w_k =
-    pi_k / pi_mode, and their sum W over the window stands for 1 / pi_mode;
-    a window from k = 0 instead runs them up from pi_0 = e^{-x}, which
-    `_exp_split` gives exactly.  R(0) = 1; each series starts at k1 =
-    max(lo, 1) from R(k1) = (a)_q / (a+k1)_q = (a)_k1 / (a+q)_k1, a
-    product of min(q, k1) factors whose first, a times 1/(a+c), keeps a
-    tiny a exact.  From there R(k) is the plain running product of
-    (a+k)/(a+k+q) over a step of at most _SERIES_ELEMENTS terms x series,
-    relative to its start, and each step is one matrix product with the
-    weights, scaled to a largest 1 in the step.  A step is short enough
-    that its factors, each at least k0 / (k0 + max q), keep the product
-    above 2^-900, so every term it drops below the smallest double is
-    under 2^-120 of that step's largest.
+    Either a > 0 and q holds integers >= 1 (the closed form's series), or b
+    holds the exact second parameters a + q of one series of any real a and
+    b (not 0 or a negative integer).  Sums pi_k R(k) over the K terms of
+    `_window`, so each sum is short by at most _WINDOW_TOL of the sum of its
+    terms' sizes.  The Poisson weights are running products of x/k from the
+    mode up and of k/x down, w_k = pi_k / pi_mode, and their sum W over the
+    window stands for 1 / pi_mode; a window from k = 0 instead runs them up
+    from pi_0 = e^{-x}, which `_exp_split` gives exactly.
+
+    The series start at k1, the larger of lo and the first k >= 1 with
+    a + k > 0 and b + k > 0 (or hi + 1), from R(k1) = (a)_k1 / (b)_k1: a
+    product of k1 factors, or for integer q of min(k1, q) as
+    (a)_q / (a+k1)_q, whose first, a times 1/b, keeps a tiny a exact.  A
+    window from 0 also takes its terms below k1 from that product.  From k1
+    on R(k) is the plain running product of (a+k)/(b+k), with b + k formed
+    as (a + k) + q for the closed form, over a step of at most
+    _SERIES_ELEMENTS terms x series, relative to its start, and each step
+    is one matrix product with the weights, scaled to a largest 1 in the
+    step.  A step is short enough that its factors, each within a factor
+    1 + |q| / (k0 + min(0, a, b)) of 1, keep the product within 2^+-900, so
+    every term it drops below the smallest double is under 2^-120 of that
+    step's largest.  For one series the products also take back the drift
+    of the rounded a + k and b + k (`quotients`).
 
     Every factor is rounded at most three times and every product step
-    once, and all terms are positive, so to first order each sum is off
-    by at most 2^-53 (2 + 4 min(k1, max q) + 10 K) relative: 2 for the
-    truncation, 4 per factor of R(k1), and 10 per term of the window, 4
-    for its R(k), 4 for its w_k and W and 2 for the sums.  Raises
-    NonConvergenceError for x >= _X_MAX (about 1.45e6).
+    once, so to first order each sum is off by at most 2^-53 (2 + 4 F + 10 K)
+    of the sum of its terms' sizes, F the factors of R(k1): 2 for the
+    truncation, 4 per factor, and 10 per term of the window, 4 for its R(k),
+    4 for its w_k and W and 2 for the sums.  Raises NonConvergenceError for
+    x >= _X_MAX (about 1.45e6).
     """
     if x == 0 or not a.size:   # pi_0 = 1 and R(0) = 1
         return np.full(a.shape, 0.5), np.ones(a.shape, dtype=int)
     if not x < _X_MAX:
         raise NonConvergenceError(f"Poisson window sum needs x < {_X_MAX}, got x={x}")
-    q_max = float(q.max())
-    lo, hi, mode = _window(x, float(a.min()), q_max)
+    closed = b is None
+    spread, least = (float(q.max()), 0.0) if closed else (abs(q[0]), min(0.0, a[0], b[0]))
+    lo, hi, mode = _window(x, float(a.min()), spread) if closed else _window(x, a[0], q[0], b[0])
     if lo == 0:
         first, shift = _exp_split(x)
         w_m, w_e = _running_product(np.concatenate([[first], x / np.arange(1.0, hi + 1.0)]))
@@ -201,21 +231,46 @@ def _window_sum(a: np.ndarray, q: np.ndarray, x: float):
         w_m = np.concatenate([np.flip(m[0, :mode - lo]), [1.0], m[1, :hi - mode]])
         w_e = np.concatenate([np.flip(e[0, :mode - lo]), [0], e[1, :hi - mode]])
         weight = np.ldexp(w_m, w_e).sum()    # every w_k <= 1, and w_mode = 1
-    k1 = max(lo, 1)
-    # R(k1) = prod_{l<n} (a+l)/(a+l+c), (n, c) = (k1, q) or (q, k1), the shorter
-    n, c = (k1, q[:, None]) if k1 <= q_max else (q[:, None], k1)
-    l = np.arange(1.0, min(k1, q_max))
-    num = a[:, None] + l
-    m, e = _running_product(np.concatenate(
-        [a[:, None], 1.0 / (a[:, None] + c), np.where(l < n, num / (num + c), 1.0)], axis=1))
+    k1 = max(lo, min(math.floor(-least), hi) + 1)
+
+    def quotients(k):   # (a+k) / (b+k) for every series and k, and the drift of their running product
+        num = a[:, None] + k
+        if closed:
+            return num / (num + q[:, None]), 0.0
+        # within a binade of k, a + k and b + k round alike; their rounding
+        # errors, exact as a - (num - k) (0 where num is), would bias a
+        # product of K factors by up to about K 2^-53: it is taken back to
+        # first order
+        den, num_err = b[:, None] + k, a[:, None] - (num - k)
+        drift = np.divide(num_err, num, out=np.zeros(num.shape), where=num != 0) - (b[:, None] - (den - k)) / den
+        return num / den, np.cumsum(drift, axis=1)
+
+    # R(k1) = (a)_q / (a+k1)_q for integers q = b - a >= 1, the shorter product
+    swap = lo > spread and (closed or (q[0] >= 1 and q[0] == math.floor(q[0]) and b[0] - q[0] == a[0]))
+    if swap:
+        l = np.arange(1.0, spread)
+        num = a[:, None] + l
+        first, factors, drift = 1.0 / (a + k1), np.where(l < q[:, None], num / (num + k1), 1.0), 0.0
+    else:
+        first, (factors, drift) = 1.0 / (a + q if closed else b), quotients(np.arange(1.0, k1))
+    m, e = _running_product(np.concatenate([a[:, None], first[:, None], factors], axis=1))
+    if not closed:
+        m[:, 2:] *= 1.0 + drift
     carry_m, carry_e = m[:, -1], e[:, -1]
-    sums_m, sums_e = ([np.full(a.shape, w_m[0])], [np.full(a.shape, w_e[0])]) if lo == 0 else ([], [])
+    sums_m, sums_e = [], []
+    if lo == 0:   # the terms below k1, with R(0) = 1 and R(k) the k-th product
+        m[:, 0], e[:, 0] = 1.0, 0
+        sums_m.extend((w_m[:k1] * m[:, :k1]).T)
+        sums_e.extend((w_e[:k1] + e[:, :k1]).T)
     width = max(64, _SERIES_ELEMENTS // max(a.size, 1))
     k0 = k1
     while k0 <= hi:
-        k = np.arange(k0, min(k0 + width, hi + 1, k0 + 900 / math.log2(1.0 + q_max / k0)), dtype=float)
-        num = a[:, None] + k
-        ratio = np.cumprod(num / (num + q[:, None]), axis=1)   # R(k+1) / R(k0)
+        stop = k0 + 900 / max(math.log2(1.0 + spread / (k0 + least)), 2.0**-52)
+        k = np.arange(k0, min(k0 + width, hi + 1, stop), dtype=float)
+        factors, drift = quotients(k)
+        ratio = np.cumprod(factors, axis=1)   # R(k+1) / R(k0)
+        if not closed:
+            ratio *= 1.0 + drift
         at = slice(k0 - lo, k0 - lo + k.size)
         top = w_e[at].max()
         w = np.ldexp(w_m[at], w_e[at] - top)
@@ -230,74 +285,10 @@ def _window_sum(a: np.ndarray, q: np.ndarray, x: float):
     return m, e + top
 
 
-def _ratio_bound(a: float, b: float, x: float, k: int) -> float:
-    """min(r, 1) for an r with |x (a+l) / ((b+l)(l+1))| <= r at every l >= k.
-
-    For b + k > 0, x/(k+1) * max(1, |a+k|/(b+k)) is such a bound.  It falls
-    below 1 only once k + 1 > x, so for x >= MAX_TERMS the smaller of it and
-    x/(b+k) * max(1, |a+k|/(k+1)) is taken; neither grows with k.  While
-    b + k <= 0 a later b + l may be near zero: there is no bound, and the
-    result is 1.
-    """
-    if b + k <= 0:
-        return 1.0
-    r = x / (k + 1.0) * max(1.0, abs(a + k) / (b + k))
-    if x >= MAX_TERMS:
-        r = min(r, x / (b + k) * max(1.0, abs(a + k) / (k + 1.0)))
-    return min(r, 1.0)
-
-
 def _exp_split(x: float):
     """(first, shift) with e^{-x} = first * 2**-shift and first in (0.5, 1]."""
     shift = int(x / _LN2_HI)
     return math.exp(-((x - shift * _LN2_HI) - shift * _LN2_LO)), shift
-
-
-def _scaled_kummer(a: float, b: float, x: float):
-    """e^{-x} phi(a, b; x) for x >= 0, as (mantissa, exponent).
-
-    The series starts at _exp_split(x), and its terms, of either sign, are
-    summed in steps of up to _SERIES_ELEMENTS, each term a running product
-    of the recurrence ratios carried in mantissa and exponent.  The series
-    is done once _ratio_bound gives r < 1 and the geometric bound |term| r /
-    (1-r) on the rest is within _TOL of |sum|, or its last term is 0.
-    Raises NonConvergenceError if it is not done within MAX_TERMS terms; at
-    once if x is not below _X_MAX (about 1.45e6), or if x >= MAX_TERMS and
-    the ratio bound is not below 1 by then for a series that does not end
-    (a a non-positive integer makes its terms 0).
-    """
-    if not x < _X_MAX:
-        raise NonConvergenceError(f"scaled Kummer series needs x < {_X_MAX}, got x={x}")
-    needed = int(x + 10.0 * math.sqrt(x)) + 32
-    if x >= MAX_TERMS:
-        if not (_ratio_bound(a, b, x, MAX_TERMS) < 1 or (a <= 0 and a == math.floor(a))):
-            raise NonConvergenceError(f"scaled Kummer series cannot converge within {MAX_TERMS} terms (x={x})")
-        r = _ratio_bound(a, b, x, 0)
-        if 0 < r < 1:    # b far above x: each term is at most r times the last, so log(tol) / log(r) reach tol
-            needed = min(needed, max(32, math.ceil(math.log(_TOL) / math.log(r))))
-    first, shift = _exp_split(x)
-    total_m, total_e = first, -shift
-    term_m, term_e = total_m, total_e
-    k0 = 0
-    while True:
-        k = np.arange(k0, min(k0 + min(_SERIES_ELEMENTS, max(needed - k0, 32)), MAX_TERMS), dtype=float)
-        m, e = _running_product(np.concatenate([[term_m], (a + k) / (b + k) * (x / (k + 1.0))]))
-        e += term_e
-        # past a + k = 0 the terms are 0 (so is the step's last), and their
-        # exponents must not set the scale
-        live = e[1:] if m[-1] else e[1:][m[1:] != 0]
-        top = int(max(total_e, live.max(initial=total_e)))
-        total_m, total_e = math.frexp(math.ldexp(total_m, total_e - top) + np.ldexp(m[1:], e[1:] - top).sum())
-        total_e += top
-        term_m, term_e = float(m[-1]), int(e[-1])
-        k0 += k.size
-        r = _ratio_bound(a, b, x, k0)
-        term = math.ldexp(abs(term_m), term_e - total_e)
-        if term * r <= _TOL * (1 - r) * abs(total_m):
-            return total_m, total_e
-        if k0 >= MAX_TERMS:
-            raise NonConvergenceError(
-                f"scaled Kummer series did not converge within {MAX_TERMS} terms (x={x})", residual=term)
 
 
 def weighted_kummer_sum(factors, steps, a, q, x: float):
@@ -322,16 +313,16 @@ def weighted_kummer_sum(factors, steps, a, q, x: float):
 def kummer_m(a: float, b: float, z: float) -> float:
     """Evaluate phi(a, b; z) for real arguments.
 
-    phi(a, b; 0) = 1 exactly.  Otherwise one scaled series is summed at
+    phi(a, b; 0) = 1 exactly.  Otherwise one window sum is taken at
     x = |z|: e^{-x} phi(b - a, b; x) for z < 0, which is phi(a, b; z) by
     Kummer's transformation, so e^z underflowing turns the value into
     neither NaN nor 0 (phi(1, 2; -800) = (1 - e^-800)/800); and
-    e^{-x} phi(a, b; x) for z > 0, whose start e^{-x} = first * 2**-shift
-    is divided out again.  So kummer_m(a, b, z) and
-    e^z kummer_m(b - a, b, -z) sum the same terms.  Raises ValueError for
-    arguments that are not finite real numbers and for forbidden b (zero
-    or a negative integer), and NonConvergenceError, naming a, b and z,
-    past 10,000 terms, for |z| >= _X_MAX or when the value overflows.
+    e^{-x} phi(a, b; x) for z > 0, whose weight e^{-x} = first * 2**-shift
+    is divided out again.  So kummer_m(a, b, z) and e^z kummer_m(b - a, b, -z)
+    sum the same terms.  Raises ValueError for arguments that are not
+    finite real numbers and for forbidden b (zero or a negative integer),
+    and NonConvergenceError, naming a, b and z, for |z| >= _X_MAX or when
+    the value overflows.
     """
     if any(np.iscomplexobj(v) for v in (a, b, z)) or not all(map(math.isfinite, (a, b, z))):
         raise ValueError(f"arguments must be finite real numbers, got a={a}, b={b}, z={z}")
@@ -343,13 +334,13 @@ def kummer_m(a: float, b: float, z: float) -> float:
         )
     if z == 0:
         return 1.0
-    x = abs(z)
+    x, c = abs(z), b - a if z < 0 else a
     try:
-        m, e = _scaled_kummer(b - a if z < 0 else a, b, x)
+        m, e = _window_sum(np.array([float(c)]), np.array([float(b - c)]), x, np.array([float(b)]))
     except NonConvergenceError as err:
-        raise NonConvergenceError(f"kummer_m(a={a}, b={b}, z={z}) = ?: {err}", err.residual) from None
+        raise NonConvergenceError(f"kummer_m(a={a}, b={b}, z={z}) = ?: {err}") from None
     first, shift = _exp_split(x) if z > 0 else (1.0, 0)
     try:
-        return math.ldexp(m / first, e + shift)
+        return math.ldexp(m[0] / first, int(e[0]) + shift)
     except OverflowError:
         raise NonConvergenceError(f"kummer_m(a={a}, b={b}, z={z}) = inf: past the largest double") from None

@@ -151,7 +151,7 @@ class TestHypergCommand:
         assert "numerical failure" in captured.err and "z=1000000.0" in captured.err
 
     def test_large_negative_argument(self, capsys):
-        # e^-800 underflows; the scaled series still gives (1 - e^-800) / 800
+        # e^-800 underflows; the window sum still gives (1 - e^-800) / 800
         assert run("hyperg --a 1 --b 2 --z -800".split()) == 0
         assert float(capsys.readouterr().out) == pytest.approx(1.0 / 800.0, rel=1e-12)
 

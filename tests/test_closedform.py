@@ -236,16 +236,36 @@ def _assert_criterion_4(value, reference):
     assert abs(value - reference) <= max(1e-6 * abs(reference), 1e-9)
 
 
+def _mp_scaled_series(a, b, x):
+    """e^{-x} phi(a, b; x) at the working precision, summed term by term.
+
+    mp.hyp1f1 drops the part of phi proportional to a tiny a: it gives
+    e^{-x} phi(9.47e-204, 9.47e-204 + 61; 731.8) as 1.525e-318, e^{-x}
+    alone, where this sum gives 1.6086e-296.  The terms past
+    k = x + 30 sqrt(x) + 100 are far below the precision.
+    """
+    term, total = mp.exp(-x), mp.mpf(0)
+    for k in range(int(x + 30 * math.sqrt(x)) + 100):
+        total += term
+        term *= x * (a + k) / ((b + k) * (k + 1))
+    return total
+
+
 def _mp_closed_form(i, n, s, p, dps=40):
-    """rbar[i][n](s) by the module docstring's j-sum in dps-digit mpmath."""
+    """rbar[i][n](s) by the module docstring's j-sum in dps-digit mpmath.
+
+    The Kummer factor of a below 1e-20 is summed term by term, where
+    mp.hyp1f1 would drop its part proportional to a.
+    """
     with mp.workdps(dps):
         a = mp.mpf(p.alpha) * mp.mpf(s)
         rho = mp.mpf(p.rho)
         total = mp.mpf(0)
         for j in range(min(i, n) + 1):
             q = i + n - 2 * j + 1
-            total += (mp.binomial(i, j) * rho ** (n - j) / mp.factorial(n - j) * mp.beta(a + j, q)
-                      * mp.exp(-rho) * mp.hyp1f1(a + j, a + j + q, rho))
+            kummer = (_mp_scaled_series(a + j, a + j + q, rho) if a + j < 1e-20
+                      else mp.exp(-rho) * mp.hyp1f1(a + j, a + j + q, rho))
+            total += mp.binomial(i, j) * rho ** (n - j) / mp.factorial(n - j) * mp.beta(a + j, q) * kummer
         return (n + rho + a) * total
 
 
@@ -347,6 +367,15 @@ class TestClosedFormHighRho:
         for s_k, value in zip(s, values):
             reference = float(_mp_closed_form(i, n, s_k, p, dps=50))
             assert abs(value - reference) <= _stated_bound(i, n, s.min(), p) * reference
+
+    def test_tiny_alpha_s_against_a_direct_sum(self):
+        # at alpha s = 1e-200 the entry is nearly all the part of
+        # e^{-rho} phi(a, a + 61; rho) proportional to a, which mp.hyp1f1
+        # drops (the j-sum over it gives 1.06e-25); the reference sums that
+        # series term by term
+        p = QueueParams(731.8, 1.0)
+        reference = float(_mp_closed_form(0, 60, 1e-200, p))
+        assert abs(rbar_closed_form(0, 60, 1e-200, p) - reference) <= _stated_bound(0, 60, 1e-200, p) * reference
 
     def test_window_stops_where_the_exponent_split_does(self):
         p = QueueParams(1.5e6, 1.0)

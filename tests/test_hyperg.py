@@ -34,6 +34,21 @@ def _float_series(a, b, z, terms=400):
     return total
 
 
+def _mp_scaled_series(c, b, x):
+    """e^{-x} phi(c, b; x) at the working precision, summed term by term.
+
+    mp.hyp1f1 drops the part of phi proportional to a c within about 1e-20
+    of zero or of a negative integer: phi(1.36e-61, -3.5; 100) is
+    1 + 9.5e-12, where mp.hyp1f1 gives 1 at 40 digits.  The terms past
+    k = x + 30 sqrt(x) + 100 are far below the precision.
+    """
+    term, total = mp.exp(-x), mp.mpf(0)
+    for k in range(int(x + 30.0 * math.sqrt(x)) + 100):
+        total += term
+        term *= x * (c + k) / ((b + k) * (k + 1))
+    return total
+
+
 def _mp_value_and_condition(a, b, z):
     """phi(a, b; z) at 40 digits and the condition number of the series kummer_m sums.
 
@@ -44,7 +59,10 @@ def _mp_value_and_condition(a, b, z):
     """
     c, x = (a, z) if z > 0 else (b - a, -z)
     with mp.workdps(40):
-        value = mp.hyp1f1(c, b, x)
+        if round(c) <= 0 and abs(c - round(c)) < 1e-20:
+            value = _mp_scaled_series(mp.mpf(c), mp.mpf(b), mp.mpf(x)) * mp.exp(x)
+        else:
+            value = mp.hyp1f1(c, b, x)
         term, head, head_abs = mp.mpf(1), mp.mpf(0), mp.mpf(0)
         for k in range(max(0, math.ceil(-c), math.ceil(-b)) + 1):
             head, head_abs = head + term, head_abs + abs(term)
@@ -83,7 +101,7 @@ class TestKummerValues:
 
 
 class TestLargeNegativeArgument:
-    # e^z underflows from z ~ -745 on; the scaled series keeps the value
+    # e^z underflows from z ~ -745 on; the window sum keeps the value
     @pytest.mark.parametrize("z", [-700.0, -800.0, -5000.0])
     @pytest.mark.parametrize("a,b", [(1.0, 2.0), (0.5, 3.5), (2.0, 2.5)])
     def test_against_mpmath(self, a, b, z):
@@ -94,16 +112,20 @@ class TestLargeNegativeArgument:
     @pytest.mark.parametrize("a,b,z", [(-1.5, 3.2, -800.0), (-0.5, 2.0, -720.0), (-0.3, 1.1, -5000.0)])
     def test_negative_a_against_mpmath(self, a, b, z):
         # a < 0 < b: the transformed series phi(b - a, b; -z) still has
-        # positive terms, so it takes the scaled series (e^z * sum gave
+        # positive terms, so it takes the window sum (e^z * sum gave
         # NaN at z = -800 and inf at z = -720)
         with mp.workdps(40):
             reference = float(mp.hyp1f1(a, b, z))
         assert kummer_m(a, b, z) == pytest.approx(reference, rel=1e-12)
 
-    def test_beyond_the_term_cap_raises(self):
-        # the transformed series needs about |z| terms
-        with pytest.raises(NonConvergenceError):
-            kummer_m(1.0, 2.0, -2.0e4)
+    @pytest.mark.parametrize("z", [-9990.0, -2.0e4])
+    def test_no_term_cap(self, z):
+        # the window holds about 20 sqrt(|z|) terms around the Poisson mode;
+        # a series summed from k = 0 needed about |z| + 10 sqrt(|z|) of them
+        # and raised at both, past a cap of 10,000 terms
+        with mp.workdps(40):
+            reference = float(mp.hyp1f1(1, 2, z))
+        assert kummer_m(1.0, 2.0, z) == pytest.approx(reference, rel=1e-12)
 
 
 class TestKummerTransformation:
@@ -143,7 +165,7 @@ class TestKummerValidation:
          (math.inf, 2.0, 1.0), (1.0, 2.0, -math.inf)],
     )
     def test_nonfinite_arguments_rejected(self, fn, a, b, z):
-        # rejected before summing: a NaN must not run all MAX_TERMS terms
+        # rejected before summing: a NaN must not reach the window sum
         with pytest.raises(ValueError, match="must be finite"):
             fn(a, b, z)
 
@@ -157,7 +179,7 @@ class TestKummerValidation:
     def test_nonfinite_value_raises(self, a, b, z):
         # only a value past the double range raises: phi(1, 2; 1e6) is about
         # e^1e6.  phi(2.5, 2; -800) once came out as e^-800 (0) times an
-        # overflowed sum, NaN; the scaled series gives it finite
+        # overflowed sum, NaN; the window sum gives it finite
         with mp.workdps(40):
             reference = mp.hyp1f1(a, b, z)
         if abs(reference) < 1e308:
@@ -165,13 +187,6 @@ class TestKummerValidation:
         else:
             with pytest.raises(NonConvergenceError, match=re.escape(f"kummer_m(a={a}, b={b}, z={z}) = ")):
                 kummer_m(a, b, z)
-
-    def test_nonconvergence_carries_residual(self):
-        with pytest.raises(NonConvergenceError, match=re.escape("kummer_m(a=1.0, b=2.0, z=-9990.0)")) as err:
-            # the ratio bound falls below 1 within the term cap, but the
-            # terms have not yet fallen within the tolerance there
-            kummer_m(1.0, 2.0, -9990.0)
-        assert err.value.residual is not None
 
 
 class TestReachableParameterRanges:
@@ -188,12 +203,12 @@ class TestReachableParameterRanges:
 
 
 class TestAgainstMpmath:
-    # every argument is summed by one scaled series; its error is set by the
-    # condition number of that series, not by the sign of a, b or b - a
+    # every argument is one window sum; its error is set by the condition
+    # number of that series, not by the sign of a, b or b - a
     @given(
         a=st.floats(min_value=-30.0, max_value=30.0),
         b=st.floats(min_value=-30.0, max_value=30.0),
-        log_x=st.floats(min_value=-3.0, max_value=math.log10(5000.0)),
+        log_x=st.floats(min_value=-3.0, max_value=5.0),
         negative=st.booleans(),
     )
     @settings(max_examples=150, derandomize=True, deadline=None)
@@ -217,26 +232,35 @@ class TestAgainstMpmath:
     def test_named_cases(self, a, b, z):
         # the first three were e^z (0) times a directly summed series that
         # overflowed, NaN; (1, 2, 712) is within a factor 80 of the largest
-        # double; (1, 1e7, 1e6) converges only by the ratio bound
-        # x / (b + k), with x far above the term cap; phi(-2, 1; 2e4) is a
-        # polynomial, whose series ends with no ratio bound below 1
+        # double; the window of (1, 1e7, 1e6) ends where the terms' own
+        # ratio x / (b + k) <= 0.1 puts it, far below the Poisson mode;
+        # phi(-2, 1; 2e4) is a polynomial, whose window ends at k = 2
         with mp.workdps(40):
             reference = float(mp.hyp1f1(a, b, z))
         assert kummer_m(a, b, z) == pytest.approx(reference, rel=1e-12)
 
-    def test_first_step_sized_by_the_ratio_bound(self, monkeypatch):
-        # x / (b + k) <= 0.1 from the first term: 14 terms reach 1e-14, so
-        # the first step is not sized from x = 1e6 (8,192 terms)
-        widths = []
-        real = hyperg._running_product
+    @pytest.mark.parametrize("z", [5e-324, -5e-324])
+    @pytest.mark.parametrize("a, b", [(1.0, 2.0), (-3.5, 0.5), (2.0, -2.5)])
+    def test_smallest_subnormal_argument(self, a, b, z):
+        # every term past the first is 0 or below the smallest double
+        with mp.workdps(40):
+            reference = float(mp.hyp1f1(a, b, z))
+        assert kummer_m(a, b, z) == pytest.approx(reference, rel=1e-15)
 
-        def spy(factors):
-            widths.append(factors.shape[-1])
-            return real(factors)
+    def test_window_sized_by_the_terms_decay(self, monkeypatch):
+        # x / (b + k) <= 0.1 from the first term: about 17 terms reach
+        # 2^-53, where the Poisson weights alone would place the window's
+        # end near x = 1e6
+        windows = []
+        real = hyperg._window
 
-        monkeypatch.setattr(hyperg, "_running_product", spy)
+        def spy(*args):
+            windows.append(real(*args))
+            return windows[-1]
+
+        monkeypatch.setattr(hyperg, "_window", spy)
         value = kummer_m(1.0, 1e7, 1e6)
-        assert widths and max(widths) <= 64
+        assert windows and max(hi - lo + 1 for lo, hi, _ in windows) <= 64
         with mp.workdps(40):
             reference = float(mp.hyp1f1(1, 1e7, 1e6))
         assert value == pytest.approx(reference, rel=1e-15)
@@ -248,6 +272,6 @@ class TestAgainstMpmath:
     @pytest.mark.parametrize("z", [-2e6, 2e6])
     def test_past_the_exact_exponent_split_raises(self, z):
         # e^{-x} = first * 2**-shift is split exactly only below 2**21 ln 2
-        message = f"kummer_m(a=1.0, b={1e8}, z={z}) = ?: scaled Kummer series needs x < "
+        message = f"kummer_m(a=1.0, b={1e8}, z={z}) = ?: Poisson window sum needs x < "
         with pytest.raises(NonConvergenceError, match=re.escape(message)):
             kummer_m(1.0, 1e8, z)
