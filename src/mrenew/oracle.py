@@ -45,14 +45,18 @@ finite: a block holding a NaN or an infinity is refused with ValueError,
 naming its first such state and abscissa, before any of it is swept.
 
 A column keeps O(top) state whatever N is, and `solve_rows` sweeps every
-abscissa of a request at once, each cut at its own N.  The normalization
-residual, summed over the entries, is reported: where the lost-mass test
-cut, it can sit on its rounding floor above _TOL (up to ~3e-10 at rho in
-the hundreds and more, s ~ 1e-4); where the bound test cut, the mass past
-N is not small and neither is the residual (0.999 at i = 14, j = 9,
-rho = 790, s = 0.01).  `neumann_series_sum` accumulates row i of
-sum_m Qbar(s)^m over the same truncated operator and is the independent
-second route used by the cross-check suites.
+abscissa of a request in one pass, each cut at its own N: a grid of at
+least _MIN_BATCH = 13 abscissas as columns of numpy arrays, a shorter one
+column by column in Python numbers, where the array bookkeeping would cost
+more than the steps.  Either pass reads each kernel block once for all its
+open columns, and a real column gets the same bits from both.  The
+normalization residual, summed over the entries, is reported: where the
+lost-mass test cut, it can sit on its rounding floor above _TOL (up to
+~3e-10 at rho in the hundreds and more, s ~ 1e-4); where the bound test
+cut, the mass past N is not small and neither is the residual (0.999 at
+i = 14, j = 9, rho = 790, s = 0.01).  `neumann_series_sum` accumulates
+row i of sum_m Qbar(s)^m over the same truncated operator and is the
+independent second route used by the cross-check suites.
 
 Real s must be finite and at least _S_MIN = 1e-14.  Complex s with real
 part at least _S_MIN is accepted throughout (the elimination extends
@@ -65,6 +69,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, replace
+from itertools import count
 
 import numpy as np
 
@@ -183,8 +188,32 @@ def _kernel_block(kernel: KernelTransform, states, s) -> tuple:
     return sigma, tau, c
 
 
+def _read_block(kernel: KernelTransform, lo: int, hi: int, s) -> tuple:
+    """sigma_bar, tau_bar, c and c(Re s) of states lo..hi (rows) at the abscissas s (columns)."""
+    states = np.arange(lo, hi + 1)[:, None]
+    sigma, tau, c = _kernel_block(kernel, states, s)
+    # c at Re s, where sum_k c_k x_k <= 1 and x >= |x(s)|
+    c_re = _kernel_block(kernel, states, np.real(s))[2] if np.iscomplexobj(c) else c
+    return sigma, tau, c, c_re
+
+
+def _block_end(lo: int, cols: int, n_lo: int, n_hi: int) -> int:
+    """The last state of the kernel block from state lo, the row read ahead.
+
+    The first block reaches past the floor n_lo, each later one is as long
+    as all before it, and none holds more than _SWEEP_ELEMENTS states x cols.
+    """
+    budget = max(1, _SWEEP_ELEMENTS // cols - 1)    # states stepped per block, which reads one more
+    return min(lo + min(budget, max(n_lo + 1, lo)), n_hi + 1)
+
+
+def _small_pivot(w, row: int) -> PivotError:
+    return PivotError(f"pivot {w!r} below {_MIN_PIVOT} at row {row}")
+
+
 def _eliminate(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int, proven: bool = True):
-    """Row i cut at the first N in [n_lo, n_hi] that passes the stop test, else at n_hi.
+    """Row i at each abscissa of the array s, cut at the first N in [n_lo, n_hi]
+    that passes the stop test, else at n_hi.
 
     (g, q, c) are kept for states 0..top; the test can pass only past top,
     so top = n_hi cuts at n_hi and keeps every state.  Past top,
@@ -193,83 +222,147 @@ def _eliminate(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int, pr
     (U[M] = q[M-1] U[M-1] + c[M]) are carried.  The kernel is read one
     state ahead, so state N steps q[N] = sigma[N+1] / w[N] and judges level N
     once, by both tests against one |x[top]|: the lost-mass test, and with
-    proven also the bound test |P[N+1]| < 2**-52 c[N+1](Re s) |x[top]|.  A
-    scalar s is stepped as Python scalars; an array of abscissas as one
-    column each, in the same operations, so a real column gives the bits of
-    its scalar solve.  Kernel blocks, the row read ahead included, hold at
-    most _SWEEP_ELEMENTS states x columns.  Returns per abscissa: entries
+    proven also the bound test |P[N+1]| < 2**-52 c[N+1](Re s) |x[top]|.
+    Every abscissa is a column of arrays stepped state by state until each
+    is cut; `_eliminate_short` steps each column of a short grid in the same
+    operations on Python numbers, so a real column gives the same bits in
+    either.  Kernel blocks, the row read ahead included, hold at most
+    _SWEEP_ELEMENTS states x columns.  Returns per abscissa: entries
     0..top, N, the residual and whether a test passed.
     """
-    batched = np.ndim(s) == 1
-    cols = np.size(s)
+    cols = s.size
     top = min(top, n_hi)
     first = max(n_lo, top + 1)                      # first N the tests may pass at
-    budget = max(1, _SWEEP_ELEMENTS // cols - 1)    # states stepped per block, which reads one more
     levels, passed, todo = np.zeros(cols, dtype=int), np.zeros(cols, dtype=bool), np.ones(cols, dtype=bool)
     sums = np.zeros((2, cols))                      # S and the tail where each column was cut
     kept = kept_g, kept_q, kept_c = [], [], []
-    zero = np.zeros(cols) if batched else 0.0
-    some = np.ndarray.any if batched else bool
-    w, g, tp, q, p, u, x, tail, move, last = 1.0, 0.0, 0.0, 0.0, zero + 1.0, zero, zero, zero, zero, zero
+    zero = np.zeros(cols)
+    g, tp, q, p, u, x, tail, move, last = 0.0, 0.0, 0.0, zero + 1.0, zero, zero, zero, zero, zero
     hit = False                                     # no level below first passes
     # lost mass and bound test factor allowed; -1 and 0 once cut, and 0 throughout unless proven
     bound, eps = zero + _TOL, zero + (_EPS if proven else 0.0)
     lo = 0
     while todo.any():
-        hi = min(lo + min(budget, max(n_lo + 1, lo)), n_hi + 1)
-        states = np.arange(lo, hi + 1)
-        rows = states[:, None] if batched else states
-        sigma, tau, c = _kernel_block(kernel, rows, s)
-        # c at Re s, where sum_k c_k x_k <= 1 and x >= |x(s)|
-        c_re = _kernel_block(kernel, rows, np.real(s))[2] if np.iscomplexobj(c) else c
-        pivots = np.ones_like(c) if batched else [1.0] * (hi - lo)
-        try:
-            with np.errstate(all="ignore"):     # a bad pivot is reported below
-                # sigma and c_re of state k + 1 step state k
-                ahead = (sigma[1:], tau, c, c_re[1:])
-                steps = zip(range(lo, hi), *(a if batched else a.tolist() for a in ahead))
-                for k, sigma_k, tau_k, c_k, c_re_k in steps:
-                    w = pivots[k - lo] = 1.0 - tp * q
-                    g = 1.0 / w if k == i else tp * g / w
-                    tp = tau_k
-                    if k <= top:
-                        kept_g.append(g)
-                        kept_q.append(q)
-                        kept_c.append(c_k)
-                    else:
-                        last, p, u = move, p * q, u * q + c_k
-                        move = g * p
-                        x, tail = x + move, tail + g * u
-                    q = sigma_k / w
-                    # level k: the bound test (the cut at k moves x[top] by p q x[k+1], and
-                    # |x[k+1]| <= 1 / c_re_k), then the lost-mass test, against one |x[top]|
-                    if (k < first or not some(hit := abs(p * q) < eps * c_re_k * (x_top := abs(kept_g[top] + x)))
-                            and not some(abs(tau_k * g) <= bound)) and k < n_hi:
-                        continue
-                    if some(lost := (k >= first) & (abs(tau_k * g) <= bound)):
-                        # the moves still to come, shrinking by r per state, sum to |move| r / (1 - r)
-                        r = abs(np.divide(move, last))
-                        hit = hit | lost & ((move == 0) | (abs(move) * r <= _EPS * (1.0 - r) * x_top))
-                    if k < n_hi and not some(hit):
-                        continue
-                    cut = todo & (hit | (k == n_hi))
-                    levels[cut], todo[cut] = k, False
-                    passed, bound = np.where(cut, hit, passed), np.where(cut, -1.0, bound)
-                    eps = np.where(cut, 0.0, eps)
-                    sums = np.where(cut, np.reshape((x, tail), (2, -1)), sums)
-                    if not todo.any():
-                        break
-        except ZeroDivisionError:
-            pass    # a zero pivot among Python scalars, reported below
-        pivots = np.asarray(pivots)
+        hi = _block_end(lo, cols, n_lo, n_hi)
+        sigma, tau, c, c_re = _read_block(kernel, lo, hi, s)
+        pivots = np.ones_like(c)
+        with np.errstate(all="ignore"):         # a bad pivot is reported below
+            # sigma and c_re of state k + 1 step state k
+            for k, sigma_k, tau_k, c_k, c_re_k in zip(range(lo, hi), sigma[1:], tau, c, c_re[1:]):
+                w = pivots[k - lo] = 1.0 - tp * q
+                g = 1.0 / w if k == i else tp * g / w
+                tp = tau_k
+                if k <= top:
+                    kept_g.append(g)
+                    kept_q.append(q)
+                    kept_c.append(c_k)
+                else:
+                    last, p, u = move, p * q, u * q + c_k
+                    move = g * p
+                    x, tail = x + move, tail + g * u
+                q = sigma_k / w
+                # level k: the bound test (the cut at k moves x[top] by p q x[k+1], and
+                # |x[k+1]| <= 1 / c_re_k), then the lost-mass test, against one |x[top]|
+                if (k < first or not (hit := abs(p * q) < eps * c_re_k * (x_top := abs(kept_g[top] + x))).any()
+                        and not (abs(tau_k * g) <= bound).any()) and k < n_hi:
+                    continue
+                if (lost := (k >= first) & (abs(tau_k * g) <= bound)).any():
+                    # the moves still to come, shrinking by r per state, sum to |move| r / (1 - r)
+                    r = abs(np.divide(move, last))
+                    hit = hit | lost & ((move == 0) | (abs(move) * r <= _EPS * (1.0 - r) * x_top))
+                if k < n_hi and not hit.any():
+                    continue
+                cut = todo & (hit | (k == n_hi))
+                levels[cut], todo[cut] = k, False
+                passed, bound = np.where(cut, hit, passed), np.where(cut, -1.0, bound)
+                eps = np.where(cut, 0.0, eps)
+                sums = np.where(cut, np.reshape((x, tail), (2, -1)), sums)
+                if not todo.any():
+                    break
         small = np.abs(pivots) < _MIN_PIVOT
         if small.any():
             at = np.flatnonzero(small)[0]     # the sweep meets the lowest row first
-            raise PivotError(f"pivot {pivots.flat[at].item()!r} below {_MIN_PIVOT} at row {lo + at // cols}")
+            raise _small_pivot(pivots.flat[at].item(), lo + at // cols)
         lo = hi
-    x, tail = sums if batched else sums[:, 0].tolist()
-    values, residuals = _back_substitute(*kept, top, x, tail)
-    return list(np.reshape(values, (-1, cols)).T), levels, np.reshape(residuals, cols), passed
+    values, residuals = _back_substitute(*kept, top, *sums)
+    return list(values.T), levels, residuals, passed
+
+
+def _eliminate_short(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int, proven: bool = True):
+    """`_eliminate` for a short grid s: the same cuts, with each column stepped as Python numbers.
+
+    Each kernel block is read once for the columns still open, in
+    `_eliminate`'s blocks, and split into one list per column, which
+    `_short_column` steps through.  Where two columns meet a pivot below
+    _MIN_PIVOT in one block, the first in grid order is reported.  Returns
+    `_eliminate`'s results as lists.
+    """
+    top = min(top, n_hi)
+    columns = {col: _short_column(i, top, n_lo, n_hi, proven) for col in range(len(s))}
+    for column in columns.values():
+        next(column)                                # to its first yield, ready for a block
+    rows, levels, residuals, passed = ([None] * len(s) for _ in range(4))
+    lo = 0
+    while columns:
+        hi = _block_end(lo, len(s), n_lo, n_hi)
+        block = zip(*(a.T.tolist() for a in _read_block(kernel, lo, hi, s[list(columns)])))
+        with np.errstate(all="ignore"):         # r = move / last divides by a zero last move
+            for (col, column), lists in zip(list(columns.items()), block):
+                if end := column.send((lo, *lists)):
+                    rows[col], levels[col], residuals[col], passed[col] = end
+                    del columns[col]
+        lo = hi
+    return rows, levels, residuals, passed
+
+
+def _short_column(i: int, top: int, n_lo: int, n_hi: int, proven: bool):
+    """One column of `_eliminate_short`: `_eliminate`'s step on Python numbers.
+
+    Is sent (lo, sigma, tau, c, c_re), the lists of one block from state lo;
+    yields None while open, then (entries 0..top, N, the residual, whether a
+    test passed) once cut.  Raises PivotError at its first pivot below
+    _MIN_PIVOT.
+    """
+    first = max(n_lo, top + 1)                      # first N the tests may pass at
+    tol, eps = _TOL, _EPS if proven else 0.0
+    kept_g, kept_q, kept_c = [], [], []
+    g = tp = q = u = x = tail = move = last = 0.0
+    p = 1.0
+    end = None
+    while True:
+        lo, sigma, tau, c, c_re = yield end
+        # sigma and c_re of state k + 1 step state k
+        for k, sigma_k, tau_k, c_k, c_re_k in zip(count(lo), sigma[1:], tau, c, c_re[1:]):
+            w = 1.0 - tp * q
+            if abs(w) < _MIN_PIVOT:
+                raise _small_pivot(w, k)
+            g = 1.0 / w if k == i else tp * g / w
+            tp = tau_k
+            if k <= top:
+                kept_g.append(g)
+                kept_q.append(q)
+                kept_c.append(c_k)
+            else:
+                last, p, u = move, p * q, u * q + c_k
+                move = g * p
+                x, tail = x + move, tail + g * u
+            q = sigma_k / w
+            if k < first:
+                if k < n_hi:
+                    continue
+                hit = False
+            else:
+                # level k: the bound test, then the lost-mass test, as in `_eliminate`
+                x_top = abs(kept_g[top] + x)
+                hit = abs(p * q) < eps * c_re_k * x_top
+                if not hit and abs(tau_k * g) <= tol:
+                    r = abs(np.divide(move, last))
+                    hit = move == 0 or bool(abs(move) * r <= _EPS * (1.0 - r) * x_top)
+                if not hit and k < n_hi:
+                    continue
+            values, residual = _back_substitute(kept_g, kept_q, kept_c, top, x, tail)
+            end = values, k, residual, hit
+            break
 
 
 def solve_row_truncated(i: int, s, kernel: KernelTransform, n: int) -> TransformRowResult:
@@ -277,8 +370,8 @@ def solve_row_truncated(i: int, s, kernel: KernelTransform, n: int) -> Transform
     i, n = _check_row(i, s, n)
     if not 0 <= i < n:
         raise ValueError(f"start state must satisfy 0 <= i < n, got i={i}, n={n}")
-    rows, _, residuals, _ = _eliminate(i, s, kernel, n, n, n)
-    return TransformRowResult(i, s, n, rows[0], float(residuals[0]), converged=False)
+    (row,), _, (residual,), _ = _eliminate_short(i, np.reshape(s, 1), kernel, n, n, n)
+    return TransformRowResult(i, s, n, row, residual, converged=False)
 
 
 def solve_rows(
@@ -308,23 +401,18 @@ def _solve_rows(i, j, s_values, kernel, cfg, proven) -> TransformEntries:
     if i < 0 or j < 0:
         raise ValueError(f"states must be >= 0, got i={i}, j={j}")
     n_lo = max(cfg.n0, i + 2, j + 2)
-    values, levels, residuals = [], [], []
     # fewer than _MIN_BATCH abscissas do not pay for the array overhead of a step
-    for sweep in (s.tolist() if s.size < _MIN_BATCH else [s]):
-        rows, level, residual, passed = _eliminate(
-            i, sweep, kernel, max(i + _MARGIN, j), n_lo, max(_N_MAX, n_lo), proven)
-        if not passed.all():
-            k = np.flatnonzero(~passed)[0]
-            raise NonConvergenceError(
-                f"row (i={i}, s={np.atleast_1d(sweep)[k]}) did not converge by n_max={_N_MAX}; "
-                f"last normalization residual {residual[k]:.3e}",
-                residual=float(residual[k]),
-            )
-        values += [row[j] for row in rows]
-        levels += level.tolist()
-        residuals += residual.tolist()
-    values = np.array(values, dtype=s.dtype)
-    return TransformEntries(i, j, s, values, np.array(levels, dtype=int), np.array(residuals))
+    sweep = _eliminate_short if s.size < _MIN_BATCH else _eliminate
+    rows, levels, residuals, passed = sweep(i, s, kernel, max(i + _MARGIN, j), n_lo, max(_N_MAX, n_lo), proven)
+    if not all(passed):
+        k = list(passed).index(False)
+        raise NonConvergenceError(
+            f"row (i={i}, s={s[k]}) did not converge by n_max={_N_MAX}; "
+            f"last normalization residual {residuals[k]:.3e}",
+            residual=float(residuals[k]),
+        )
+    values = np.array([row[j] for row in rows], dtype=s.dtype)
+    return TransformEntries(i, j, s, values, np.array(levels, dtype=int), np.array(residuals, dtype=float))
 
 
 def solve_row_adaptive(

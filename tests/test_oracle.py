@@ -208,6 +208,9 @@ class TestSolveRows:
         k = kernel(p)
         entries = solve_rows(1, 3, s_values, k)
         assert len(set(entries.truncation_n.tolist())) == 14
+        short = solve_rows(1, 3, s_values[:6], k)     # one short-grid sweep of six columns
+        for field in ("values", "truncation_n", "normalization_residual"):
+            np.testing.assert_array_equal(getattr(short, field), getattr(entries, field)[:6])
         for col, s in enumerate(s_values.tolist()):
             one = solve_rows(1, 3, [s], k)
             assert entries.values[col] == one.values[0]
@@ -249,8 +252,24 @@ class TestSolveRows:
         # forward elimination meets the zero pivot at row 1 first
         with pytest.raises(PivotError, match="at row 1$"):
             solve_row_truncated(0, 1.0, _ZeroPivotKernel(), 8)
-        with pytest.raises(PivotError, match="at row 1$"):
-            solve_rows(0, 0, np.linspace(1.0, 2.0, 40), _ZeroPivotKernel())
+        for s_values in ([1.0, 2.0], np.linspace(1.0, 2.0, 40)):
+            with pytest.raises(PivotError, match="at row 1$"):
+                solve_rows(0, 0, s_values, _ZeroPivotKernel())
+
+    def test_short_grid_reads_each_block_once(self, monkeypatch):
+        calls = []      # (lowest state, highest state, columns) per kernel call
+        real = MMInfinityKernel.transforms
+
+        def spy(self, j, s):
+            calls.append((int(np.min(j)), int(np.max(j)), np.size(s)))
+            return real(self, j, s)
+
+        monkeypatch.setattr(MMInfinityKernel, "transforms", spy)
+        p, s_values = self.SPREAD
+        solve_rows(1, 3, s_values[:6], kernel(p))
+        # the floor N = 64 and the row read ahead: states 0..65, all six columns at once
+        assert [call for call in calls if call[0] == 0] == [(0, 65, 6)]
+        assert all(columns <= 6 for _, _, columns in calls)
 
     def test_cut_past_the_residual_floor(self):
         # The summed residual sits on a rounding floor of up to ~3e-10 at
@@ -383,10 +402,10 @@ class TestLevelSolve:
     @pytest.mark.parametrize("count", [1, oracle._MIN_BATCH], ids=["scalars", "batched"])
     def test_rows_and_residuals_match_dense_solve(self, n, i, shift, count):
         s_values = np.geomspace(0.01, 100.0, count) + shift
-        # every state kept, as solve_row_truncated runs it
-        sweep = s_values[0] if count == 1 else s_values
-        rows, levels, residuals, _ = oracle._eliminate(i, sweep, self.K, n, n, n)
-        assert levels.tolist() == [n] * count
+        # every state kept, as solve_row_truncated runs it; a short grid steps Python scalars
+        sweep = oracle._eliminate_short if count < oracle._MIN_BATCH else oracle._eliminate
+        rows, levels, residuals, _ = sweep(i, s_values, self.K, n, n, n)
+        assert list(levels) == [n] * count
         for col, s in enumerate(s_values):
             x, residual = self.dense(i, s, self.K, n)
             assert np.max(np.abs(rows[col] - x)) <= 1e-13 * np.max(np.abs(x))
@@ -487,8 +506,9 @@ class TestBoundTest:
     def cut(i, j, s, k, proven):
         """Entries 0..top, and N, of one column as solve_rows cuts it, or by the lost-mass test alone."""
         top, n_lo = max(i + oracle._MARGIN, j), max(TruncationConfig().n0, i + 2, j + 2)
-        rows, levels, _, passed = oracle._eliminate(i, s, k, top, n_lo, max(oracle._N_MAX, n_lo), proven)
-        assert passed.all()
+        n_hi = max(oracle._N_MAX, n_lo)
+        rows, levels, _, passed = oracle._eliminate_short(i, np.array([s]), k, top, n_lo, n_hi, proven)
+        assert all(passed)
         return rows[0], int(levels[0])
 
     @pytest.mark.parametrize("method", ["gaver-stehfest", "euler"])
@@ -594,6 +614,18 @@ class TestNonFiniteKernel:
         ):
             with pytest.raises(ValueError, match=r"at state 40, s=0\.5 are not finite"):
                 call()
+
+    def test_lowest_state_named_first(self):
+        # a short grid reads each block for all its columns: the lowest bad
+        # state is named, and among its abscissas the first
+        class Spoilt(KernelTransform):
+            def transforms(self, j, s):
+                sigma, tau = kernel(QueueParams(2.0, 1.0)).transforms(j, s)
+                return sigma, np.where(j == np.where(s < 1.0, 40, 30), math.nan, tau)
+
+        for s_values in ([0.5, 1.0, 2.0], np.linspace(0.5, 2.0, oracle._MIN_BATCH)):
+            with pytest.raises(ValueError, match=r"at state 30, s=1\.0 are not finite"):
+                solve_rows(0, 0, s_values, Spoilt())
 
     def test_value_at_the_real_part_refused(self):
         # the bound test at complex s reads c at Re s; a NaN there went unseen
