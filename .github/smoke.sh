@@ -9,6 +9,8 @@ mrenew validate --quick
 mrenew transform --i 0 --j 0 --s-grid 1:1:1 --lambda 1 --alpha 1
 mrenew renewal --i 0 --j 1 --t-grid 0.5:2:4 --lambda 1 --alpha 1 --method gs
 mrenew renewal --i 0 --j 1 --t-grid 0.5:2:4 --lambda 1 --alpha 1 --method euler
+# one time's 14 Gaver-Stehfest abscissas: a real grid short enough for the short sweep
+mrenew renewal --i 3 --j 2 --t-grid 2:2:1 --lambda 5 --alpha 1 --method gs
 mrenew renewal --i 14 --j 9 --t-grid 1:300:3 --lambda 1000 --alpha 1 --method euler
 mrenew transform --i 14 --j 9 --s-grid 0.01:100:6 --lambda 1000 --alpha 1
 # a short grid swept together: six columns cut at N = 2,081 to 2,422, over three kernel blocks

@@ -137,7 +137,8 @@ class MMInfinityKernel(KernelTransform):
         rate = up + down
         with np.errstate(divide="ignore"):
             sojourn = -np.log1p(-np.maximum(u_time, _TINY_UNIFORM)) / rate
-        move = np.where(u_dir * rate < up, 1, np.where(rate > 0.0, -1, 0))
+        # up (1) where the up clock wins, else down (-1) unless no clock runs (0)
+        move = (u_dir * rate < up) * 2 - (rate > 0.0)
         return states + move, sojourn
 
 

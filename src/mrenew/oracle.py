@@ -46,9 +46,11 @@ naming its first such state and abscissa, before any of it is swept.
 
 A column keeps O(top) state whatever N is, and `solve_rows` sweeps every
 abscissa of a request in one pass, each cut at its own N: a grid of at
-least _MIN_BATCH = 13 abscissas as columns of numpy arrays, a shorter one
+least _MIN_BATCH = 17 abscissas as columns of numpy arrays, a shorter one
 column by column in Python numbers, where the array bookkeeping would cost
-more than the steps.  Either pass reads each kernel block once for all its
+more than the steps.  17 is the measured crossover of real grids; complex
+ones cross lower (near 12), but the CLI sends them only from Euler's 50
+abscissas per time.  Either pass reads each kernel block once for all its
 open columns, and a real column gets the same bits from both.  The
 normalization residual, summed over the entries, is reported: where the
 lost-mass test cut, it can sit on its rounding floor above _TOL (up to
@@ -78,7 +80,7 @@ from .model import KernelTransform
 
 _MIN_PIVOT = 1e-14
 _SWEEP_ELEMENTS = 6144     # states x columns of one block of kernel values
-_MIN_BATCH = 13            # fewest columns worth sweeping together (measured crossover)
+_MIN_BATCH = 17            # fewest columns worth sweeping together (measured real crossover)
 _EPS = 2.0**-52            # moves still to come allowed, relative to x[top]
 _MARGIN = 10               # entries past i that the stop test covers: top = max(i + _MARGIN, j)
 _N_MAX = 2**16             # largest cut N of an adaptive solve
@@ -306,11 +308,10 @@ def _eliminate_short(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: i
     while columns:
         hi = _block_end(lo, len(s), n_lo, n_hi)
         block = zip(*(a.T.tolist() for a in _read_block(kernel, lo, hi, s[list(columns)])))
-        with np.errstate(all="ignore"):         # r = move / last divides by a zero last move
-            for (col, column), lists in zip(list(columns.items()), block):
-                if end := column.send((lo, *lists)):
-                    rows[col], levels[col], residuals[col], passed[col] = end
-                    del columns[col]
+        for (col, column), lists in zip(list(columns.items()), block):
+            if end := column.send((lo, *lists)):
+                rows[col], levels[col], residuals[col], passed[col] = end
+                del columns[col]
         lo = hi
     return rows, levels, residuals, passed
 
@@ -356,8 +357,9 @@ def _short_column(i: int, top: int, n_lo: int, n_hi: int, proven: bool):
                 x_top = abs(kept_g[top] + x)
                 hit = abs(p * q) < eps * c_re_k * x_top
                 if not hit and abs(tau_k * g) <= tol:
-                    r = abs(np.divide(move, last))
-                    hit = move == 0 or bool(abs(move) * r <= _EPS * (1.0 - r) * x_top)
+                    # a zero last move gives no ratio: the test fails unless move is 0 too
+                    hit = move == 0 or last != 0 and (
+                        abs(move) * (r := abs(move / last)) <= _EPS * (1.0 - r) * x_top)
                 if not hit and k < n_hi:
                     continue
             values, residual = _back_substitute(kept_g, kept_q, kept_c, top, x, tail)

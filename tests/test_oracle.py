@@ -208,9 +208,10 @@ class TestSolveRows:
         k = kernel(p)
         entries = solve_rows(1, 3, s_values, k)
         assert len(set(entries.truncation_n.tolist())) == 14
-        short = solve_rows(1, 3, s_values[:6], k)     # one short-grid sweep of six columns
+        widest = oracle._MIN_BATCH - 1     # the widest grid swept as a short one
+        short = solve_rows(1, 3, s_values[:widest], k)
         for field in ("values", "truncation_n", "normalization_residual"):
-            np.testing.assert_array_equal(getattr(short, field), getattr(entries, field)[:6])
+            np.testing.assert_array_equal(getattr(short, field), getattr(entries, field)[:widest])
         for col, s in enumerate(s_values.tolist()):
             one = solve_rows(1, 3, [s], k)
             assert entries.values[col] == one.values[0]
@@ -221,6 +222,20 @@ class TestSolveRows:
             row = solve_row_adaptive(1, s, k)
             assert entries.values[col] == row.values[3]
             assert entries.truncation_n[col] == row.truncation_n
+
+    @pytest.mark.parametrize("p", [PURE_DEATH, QueueParams(0.1, 1.0)], ids=["no_move", "move"])
+    def test_first_level_past_top_judged_without_a_last_move(self, p, monkeypatch):
+        # at the floor n0 = 2 the first level judged is top + 1 = 11, where the
+        # lost mass is below tol but no move of x[top] came before: without
+        # arrivals this move is 0 too and the cut is there; at rho = 0.1 it is
+        # not, and the move test waits for a ratio of two moves
+        cfg = TruncationConfig(n0=2)
+        short = solve_rows(0, 0, [1.0], kernel(p), cfg)
+        assert short.truncation_n.tolist() == [11 if p is PURE_DEATH else 17]
+        monkeypatch.setattr(oracle, "_MIN_BATCH", 1)
+        array = solve_rows(0, 0, [1.0], kernel(p), cfg)
+        for field in ("values", "truncation_n", "normalization_residual"):
+            np.testing.assert_array_equal(getattr(short, field), getattr(array, field))
 
     def test_complex_columns_match_one_column_solves_and_conjugates(self):
         k = kernel(QueueParams(2.0, 1.0))
@@ -623,7 +638,7 @@ class TestNonFiniteKernel:
                 sigma, tau = kernel(QueueParams(2.0, 1.0)).transforms(j, s)
                 return sigma, np.where(j == np.where(s < 1.0, 40, 30), math.nan, tau)
 
-        for s_values in ([0.5, 1.0, 2.0], np.linspace(0.5, 2.0, oracle._MIN_BATCH)):
+        for s_values in ([0.5, 1.0, 2.0], [0.5, *np.linspace(1.0, 2.0, oracle._MIN_BATCH - 1)]):
             with pytest.raises(ValueError, match=r"at state 30, s=1\.0 are not finite"):
                 solve_rows(0, 0, s_values, Spoilt())
 
