@@ -11,8 +11,8 @@ and weights w_k set by the method and t, and for Gaver-Stehfest its order.
 * Euler summation: the Bromwich trapezoid at A / 2t + i k pi / t
   (k = 0..n+m), scale e^{A/2} / t, with the binomial average of the
   partial sums n..n+m written out as one weight per sample.  The lengths
-  are fixed at n = EULER_DEFAULT_N = 38 and m = EULER_DEFAULT_M = 11,
-  50 abscissas per time.
+  are fixed at n = EULER_DEFAULT_N = 15 and m = EULER_DEFAULT_M = 11
+  (Abate & Whitt, ORSA J. Computing 1995), 27 abscissas per time.
 
 The row transform rbar is a Laplace-Stieltjes transform; the renewal
 function R_ij(t) has an ordinary Laplace transform rbar_ij(s) / s, which is
@@ -36,7 +36,7 @@ from .model import KernelTransform
 from .oracle import _S_MIN, solve_rows
 
 EULER_DEFAULT_M = 11   # binomial averaging length
-EULER_DEFAULT_N = 38   # base partial-sum length
+EULER_DEFAULT_N = 15   # base partial-sum length
 _EULER_A = 18.4        # discretization parameter; error ~ exp(-A)
 T_MIN = 1e-9           # smallest time renewal_function inverts at
 

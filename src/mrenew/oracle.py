@@ -49,7 +49,7 @@ abscissa of a request in one pass, each cut at its own N: a grid of at
 least _MIN_BATCH = 17 abscissas as columns of numpy arrays, a shorter one
 column by column in Python numbers, where the array bookkeeping would cost
 more than the steps.  17 is the measured crossover of real grids; complex
-ones cross lower (near 12), but the CLI sends them only from Euler's 50
+ones cross lower (near 12), but the CLI sends them only from Euler's 27
 abscissas per time.  Either pass reads each kernel block once for all its
 open columns, and a real column gets the same bits from both.  The
 normalization residual, summed over the entries, is reported: where the
@@ -270,7 +270,7 @@ def _eliminate(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int, pr
                     continue
                 if (lost := (k >= first) & (abs(tau_k * g) <= bound)).any():
                     # the moves still to come, shrinking by r per state, sum to |move| r / (1 - r)
-                    r = abs(np.divide(move, last))
+                    r = abs(move) / abs(last)
                     hit = hit | lost & ((move == 0) | (abs(move) * r <= _EPS * (1.0 - r) * x_top))
                 if k < n_hi and not hit.any():
                     continue

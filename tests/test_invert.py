@@ -3,6 +3,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, target
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from mrenew import (
     InversionConfig,
@@ -121,6 +124,68 @@ class TestEulerInversion:
         partial = np.cumsum(terms) * (math.exp(a / 2) / t)
         reference = math.fsum(math.comb(m, q) * partial[n + q] for q in range(m + 1)) / 2**m
         assert euler_inversion(transform, t) == pytest.approx(reference, rel=1e-13, abs=0)
+
+
+def _van_loan_renewal(i, j, t, p):
+    """R_ij(t) of the M|M|inf queue p from one matrix exponential (Van Loan, IEEE TAC 1978).
+
+    The generator G is cut at N = max(i, j, rho) + 12 sqrt(rho + 1) + 60
+    and bordered with the entry flux f into j: lam from j - 1 and
+    (j + 1) / alpha from j + 1.  The corner of expm([[G, f], [0, 0]] t) is
+    int_0^t (e^{Gu} f)_i du, the expected number of entries into j by
+    time t, which is R_ij(t) - delta_ij.
+    """
+    n = int(max(i, j, p.rho) + 12 * math.sqrt(p.rho + 1) + 60)
+    g = np.zeros((n + 2, n + 2))
+    states = np.arange(n)
+    g[states, states + 1] = p.lam
+    g[states + 1, states] = (states + 1) / p.alpha
+    g[: n + 1, : n + 1] -= np.diag(g[: n + 1, : n + 1].sum(axis=1))
+    if j > 0:
+        g[j - 1, n + 1] = p.lam
+    g[j + 1, n + 1] = (j + 1) / p.alpha
+    return expm(g * t)[i, n + 1] + (i == j)
+
+
+class TestEulerAgainstVanLoan:
+    """Euler values of renewal_function against the exact R_ij(t) of M|M|inf.
+
+    The trapezoid rule at A / 2t + i k pi / t returns f(t) plus the aliases
+    sum_{k >= 1} e^{-kA} f((2k + 1) t), about e^{-A} R_ij(3t) for the
+    nondecreasing R (Abate & Whitt, ORSA J. Computing 1995).  Euler
+    summation of the first n + m + 1 = 27 terms adds its own error at
+    times of a few alpha, where the terms have not settled by k = 15: up to
+    19.3 times the alias term at rho = 60, i = 0, j = 15, t = 1.32 alpha and
+    16.3 times at rho = 0, i = 15, j = 2, t = 7.9 alpha, the worst points of
+    a scan of 12 values of rho in [0, 60], i, j <= 15 and 60 to 150
+    times in [0.1, 500] alpha.
+    The bound is SLACK times the alias term, plus FLOOR, which keeps it
+    positive where R vanishes (rho = 0, j > i: both sides are exactly 0);
+    no scanned point needed the floor.
+    """
+
+    SLACK = 20.0
+    FLOOR = 1e-300
+
+    @given(
+        st.one_of(st.just(0.0), st.floats(-3.0, math.log10(60.0)).map(lambda e: 10.0**e)),
+        st.integers(0, 15),
+        st.integers(0, 15),
+        st.floats(0.0, 1.0),
+        st.floats(-1.0, 1.0),
+    )
+    @example(60.0, 0, 15, 0.302942, 0.0)     # t = 1.32 alpha
+    @example(0.0, 15, 2, 0.512568, 0.0)      # t = 7.87 alpha
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_within_the_alias_bound(self, rho, i, j, u, log_alpha):
+        alpha = 10.0**log_alpha
+        p = QueueParams(rho / alpha, alpha)
+        t = alpha * 0.1 * 5000.0**u                 # t in [0.1, 500] alpha
+        value = renewal_function(i, j, [t], MMInfinityKernel(p), InversionConfig(method="euler"))[0]
+        alias = math.exp(-invert._EULER_A) * _van_loan_renewal(i, j, 3.0 * t, p)
+        share = abs(value - _van_loan_renewal(i, j, t, p)) / (self.SLACK * alias + self.FLOOR)
+        target(float(share))    # steer the search to the worst case
+        assert share <= 1.0
 
 
 class TestInversionConfig:

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
+import mrenew.invert as invert
 import mrenew.oracle as oracle
 from mrenew import (
     KernelTransform,
@@ -246,6 +247,18 @@ class TestSolveRows:
             one = solve_row_adaptive(2, s, k).values[1]
             assert abs(entries.values[col] - one) <= 1e-13 * abs(one)
         np.testing.assert_allclose(entries.values[12:], np.conj(entries.values[:12]), rtol=1e-15)
+
+    def test_complex_column_with_a_subnormal_last_move_cut_as_a_short_one(self):
+        # at rho = 0.001 the last move of x[top] before N = 64 is subnormal: the
+        # ratio of the complex moves must stay finite there, or the move test
+        # fails and the array columns sweep on (to N = 66)
+        k = kernel(QueueParams(0.001, 1.0))
+        s = 12.57 + 90.15j
+        one = solve_rows(5, 0, [s], k)
+        entries = solve_rows(5, 0, [s] * oracle._MIN_BATCH, k)
+        assert one.truncation_n.tolist() == [64]
+        assert entries.truncation_n.tolist() == [64] * oracle._MIN_BATCH
+        np.testing.assert_allclose(entries.values, one.values[0], rtol=1e-15)
 
     def test_columns_independent_of_their_company(self):
         p, s_values = self.SPREAD
@@ -528,11 +541,8 @@ class TestBoundTest:
 
     @pytest.mark.parametrize("method", ["gaver-stehfest", "euler"])
     def test_cuts_far_below_rho_at_the_floor_with_the_same_bits(self, method):
-        times = (0.5, 5.0, 300.0)
-        if method == "euler":
-            s_values = [complex(9.2 / t, m * math.pi / t) for t in times for m in range(50)]
-        else:
-            s_values = [m * math.log(2.0) / t for t in times for m in range(1, 15)]
+        # the abscissas renewal_function sends for each time
+        s_values = [s for t in (0.5, 5.0, 300.0) for s in invert._rule(method, t)[0]]
         k = kernel(self.FAR)
         entries = solve_rows(14, 9, s_values, k)
         assert entries.truncation_n.tolist() == [64] * len(s_values)
