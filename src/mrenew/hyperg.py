@@ -332,8 +332,6 @@ def kummer_m(a: float, b: float, z: float) -> float:
             f"second parameter b = {b} is zero or a negative integer (within "
             f"{_FORBIDDEN_B_TOL}); the series is undefined there"
         )
-    if z == 0:
-        return 1.0
     x, c = abs(z), b - a if z < 0 else a
     try:
         m, e = _window_sum(np.array([float(c)]), np.array([float(b - c)]), x, np.array([float(b)]))

@@ -5,7 +5,7 @@ f(t) ~= scale * sum_k w_k Re F(s_k), over a rule of abscissas s_k, scale
 and weights w_k set by the method and t, and for Gaver-Stehfest its order.
 
 * Gaver-Stehfest: abscissas k ln2 / t (k = 1..order), scale ln2 / t, and
-  Salzer weights computed in exact rational arithmetic, so the only
+  Salzer weights from exact integer binomial sums, rounded once, so the only
   floating-point damage is the final cancellation among weighted samples
   (which caps the usable order at 18 in double precision).
 * Euler summation: the Bromwich trapezoid at A / 2t + i k pi / t
@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -62,26 +61,18 @@ class InversionConfig:
 
 @lru_cache(maxsize=None)
 def stehfest_weights(order: int) -> tuple:
-    """Salzer weights V_1..V_order, computed exactly then rounded once."""
+    """Salzer weights V_1..V_order: (-1)^(k+h) sum_j j^(h+1) C(h, j) C(2j, j) C(j, k-j) / h!,
+    h = order / 2, summed exactly in integers then rounded once."""
     if order % 2 != 0 or not 4 <= order <= 18:
         raise ValueError(f"order must be even and within [4, 18], got {order}")
     half = order // 2
-    weights = []
-    for k in range(1, order + 1):
-        acc = Fraction(0)
-        for j in range((k + 1) // 2, min(k, half) + 1):
-            num = j**half * math.factorial(2 * j)
-            den = (
-                math.factorial(half - j)
-                * math.factorial(j)
-                * math.factorial(j - 1)
-                * math.factorial(k - j)
-                * math.factorial(2 * j - k)
-            )
-            acc += Fraction(num, den)
-        sign = 1 if (k + half) % 2 == 0 else -1
-        weights.append(sign * float(acc))
-    return tuple(weights)
+    return tuple(
+        (-1) ** (k + half)
+        * sum(j ** (half + 1) * math.comb(half, j) * math.comb(2 * j, j) * math.comb(j, k - j)
+              for j in range((k + 1) // 2, min(k, half) + 1))
+        / math.factorial(half)
+        for k in range(1, order + 1)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -51,20 +51,10 @@ class QueueParams:
         return self.lam * self.alpha
 
 
-def _least(values):
-    """The least real part of a number, a list or an array.
-
-    A Python number is compared as it is: np.min would first make it an
-    array, which costs more than the kernel formulas on a block of states.
-    """
-    values = np.real(values)
-    return values.min() if isinstance(values, np.ndarray) else values
-
-
 def _check_state_and_s(j, s):
-    if (least := _least(j)) < 0:
+    if (least := np.asarray(j).real.min()) < 0:
         raise ValueError(f"state index must be >= 0, got {least}")
-    if (least := _least(s)) < 0:
+    if (least := np.asarray(s).real.min()) < 0:
         raise ValueError(f"transform variable needs Re(s) >= 0, got Re(s) = {least}")
 
 
@@ -74,9 +64,9 @@ class KernelTransform(ABC):
     Implementations return the pair ``(sigma_bar, tau_bar)`` for integer
     states j >= 0 and transform variables s.  Both arguments may be numpy
     arrays, and the result must broadcast over them: the solvers in
-    `mrenew.oracle` ask for a whole block of states, at every abscissa of
-    a request, in one call.  A valid kernel satisfies, for every j and
-    every s >= 0:
+    `mrenew.oracle` ask for a block of states as a column (rows, 1)
+    against every abscissa of a request as a row (cols,), in one call.
+    A valid kernel satisfies, for every j and every s >= 0:
 
     * sigma_bar and tau_bar are finite (the solvers refuse a NaN or an
       infinity with ValueError),

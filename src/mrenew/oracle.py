@@ -173,11 +173,12 @@ def _back_substitute(g, q, c, top: int, x, tail):
     return np.array(entries[::-1]), abs(total - 1.0)
 
 
-def _kernel_block(kernel: KernelTransform, states, s) -> tuple:
-    """sigma_bar, tau_bar and c = 1 - sigma_bar - tau_bar at the states and abscissas.
+def _read_block(kernel: KernelTransform, states, s) -> tuple:
+    """sigma_bar, tau_bar, c = 1 - sigma_bar - tau_bar and c(Re s) at a column of
+    states (rows) and a row of abscissas s (columns).
 
-    Raises ValueError naming the first state and abscissa where c is not
-    finite: a NaN or an infinity in sigma_bar or tau_bar reaches c.
+    Raises ValueError naming the first state and abscissa where c or c(Re s)
+    is not finite: a NaN or an infinity in sigma_bar or tau_bar reaches c.
     """
     sigma, tau = kernel.transforms(states, s)
     c = 1.0 - sigma - tau
@@ -187,15 +188,8 @@ def _kernel_block(kernel: KernelTransform, states, s) -> tuple:
                                          for a in (states, s, sigma, tau))
         raise ValueError(f"kernel values at state {state}, s={s_at} are not finite: "
                          f"sigma_bar = {sigma_at}, tau_bar = {tau_at}")
-    return sigma, tau, c
-
-
-def _read_block(kernel: KernelTransform, lo: int, hi: int, s) -> tuple:
-    """sigma_bar, tau_bar, c and c(Re s) of states lo..hi (rows) at the abscissas s (columns)."""
-    states = np.arange(lo, hi + 1)[:, None]
-    sigma, tau, c = _kernel_block(kernel, states, s)
     # c at Re s, where sum_k c_k x_k <= 1 and x >= |x(s)|
-    c_re = _kernel_block(kernel, states, np.real(s))[2] if np.iscomplexobj(c) else c
+    c_re = _read_block(kernel, states, np.real(s))[2] if np.iscomplexobj(c) else c
     return sigma, tau, c, c_re
 
 
@@ -246,7 +240,7 @@ def _eliminate(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int, pr
     lo = 0
     while todo.any():
         hi = _block_end(lo, cols, n_lo, n_hi)
-        sigma, tau, c, c_re = _read_block(kernel, lo, hi, s)
+        sigma, tau, c, c_re = _read_block(kernel, np.arange(lo, hi + 1)[:, None], s)
         pivots = np.ones_like(c)
         with np.errstate(all="ignore"):         # a bad pivot is reported below
             # sigma and c_re of state k + 1 step state k
@@ -307,7 +301,8 @@ def _eliminate_short(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: i
     lo = 0
     while columns:
         hi = _block_end(lo, len(s), n_lo, n_hi)
-        block = zip(*(a.T.tolist() for a in _read_block(kernel, lo, hi, s[list(columns)])))
+        states = np.arange(lo, hi + 1)[:, None]
+        block = zip(*(a.T.tolist() for a in _read_block(kernel, states, s[list(columns)])))
         for (col, column), lists in zip(list(columns.items()), block):
             if end := column.send((lo, *lists)):
                 rows[col], levels[col], residuals[col], passed[col] = end
@@ -450,7 +445,7 @@ def neumann_series_sum(i: int, s, kernel: KernelTransform, n: int) -> np.ndarray
     i, n = _check_row(i, s, n)
     if not 0 <= i <= n:
         raise ValueError(f"start state must satisfy 0 <= i <= n, got i={i}, n={n}")
-    sigma, tau, _ = _kernel_block(kernel, np.arange(n + 1), s)
+    sigma, tau = (a[:, 0] for a in _read_block(kernel, np.arange(n + 1)[:, None], np.reshape(s, 1))[:2])
     power = np.zeros(n + 1, dtype=sigma.dtype)
     power[i] = 1.0
     total = power.copy()

@@ -74,6 +74,9 @@ def _mp_value_and_condition(a, b, z):
 class TestKummerValues:
     def test_unit_at_zero_argument_exactly(self):
         assert kummer_m(0.5, 1.5, 0.0) == 1.0
+        # either signed zero, and b - a < 0: the window sum at x = 0 is exactly 1
+        for a, b, z in [(0.5, 1.5, -0.0), (5.0, -0.5, 0.0), (5.0, -0.5, -0.0)]:
+            assert kummer_m(a, b, z) == 1.0
 
     def test_phi_1_2_is_expm1_over_z(self):
         assert kummer_m(1.0, 2.0, 1.0) == pytest.approx(math.e - 1.0, rel=1e-14)

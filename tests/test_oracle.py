@@ -336,7 +336,7 @@ class TestSolveRows:
         assert any(len(shape) == 2 for shape in shapes)
         assert max(math.prod(shape) for shape in shapes) == 6100
         for shape in shapes:
-            assert len(shape) == 1 or shape[0] * shape[1] <= oracle._SWEEP_ELEMENTS
+            assert shape[0] * shape[1] <= oracle._SWEEP_ELEMENTS
 
     def test_level_sweeps_every_open_column_together(self, monkeypatch):
         # 400 columns leave room for 15 states per block: 14 stepped and 1
@@ -658,6 +658,41 @@ class TestNonFiniteKernel:
         for s_values in ([complex(0.5, 2.0)], [complex(0.5, y) for y in range(oracle._MIN_BATCH)]):
             with pytest.raises(ValueError, match=r"at state 40, s=0\.5 are not finite: sigma_bar = nan"):
                 solve_rows(0, 0, s_values, k)
+
+
+class TestKernelCallShape:
+    """Every solver reads the kernel in the one shape `validate_kernel` checks:
+    a column of states (rows, 1) against a row of abscissas (cols,)."""
+
+    @pytest.mark.parametrize(
+        "route, cols",
+        [
+            (lambda k: solve_rows(1, 3, np.geomspace(0.1, 10.0, 6), k), 6),
+            (lambda k: solve_rows(1, 3, invert._rule("euler", 2.0)[0], k), 27),
+            (lambda k: solve_row_truncated(2, 0.5, k, 40), 1),
+            (lambda k: solve_row_adaptive(2, 0.5, k), 1),
+            (lambda k: solve_row_adaptive(2, complex(0.5, 3.0), k), 1),
+            (lambda k: neumann_series_sum(2, 0.5, k, 40), 1),
+            (lambda k: neumann_series_sum(2, complex(0.5, 3.0), k, 40), 1),
+        ],
+        ids=["short-sweep", "array-sweep", "truncated", "adaptive-real", "adaptive-complex",
+             "neumann-real", "neumann-complex"],
+    )
+    def test_states_in_a_column_abscissas_in_a_row(self, route, cols, monkeypatch):
+        shapes = []
+        real = MMInfinityKernel.transforms
+
+        def spy(self, j, s):
+            shapes.append((np.shape(j), np.shape(s)))
+            return real(self, j, s)
+
+        monkeypatch.setattr(MMInfinityKernel, "transforms", spy)
+        route(kernel(QueueParams(2.0, 1.0)))
+        assert shapes
+        for j, s in shapes:
+            assert len(j) == 2 and j[1] == 1 and len(s) == 1 and 1 <= s[0] <= cols
+        # the first block is read at every column
+        assert max(s[0] for _, s in shapes) == cols
 
 
 class TestTruncationConfig:
