@@ -22,6 +22,8 @@ mrenew transform --i 0 --j 2000 --s-grid 0.01:100:6 --lambda 2000 --alpha 1 --so
 # the closed form's Poisson window reaches rho = 1e5
 mrenew transform --i 5 --j 30 --s-grid 0.01:1:3 --lambda 100000 --alpha 1 --solver closedform
 mrenew simulate --i 0 --j 1 --t-grid 0.5:2:4 --lambda 1 --alpha 1 --paths 2000 --seed 7 --workers 2
+# pure death over two blocks: state 0 absorbs, through step's guarded division by a rate of 0
+mrenew simulate --i 3 --j 0 --t-grid 1:5:3 --lambda 0 --alpha 1 --paths 2000 --seed 7
 mrenew hyperg --a 1 --b 2 --z 1
 # kummer_m sums over the Poisson window too: no term cap stops it at |z| = 2e4
 mrenew hyperg --a 1 --b 2 --z -20000

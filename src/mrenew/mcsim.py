@@ -9,19 +9,23 @@ module walks paths and counts entries, and nothing else.
 
 Paths are walked in blocks of _BLOCK, in lock-step: each step draws two
 uniforms for every path of the block still live and moves them all in a
-few array operations.  Randomness is counter-based (Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3", SC 2011): block b draws
-from one Philox stream keyed by (seed, b).  Workers take whole blocks, so
-estimates are bit-identical for any worker count; the blocks' counts are
-joined in block order into one array and all statistics are reduced over
-that array in a fixed order.
+few array operations.  A lock-step iteration mostly holds a few hundred
+paths, so it costs what its numpy calls cost, not what their elements
+do.  It keeps the arrays of live paths, states and elapsed times it made,
+and the entries into the targets are matched once per _CHUNK iterations,
+in one comparison over the chunk's arrays.
+
+Randomness is counter-based (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC 2011): block b draws from one Philox stream keyed by
+(seed, b).  Workers take whole blocks, so estimates are bit-identical for
+any worker count; the blocks' counts are joined in block order into one
+array and all statistics are reduced over that array in a fixed order.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -32,6 +36,7 @@ from .model import KernelTransform
 
 _BLOCK = 1024  # paths per random stream; fixed, so results do not depend on workers
 _MAX_EVENTS = 10_000_000  # events a path may take before the run is aborted
+_CHUNK = 64  # lock-step iterations whose entries are matched together; bounds the arrays held
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -64,6 +69,14 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _entries(targets, steps):
+    """(paths, target columns, times) of the entries into targets over the
+    recorded (live, state, elapsed) arrays of some lock-step iterations."""
+    lives, states, times = map(np.concatenate, zip(*steps))
+    rows, cols = (states[:, None] == targets).nonzero()
+    return lives[rows], cols, times[rows]
+
+
 def _walk_block(kernel, i, targets, t_grid, cfg, block):
     """Entry counts for the paths of `block`: (size, n_targets, n_times).
 
@@ -71,7 +84,9 @@ def _walk_block(kernel, i, targets, t_grid, cfg, block):
     rest of cfg.n_paths.  The paths step in lock-step, so every live path
     has taken the same number of events; paths past the horizon or
     absorbed are dropped.  A path still live after _MAX_EVENTS events
-    raises EventCapError.
+    raises EventCapError.  Every lock-step iteration makes new arrays and
+    writes none in place, so it records them as they are, and the entries
+    are matched once per _CHUNK records.
     """
     horizon = t_grid[-1]
     size = min(_BLOCK, cfg.n_paths - block * _BLOCK)
@@ -79,14 +94,14 @@ def _walk_block(kernel, i, targets, t_grid, cfg, block):
     live = np.arange(size)              # block-local index of each live path
     state = np.full(size, i, dtype=np.int64)
     elapsed = np.zeros(size)
-    hit_paths, hit_cols, hit_times = [], [], []
+    steps, hits = [], []
     events = 0
     while True:
         u = rng.random((2, live.size))
         state, sojourn = kernel.step(state, u[0], u[1])
-        elapsed += sojourn
+        elapsed = elapsed + sojourn
         keep = elapsed <= horizon       # an absorbed path's elapsed is inf
-        if not keep.all():
+        if np.count_nonzero(keep) != live.size:
             live, state, elapsed = live[keep], state[keep], elapsed[keep]
             if live.size == 0:
                 break
@@ -96,16 +111,18 @@ def _walk_block(kernel, i, targets, t_grid, cfg, block):
                 f"path {block * _BLOCK + live[0]} exceeded max_events={_MAX_EVENTS} "
                 f"before t={horizon}"
             )
-        rows, cols = np.nonzero(state[:, None] == targets)
-        if rows.size:
-            hit_paths.append(live[rows])
-            hit_cols.append(cols)
-            hit_times.append(elapsed[rows])
+        steps.append((live, state, elapsed))
+        if len(steps) == _CHUNK:
+            hits.append(_entries(targets, steps))
+            steps = []
+    if steps:
+        hits.append(_entries(targets, steps))
     marks = np.zeros((size, targets.size, t_grid.size))
-    if hit_paths:
+    if hits:
+        paths, cols, entered = map(np.concatenate, zip(*hits))
         # an entry at time e counts at every grid time t >= e; e <= horizon
-        first = np.searchsorted(t_grid, np.concatenate(hit_times), side="left")
-        np.add.at(marks, (np.concatenate(hit_paths), np.concatenate(hit_cols), first), 1.0)
+        first = np.searchsorted(t_grid, entered, side="left")
+        np.add.at(marks, (paths, cols, first), 1.0)
     return np.cumsum(marks, axis=2)
 
 
@@ -144,6 +161,8 @@ def simulate_renewal_counts(
     if workers == 1:
         parts = list(map(walk, range(n_blocks)))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; only workers need it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(walk, range(n_blocks), chunksize=-(-n_blocks // workers)))
     counts = np.concatenate(parts)

@@ -87,6 +87,8 @@ class KernelTransform(ABC):
     (next_states, sojourns).  A state j moves to j - 1 or j + 1 after a
     sojourn T with E[e^{-sT}; down] = sigma_bar(j, s) and
     E[e^{-sT}; up] = tau_bar(j, s); an absorbing j stays, with T = inf.
+    It must not write into its arguments: the simulator keeps the states
+    it passes until it matches their entries.
     """
 
     @abstractmethod
@@ -122,14 +124,18 @@ class MMInfinityKernel(KernelTransform):
     def step(self, states, u_time, u_dir) -> tuple:
         """One jump: the race of an up clock at rate lam and a down clock at rate
         j / alpha, whose transforms are (sigma_bar, tau_bar) = (down, up) /
-        (up + down + s).  Without arrivals state 0 is absorbing."""
+        (up + down + s).  Without arrivals state 0 is absorbing.  No call
+        raises a numpy warning: a rate of 0, the only division by zero, needs
+        lam == 0, and only then is numpy's warning switched off."""
         up, down = self.params.lam, states / self.params.alpha
         rate = up + down
+        draw = -np.log1p(-np.maximum(u_time, _TINY_UNIFORM))
+        if up > 0.0:
+            # every clock runs: up (1) where the up clock wins, else down (-1)
+            return states + ((u_dir * rate < up) * 2 - 1), draw / rate
+        # without arrivals no clock runs at state 0: it stays (0), after draw / 0 = inf
         with np.errstate(divide="ignore"):
-            sojourn = -np.log1p(-np.maximum(u_time, _TINY_UNIFORM)) / rate
-        # up (1) where the up clock wins, else down (-1) unless no clock runs (0)
-        move = (u_dir * rate < up) * 2 - (rate > 0.0)
-        return states + move, sojourn
+            return states + ((u_dir * rate < up) * 2 - (rate > 0.0)), draw / rate
 
 
 def validate_kernel(kernel: KernelTransform, j_max: int, s_grid) -> list:

@@ -17,6 +17,13 @@ def _rows(output):
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
+def _fresh_interpreter(script):
+    """Run `script` in a new interpreter with this checkout's src/ on its path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+
+
 class TestTransformCommand:
     def test_identity_case_with_both_solvers(self, capsys):
         code = run(
@@ -319,7 +326,19 @@ for argv in (
     if run(argv.split()) != 0:
         sys.exit(f"mrenew {argv} failed")
 """
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        done = _fresh_interpreter(script)
         assert done.returncode == 0, done.stderr
+
+    def test_import_loads_no_process_pool(self):
+        # the pool is imported by a simulation with workers > 1 only; at
+        # import it cost every command concurrent.futures, multiprocessing,
+        # subprocess, socket and logging
+        script = """
+import sys
+import mrenew.cli
+names = ("concurrent.futures", "multiprocessing", "subprocess", "socket", "logging")
+print(",".join(name for name in names if name in sys.modules))
+"""
+        done = _fresh_interpreter(script)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == ""

@@ -1,9 +1,12 @@
 import dataclasses
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mrenew import (
     EventCapError,
@@ -47,9 +50,18 @@ class TestStepEmbedded:
     """MMInfinityKernel.step, the embedded-chain step the simulator walks."""
 
     def test_absorbed_at_empty_system_without_arrivals(self):
-        state, sojourn = _step(0, PURE_DEATH, 0.5, 0.5)
+        # no clock runs: the sojourn is 1 / 0 = inf, and numpy's warning
+        # for that division stays inside step, at any lam
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state, sojourn = _step(0, PURE_DEATH, 0.5, 0.5)
+            states, sojourns = PURE_DEATH.step(np.array([0, 1, 4]), np.array([0.0, 0.5, 0.9]), np.array([0.5] * 3))
+            for u_time in (0.0, 0.5):
+                _step(0, UNIT, u_time, 0.5)
         assert math.isinf(sojourn)
         assert state == 0
+        assert states.tolist() == [0, 0, 3]
+        assert math.isinf(sojourns[0]) and np.all(np.isfinite(sojourns[1:]))
 
     def test_state_zero_always_moves_up(self):
         for u in (0.0, 0.3, 0.999999):
@@ -361,3 +373,101 @@ class TestBlockContract:
             simulate_renewal_counts(5, [0], [50.0], PURE_DEATH, cfg)
             assert len(calls) == 6 * blocks
             assert sum(calls) == 6 * n_paths
+
+
+def _reference_mm_step(params, states, u_time, u_dir):
+    """MMInfinityKernel.step as first written: one formula for every lam,
+    under np.errstate at every call."""
+    up, down = params.lam, states / params.alpha
+    rate = up + down
+    with np.errstate(divide="ignore"):
+        sojourn = -np.log1p(-np.maximum(u_time, 1e-300)) / rate
+    move = (u_dir * rate < up) * 2 - (rate > 0.0)
+    return states + move, sojourn
+
+
+def _reference_walk(step, i, targets, t_grid, cfg, block):
+    """mcsim._walk_block as first written: entries matched by np.nonzero at
+    every lock-step iteration, and `elapsed` updated in place."""
+    horizon = t_grid[-1]
+    size = min(_BLOCK, cfg.n_paths - block * _BLOCK)
+    rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, block], dtype=np.uint64)))
+    live = np.arange(size)
+    state = np.full(size, i, dtype=np.int64)
+    elapsed = np.zeros(size)
+    hit_paths, hit_cols, hit_times = [], [], []
+    while True:
+        u = rng.random((2, live.size))
+        state, sojourn = step(state, u[0], u[1])
+        elapsed += sojourn
+        keep = elapsed <= horizon
+        if not keep.all():
+            live, state, elapsed = live[keep], state[keep], elapsed[keep]
+            if live.size == 0:
+                break
+        rows, cols = np.nonzero(state[:, None] == targets)
+        if rows.size:
+            hit_paths.append(live[rows])
+            hit_cols.append(cols)
+            hit_times.append(elapsed[rows])
+    marks = np.zeros((size, targets.size, t_grid.size))
+    if hit_paths:
+        first = np.searchsorted(t_grid, np.concatenate(hit_times), side="left")
+        np.add.at(marks, (np.concatenate(hit_paths), np.concatenate(hit_cols), first), 1.0)
+    return np.cumsum(marks, axis=2)
+
+
+class TestAgainstReferenceWalker:
+    """_walk_block counts what the first walker counted, bit for bit."""
+
+    @given(
+        st.one_of(st.just(0.0), st.floats(0.1, 40.0)),
+        st.floats(0.5, 2.0),
+        st.booleans(),
+        st.integers(0, 20),
+        st.lists(st.integers(0, 20), min_size=1, max_size=4),
+        st.lists(st.floats(0.05, 3.0), min_size=1, max_size=3),
+        st.integers(1, _BLOCK + 200),
+        st.integers(0, 2**64 - 1),
+    )
+    # absorbing at 0, a repeated target, two blocks
+    @example(0.0, 1.0, False, 3, [0, 0, 2], [1.0, 5.0], _BLOCK + 300, 7)
+    # rho 30: 205 lock-step iterations, in four chunks, and a repeated target
+    @example(30.0, 1.0, False, 0, [30, 31, 30], [0.5, 3.0], 375, 0)
+    # M|M|1 over two blocks, 120-135 lock-step iterations a block
+    @example(0.8, 1.0, True, 1, [0, 2], [5.0, 60.0], _BLOCK + 100, 3)
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    def test_counts_match_bit_for_bit(self, lam, alpha, mm1, i, targets, times, n_paths, seed):
+        if mm1:
+            kernel = _MM1Kernel(lam=max(lam, 0.1), mu=1.0 / alpha)
+            step = kernel.step
+        else:
+            kernel = MMInfinityKernel(QueueParams(lam, alpha))
+            step = partial(_reference_mm_step, kernel.params)
+        targets, t_grid = np.array(targets, dtype=np.int64), np.array(sorted(times))
+        cfg = SimConfig(n_paths=n_paths, seed=seed)
+        for block in range(-(-n_paths // _BLOCK)):
+            assert np.array_equal(
+                mcsim._walk_block(kernel, i, targets, t_grid, cfg, block),
+                _reference_walk(step, i, targets, t_grid, cfg, block),
+            )
+
+    def test_errstate_is_not_entered_per_lock_step_iteration(self, monkeypatch):
+        # one 375-path block at rho 30 takes about 200 lock-step iterations
+        steps, guards = [], []
+        real_step, real_errstate = MMInfinityKernel.step, np.errstate
+
+        def step_spy(self, states, *uniforms):
+            steps.append(states.size)
+            return real_step(self, states, *uniforms)
+
+        def errstate_spy(*args, **kwargs):
+            guards.append(kwargs)
+            return real_errstate(*args, **kwargs)
+
+        monkeypatch.setattr(MMInfinityKernel, "step", step_spy)
+        monkeypatch.setattr(np, "errstate", errstate_spy)
+        cfg = SimConfig(n_paths=375, seed=0)
+        mcsim._walk_block(MMInfinityKernel(QueueParams(30.0, 1.0)), 0, np.array([30]), np.array([3.0]), cfg, 0)
+        assert len(steps) > 2 * mcsim._CHUNK
+        assert len(guards) <= 1
