@@ -12,7 +12,10 @@ pivoting (Olver, J. Res. NBS 71B, 1967; Gautschi, SIAM Rev. 1967):
 
 and the system cut at N (x[N+1] = 0) is x[k] = g[k] + q[k] x[k+1].  For
 s > 0 each column k has off-diagonal mass tau_bar(k) + sigma_bar(k) < 1
-against a unit diagonal, so the pivots w cannot degenerate.  The rows sum to
+against a unit diagonal, so the pivots w cannot degenerate; a kernel that
+breaks this contract and meets a pivot below _MIN_PIVOT = 1e-14 is refused
+with PivotError, naming the lowest such row and, of its abscissas, the
+first in grid order.  The rows sum to
 
     sum_{k <= N} [1 - sigma_bar(k) - tau_bar(k)] x[k] = 1 - tau[N] g[N],
 
@@ -40,7 +43,11 @@ tests may give different N, so `solve_row_adaptive`, whose contract is the
 whole row's normalization, does not share `solve_rows`' N.  The kernel
 is read one state ahead of the elimination, so each level N is judged
 once, at state N, by both tests against one x[top], and a row swept to
-its last level n reads the kernel at n + 1.  Kernel values must be
+its last level n reads the kernel at n + 1.  Each test reads a product
+the step makes anyway: tau[N] g[N], which the next state divides by its
+pivot for g[N+1], and P[N+1] = q[top] .. q[N], which it multiplies by
+g[N+1] for the next move of x[top].  Each state 0..top keeps one record
+(g, q, c) for the back substitution.  Kernel values must be
 finite: a block holding a NaN or an infinity is refused with ValueError,
 naming its first such state and abscissa, before any of it is swept.
 
@@ -157,19 +164,18 @@ def _check_row(i, s, n=0) -> tuple:
     return operator.index(i), operator.index(n)
 
 
-def _back_substitute(g, q, c, top: int, x, tail):
+def _back_substitute(kept, x, tail):
     """Entries 0..top from x[top] = g[top] + x, and the normalization residual.
 
-    x[k] = g[k] + q[k+1] x[k+1] (q[k+1] holds q_k); g, q and c hold a
-    scalar or a row of columns per state, and tail is sum_{k > top} c[k] x[k].
+    kept holds (g[k], q[k], c[k]) for states 0..top, each a scalar or a row
+    of columns; x[k] = g[k] + q[k] x[k+1] below top, and tail is
+    sum_{k > top} c[k] x[k].
     """
-    xk = g[top] + x
-    total = tail + c[top] * xk
-    entries = [xk]
-    for k in range(top - 1, -1, -1):
-        xk = g[k] + q[k + 1] * xk
-        total = total + c[k] * xk
-        entries.append(xk)
+    entries, total = [], tail
+    for g, q, c in reversed(kept):
+        x = g + q * x if entries else g + x
+        total = total + c * x
+        entries.append(x)
     return np.array(entries[::-1]), abs(total - 1.0)
 
 
@@ -203,27 +209,33 @@ def _block_end(lo: int, cols: int, n_lo: int, n_hi: int) -> int:
     return min(lo + min(budget, max(n_lo + 1, lo)), n_hi + 1)
 
 
-def _small_pivot(w, row: int) -> PivotError:
-    return PivotError(f"pivot {w!r} below {_MIN_PIVOT} at row {row}")
+def _small_pivot(w, row: int, s) -> PivotError:
+    return PivotError(f"pivot {w!r} below {_MIN_PIVOT} at row {row}, s={s}")
 
 
 def _eliminate(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int, proven: bool = True):
     """Row i at each abscissa of the array s, cut at the first N in [n_lo, n_hi]
     that passes the stop test, else at n_hi.
 
-    (g, q, c) are kept for states 0..top; the test can pass only past top,
-    so top = n_hi cuts at n_hi and keeps every state.  Past top,
-    S = q[top] x[top+1] = sum_M g[M] P[M] (P[M] = q[top] .. q[M-1], so the
-    cut at M moves x[top] by g[M] P[M]) and the tail sum_M g[M] U[M]
+    One record (g[k], q[k], c[k]) is kept per state 0..top; the test can
+    pass only past top, so top = n_hi cuts at n_hi and keeps every state.
+    Past top, S = q[top] x[top+1] = sum_M g[M] P[M] (P[M] = q[top] .. q[M-1],
+    so the cut at M moves x[top] by g[M] P[M]) and the tail sum_M g[M] U[M]
     (U[M] = q[M-1] U[M-1] + c[M]) are carried.  The kernel is read one
-    state ahead, so state N steps q[N] = sigma[N+1] / w[N] and judges level N
-    once, by both tests against one |x[top]|: the lost-mass test, and with
-    proven also the bound test |P[N+1]| < 2**-52 c[N+1](Re s) |x[top]|.
-    Every abscissa is a column of arrays stepped state by state until each
-    is cut; `_eliminate_short` steps each column of a short grid in the same
-    operations on Python numbers, so a real column gives the same bits in
-    either.  Kernel blocks, the row read ahead included, hold at most
-    _SWEEP_ELEMENTS states x columns.  Returns per abscissa: entries
+    state ahead, and state k steps in one order: the pivot w[k] and
+    g[k] = tg / w[k]; past top, the moves of S and the tail, with q[k-1];
+    then tg = tau[k] g[k] and q[k] = sigma[k+1] / w[k]; the record, up to
+    top; and from top on p = P[k+1].  So state N judges level N once, by
+    both tests against one |x[top]|, from the step's own products: the
+    lost-mass test |tg| <= _TOL, and with proven also the bound test
+    |p| < 2**-52 c[N+1](Re s) |x[top]|.  Every abscissa is a column of
+    arrays stepped state by state until each is cut; `_eliminate_short`
+    steps each column of a short grid in the same operations on Python
+    numbers, so a real column gives the same bits in either.  Kernel
+    blocks, the row read ahead included, hold at most _SWEEP_ELEMENTS
+    states x columns.  A pivot below _MIN_PIVOT raises PivotError once its
+    block is stepped, at the lowest such row and, of its columns, the first
+    in grid order, naming that abscissa.  Returns per abscissa: entries
     0..top, N, the residual and whether a test passed.
     """
     cols = s.size
@@ -231,9 +243,9 @@ def _eliminate(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int, pr
     first = max(n_lo, top + 1)                      # first N the tests may pass at
     levels, passed, todo = np.zeros(cols, dtype=int), np.zeros(cols, dtype=bool), np.ones(cols, dtype=bool)
     sums = np.zeros((2, cols))                      # S and the tail where each column was cut
-    kept = kept_g, kept_q, kept_c = [], [], []
+    kept = []
     zero = np.zeros(cols)
-    g, tp, q, p, u, x, tail, move, last = 0.0, 0.0, 0.0, zero + 1.0, zero, zero, zero, zero, zero
+    g, tp, tg, q, p, u, x, tail, move, last = 0.0, 0.0, 0.0, 0.0, zero + 1.0, zero, zero, zero, zero, zero
     hit = False                                     # no level below first passes
     # lost mass and bound test factor allowed; -1 and 0 once cut, and 0 throughout unless proven
     bound, eps = zero + _TOL, zero + (_EPS if proven else 0.0)
@@ -246,23 +258,22 @@ def _eliminate(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int, pr
             # sigma and c_re of state k + 1 step state k
             for k, sigma_k, tau_k, c_k, c_re_k in zip(range(lo, hi), sigma[1:], tau, c, c_re[1:]):
                 w = pivots[k - lo] = 1.0 - tp * q
-                g = 1.0 / w if k == i else tp * g / w
-                tp = tau_k
-                if k <= top:
-                    kept_g.append(g)
-                    kept_q.append(q)
-                    kept_c.append(c_k)
-                else:
-                    last, p, u = move, p * q, u * q + c_k
+                g = 1.0 / w if k == i else tg / w
+                if k > top:
+                    last, u = move, u * q + c_k
                     move = g * p
                     x, tail = x + move, tail + g * u
-                q = sigma_k / w
-                # level k: the bound test (the cut at k moves x[top] by p q x[k+1], and
+                tp, tg, q = tau_k, tau_k * g, sigma_k / w
+                if k <= top:
+                    kept.append((g, q, c_k))
+                if k >= top:
+                    p = p * q
+                # level k: the bound test (the cut at k moves x[top] by p x[k+1], and
                 # |x[k+1]| <= 1 / c_re_k), then the lost-mass test, against one |x[top]|
-                if (k < first or not (hit := abs(p * q) < eps * c_re_k * (x_top := abs(kept_g[top] + x))).any()
-                        and not (abs(tau_k * g) <= bound).any()) and k < n_hi:
+                if (k < first or not (hit := abs(p) < eps * c_re_k * (x_top := abs(kept[top][0] + x))).any()
+                        and not (abs(tg) <= bound).any()) and k < n_hi:
                     continue
-                if (lost := (k >= first) & (abs(tau_k * g) <= bound)).any():
+                if (lost := (k >= first) & (abs(tg) <= bound)).any():
                     # the moves still to come, shrinking by r per state, sum to |move| r / (1 - r)
                     r = abs(move) / abs(last)
                     hit = hit | lost & ((move == 0) | (abs(move) * r <= _EPS * (1.0 - r) * x_top))
@@ -278,9 +289,9 @@ def _eliminate(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int, pr
         small = np.abs(pivots) < _MIN_PIVOT
         if small.any():
             at = np.flatnonzero(small)[0]     # the sweep meets the lowest row first
-            raise _small_pivot(pivots.flat[at].item(), lo + at // cols)
+            raise _small_pivot(pivots.flat[at].item(), lo + at // cols, s[at % cols])
         lo = hi
-    values, residuals = _back_substitute(*kept, top, *sums)
+    values, residuals = _back_substitute(kept, *sums)
     return list(values.T), levels, residuals, passed
 
 
@@ -289,9 +300,10 @@ def _eliminate_short(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: i
 
     Each kernel block is read once for the columns still open, in
     `_eliminate`'s blocks, and split into one list per column, which
-    `_short_column` steps through.  Where two columns meet a pivot below
-    _MIN_PIVOT in one block, the first in grid order is reported.  Returns
-    `_eliminate`'s results as lists.
+    `_short_column` steps through.  A small pivot is reported by
+    `_eliminate`'s rule: every open column steps through the block first.
+    A column already cut steps no further, where `_eliminate` steps it on
+    with the columns still open.  Returns `_eliminate`'s results as lists.
     """
     top = min(top, n_hi)
     columns = {col: _short_column(i, top, n_lo, n_hi, proven) for col in range(len(s))}
@@ -303,10 +315,16 @@ def _eliminate_short(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: i
         hi = _block_end(lo, len(s), n_lo, n_hi)
         states = np.arange(lo, hi + 1)[:, None]
         block = zip(*(a.T.tolist() for a in _read_block(kernel, states, s[list(columns)])))
+        small = []                                  # (row, column, pivot) of each pivot below _MIN_PIVOT
         for (col, column), lists in zip(list(columns.items()), block):
-            if end := column.send((lo, *lists)):
+            if (end := column.send((lo, *lists))) and len(end) == 2:
+                small.append((end[0], col, end[1]))
+            elif end:
                 rows[col], levels[col], residuals[col], passed[col] = end
                 del columns[col]
+        if small:
+            row, col, w = min(small)                # the lowest row, then the first column
+            raise _small_pivot(w, row, s[col])
         lo = hi
     return rows, levels, residuals, passed
 
@@ -316,13 +334,13 @@ def _short_column(i: int, top: int, n_lo: int, n_hi: int, proven: bool):
 
     Is sent (lo, sigma, tau, c, c_re), the lists of one block from state lo;
     yields None while open, then (entries 0..top, N, the residual, whether a
-    test passed) once cut.  Raises PivotError at its first pivot below
+    test passed) once cut, or (row, pivot) at its first pivot below
     _MIN_PIVOT.
     """
     first = max(n_lo, top + 1)                      # first N the tests may pass at
     tol, eps = _TOL, _EPS if proven else 0.0
-    kept_g, kept_q, kept_c = [], [], []
-    g = tp = q = u = x = tail = move = last = 0.0
+    kept = []
+    g = tp = tg = q = u = x = tail = move = last = 0.0
     p = 1.0
     end = None
     while True:
@@ -331,33 +349,33 @@ def _short_column(i: int, top: int, n_lo: int, n_hi: int, proven: bool):
         for k, sigma_k, tau_k, c_k, c_re_k in zip(count(lo), sigma[1:], tau, c, c_re[1:]):
             w = 1.0 - tp * q
             if abs(w) < _MIN_PIVOT:
-                raise _small_pivot(w, k)
-            g = 1.0 / w if k == i else tp * g / w
-            tp = tau_k
-            if k <= top:
-                kept_g.append(g)
-                kept_q.append(q)
-                kept_c.append(c_k)
-            else:
-                last, p, u = move, p * q, u * q + c_k
+                end = k, w
+                break
+            g = 1.0 / w if k == i else tg / w
+            if k > top:
+                last, u = move, u * q + c_k
                 move = g * p
                 x, tail = x + move, tail + g * u
-            q = sigma_k / w
+            tp, tg, q = tau_k, tau_k * g, sigma_k / w
+            if k <= top:
+                kept.append((g, q, c_k))
+            if k >= top:
+                p = p * q
             if k < first:
                 if k < n_hi:
                     continue
                 hit = False
             else:
                 # level k: the bound test, then the lost-mass test, as in `_eliminate`
-                x_top = abs(kept_g[top] + x)
-                hit = abs(p * q) < eps * c_re_k * x_top
-                if not hit and abs(tau_k * g) <= tol:
+                x_top = abs(kept[top][0] + x)
+                hit = abs(p) < eps * c_re_k * x_top
+                if not hit and abs(tg) <= tol:
                     # a zero last move gives no ratio: the test fails unless move is 0 too
                     hit = move == 0 or last != 0 and (
                         abs(move) * (r := abs(move / last)) <= _EPS * (1.0 - r) * x_top)
                 if not hit and k < n_hi:
                     continue
-            values, residual = _back_substitute(kept_g, kept_q, kept_c, top, x, tail)
+            values, residual = _back_substitute(kept, x, tail)
             end = values, k, residual, hit
             break
 
@@ -450,10 +468,7 @@ def neumann_series_sum(i: int, s, kernel: KernelTransform, n: int) -> np.ndarray
     power[i] = 1.0
     total = power.copy()
     for _ in range(_NEUMANN_TERMS):
-        nxt = np.zeros_like(power)
-        nxt[1:] = power[:-1] * tau[:-1]
-        nxt[:-1] += power[1:] * sigma[1:]
-        power = nxt
+        power = np.concatenate([[0.0], power[:-1] * tau[:-1]]) + np.concatenate([power[1:] * sigma[1:], [0.0]])
         total += power
         if np.max(np.abs(power)) < _NEUMANN_STOP:
             return total

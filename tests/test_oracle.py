@@ -175,6 +175,16 @@ class _ZeroPivotKernel(KernelTransform):
         return np.where(j == 0, 0.0, ones), ones
 
 
+class _PivotAtSKernel(KernelTransform):
+    """sigma_bar = 1 at state round(s), tau_bar = 1 one state below, 0 elsewhere: the
+    pivot of row round(s) is 0.  It breaks `KernelTransform`'s contract, being not
+    nonincreasing in s; a kernel that keeps it has no small pivot at s > 0."""
+
+    def transforms(self, j, s):
+        at = np.round(np.real(s))
+        return np.where(j == at, 1.0, 0.0), np.where(j == at - 1, 1.0, 0.0)
+
+
 class _SlowWalkKernel(KernelTransform):
     """Up and down with weight 1 / (2 + 2s) each: a row decays like e^{-sqrt(2s) k}."""
 
@@ -278,11 +288,20 @@ class TestSolveRows:
 
     def test_pivot_error_still_raised(self):
         # forward elimination meets the zero pivot at row 1 first
-        with pytest.raises(PivotError, match="at row 1$"):
+        with pytest.raises(PivotError, match=r"at row 1, s=1\.0$"):
             solve_row_truncated(0, 1.0, _ZeroPivotKernel(), 8)
         for s_values in ([1.0, 2.0], np.linspace(1.0, 2.0, 40)):
-            with pytest.raises(PivotError, match="at row 1$"):
+            with pytest.raises(PivotError, match=r"at row 1, s=1\.0$"):
                 solve_rows(0, 0, s_values, _ZeroPivotKernel())
+
+    @pytest.mark.parametrize("grid, named", [([20.0, 10.0], 10.0), ([20.0, 10.4, 9.6], 10.4)])
+    def test_pivot_error_names_the_lowest_row_then_the_first_abscissa(self, grid, named):
+        # both sweeps step every open column of a block before they report its
+        # lowest small pivot; 10.4 and 9.6 meet theirs at one row
+        padded = grid + grid[-1:] * (oracle._MIN_BATCH - len(grid))
+        for s_values, s in ((grid, named), (padded, named), (grid[::-1], grid[-1])):
+            with pytest.raises(PivotError, match=rf"^pivot 0\.0 below 1e-14 at row 10, s={s}$"):
+                solve_rows(0, 0, s_values, _PivotAtSKernel())
 
     def test_short_grid_reads_each_block_once(self, monkeypatch):
         calls = []      # (lowest state, highest state, columns) per kernel call
@@ -523,6 +542,44 @@ def _column_problems(draw):
         t = 0.05 * 1e3 ** draw(st.floats(0.0, 1.0))
         return i, j, rho, complex(18.4 / (2.0 * t), draw(st.integers(0, 49)) * math.pi / t)
     return i, j, rho, 1e-6 * 1e9 ** draw(st.floats(0.0, 1.0))
+
+
+@st.composite
+def _fork_problems(draw):
+    """(i, j, kernel, s): M|M|inf at rho over [1e-3, 2000] and alpha over [0.5, 2], with
+    1 to _MIN_BATCH - 1 real abscissas over [1e-4, 1e3] or _MIN_BATCH - 1 Euler
+    abscissas A/2t + i k pi/t, k = 0, 1, ...
+
+    rho, alpha, s and t are spread evenly over decades.
+    """
+    i, j = draw(st.integers(0, 30)), draw(st.integers(0, 30))
+    rho, alpha = 1e-3 * 2e6 ** draw(st.floats(0.0, 1.0)), 0.5 * 4.0 ** draw(st.floats(0.0, 1.0))
+    k = kernel(QueueParams(rho / alpha, alpha))
+    if draw(st.booleans()):
+        t = 0.05 * 1e3 ** draw(st.floats(0.0, 1.0))
+        return i, j, k, [complex(18.4 / (2.0 * t), m * math.pi / t) for m in range(oracle._MIN_BATCH - 1)]
+    decades = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=oracle._MIN_BATCH - 1)
+    return i, j, k, [1e-4 * 1e7 ** u for u in draw(decades)]
+
+
+class TestSweepFork:
+    """A short grid against the same grid padded to _MIN_BATCH columns by its last
+    abscissa, which the array sweep takes instead."""
+
+    @given(_fork_problems())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_short_and_array_sweeps_agree_per_column(self, problem):
+        i, j, k, s_values = problem
+        short = solve_rows(i, j, s_values, k)
+        padded = solve_rows(i, j, s_values + s_values[-1:] * (oracle._MIN_BATCH - len(s_values)), k)
+        width = len(s_values)
+        assert short.truncation_n.tolist() == padded.truncation_n[:width].tolist()
+        if np.iscomplexobj(short.values):
+            # Python and numpy divide complex numbers by different rules
+            np.testing.assert_allclose(short.values, padded.values[:width], rtol=1e-13, atol=0.0)
+        else:
+            for field in ("values", "normalization_residual"):
+                assert getattr(short, field).tobytes() == getattr(padded, field)[:width].tobytes(), field
 
 
 class TestBoundTest:
