@@ -28,6 +28,12 @@ mrenew hyperg --a 1 --b 2 --z 1
 # kummer_m sums over the Poisson window too: no term cap stops it at |z| = 2e4
 mrenew hyperg --a 1 --b 2 --z -20000
 
+# a Kummer window past k = 2^21 is a numerical failure, raised at once: these
+# terms peak near k = 1e150, where a step of k no longer moves it
+status=0
+timeout 20 mrenew hyperg --a 1e300 --b 1 --z 1 || status=$?
+test "$status" -eq 1
+
 # a time whose inversion rule passes the solvers' floor Re(s) >= 1e-14 is an argument error
 status=0
 mrenew renewal --i 0 --j 0 --t-grid 1e15:1e15:1 --lambda 1 --alpha 1 --method gs || status=$?

@@ -28,7 +28,9 @@ Kummer's transformation (DLMF 13.2.39)
 
 makes it the sum for (b - a, b) at x = -z, whose terms have one sign from
 the first k with b - a + k > 0 and b + k > 0 on, where the raw series
-alternates.  Both reach x below 2^21 ln 2 (about 1.45e6).
+alternates.  Both reach x below 2^21 ln 2 (about 1.45e6), and windows
+that end by k = 2^21: a series whose terms peak past it, or a polynomial
+of higher degree, is refused before its window is searched for or summed.
 """
 
 from __future__ import annotations
@@ -45,6 +47,10 @@ from .errors import NonConvergenceError
 _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
 _X_MAX = 2**21 * _LN2_HI
+
+# the last k of any window: every window of x below _X_MAX whose terms fall
+# like the Poisson weights' ends below it
+_K_MAX = 2**21
 
 # frexp mantissas lie in [0.5, 1) in size: a running product over this
 # many of them stays above 2**-513 in size before it is renormalized.
@@ -94,10 +100,15 @@ def _peak(x: float, a: float, b: float, k: int) -> int:
     """The least j >= k from which on the terms of e^{-x} phi(a, b; x) fall: x (a+j) < (j+1)(b+j).
 
     That holds past the larger root of the quadratic (j+1)(b+j) - x (a+j);
-    a + k > 0 and b + k > 0.
+    a + k > 0 and b + k > 0.  Raises NonConvergenceError, before it steps,
+    where j would pass _K_MAX: past 2^53 a step of j leaves the test's
+    floats as they were.
     """
     p, c = b + 1.0 - x, b - x * a
-    j = max(k, math.floor((math.sqrt(max(p * p - 4.0 * c, 0.0)) - p) / 2.0) + 1)
+    root = (math.sqrt(max(p * p - 4.0 * c, 0.0)) - p) / 2.0
+    if not (k <= _K_MAX and root < _K_MAX):
+        raise NonConvergenceError(f"the terms peak past k = {_K_MAX}")
+    j = max(k, math.floor(root) + 1)
     while x * (a + j) >= (j + 1.0) * (b + j):
         j += 1
     return j
@@ -134,7 +145,8 @@ def _window(x: float, a: float, q: float, b=None):
     (1, 1) hold for the Poisson weights themselves, so when lo > 0, where
     the weights are normalized over the window, p covers them below and hi
     is taken no less than their edge: the window then also holds all but
-    _WINDOW_TOL of their mass.
+    _WINDOW_TOL of their mass.  A window whose hi would pass _K_MAX raises
+    NonConvergenceError (in `_peak` where the terms peak past it).
     """
     log_x, lg, target = math.log(x), math.lgamma, math.log(_WINDOW_TOL / 4)
 
@@ -174,7 +186,10 @@ def _window(x: float, a: float, q: float, b=None):
         if log_term(a, p, 0) - ref <= target:
             lo = _last(below, 1, top)
     poisson = edge(1.0, 1.0) if lo or b is None else 0
-    return lo, poisson if b is None else max(poisson, edge(a, b)), int(x)
+    hi = poisson if b is None else max(poisson, edge(a, b))
+    if hi > _K_MAX:
+        raise NonConvergenceError(f"Poisson window reaches past k = {_K_MAX}")
+    return lo, hi, int(x)
 
 
 def _window_sum(a: np.ndarray, q: np.ndarray, x: float, b=None):
@@ -217,7 +232,7 @@ def _window_sum(a: np.ndarray, q: np.ndarray, x: float, b=None):
         raise NonConvergenceError(f"Poisson window sum needs x < {_X_MAX}, got x={x}")
     closed = b is None
     spread, least = (float(q.max()), 0.0) if closed else (abs(q[0]), min(0.0, a[0], b[0]))
-    lo, hi, mode = _window(x, float(a.min()), spread) if closed else _window(x, a[0], q[0], b[0])
+    lo, hi, mode = _window(x, float(a.min()), spread) if closed else _window(x, a.item(), q.item(), b.item())
     if lo == 0:
         first, shift = _exp_split(x)
         w_m, w_e = _running_product(np.concatenate([[first], x / np.arange(1.0, hi + 1.0)]))
@@ -321,8 +336,8 @@ def kummer_m(a: float, b: float, z: float) -> float:
     is divided out again.  So kummer_m(a, b, z) and e^z kummer_m(b - a, b, -z)
     sum the same terms.  Raises ValueError for arguments that are not
     finite real numbers and for forbidden b (zero or a negative integer),
-    and NonConvergenceError, naming a, b and z, for |z| >= _X_MAX or when
-    the value overflows.
+    and NonConvergenceError, naming a, b and z, for |z| >= _X_MAX, for a
+    window past k = _K_MAX (`_window`) or when the value overflows.
     """
     if any(np.iscomplexobj(v) for v in (a, b, z)) or not all(map(math.isfinite, (a, b, z))):
         raise ValueError(f"arguments must be finite real numbers, got a={a}, b={b}, z={z}")

@@ -57,8 +57,13 @@ least _MIN_BATCH = 17 abscissas as columns of numpy arrays, a shorter one
 column by column in Python numbers, where the array bookkeeping would cost
 more than the steps.  17 is the measured crossover of real grids; complex
 ones cross lower (near 12), but the CLI sends them only from Euler's 27
-abscissas per time.  Either pass reads each kernel block once for all its
-open columns, and a real column gets the same bits from both.  The
+abscissas per time.  Both passes walk one block schedule (`_blocks`),
+which reads each kernel block once for every abscissa of the grid, and a
+pivot counts only while its column is open, so a real column gets the
+same bits, or the same error, from both.  The schedule itself depends on
+the width, as a block holds at most _SWEEP_ELEMENTS // columns states
+(2 and 17 columns part at state 520), so a bad kernel value past every
+column's cut can be read at one width and not at another.  The
 normalization residual, summed over the entries, is reported: where the
 lost-mass test cut, it can sit on its rounding floor above _TOL (up to
 ~3e-10 at rho in the hundreds and more, s ~ 1e-4); where the bound test
@@ -199,14 +204,21 @@ def _read_block(kernel: KernelTransform, states, s) -> tuple:
     return sigma, tau, c, c_re
 
 
-def _block_end(lo: int, cols: int, n_lo: int, n_hi: int) -> int:
-    """The last state of the kernel block from state lo, the row read ahead.
+def _blocks(kernel: KernelTransform, s, n_lo: int, n_hi: int):
+    """The kernel blocks both sweeps step, as (lo, sigma_bar, tau_bar, c, c(Re s)):
+    states lo..hi, the row read ahead included, at every abscissa of s.
 
     The first block reaches past the floor n_lo, each later one is as long
-    as all before it, and none holds more than _SWEEP_ELEMENTS states x cols.
+    as all before it, and none holds more than _SWEEP_ELEMENTS states x
+    columns; the last reads state n_hi + 1.  A block is read only when the
+    next one is asked for, and an empty grid reads none.
     """
-    budget = max(1, _SWEEP_ELEMENTS // cols - 1)    # states stepped per block, which reads one more
-    return min(lo + min(budget, max(n_lo + 1, lo)), n_hi + 1)
+    budget = max(1, _SWEEP_ELEMENTS // max(s.size, 1) - 1)    # states stepped per block, which reads one more
+    lo = 0
+    while s.size and lo <= n_hi:
+        hi = min(lo + min(budget, max(n_lo + 1, lo)), n_hi + 1)
+        yield lo, *_read_block(kernel, np.arange(lo, hi + 1)[:, None], s)
+        lo = hi
 
 
 def _small_pivot(w, row: int, s) -> PivotError:
@@ -229,19 +241,20 @@ def _eliminate(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int, pr
     both tests against one |x[top]|, from the step's own products: the
     lost-mass test |tg| <= _TOL, and with proven also the bound test
     |p| < 2**-52 c[N+1](Re s) |x[top]|.  Every abscissa is a column of
-    arrays stepped state by state until each is cut; `_eliminate_short`
-    steps each column of a short grid in the same operations on Python
-    numbers, so a real column gives the same bits in either.  Kernel
-    blocks, the row read ahead included, hold at most _SWEEP_ELEMENTS
-    states x columns.  A pivot below _MIN_PIVOT raises PivotError once its
+    arrays stepped state by state, block by block of `_blocks`, until each
+    is cut; `_eliminate_short` steps each column of a short grid in the
+    same operations on Python numbers, so a real column gives the same
+    bits in either.  A pivot below _MIN_PIVOT raises PivotError once its
     block is stepped, at the lowest such row and, of its columns, the first
-    in grid order, naming that abscissa.  Returns per abscissa: entries
-    0..top, N, the residual and whether a test passed.
+    in grid order, naming that abscissa; a cut column steps on with the
+    open ones, but its pivots count only up to its level N.  Returns per
+    abscissa: entries 0..top, N, the residual and whether a test passed.
     """
     cols = s.size
     top = min(top, n_hi)
     first = max(n_lo, top + 1)                      # first N the tests may pass at
-    levels, passed, todo = np.zeros(cols, dtype=int), np.zeros(cols, dtype=bool), np.ones(cols, dtype=bool)
+    # an open column's level is n_hi, past every row it may still step
+    levels, passed, todo = np.full(cols, n_hi), np.zeros(cols, dtype=bool), np.ones(cols, dtype=bool)
     sums = np.zeros((2, cols))                      # S and the tail where each column was cut
     kept = []
     zero = np.zeros(cols)
@@ -249,14 +262,11 @@ def _eliminate(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int, pr
     hit = False                                     # no level below first passes
     # lost mass and bound test factor allowed; -1 and 0 once cut, and 0 throughout unless proven
     bound, eps = zero + _TOL, zero + (_EPS if proven else 0.0)
-    lo = 0
-    while todo.any():
-        hi = _block_end(lo, cols, n_lo, n_hi)
-        sigma, tau, c, c_re = _read_block(kernel, np.arange(lo, hi + 1)[:, None], s)
+    for lo, sigma, tau, c, c_re in _blocks(kernel, s, n_lo, n_hi):
         pivots = np.ones_like(c)
         with np.errstate(all="ignore"):         # a bad pivot is reported below
             # sigma and c_re of state k + 1 step state k
-            for k, sigma_k, tau_k, c_k, c_re_k in zip(range(lo, hi), sigma[1:], tau, c, c_re[1:]):
+            for k, sigma_k, tau_k, c_k, c_re_k in zip(count(lo), sigma[1:], tau, c, c_re[1:]):
                 w = pivots[k - lo] = 1.0 - tp * q
                 g = 1.0 / w if k == i else tg / w
                 if k > top:
@@ -287,10 +297,12 @@ def _eliminate(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int, pr
                 if not todo.any():
                     break
         small = np.abs(pivots) < _MIN_PIVOT
-        if small.any():
+        # a cut column steps on with the open ones, but its pivots count only up to its level
+        if small.any() and (small := small & (np.arange(lo, lo + len(c))[:, None] <= levels)).any():
             at = np.flatnonzero(small)[0]     # the sweep meets the lowest row first
             raise _small_pivot(pivots.flat[at].item(), lo + at // cols, s[at % cols])
-        lo = hi
+        if not todo.any():
+            break
     values, residuals = _back_substitute(kept, *sums)
     return list(values.T), levels, residuals, passed
 
@@ -298,35 +310,26 @@ def _eliminate(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int, pr
 def _eliminate_short(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int, proven: bool = True):
     """`_eliminate` for a short grid s: the same cuts, with each column stepped as Python numbers.
 
-    Each kernel block is read once for the columns still open, in
-    `_eliminate`'s blocks, and split into one list per column, which
-    `_short_column` steps through.  A small pivot is reported by
-    `_eliminate`'s rule: every open column steps through the block first.
-    A column already cut steps no further, where `_eliminate` steps it on
-    with the columns still open.  Returns `_eliminate`'s results as lists.
+    Each block of `_blocks` is split into one list per column and sent to
+    every column's `_short_column`, a cut one included, which answers with
+    its result again.  A small pivot is reported by `_eliminate`'s rule:
+    every open column steps through the block first.  Returns
+    `_eliminate`'s results as lists.
     """
     top = min(top, n_hi)
-    columns = {col: _short_column(i, top, n_lo, n_hi, proven) for col in range(len(s))}
-    for column in columns.values():
+    columns = [_short_column(i, top, n_lo, n_hi, proven) for _ in s]
+    for column in columns:
         next(column)                                # to its first yield, ready for a block
-    rows, levels, residuals, passed = ([None] * len(s) for _ in range(4))
-    lo = 0
-    while columns:
-        hi = _block_end(lo, len(s), n_lo, n_hi)
-        states = np.arange(lo, hi + 1)[:, None]
-        block = zip(*(a.T.tolist() for a in _read_block(kernel, states, s[list(columns)])))
-        small = []                                  # (row, column, pivot) of each pivot below _MIN_PIVOT
-        for (col, column), lists in zip(list(columns.items()), block):
-            if (end := column.send((lo, *lists))) and len(end) == 2:
-                small.append((end[0], col, end[1]))
-            elif end:
-                rows[col], levels[col], residuals[col], passed[col] = end
-                del columns[col]
-        if small:
+    ends = []
+    for lo, *block in _blocks(kernel, s, n_lo, n_hi):
+        ends = [column.send((lo, *lists)) for column, lists in zip(columns, zip(*(a.T.tolist() for a in block)))]
+        # (row, column, pivot) of each pivot below _MIN_PIVOT
+        if small := [(end[0], col, end[1]) for col, end in enumerate(ends) if end and len(end) == 2]:
             row, col, w = min(small)                # the lowest row, then the first column
             raise _small_pivot(w, row, s[col])
-        lo = hi
-    return rows, levels, residuals, passed
+        if all(ends):
+            break
+    return tuple([end[field] for end in ends] for field in range(4))
 
 
 def _short_column(i: int, top: int, n_lo: int, n_hi: int, proven: bool):
@@ -335,7 +338,7 @@ def _short_column(i: int, top: int, n_lo: int, n_hi: int, proven: bool):
     Is sent (lo, sigma, tau, c, c_re), the lists of one block from state lo;
     yields None while open, then (entries 0..top, N, the residual, whether a
     test passed) once cut, or (row, pivot) at its first pivot below
-    _MIN_PIVOT.
+    _MIN_PIVOT, and that again for every later block, stepping no further.
     """
     first = max(n_lo, top + 1)                      # first N the tests may pass at
     tol, eps = _TOL, _EPS if proven else 0.0
@@ -343,7 +346,7 @@ def _short_column(i: int, top: int, n_lo: int, n_hi: int, proven: bool):
     g = tp = tg = q = u = x = tail = move = last = 0.0
     p = 1.0
     end = None
-    while True:
+    while not end:
         lo, sigma, tau, c, c_re = yield end
         # sigma and c_re of state k + 1 step state k
         for k, sigma_k, tau_k, c_k, c_re_k in zip(count(lo), sigma[1:], tau, c, c_re[1:]):
@@ -378,6 +381,8 @@ def _short_column(i: int, top: int, n_lo: int, n_hi: int, proven: bool):
             values, residual = _back_substitute(kept, x, tail)
             end = values, k, residual, hit
             break
+    while True:                                     # cut: the same end for every later block
+        yield end
 
 
 def solve_row_truncated(i: int, s, kernel: KernelTransform, n: int) -> TransformRowResult:

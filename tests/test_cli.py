@@ -169,6 +169,14 @@ class TestHypergCommand:
         assert captured.out == ""
         assert "numerical failure" in captured.err
 
+    @pytest.mark.parametrize("a, z", [("1e20", "1"), ("1e300", "1"), ("1e12", "-1"), ("-1e12", "1")])
+    def test_window_past_its_reach_maps_to_one(self, a, z, capsys):
+        # these ended in a MemoryError traceback, or never returned
+        assert run(["hyperg", f"--a={a}", "--b", "1", f"--z={z}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical failure" in captured.err and "past" in captured.err
+
 
 class TestArgumentErrors:
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import math
 import re
+import time
 
 import mpmath as mp
 import pytest
@@ -278,3 +279,38 @@ class TestAgainstMpmath:
         message = f"kummer_m(a=1.0, b={1e8}, z={z}) = ?: Poisson window sum needs x < "
         with pytest.raises(NonConvergenceError, match=re.escape(message)):
             kummer_m(1.0, 1e8, z)
+
+
+class TestWindowReach:
+    """A window reaches k = hyperg._K_MAX at most; one past it is refused before it is searched
+    for or summed."""
+
+    @pytest.mark.parametrize(
+        "a, b, z, reason",
+        [(1e12, 1.0, -1.0, "Poisson window reaches past"), (-1e12, 1.0, 1.0, "Poisson window reaches past"),
+         (1e300, 1.0, 1.0, "the terms peak past"), (1e308, 1.0, 1e5, "the terms peak past")],
+        ids=["polynomial-after-transformation", "polynomial", "peak-past-2^53", "peak-past-the-double-range"],
+    )
+    def test_far_window_refused_quickly(self, a, b, z, reason):
+        # a polynomial of degree 1e12 asked numpy for a 7.28 TiB array at
+        # once (MemoryError), terms that peak near k = 1e150 kept stepping a
+        # j that floats could no longer move, and x a = 1e313 overflowed a
+        # numpy scalar (RuntimeWarning), then the peak (OverflowError)
+        start = time.perf_counter()
+        message = f"kummer_m(a={a}, b={b}, z={z}) = ?: {reason} k = {2**21}"
+        with pytest.raises(NonConvergenceError, match=re.escape(message)):
+            kummer_m(a, b, z)
+        assert time.perf_counter() - start < 1.0
+
+    def test_cap_is_the_windows_last_term(self, monkeypatch):
+        monkeypatch.setattr(hyperg, "_K_MAX", 100)
+        # phi(-100, 1; 1e-9) is a polynomial whose window ends at k = 100
+        with mp.workdps(40):
+            reference = float(mp.hyp1f1(-100, 1, 1e-9))
+        assert kummer_m(-100.0, 1.0, 1e-9) == pytest.approx(reference, rel=1e-15)
+        for a, z, reason in ((-101.0, 1e-9, "Poisson window reaches past"),
+                             # the terms peak near k = 90, and the window ends at 184
+                             (1.0, 90.0, "Poisson window reaches past"),
+                             (1.0, 200.0, "the terms peak past")):
+            with pytest.raises(NonConvergenceError, match=re.escape(f"{reason} k = 100")):
+                kummer_m(a, 1.0 if a < 0 else 2.0, z)

@@ -562,16 +562,52 @@ def _fork_problems(draw):
     return i, j, k, [1e-4 * 1e7 ** u for u in draw(decades)]
 
 
+class _PlantedKernel(KernelTransform):
+    """M|M|inf at rho (alpha = 1) for Re(s) < threshold; from it on zero but for the
+    planted {state: (sigma_bar, tau_bar)}.  Not `KernelTransform`-conforming."""
+
+    def __init__(self, rho, threshold, plant):
+        self.k, self.threshold, self.plant = kernel(QueueParams(rho, 1.0)), threshold, plant
+
+    def transforms(self, j, s):
+        sigma, tau = self.k.transforms(j, s)
+        far = np.real(s) >= self.threshold
+        sigma, tau = np.where(far, 0.0, sigma), np.where(far, 0.0, tau)
+        for state, (sigma_at, tau_at) in self.plant.items():
+            at = far & (j == state)
+            sigma, tau = np.where(at, sigma_at, sigma), np.where(at, tau_at, tau)
+        return sigma, tau
+
+
+@st.composite
+def _planted_pivot_problems(draw):
+    """(i, j, kernel, s): a `_PlantedKernel` at rho over [1, 2000] whose pivot at a row
+    1 to 200 states past the floor N = 64 is 0 (sigma_bar = 1 there, tau_bar = 1 one
+    state below) at the abscissas from a threshold on, with 1 to _MIN_BATCH - 1 real
+    abscissas over [1e-4, 1e3].
+
+    rho, s and the threshold are spread evenly over decades.
+    """
+    i, j, row = draw(st.integers(0, 30)), draw(st.integers(0, 30)), TruncationConfig().n0 + draw(st.integers(1, 200))
+    rho, threshold = 2e3 ** draw(st.floats(0.0, 1.0)), 1e-4 * 1e7 ** draw(st.floats(0.0, 1.0))
+    k = _PlantedKernel(rho, threshold, {row: (1.0, 0.0), row - 1: (0.0, 1.0)})
+    decades = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=oracle._MIN_BATCH - 1)
+    return i, j, k, [1e-4 * 1e7 ** u for u in draw(decades)]
+
+
 class TestSweepFork:
     """A short grid against the same grid padded to _MIN_BATCH columns by its last
     abscissa, which the array sweep takes instead."""
+
+    @staticmethod
+    def padded(s_values):
+        return s_values + s_values[-1:] * (oracle._MIN_BATCH - len(s_values))
 
     @given(_fork_problems())
     @settings(max_examples=300, derandomize=True, deadline=None)
     def test_short_and_array_sweeps_agree_per_column(self, problem):
         i, j, k, s_values = problem
-        short = solve_rows(i, j, s_values, k)
-        padded = solve_rows(i, j, s_values + s_values[-1:] * (oracle._MIN_BATCH - len(s_values)), k)
+        short, padded = solve_rows(i, j, s_values, k), solve_rows(i, j, self.padded(s_values), k)
         width = len(s_values)
         assert short.truncation_n.tolist() == padded.truncation_n[:width].tolist()
         if np.iscomplexobj(short.values):
@@ -580,6 +616,25 @@ class TestSweepFork:
         else:
             for field in ("values", "normalization_residual"):
                 assert getattr(short, field).tobytes() == getattr(padded, field)[:width].tobytes(), field
+
+    @given(_planted_pivot_problems())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @example((40, 40, _PlantedKernel(200.0, 50.0, {70: (1.0, 0.0), 69: (0.0, 1.0)}), [100.0, 1e-3]))
+    def test_a_planted_pivot_gives_one_outcome_at_either_width(self, problem):
+        # a pivot counts only while its column is open: the array sweep steps a
+        # cut column on with the open ones, and raised at a zero pivot past its
+        # cut where the short sweep answered (N = 64 and 97 in the example)
+        i, j, k, s_values = problem
+
+        def outcome(grid):
+            try:
+                entries = solve_rows(i, j, grid, k)
+            except PivotError as err:
+                return str(err)
+            return [getattr(entries, field)[:len(s_values)].tobytes()
+                    for field in ("truncation_n", "values", "normalization_residual")]
+
+        assert outcome(s_values) == outcome(self.padded(s_values))
 
 
 class TestBoundTest:
@@ -708,6 +763,16 @@ class TestNonFiniteKernel:
         for s_values in ([0.5, 1.0, 2.0], [0.5, *np.linspace(1.0, 2.0, oracle._MIN_BATCH - 1)]):
             with pytest.raises(ValueError, match=r"at state 30, s=1\.0 are not finite"):
                 solve_rows(0, 0, s_values, Spoilt())
+
+    def test_read_for_a_column_past_its_cut_at_either_width(self):
+        # s = 100 is cut at N = 64, but s = 1e-3 reads on to N = 97: every
+        # block is read for every abscissa, so both widths meet the NaN at
+        # state 100; the short sweep read only the open columns and answered
+        k = _PlantedKernel(200.0, 50.0, {100: (0.0, math.nan)})
+        for s_values in ([100.0, 1e-3], [100.0] + [1e-3] * (oracle._MIN_BATCH - 1)):
+            with pytest.raises(ValueError, match=r"^kernel values at state 100, s=100\.0 are not finite: "
+                                                 r"sigma_bar = 0\.0, tau_bar = nan$"):
+                solve_rows(40, 40, s_values, k)
 
     def test_value_at_the_real_part_refused(self):
         # the bound test at complex s reads c at Re s; a NaN there went unseen
