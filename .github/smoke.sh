@@ -34,6 +34,13 @@ status=0
 timeout 20 mrenew hyperg --a 1e300 --b 1 --z 1 || status=$?
 test "$status" -eq 1
 
+# values past the largest double are numerical failures too: phi(a, 1; z) ~ e^{2 sqrt(a z)}
+for args in "--a 1e200 --b 1 --z 1e-190" "--a 1e308 --b 1 --z 1e-300"; do
+  status=0
+  timeout 20 mrenew hyperg $args || status=$?
+  test "$status" -eq 1
+done
+
 # a time whose inversion rule passes the solvers' floor Re(s) >= 1e-14 is an argument error
 status=0
 mrenew renewal --i 0 --j 0 --t-grid 1e15:1e15:1 --lambda 1 --alpha 1 --method gs || status=$?

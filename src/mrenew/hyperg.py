@@ -31,6 +31,11 @@ the first k with b - a + k > 0 and b + k > 0 on, where the raw series
 alternates.  Both reach x below 2^21 ln 2 (about 1.45e6), and windows
 that end by k = 2^21: a series whose terms peak past it, or a polynomial
 of higher degree, is refused before its window is searched for or summed.
+A parameter may be any finite double: past 2^21 its rising factorial is
+taken from Stirling's series, not from lgamma(a + k), whose ulp passes 1e6
+at a = 1e20.  `kummer_m` also refuses, before it sums, a series of
+positive terms whose largest term, times e^{-x}, passes twice the largest
+double, and it never returns inf or nan.
 """
 
 from __future__ import annotations
@@ -100,12 +105,19 @@ def _peak(x: float, a: float, b: float, k: int) -> int:
     """The least j >= k from which on the terms of e^{-x} phi(a, b; x) fall: x (a+j) < (j+1)(b+j).
 
     That holds past the larger root of the quadratic (j+1)(b+j) - x (a+j);
-    a + k > 0 and b + k > 0.  Raises NonConvergenceError, before it steps,
-    where j would pass _K_MAX: past 2^53 a step of j leaves the test's
-    floats as they were.
+    b + k > 0, and a + k > 0 for x > 0, or a + k <= 0 for a polynomial's
+    sizes |t_k| with x < 0 (`_window`).  The root is taken in the form
+    without cancellation, with p and c scaled by a power of two so that p^2
+    and 4c stay finite.  Raises NonConvergenceError, before it steps, where
+    j would pass _K_MAX (or x a passes the largest double, leaving the root
+    inf or nan): past 2^53 a step of j leaves the test's floats as they
+    were.
     """
     p, c = b + 1.0 - x, b - x * a
-    root = (math.sqrt(max(p * p - 4.0 * c, 0.0)) - p) / 2.0
+    e = max(math.frexp(p)[1], math.frexp(c)[1] // 2 + 1)
+    p, c = math.ldexp(p, -e), math.ldexp(c, -2 * e)
+    root = math.sqrt(max(p * p - 4.0 * c, 0.0))
+    root = math.ldexp((root - p) / 2.0 if p <= 0 else -2.0 * c / (root + p), e)   # with no cancellation
     if not (k <= _K_MAX and root < _K_MAX):
         raise NonConvergenceError(f"the terms peak past k = {_K_MAX}")
     j = max(k, math.floor(root) + 1)
@@ -134,36 +146,56 @@ def _window(x: float, a: float, q: float, b=None):
       c + k > 0 and d + k > 0 on, and r_k does not grow with k.  So from the
       first m with r_m < 1 on, the rest past hi is at most S r_m ... r_{hi-1}
       r_hi / (1 - r_hi).  Without b, (c, d) = (1, 1), r_k = x / (k+1),
-      which bounds every series with q >= 0.  A non-positive integer c ends
-      the series at hi = -c.
+      which bounds every series with q >= 0.  A polynomial, c = -n a
+      non-positive integer, has |t_{k+1} / t_k| = x (n-k) / ((k+1)(d+k)),
+      which falls with k in the same way, and its window ends by hi = n;
+      one of degree n past _K_MAX is refused.
 
     hi is the least k and lo the greatest k for which these bounds are each
     within _WINDOW_TOL / 2 (G(0) and the geometric part a quarter each); lo
     is 0 when G(0) is not, or when a series has terms of either sign.  The
-    products are log-gamma ratios, and top is the m past which g(m) >= 1,
-    the largest the terms get.  The same bounds with q = 0 and (c, d) =
+    products are log-gamma ratios (Stirling's series for a parameter past
+    _K_MAX), and top is the m past which g(m) >= 1, the largest the terms
+    get.  The same bounds with q = 0 and (c, d) =
     (1, 1) hold for the Poisson weights themselves, so when lo > 0, where
     the weights are normalized over the window, p covers them below and hi
     is taken no less than their edge: the window then also holds all but
     _WINDOW_TOL of their mass.  A window whose hi would pass _K_MAX raises
-    NonConvergenceError (in `_peak` where the terms peak past it).
+    NonConvergenceError (in `_peak` where the terms peak past it), and so
+    does one series of positive terms, given b, whose largest term t_m
+    passes 2^1025 e^x t_0: its value, phi or e^{-x} phi, is past the double
+    range, and a sum would take a step per term.
     """
     log_x, lg, target = math.log(x), math.lgamma, math.log(_WINDOW_TOL / 4)
 
-    def log_term(a, b, k):   # log t_k up to a constant, for a + k > 0 and b + k > 0
-        return k * log_x - lg(k + 1.0) + (lg(a + k) - lg(b + k) if a != b else 0.0)
+    def rise(a, k):   # log |(a)_k| up to a constant of a
+        if a + k <= 0:   # a polynomial's c, at k <= -c
+            return -lg(1.0 - a - k)
+        if a > _K_MAX:   # Stirling's series, where lgamma(a + k) is too large to difference
+            return (a - 0.5) * math.log1p(k / a) + k * math.log(a + k) - k
+        return lg(a + k)
+
+    def log_term(a, b, k):   # log |t_k| up to a constant
+        return k * log_x - lg(k + 1.0) + (rise(a, k) - rise(b, k) if a != b else 0.0)
 
     def edge(c, d):
-        if c <= 0 and c == math.floor(c):   # a polynomial
-            return int(-c)
-        start = max(0, math.floor(-c) + 1, math.floor(-d) + 1)
-        c = max(c, min(1.0, d))
-        m = _peak(x, c, d, start)
-        bound = log_term(c, d, m) + target + math.log(2)
+        start = max(0, math.floor(-d) + 1)
+        if c <= 0 and c == math.floor(c):   # a polynomial of degree -c, whose x |c + k| is -x (c + k)
+            if -c > _K_MAX or start >= -c:
+                return int(-c)
+            sx = -x
+        else:
+            start, c, sx = max(start, math.floor(-c) + 1), max(c, min(1.0, d)), x
+        m = _peak(sx, c, d, start)
+        peak = log_term(c, d, m)
+        bound = peak + target + math.log(2)
+        # terms of one sign: the value is at least e^{-x} t_m / t_0, here past twice the largest double
+        if sx > 0 < d and peak - log_term(c, d, 0) - x > 1025 * math.log(2):
+            raise NonConvergenceError("the terms pass the largest double")
 
         def above(k):   # the bound on the terms past k >= m
-            r = x * (c + k) / ((k + 1.0) * (d + k))
-            return r == 0 or log_term(c, d, k) + math.log(r / (1.0 - r)) <= bound
+            r = sx * (c + k) / ((k + 1.0) * (d + k))
+            return r <= 0 or log_term(c, d, k) + math.log(r / (1.0 - r)) <= bound
 
         step = 16 + int(math.sqrt(x))
         while not above(m + step):
@@ -214,9 +246,11 @@ def _window_sum(a: np.ndarray, q: np.ndarray, x: float, b=None):
     _SERIES_ELEMENTS terms x series, relative to its start, and each step
     is one matrix product with the weights, scaled to a largest 1 in the
     step.  A step is short enough that its factors, each within a factor
-    1 + |q| / (k0 + min(0, a, b)) of 1, keep the product within 2^+-900, so
-    every term it drops below the smallest double is under 2^-120 of that
-    step's largest.  For one series the products also take back the drift
+    2^L = 1 + |q| / (k0 + min(0, a, b)) of 1, keep the product within
+    2^+-960: it takes ceil(900 / L) of them, but at most 960 / L and at
+    least one (whose product is its one factor, a double).  So every term
+    it rounds below the normal range is off by under 2^-110 of that step's
+    largest.  For one series the products also take back the drift
     of the rounded a + k and b + k (`quotients`).
 
     Every factor is rounded at most three times and every product step
@@ -280,7 +314,9 @@ def _window_sum(a: np.ndarray, q: np.ndarray, x: float, b=None):
     width = max(64, _SERIES_ELEMENTS // max(a.size, 1))
     k0 = k1
     while k0 <= hi:
-        stop = k0 + 900 / max(math.log2(1.0 + spread / (k0 + least)), 2.0**-52)
+        log_factor = max(math.log2(1.0 + spread / (k0 + least)), 2.0**-52)
+        # ceil(900 / L) factors of at most 2^L each, but no more than 960 / L, nor fewer than one
+        stop = k0 + min(900 / log_factor, max(1, 960 // log_factor))
         k = np.arange(k0, min(k0 + width, hi + 1, stop), dtype=float)
         factors, drift = quotients(k)
         ratio = np.cumprod(factors, axis=1)   # R(k+1) / R(k0)
@@ -337,7 +373,8 @@ def kummer_m(a: float, b: float, z: float) -> float:
     sum the same terms.  Raises ValueError for arguments that are not
     finite real numbers and for forbidden b (zero or a negative integer),
     and NonConvergenceError, naming a, b and z, for |z| >= _X_MAX, for a
-    window past k = _K_MAX (`_window`) or when the value overflows.
+    window past k = _K_MAX or terms past the double range (`_window`), or
+    when the value is not a finite double.
     """
     if any(np.iscomplexobj(v) for v in (a, b, z)) or not all(map(math.isfinite, (a, b, z))):
         raise ValueError(f"arguments must be finite real numbers, got a={a}, b={b}, z={z}")
@@ -354,6 +391,9 @@ def kummer_m(a: float, b: float, z: float) -> float:
         raise NonConvergenceError(f"kummer_m(a={a}, b={b}, z={z}) = ?: {err}") from None
     first, shift = _exp_split(x) if z > 0 else (1.0, 0)
     try:
-        return math.ldexp(m[0] / first, int(e[0]) + shift)
+        value = math.ldexp(m[0] / first, int(e[0]) + shift)
     except OverflowError:
-        raise NonConvergenceError(f"kummer_m(a={a}, b={b}, z={z}) = inf: past the largest double") from None
+        value = math.inf
+    if not math.isfinite(value):   # ldexp passes an inf or nan mantissa through
+        raise NonConvergenceError(f"kummer_m(a={a}, b={b}, z={z}) = {value}: not a finite double")
+    return value

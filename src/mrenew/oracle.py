@@ -47,7 +47,7 @@ its last level n reads the kernel at n + 1.  Each test reads a product
 the step makes anyway: tau[N] g[N], which the next state divides by its
 pivot for g[N+1], and P[N+1] = q[top] .. q[N], which it multiplies by
 g[N+1] for the next move of x[top].  Each state 0..top keeps one record
-(g, q, c) for the back substitution.  Kernel values must be
+(g, q) for the back substitution.  Kernel values must be
 finite: a block holding a NaN or an infinity is refused with ValueError,
 naming its first such state and abscissa, before any of it is swept.
 
@@ -64,11 +64,13 @@ same bits, or the same error, from both.  The schedule itself depends on
 the width, as a block holds at most _SWEEP_ELEMENTS // columns states
 (2 and 17 columns part at state 520), so a bad kernel value past every
 column's cut can be read at one width and not at another.  The
-normalization residual, summed over the entries, is reported: where the
-lost-mass test cut, it can sit on its rounding floor above _TOL (up to
-~3e-10 at rho in the hundreds and more, s ~ 1e-4); where the bound test
-cut, the mass past N is not small and neither is the residual (0.999 at
-i = 14, j = 9, rho = 790, s = 0.01).  `neumann_series_sum` accumulates
+residual `solve_rows` reports is the mass its cut loses, |tau[N] g[N]|,
+which by the sum above is the normalization residual of the row cut at N
+without the rounding of a second sum: at most _TOL where the lost-mass
+test cut, and not small where the bound test cut, since the mass past N
+is not (0.999 at i = 14, j = 9, rho = 790, s = 0.01).
+`solve_row_truncated` sums the residual over the row it returns instead,
+a check apart from the cut.  `neumann_series_sum` accumulates
 row i of sum_m Qbar(s)^m over the same truncated operator and is the
 independent second route used by the cross-check suites.
 
@@ -107,7 +109,9 @@ class TransformRowResult:
     """One solved row of Rbar(s).
 
     values[j] holds rbar_ij(s) for j = 0..truncation_n.
-    normalization_residual is |sum_k (1 - sigma_bar - tau_bar) values[k] - 1|.
+    normalization_residual is |sum_k (1 - sigma_bar - tau_bar) values[k] - 1|,
+    summed over the row once it is solved, so it checks the row apart from
+    the lost mass the cut was judged by.
     converged is set only by `solve_row_adaptive`; a bare truncated solve
     makes no convergence claim.
     """
@@ -125,10 +129,11 @@ class TransformEntries:
     """rbar_ij(s) at many abscissas, from `solve_rows`.
 
     values[k], truncation_n[k] and normalization_residual[k] belong to
-    s[k]; each abscissa was cut at its own truncation level.  s is a copy
-    of the caller's abscissas.  The residual keeps the definition of
-    `TransformRowResult`'s but is not small where the bound test cut (see
-    the module docstring).
+    s[k]; each abscissa was cut at its own truncation level N.  s is a copy
+    of the caller's abscissas.  The residual is the mass the cut loses,
+    |tau_bar(N) x[N]|, which is `TransformRowResult`'s summed residual of
+    the row cut at N up to that sum's rounding; it is not small where the
+    bound test cut (see the module docstring).
     """
 
     i: int
@@ -169,19 +174,17 @@ def _check_row(i, s, n=0) -> tuple:
     return operator.index(i), operator.index(n)
 
 
-def _back_substitute(kept, x, tail):
-    """Entries 0..top from x[top] = g[top] + x, and the normalization residual.
+def _back_substitute(kept, x):
+    """Entries 0..top from x[top] = g[top] + x.
 
-    kept holds (g[k], q[k], c[k]) for states 0..top, each a scalar or a row
-    of columns; x[k] = g[k] + q[k] x[k+1] below top, and tail is
-    sum_{k > top} c[k] x[k].
+    kept holds (g[k], q[k]) for states 0..top, each a scalar or a row of
+    columns; x[k] = g[k] + q[k] x[k+1] below top.
     """
-    entries, total = [], tail
-    for g, q, c in reversed(kept):
+    entries = []
+    for g, q in reversed(kept):
         x = g + q * x if entries else g + x
-        total = total + c * x
         entries.append(x)
-    return np.array(entries[::-1]), abs(total - 1.0)
+    return np.array(entries[::-1])
 
 
 def _read_block(kernel: KernelTransform, states, s) -> tuple:
@@ -205,7 +208,7 @@ def _read_block(kernel: KernelTransform, states, s) -> tuple:
 
 
 def _blocks(kernel: KernelTransform, s, n_lo: int, n_hi: int):
-    """The kernel blocks both sweeps step, as (lo, sigma_bar, tau_bar, c, c(Re s)):
+    """The kernel blocks both sweeps step, as (lo, sigma_bar, tau_bar, c(Re s)):
     states lo..hi, the row read ahead included, at every abscissa of s.
 
     The first block reaches past the floor n_lo, each later one is as long
@@ -217,7 +220,8 @@ def _blocks(kernel: KernelTransform, s, n_lo: int, n_hi: int):
     lo = 0
     while s.size and lo <= n_hi:
         hi = min(lo + min(budget, max(n_lo + 1, lo)), n_hi + 1)
-        yield lo, *_read_block(kernel, np.arange(lo, hi + 1)[:, None], s)
+        sigma, tau, _, c_re = _read_block(kernel, np.arange(lo, hi + 1)[:, None], s)
+        yield lo, sigma, tau, c_re
         lo = hi
 
 
@@ -229,13 +233,12 @@ def _eliminate(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int, pr
     """Row i at each abscissa of the array s, cut at the first N in [n_lo, n_hi]
     that passes the stop test, else at n_hi.
 
-    One record (g[k], q[k], c[k]) is kept per state 0..top; the test can
-    pass only past top, so top = n_hi cuts at n_hi and keeps every state.
-    Past top, S = q[top] x[top+1] = sum_M g[M] P[M] (P[M] = q[top] .. q[M-1],
-    so the cut at M moves x[top] by g[M] P[M]) and the tail sum_M g[M] U[M]
-    (U[M] = q[M-1] U[M-1] + c[M]) are carried.  The kernel is read one
-    state ahead, and state k steps in one order: the pivot w[k] and
-    g[k] = tg / w[k]; past top, the moves of S and the tail, with q[k-1];
+    One record (g[k], q[k]) is kept per state 0..top; the test can pass
+    only past top, so top = n_hi cuts at n_hi and keeps every state.  Past
+    top, only S = q[top] x[top+1] = sum_M g[M] P[M] (P[M] = q[top] ..
+    q[M-1], so the cut at M moves x[top] by g[M] P[M]) is carried.  The
+    kernel is read one state ahead, and state k steps in one order: the
+    pivot w[k] and g[k] = tg / w[k]; past top, the move of S, with q[k-1];
     then tg = tau[k] g[k] and q[k] = sigma[k+1] / w[k]; the record, up to
     top; and from top on p = P[k+1].  So state N judges level N once, by
     both tests against one |x[top]|, from the step's own products: the
@@ -248,34 +251,34 @@ def _eliminate(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int, pr
     block is stepped, at the lowest such row and, of its columns, the first
     in grid order, naming that abscissa; a cut column steps on with the
     open ones, but its pivots count only up to its level N.  Returns per
-    abscissa: entries 0..top, N, the residual and whether a test passed.
+    abscissa: entries 0..top, N, the lost mass |tg| there and whether a
+    test passed.
     """
     cols = s.size
     top = min(top, n_hi)
     first = max(n_lo, top + 1)                      # first N the tests may pass at
     # an open column's level is n_hi, past every row it may still step
     levels, passed, todo = np.full(cols, n_hi), np.zeros(cols, dtype=bool), np.ones(cols, dtype=bool)
-    sums = np.zeros((2, cols))                      # S and the tail where each column was cut
     kept = []
     zero = np.zeros(cols)
-    g, tp, tg, q, p, u, x, tail, move, last = 0.0, 0.0, 0.0, 0.0, zero + 1.0, zero, zero, zero, zero, zero
+    xs = losses = zero                              # S and the lost mass |tg| where each column was cut
+    g, tp, tg, q, p, x, move, last = 0.0, 0.0, 0.0, 0.0, zero + 1.0, zero, zero, zero
     hit = False                                     # no level below first passes
     # lost mass and bound test factor allowed; -1 and 0 once cut, and 0 throughout unless proven
     bound, eps = zero + _TOL, zero + (_EPS if proven else 0.0)
-    for lo, sigma, tau, c, c_re in _blocks(kernel, s, n_lo, n_hi):
-        pivots = np.ones_like(c)
+    for lo, sigma, tau, c_re in _blocks(kernel, s, n_lo, n_hi):
+        pivots = np.ones_like(sigma)
         with np.errstate(all="ignore"):         # a bad pivot is reported below
             # sigma and c_re of state k + 1 step state k
-            for k, sigma_k, tau_k, c_k, c_re_k in zip(count(lo), sigma[1:], tau, c, c_re[1:]):
+            for k, sigma_k, tau_k, c_re_k in zip(count(lo), sigma[1:], tau, c_re[1:]):
                 w = pivots[k - lo] = 1.0 - tp * q
                 g = 1.0 / w if k == i else tg / w
                 if k > top:
-                    last, u = move, u * q + c_k
-                    move = g * p
-                    x, tail = x + move, tail + g * u
+                    last, move = move, g * p
+                    x = x + move
                 tp, tg, q = tau_k, tau_k * g, sigma_k / w
                 if k <= top:
-                    kept.append((g, q, c_k))
+                    kept.append((g, q))
                 if k >= top:
                     p = p * q
                 # level k: the bound test (the cut at k moves x[top] by p x[k+1], and
@@ -293,18 +296,17 @@ def _eliminate(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int, pr
                 levels[cut], todo[cut] = k, False
                 passed, bound = np.where(cut, hit, passed), np.where(cut, -1.0, bound)
                 eps = np.where(cut, 0.0, eps)
-                sums = np.where(cut, np.reshape((x, tail), (2, -1)), sums)
+                xs, losses = np.where(cut, x, xs), np.where(cut, abs(tg), losses)
                 if not todo.any():
                     break
         small = np.abs(pivots) < _MIN_PIVOT
         # a cut column steps on with the open ones, but its pivots count only up to its level
-        if small.any() and (small := small & (np.arange(lo, lo + len(c))[:, None] <= levels)).any():
+        if small.any() and (small := small & (np.arange(lo, lo + len(pivots))[:, None] <= levels)).any():
             at = np.flatnonzero(small)[0]     # the sweep meets the lowest row first
             raise _small_pivot(pivots.flat[at].item(), lo + at // cols, s[at % cols])
         if not todo.any():
             break
-    values, residuals = _back_substitute(kept, *sums)
-    return list(values.T), levels, residuals, passed
+    return list(_back_substitute(kept, xs).T), levels, losses, passed
 
 
 def _eliminate_short(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int, proven: bool = True):
@@ -335,33 +337,32 @@ def _eliminate_short(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: i
 def _short_column(i: int, top: int, n_lo: int, n_hi: int, proven: bool):
     """One column of `_eliminate_short`: `_eliminate`'s step on Python numbers.
 
-    Is sent (lo, sigma, tau, c, c_re), the lists of one block from state lo;
-    yields None while open, then (entries 0..top, N, the residual, whether a
-    test passed) once cut, or (row, pivot) at its first pivot below
+    Is sent (lo, sigma, tau, c_re), the lists of one block from state lo;
+    yields None while open, then (entries 0..top, N, the lost mass, whether
+    a test passed) once cut, or (row, pivot) at its first pivot below
     _MIN_PIVOT, and that again for every later block, stepping no further.
     """
     first = max(n_lo, top + 1)                      # first N the tests may pass at
     tol, eps = _TOL, _EPS if proven else 0.0
     kept = []
-    g = tp = tg = q = u = x = tail = move = last = 0.0
+    g = tp = tg = q = x = move = last = 0.0
     p = 1.0
     end = None
     while not end:
-        lo, sigma, tau, c, c_re = yield end
+        lo, sigma, tau, c_re = yield end
         # sigma and c_re of state k + 1 step state k
-        for k, sigma_k, tau_k, c_k, c_re_k in zip(count(lo), sigma[1:], tau, c, c_re[1:]):
+        for k, sigma_k, tau_k, c_re_k in zip(count(lo), sigma[1:], tau, c_re[1:]):
             w = 1.0 - tp * q
             if abs(w) < _MIN_PIVOT:
                 end = k, w
                 break
             g = 1.0 / w if k == i else tg / w
             if k > top:
-                last, u = move, u * q + c_k
-                move = g * p
-                x, tail = x + move, tail + g * u
+                last, move = move, g * p
+                x = x + move
             tp, tg, q = tau_k, tau_k * g, sigma_k / w
             if k <= top:
-                kept.append((g, q, c_k))
+                kept.append((g, q))
             if k >= top:
                 p = p * q
             if k < first:
@@ -378,8 +379,7 @@ def _short_column(i: int, top: int, n_lo: int, n_hi: int, proven: bool):
                         abs(move) * (r := abs(move / last)) <= _EPS * (1.0 - r) * x_top)
                 if not hit and k < n_hi:
                     continue
-            values, residual = _back_substitute(kept, x, tail)
-            end = values, k, residual, hit
+            end = _back_substitute(kept, x), k, abs(tg), hit
             break
     while True:                                     # cut: the same end for every later block
         yield end
@@ -390,7 +390,10 @@ def solve_row_truncated(i: int, s, kernel: KernelTransform, n: int) -> Transform
     i, n = _check_row(i, s, n)
     if not 0 <= i < n:
         raise ValueError(f"start state must satisfy 0 <= i < n, got i={i}, n={n}")
-    (row,), _, (residual,), _ = _eliminate_short(i, np.reshape(s, 1), kernel, n, n, n)
+    (row,), *_ = _eliminate_short(i, np.reshape(s, 1), kernel, n, n, n)
+    # the residual summed over the row, a check on it apart from the cut's own lost mass
+    sigma, tau = kernel.transforms(np.arange(n + 1)[:, None], np.reshape(s, 1))
+    residual = float(abs(np.sum((1.0 - sigma - tau)[:, 0] * row) - 1.0))
     return TransformRowResult(i, s, n, row, residual, converged=False)
 
 
@@ -407,7 +410,7 @@ def solve_rows(
     lost-mass test or the bound test of the module docstring, whichever
     passes first, with top = max(i + 10, j).  Raises NonConvergenceError
     naming the first abscissa that has passed neither by n_max = _N_MAX,
-    with its normalization residual there.
+    with the mass its cut there loses as the residual.
     """
     return _solve_rows(i, j, s_values, kernel, cfg, proven=True)
 
@@ -428,7 +431,7 @@ def _solve_rows(i, j, s_values, kernel, cfg, proven) -> TransformEntries:
         k = list(passed).index(False)
         raise NonConvergenceError(
             f"row (i={i}, s={s[k]}) did not converge by n_max={_N_MAX}; "
-            f"last normalization residual {residuals[k]:.3e}",
+            f"lost mass {residuals[k]:.3e} at the cut",
             residual=float(residuals[k]),
         )
     values = np.array([row[j] for row in rows], dtype=s.dtype)
@@ -449,7 +452,7 @@ def solve_row_adaptive(
     values; entries past i + 10 carry the error of the cut.  The bound
     test of `solve_rows` is not used, so this N can lie deeper than
     `solve_rows(i, i, [s])`'s.  Raises NonConvergenceError (carrying the
-    residual at the cap) if no N up to n_max = _N_MAX passes.
+    lost mass at the cap) if no N up to n_max = _N_MAX passes.
     """
     _check_row(i, s)
     n = int(_solve_rows(i, i, [s], kernel, cfg, proven=False).truncation_n[0])

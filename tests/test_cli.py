@@ -177,6 +177,15 @@ class TestHypergCommand:
         assert captured.out == ""
         assert "numerical failure" in captured.err and "past" in captured.err
 
+    @pytest.mark.parametrize("a, z", [("1e200", "1e-190"), ("1e308", "1e-300")])
+    def test_value_past_the_largest_double_maps_to_one(self, a, z, capsys):
+        # phi(a, 1; z) ~ e^{2 sqrt(a z)}: the first printed inf and exited 0, the
+        # second ended in an OverflowError traceback from lgamma(1e308)
+        assert run(["hyperg", f"--a={a}", "--b", "1", f"--z={z}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical failure" in captured.err and "largest double" in captured.err
+
 
 class TestArgumentErrors:
     @pytest.mark.parametrize(

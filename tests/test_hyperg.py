@@ -1,8 +1,10 @@
 import math
 import re
 import time
+import warnings
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -314,3 +316,67 @@ class TestWindowReach:
                              (1.0, 200.0, "the terms peak past")):
             with pytest.raises(NonConvergenceError, match=re.escape(f"{reason} k = 100")):
                 kummer_m(a, 1.0 if a < 0 else 2.0, z)
+
+
+class TestHugeParameters:
+    """Parameters up to the largest double: rising factorials past hyperg._K_MAX from
+    Stirling's series, steps of the window sum that never overflow, and no inf or nan
+    out of kummer_m."""
+
+    @pytest.mark.parametrize("a", [1e16, 1e17, 1e18, 1e20, 1e40, 1e155])
+    def test_large_first_parameter_against_the_series(self, a):
+        # phi(a, 1; 1e5 / a) ~ I_0(2 sqrt(1e5)) = 7.4547e272: lgamma(a + k) differenced
+        # at a = 1e20 (ulp about 1e6) ended the window at k = 316 of about 430, and
+        # two factors of 2^515 in one step overflowed at a = 1e155
+        z = 1e5 / a
+        reference = float(_mp_series(a, 1.0, z, terms=1000))
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = kummer_m(a, 1.0, z)
+        assert time.perf_counter() - start < 1.0
+        assert value == pytest.approx(reference, rel=1e-12)
+
+    @pytest.mark.parametrize("a, b, z", [(1e160, 1e160, 1.0), (1e-300, 1e308, 1e6)])
+    def test_parameters_whose_squares_overflow(self, a, b, z):
+        # e and about 1: the peak's quadratic is solved scaled, and lgamma(1e308) is not formed
+        with mp.workdps(40):
+            reference = float(mp.hyp1f1(a, b, z))
+        assert kummer_m(a, b, z) == pytest.approx(reference, rel=1e-12)
+
+    @pytest.mark.parametrize("a, z", [(1e200, 1e-190), (1e308, 1e-300)])
+    def test_value_past_the_largest_double_refused_quickly(self, a, z):
+        # about e^{2 sqrt(a z)}, past the double range: the largest term tells, before any sum
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergenceError,
+                               match=re.escape(f"kummer_m(a={a}, b=1.0, z={z}) = ?: the terms pass the largest")):
+                kummer_m(a, 1.0, z)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("mantissa", [math.inf, math.nan])
+    def test_no_inf_or_nan_returned(self, mantissa, monkeypatch):
+        # math.ldexp raises nothing for an inf or nan mantissa
+        monkeypatch.setattr(hyperg, "_window_sum", lambda *args: (np.array([mantissa]), np.array([0])))
+        with pytest.raises(NonConvergenceError, match=re.escape("kummer_m(a=1.0, b=2.0, z=-1.0) = ")):
+            kummer_m(1.0, 2.0, -1.0)
+
+
+class TestPolynomialWindow:
+    def test_window_ends_at_the_tail_bound(self):
+        # degree 2e6: the window ended at k = 2e6 and took 6 s; the terms fall like (2e-3)^k / k!^2
+        start = time.perf_counter()
+        value = kummer_m(-2e6, 1.0, 1e-9)
+        assert time.perf_counter() - start < 0.1
+        assert value == pytest.approx(0.99800099977730588646, rel=1e-12)
+
+    @pytest.mark.parametrize("a, b, z", [(-30.0, 1.0, 5.0), (-200.0, 3.5, 0.01), (5.5, 0.5, -3.0),
+                                         (-12.0, -3.5, 10.0), (-7.0, -7.5, 2.0)])
+    def test_against_mpmath(self, a, b, z):
+        # windows that end at k = 28 and 12, before the degree; at the degree, for
+        # phi(-5, 0.5; 3) after Kummer's transformation and for -12; and a degree
+        # below the first k with b + k > 0
+        reference, condition = _mp_value_and_condition(a, b, z)
+        bound = max(1e-12, 2.0 * 2.0**-52 * condition)
+        assert abs(kummer_m(a, b, z) - reference) <= bound * abs(reference)

@@ -283,8 +283,10 @@ class TestSolveRows:
         with pytest.raises(NonConvergenceError) as err:
             solve_rows(0, 0, s_values, kernel(UNIT), TruncationConfig(n0=8))
         assert "s=0.01" in str(err.value)
-        at_cap = solve_row_truncated(0, 0.01, kernel(UNIT), 22).normalization_residual
-        assert err.value.residual == at_cap
+        # the residual is the mass the cut at the cap loses, |tau_bar(22) x[22]|
+        k = kernel(UNIT)
+        tau = k.transforms(np.array([[22]]), np.array([0.01]))[1].item()
+        assert err.value.residual == abs(tau * solve_row_truncated(0, 0.01, k, 22).values[22])
 
     def test_pivot_error_still_raised(self):
         # forward elimination meets the zero pivot at row 1 first
@@ -505,6 +507,35 @@ class TestAgainstBandedSolve:
         x = solve_banded((1, 1), bands, unit)
         scale = np.max(np.abs(x[: max(i + 10, j) + 1]))
         share = abs(entries.values[0] - x[j]) / (1e-12 * scale * max(1.0, 0.01 / abs(s)))
+        target(float(share))    # steer the search to the worst case
+        assert share <= 1.0
+
+
+class TestLostMassResidual:
+    """solve_rows reports the mass its cut loses, |tau_bar(N) x[N]| of the row cut at N.
+
+    Past the cut the normalization sum obeys sum_{k<=N} c_k x_k = 1 - tau_bar(N) x[N]
+    exactly, so the residual solve_row_truncated sums over the same row differs from
+    the lost mass only by rounding: that of the entries, each within
+    1e-12 max(1, 0.01 / |s|) of the largest (TestAgainstBandedSolve), times sum_k |c_k|,
+    and that of the sum, (N + 1) 2**-52 (sum_k |c_k x_k| + 1).
+    """
+
+    @given(_entry_problems())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_residual_is_the_lost_mass_and_the_summed_residual_to_rounding(self, problem):
+        i, j, rho, s = problem
+        k = kernel(QueueParams(rho, 1.0))
+        entries = solve_rows(i, j, [s], k)
+        n = int(entries.truncation_n[0])
+        row = solve_row_truncated(i, s, k, n)
+        sigma, tau = (a[:, 0] for a in k.transforms(np.arange(n + 1)[:, None], np.array([s])))
+        lost = abs(tau[n] * row.values[n])
+        assert entries.normalization_residual[0] == lost
+        c = 1.0 - sigma - tau
+        bound = (1e-12 * max(1.0, 0.01 / abs(s)) * np.max(np.abs(row.values)) * np.sum(np.abs(c))
+                 + (n + 1) * 2.0**-52 * (np.sum(np.abs(c * row.values)) + 1.0))
+        share = abs(row.normalization_residual - lost) / bound
         target(float(share))    # steer the search to the worst case
         assert share <= 1.0
 

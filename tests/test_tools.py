@@ -29,3 +29,37 @@ def test_outputs_digest_prints_each_workload_then_both_validate_runs(capsys):
     assert module.VALIDATE == (["validate", "--quick"], ["validate"])
     # a second run in this process prints the same digest
     assert lines[-1] == f"validate requests=2 sha256={module.digest_requests(module.VALIDATE)}"
+
+
+_COUNTED = '''"""A module docstring,
+over two lines."""
+
+import math  # a trailing comment leaves its line a code line
+
+
+def root(x):
+    """A function docstring."""
+    # a comment line
+    total = (x +
+             1)
+    return math.sqrt(total)
+
+
+class Text:
+    """A class docstring."""
+
+    body = """a string that opens no body,
+over two lines"""
+'''
+
+
+def test_code_lines_skip_blank_comment_and_docstring_lines():
+    # import, def, the two lines of the assignment, return, class and both lines of body
+    assert _load("code_lines").code_lines(_COUNTED) == 8
+
+
+def test_code_lines_prints_each_module_then_the_total(tmp_path, capsys):
+    (tmp_path / "b.py").write_text(_COUNTED)
+    (tmp_path / "a.py").write_text('"""Only a docstring."""\n\nx = 1\n')
+    _load("code_lines").main([str(tmp_path)])
+    assert capsys.readouterr().out.splitlines() == ["     1 a.py", "     8 b.py", "     9 total"]
