@@ -41,6 +41,17 @@ for args in "--a 1e200 --b 1 --z 1e-190" "--a 1e308 --b 1 --z 1e-300"; do
   test "$status" -eq 1
 done
 
+# terms past 2^53 times the largest double, with b < 0: refused before the sum
+# (it ran on, a step per term), and a sum whose terms cancel past its rounding
+# bound (it printed -4.56e7 for -1.65e-3)
+for args in "--a=-7.19e89 --b=-16.47 --z=-3.17e-78" "--a=-1000.5 --b 2 --z 1"; do
+  status=0
+  timeout 20 mrenew hyperg $args || status=$?
+  test "$status" -eq 1
+done
+# a window that ends where the terms fall, far below k = -a (it took 2 s)
+timeout 20 mrenew hyperg --a=-1040153.655 --b 10.71 --z 5.42e-22
+
 # a time whose inversion rule passes the solvers' floor Re(s) >= 1e-14 is an argument error
 status=0
 mrenew renewal --i 0 --j 0 --t-grid 1e15:1e15:1 --lambda 1 --alpha 1 --method gs || status=$?

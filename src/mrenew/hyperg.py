@@ -29,13 +29,16 @@ Kummer's transformation (DLMF 13.2.39)
 makes it the sum for (b - a, b) at x = -z, whose terms have one sign from
 the first k with b - a + k > 0 and b + k > 0 on, where the raw series
 alternates.  Both reach x below 2^21 ln 2 (about 1.45e6), and windows
-that end by k = 2^21: a series whose terms peak past it, or a polynomial
-of higher degree, is refused before its window is searched for or summed.
-A parameter may be any finite double: past 2^21 its rising factorial is
-taken from Stirling's series, not from lgamma(a + k), whose ulp passes 1e6
-at a = 1e20.  `kummer_m` also refuses, before it sums, a series of
-positive terms whose largest term, times e^{-x}, passes twice the largest
-double, and it never returns inf or nan.
+that end by k = 2^21: a series whose terms peak past it is refused before
+its window is searched for or summed; a polynomial's window ends where its
+terms fall, as any series' does, or at its degree.  A parameter may be
+any finite double: past 2^21 in size its rising factorial is taken from
+Stirling's series, not from lgamma(a + k), whose ulp passes 1e6 at
+a = 1e20.  `kummer_m` refuses, before it sums, a series whose term at the
+peak of the bound on its terms, times e^{-x}, passes 2^53 times the
+largest double, and after it sums, one whose terms cancel past the
+rounding bound of their sum, so a value it returns has the right sign and
+is within that bound, below its own size; it never returns inf or nan.
 """
 
 from __future__ import annotations
@@ -104,9 +107,8 @@ def _last(pred, lo: int, hi: int) -> int:
 def _peak(x: float, a: float, b: float, k: int) -> int:
     """The least j >= k from which on the terms of e^{-x} phi(a, b; x) fall: x (a+j) < (j+1)(b+j).
 
-    That holds past the larger root of the quadratic (j+1)(b+j) - x (a+j);
-    b + k > 0, and a + k > 0 for x > 0, or a + k <= 0 for a polynomial's
-    sizes |t_k| with x < 0 (`_window`).  The root is taken in the form
+    That holds past the larger root of the quadratic (j+1)(b+j) - x (a+j),
+    given a + k > 0 and b + k > 0.  The root is taken in the form
     without cancellation, with p and c scaled by a power of two so that p^2
     and 4c stay finite.  Raises NonConvergenceError, before it steps, where
     j would pass _K_MAX (or x a passes the largest double, leaving the root
@@ -141,66 +143,65 @@ def _window(x: float, a: float, q: float, b=None):
       the rest is at most S (G(0) + G(lo) r / (1 - r)), r = max(g(1),
       g(lo-1)) the largest g on [1, lo-1]: (m+1)(p+m)/(a+m) is convex in m
       for (p - a)(1 - a) >= 0 and increasing otherwise.
-    * above, with (c, d) = (a, b): |t_{k+1} / t_k| <= r_k = x (c'+k) /
-      ((k+1)(d+k)), c' = max(c, min(1, d)), at every k from the first with
-      c + k > 0 and d + k > 0 on, and r_k does not grow with k.  So from the
-      first m with r_m < 1 on, the rest past hi is at most S r_m ... r_{hi-1}
-      r_hi / (1 - r_hi).  Without b, (c, d) = (1, 1), r_k = x / (k+1),
-      which bounds every series with q >= 0.  A polynomial, c = -n a
-      non-positive integer, has |t_{k+1} / t_k| = x (n-k) / ((k+1)(d+k)),
-      which falls with k in the same way, and its window ends by hi = n;
-      one of degree n past _K_MAX is refused.
+    * above, with (c, d) = (a, b) of any signs: |t_{k+1} / t_k| =
+      x |c+k| / ((k+1)(d+k)) <= r_k = x (c'+k) / ((k+1)(d+k)),
+      c' = max(|c|, min(1, d)), at every k from the first with d + k > 0
+      on, and r_k does not grow with k.  So from the first m with r_m < 1
+      on, the rest past hi is at most |t_m| r_m ... r_{hi-1} r_hi /
+      (1 - r_hi) <= S r_m ... r_hi / (1 - r_hi).  Without b, (c, d) =
+      (1, 1), r_k = x / (k+1), which bounds every series with q >= 0.  A
+      polynomial, c = -n a non-positive integer, has no terms past n, so
+      its window ends by hi = n.
 
     hi is the least k and lo the greatest k for which these bounds are each
     within _WINDOW_TOL / 2 (G(0) and the geometric part a quarter each); lo
     is 0 when G(0) is not, or when a series has terms of either sign.  The
     products are log-gamma ratios (Stirling's series for a parameter past
-    _K_MAX), and top is the m past which g(m) >= 1, the largest the terms
-    get.  The same bounds with q = 0 and (c, d) =
-    (1, 1) hold for the Poisson weights themselves, so when lo > 0, where
+    _K_MAX in size), and top is the m past which g(m) >= 1, the largest the
+    terms get.  The same bounds with q = 0 and (c, d) = (1, 1) hold for
+    the Poisson weights themselves, so when lo > 0, where
     the weights are normalized over the window, p covers them below and hi
     is taken no less than their edge: the window then also holds all but
     _WINDOW_TOL of their mass.  A window whose hi would pass _K_MAX raises
     NonConvergenceError (in `_peak` where the terms peak past it), and so
-    does one series of positive terms, given b, whose largest term t_m
-    passes 2^1025 e^x t_0: its value, phi or e^{-x} phi, is past the double
-    range, and a sum would take a step per term.
+    does a series whose |t_j|, at that m or at the degree n if it is less,
+    passes 2^1077, whatever the signs of its terms: S then passes 2^1077,
+    so either its sum passes the largest double, and so does its value,
+    phi or e^{-x} phi, or the sum is below 2^-53 12 S, which `_window_sum`'s
+    rounding bound refuses; and a sum would take a step per term.
     """
     log_x, lg, target = math.log(x), math.lgamma, math.log(_WINDOW_TOL / 4)
 
     def rise(a, k):   # log |(a)_k| up to a constant of a
-        if a + k <= 0:   # a polynomial's c, at k <= -c
-            return -lg(1.0 - a - k)
-        if a > _K_MAX:   # Stirling's series, where lgamma(a + k) is too large to difference
+        if abs(a) > _K_MAX:   # Stirling's series, where lgamma(a + k) is too large to difference
+            a = a if a > 0 else 1.0 - a - k   # |(a)_k| = (1 - a - k)_k while a + k <= 0
             return (a - 0.5) * math.log1p(k / a) + k * math.log(a + k) - k
+        if a + k <= 0 and a == math.floor(a):   # a polynomial's c, at k <= -c
+            return -lg(1.0 - a - k)
         return lg(a + k)
 
     def log_term(a, b, k):   # log |t_k| up to a constant
         return k * log_x - lg(k + 1.0) + (rise(a, k) - rise(b, k) if a != b else 0.0)
 
     def edge(c, d):
-        start = max(0, math.floor(-d) + 1)
-        if c <= 0 and c == math.floor(c):   # a polynomial of degree -c, whose x |c + k| is -x (c + k)
-            if -c > _K_MAX or start >= -c:
-                return int(-c)
-            sx = -x
-        else:
-            start, c, sx = max(start, math.floor(-c) + 1), max(c, min(1.0, d)), x
-        m = _peak(sx, c, d, start)
-        peak = log_term(c, d, m)
-        bound = peak + target + math.log(2)
-        # terms of one sign: the value is at least e^{-x} t_m / t_0, here past twice the largest double
-        if sx > 0 < d and peak - log_term(c, d, 0) - x > 1025 * math.log(2):
-            raise NonConvergenceError("the terms pass the largest double")
+        n = int(-c) if c <= 0 and c == math.floor(c) else math.inf   # a polynomial's degree
+        bc = max(abs(c), min(1.0, d))
+        m = _peak(x, bc, d, max(0, math.floor(-d) + 1))
+        peak = min(m, n)   # the true term read where the bound peaks, or at the degree
+        # e^{-x} |t_peak| past 2^53 times the largest double: the sum passes the double
+        # range, or its rounding bound, at least 2^-53 12 of its terms' sizes, reaches it
+        if log_term(c, d, peak) - log_term(c, d, 0) - x > (1024 + 53) * math.log(2):
+            raise NonConvergenceError(f"the terms pass the largest double: |t_{peak}| is past 2^1077 e^x")
+        bound = log_term(bc, d, m) + target + math.log(2)
 
-        def above(k):   # the bound on the terms past k >= m
-            r = sx * (c + k) / ((k + 1.0) * (d + k))
-            return r <= 0 or log_term(c, d, k) + math.log(r / (1.0 - r)) <= bound
+        def above(k):   # the bound on the terms past k >= m; r underflows to 0 at x = 5e-324
+            r = x * (bc + k) / ((k + 1.0) * (d + k))
+            return r == 0 or log_term(bc, d, k) + math.log(r / (1.0 - r)) <= bound
 
         step = 16 + int(math.sqrt(x))
         while not above(m + step):
             step *= 2
-        return m + step - _last(lambda j: above(m + step - j), 0, step)
+        return min(m + step - _last(lambda j: above(m + step - j), 0, step), n)
 
     p, lo = a + max(q, 0.0), 0
 
@@ -257,8 +258,13 @@ def _window_sum(a: np.ndarray, q: np.ndarray, x: float, b=None):
     once, so to first order each sum is off by at most 2^-53 (2 + 4 F + 10 K)
     of the sum of its terms' sizes, F the factors of R(k1): 2 for the
     truncation, 4 per factor, and 10 per term of the window, 4 for its R(k),
-    4 for its w_k and W and 2 for the sums.  Raises NonConvergenceError for
-    x >= _X_MAX (about 1.45e6).
+    4 for its w_k and W and 2 for the sums.  For one series that sum of
+    sizes is the terms below k1 taken one by one plus |the sum from k1 on|,
+    whose terms share one sign, and a sum that its bound reaches raises
+    NonConvergenceError: its terms cancel past double precision, and no
+    digit of it, nor its sign, is backed.  A sum that passes has relative
+    error below 2^-53 (2 + 4 F + 10 K) times its condition number, sizes
+    over |sum|.  Raises NonConvergenceError for x >= _X_MAX (about 1.45e6).
     """
     if x == 0 or not a.size:   # pi_0 = 1 and R(0) = 1
         return np.full(a.shape, 0.5), np.ones(a.shape, dtype=int)
@@ -332,7 +338,14 @@ def _window_sum(a: np.ndarray, q: np.ndarray, x: float, b=None):
         k0 += k.size
     sums_e = np.array(sums_e)
     top = sums_e.max(axis=0)
-    m, e = np.frexp(np.ldexp(np.array(sums_m), sums_e - top).sum(axis=0) / weight)
+    sums = np.ldexp(np.array(sums_m), sums_e - top)
+    total = sums.sum(axis=0)
+    if not closed:   # one series' rounding bound, m still the running product of the F factors of R(k1)
+        n = 2 + 4 * m.shape[1] + 10 * (hi - lo + 1)
+        # its terms' sizes: those below k1 one by one, and from k1 on, of one sign, as their sum
+        if 2.0**-53 * n * (np.abs(sums[:k1 - lo]).sum() + abs(sums[k1 - lo:].sum())) >= abs(total[0]):
+            raise NonConvergenceError(f"the terms cancel: their sizes pass 2^53 / {n} times their sum")
+    m, e = np.frexp(total / weight)
     return m, e + top
 
 
@@ -373,8 +386,9 @@ def kummer_m(a: float, b: float, z: float) -> float:
     sum the same terms.  Raises ValueError for arguments that are not
     finite real numbers and for forbidden b (zero or a negative integer),
     and NonConvergenceError, naming a, b and z, for |z| >= _X_MAX, for a
-    window past k = _K_MAX or terms past the double range (`_window`), or
-    when the value is not a finite double.
+    window past k = _K_MAX or terms past 2^53 times the double range
+    (`_window`), for terms that cancel past the sum's rounding bound
+    (`_window_sum`), or when the value is not a finite double.
     """
     if any(np.iscomplexobj(v) for v in (a, b, z)) or not all(map(math.isfinite, (a, b, z))):
         raise ValueError(f"arguments must be finite real numbers, got a={a}, b={b}, z={z}")

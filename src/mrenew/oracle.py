@@ -58,17 +58,17 @@ column by column in Python numbers, where the array bookkeeping would cost
 more than the steps.  17 is the measured crossover of real grids; complex
 ones cross lower (near 12), but the CLI sends them only from Euler's 27
 abscissas per time.  Both passes walk one block schedule (`_blocks`),
-which reads each kernel block once for every abscissa of the grid, and a
+which reads each kernel block once for every abscissa of the grid and
+sizes the blocks of a short grid as if it had _MIN_BATCH columns, and a
 pivot counts only while its column is open, so a real column gets the
-same bits, or the same error, from both.  The schedule itself depends on
-the width, as a block holds at most _SWEEP_ELEMENTS // columns states
-(2 and 17 columns part at state 520), so a bad kernel value past every
-column's cut can be read at one width and not at another.  The
-residual `solve_rows` reports is the mass its cut loses, |tau[N] g[N]|,
-which by the sum above is the normalization residual of the row cut at N
-without the rounding of a second sum: at most _TOL where the lost-mass
-test cut, and not small where the bound test cut, since the mass past N
-is not (0.999 at i = 14, j = 9, rho = 790, s = 0.01).
+same bits, or the same error, from a short grid and from its padding to
+_MIN_BATCH columns, a bad kernel value past every column's cut included.
+The residual `solve_rows` reports is the mass its cut loses,
+|tau[N] g[N]|, which by the sum above is the normalization residual of
+the row cut at N without the rounding of a second sum: at most _TOL
+where the lost-mass test cut, and not small where the bound test cut,
+since the mass past N is not (0.999 at i = 14, j = 9, rho = 790,
+s = 0.01).
 `solve_row_truncated` sums the residual over the row it returns instead,
 a check apart from the cut.  `neumann_series_sum` accumulates
 row i of sum_m Qbar(s)^m over the same truncated operator and is the
@@ -213,10 +213,12 @@ def _blocks(kernel: KernelTransform, s, n_lo: int, n_hi: int):
 
     The first block reaches past the floor n_lo, each later one is as long
     as all before it, and none holds more than _SWEEP_ELEMENTS states x
-    columns; the last reads state n_hi + 1.  A block is read only when the
+    columns, a grid of fewer than _MIN_BATCH columns counted as _MIN_BATCH,
+    so a short grid and its padding to _MIN_BATCH columns read the same
+    blocks; the last reads state n_hi + 1.  A block is read only when the
     next one is asked for, and an empty grid reads none.
     """
-    budget = max(1, _SWEEP_ELEMENTS // max(s.size, 1) - 1)    # states stepped per block, which reads one more
+    budget = max(1, _SWEEP_ELEMENTS // max(s.size, _MIN_BATCH) - 1)    # states stepped per block, which reads one more
     lo = 0
     while s.size and lo <= n_hi:
         hi = min(lo + min(budget, max(n_lo + 1, lo)), n_hi + 1)
@@ -392,8 +394,8 @@ def solve_row_truncated(i: int, s, kernel: KernelTransform, n: int) -> Transform
         raise ValueError(f"start state must satisfy 0 <= i < n, got i={i}, n={n}")
     (row,), *_ = _eliminate_short(i, np.reshape(s, 1), kernel, n, n, n)
     # the residual summed over the row, a check on it apart from the cut's own lost mass
-    sigma, tau = kernel.transforms(np.arange(n + 1)[:, None], np.reshape(s, 1))
-    residual = float(abs(np.sum((1.0 - sigma - tau)[:, 0] * row) - 1.0))
+    c = _read_block(kernel, np.arange(n + 1)[:, None], np.reshape(s, 1))[2]
+    residual = float(abs(np.sum(c[:, 0] * row) - 1.0))
     return TransformRowResult(i, s, n, row, residual, converged=False)
 
 

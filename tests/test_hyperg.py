@@ -227,8 +227,18 @@ class TestAgainstMpmath:
                 kummer_m(a, b, z)
             return
         assume(reference == 0.0 or abs(reference) > 1e-300)
+        try:
+            value = kummer_m(a, b, z)
+        except NonConvergenceError as err:
+            # refused where the rounding bound 2^-53 n S of the window's sum may reach it, n = 2 + 4 F
+            # + 10 K <= 20 + 14 hi: with the sum itself off by up to that bound, at cond >= 2^53 / (2 n)
+            assert "the terms cancel" in str(err)
+            c = a if z > 0 else b - a
+            hi = hyperg._window(abs(z), c, b - c, b)[1]
+            assert condition >= 2.0**53 / (2 * (20 + 14 * hi))
+            return
         bound = max(1e-12, 2.0 * 2.0**-52 * condition)
-        assert abs(kummer_m(a, b, z) - reference) <= bound * abs(reference)
+        assert abs(value - reference) <= bound * abs(reference)
 
     @pytest.mark.parametrize(
         "a, b, z",
@@ -289,33 +299,64 @@ class TestWindowReach:
 
     @pytest.mark.parametrize(
         "a, b, z, reason",
-        [(1e12, 1.0, -1.0, "Poisson window reaches past"), (-1e12, 1.0, 1.0, "Poisson window reaches past"),
-         (1e300, 1.0, 1.0, "the terms peak past"), (1e308, 1.0, 1e5, "the terms peak past")],
+        [(1e12, 1.0, -1.0, "the terms pass the largest double: |t_1000000| is past 2^1077 e^x"),
+         (-1e12, 1.0, 1.0, "the terms pass the largest double: |t_1000000| is past 2^1077 e^x"),
+         (1e300, 1.0, 1.0, f"the terms peak past k = {2**21}"),
+         (1e308, 1.0, 1e5, f"the terms peak past k = {2**21}")],
         ids=["polynomial-after-transformation", "polynomial", "peak-past-2^53", "peak-past-the-double-range"],
     )
     def test_far_window_refused_quickly(self, a, b, z, reason):
         # a polynomial of degree 1e12 asked numpy for a 7.28 TiB array at
         # once (MemoryError), terms that peak near k = 1e150 kept stepping a
         # j that floats could no longer move, and x a = 1e313 overflowed a
-        # numpy scalar (RuntimeWarning), then the peak (OverflowError)
+        # numpy scalar (RuntimeWarning), then the peak (OverflowError); the
+        # polynomials' terms, about (1e12)^k / k!^2, peak near k = 1e6
         start = time.perf_counter()
-        message = f"kummer_m(a={a}, b={b}, z={z}) = ?: {reason} k = {2**21}"
+        message = f"kummer_m(a={a}, b={b}, z={z}) = ?: {reason}"
         with pytest.raises(NonConvergenceError, match=re.escape(message)):
             kummer_m(a, b, z)
         assert time.perf_counter() - start < 1.0
 
     def test_cap_is_the_windows_last_term(self, monkeypatch):
         monkeypatch.setattr(hyperg, "_K_MAX", 100)
-        # phi(-100, 1; 1e-9) is a polynomial whose window ends at k = 100
-        with mp.workdps(40):
-            reference = float(mp.hyp1f1(-100, 1, 1e-9))
-        assert kummer_m(-100.0, 1.0, 1e-9) == pytest.approx(reference, rel=1e-15)
-        for a, z, reason in ((-101.0, 1e-9, "Poisson window reaches past"),
-                             # the terms peak near k = 90, and the window ends at 184
-                             (1.0, 90.0, "Poisson window reaches past"),
-                             (1.0, 200.0, "the terms peak past")):
+        # polynomials of degree 100 and 101 whose terms fall from k = 0: their
+        # windows end within a few terms, whatever the degree (101 was refused)
+        for a in (-100.0, -101.0):
+            with mp.workdps(40):
+                reference = float(mp.hyp1f1(a, 1, 1e-9))
+            assert kummer_m(a, 1.0, 1e-9) == pytest.approx(reference, rel=1e-15)
+        for a, b, z, reason in (
+                # a polynomial whose terms, about 3000^k / k!^2, peak near k = 55 and fall
+                # below 2^-53 of their peak only past k = 100
+                (-3000.0, 1.0, 1.0, "Poisson window reaches past"),
+                # the terms peak near k = 90, and the window ends at 184
+                (1.0, 2.0, 90.0, "Poisson window reaches past"),
+                (1.0, 2.0, 200.0, "the terms peak past")):
             with pytest.raises(NonConvergenceError, match=re.escape(f"{reason} k = 100")):
-                kummer_m(a, 1.0 if a < 0 else 2.0, z)
+                kummer_m(a, b, z)
+
+
+class TestRoundingBound:
+    """One series whose terms cancel past the rounding bound of their sum is refused; within it,
+    the value is answered."""
+
+    @pytest.mark.parametrize("a, b, z, was", [(-1000.5, 2.0, 1.0, -4.56e7), (-9999.7, 2.0, 10.0, -2.31e251),
+                                               (-100.5, 2.0, 50.0, -1.78e32), (-40.0, 200.0, 90.0, -1.03e-11),
+                                               (-40.5, 200.0, 90.0, 2.47e-15)])
+    def test_cancelling_series_refused(self, a, b, z, was):
+        # each returned `was`, off by more than half the value; condition numbers 1.8e27 to 5.5e270
+        reference, condition = _mp_value_and_condition(a, b, z)
+        assert condition > 2.0**53 and abs(was - reference) > 0.5 * abs(reference)
+        message = f"kummer_m(a={a}, b={b}, z={z}) = ?: the terms cancel: their sizes pass 2^53 / "
+        with pytest.raises(NonConvergenceError, match=re.escape(message)):
+            kummer_m(a, b, z)
+
+    @pytest.mark.parametrize("a, b, z", [(20.0, 0.5, -10.0), (-20.5, 3.0, 30.0)])
+    def test_ill_conditioned_series_within_the_bound_answered(self, a, b, z):
+        # condition numbers 8.6e7 (criterion 6's worst case) and 1.4e10
+        reference, condition = _mp_value_and_condition(a, b, z)
+        assert condition > 1e7
+        assert abs(kummer_m(a, b, z) - reference) <= 2.0 * 2.0**-52 * condition * abs(reference)
 
 
 class TestHugeParameters:
@@ -355,6 +396,27 @@ class TestHugeParameters:
                 kummer_m(a, 1.0, z)
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("a, b, z", [(-7.19e89, -16.47, -3.17e-78), (-1e308, 1.0, 1e-300)])
+    def test_terms_past_the_double_range_refused_for_any_sign(self, a, b, z):
+        # c = b - a = 7.19e89 and b = -16.47: terms that peak near k = 1.5e6 at about
+        # e^{3e6} were summed a step of three factors at a time, still running after 5 s;
+        # a polynomial of degree 1e308, whose term sizes are read without lgamma(1e308)
+        start = time.perf_counter()
+        with pytest.raises(NonConvergenceError,
+                           match=re.escape(f"kummer_m(a={a}, b={b}, z={z}) = ?: the terms pass the largest double")):
+            kummer_m(a, b, z)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("a, b, z, reference", [(-1040153.655, 10.71, 5.42e-22, 0.99999999999999994736),
+                                                    (-3e6, 1.0, 1e-9, 0.99700224924939135766)])
+    def test_negative_parameter_window_ends_where_the_terms_fall(self, a, b, z, reference):
+        # the first summed a window past k = -a (2.0 s), the second, a polynomial of
+        # degree past 2^21, was refused; their terms fall from k = 0, about (x |a|)^k / k!^2
+        start = time.perf_counter()
+        value = kummer_m(a, b, z)
+        assert time.perf_counter() - start < 0.1
+        assert abs(value - reference) <= 1e-15
+
     @pytest.mark.parametrize("mantissa", [math.inf, math.nan])
     def test_no_inf_or_nan_returned(self, mantissa, monkeypatch):
         # math.ldexp raises nothing for an inf or nan mantissa
@@ -374,9 +436,9 @@ class TestPolynomialWindow:
     @pytest.mark.parametrize("a, b, z", [(-30.0, 1.0, 5.0), (-200.0, 3.5, 0.01), (5.5, 0.5, -3.0),
                                          (-12.0, -3.5, 10.0), (-7.0, -7.5, 2.0)])
     def test_against_mpmath(self, a, b, z):
-        # windows that end at k = 28 and 12, before the degree; at the degree, for
-        # phi(-5, 0.5; 3) after Kummer's transformation and for -12; and a degree
-        # below the first k with b + k > 0
+        # a window that ends at k = 12, before the degree; at the degree, for -30,
+        # for phi(-5, 0.5; 3) after Kummer's transformation and for -12; and a
+        # degree below the first k with b + k > 0
         reference, condition = _mp_value_and_condition(a, b, z)
         bound = max(1e-12, 2.0 * 2.0**-52 * condition)
         assert abs(kummer_m(a, b, z) - reference) <= bound * abs(reference)

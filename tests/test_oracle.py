@@ -667,6 +667,27 @@ class TestSweepFork:
 
         assert outcome(s_values) == outcome(self.padded(s_values))
 
+    @pytest.mark.parametrize("state", [1000, 1100, 1200])
+    def test_a_nan_past_every_cut_gives_one_outcome_at_either_width(self, state):
+        # the columns are cut at N = 844 and 611; a block held 6144 // columns
+        # states, so at 2 columns the block from state 603 reached 1206 and met
+        # the NaN at 1100 or 1200, where 17 columns, in blocks of 360 states,
+        # answered; both now read blocks of 360 states, up to 1080
+        k = _PlantedKernel(600.0, 50.0, {state: (0.0, math.nan)})
+
+        def outcome(grid):
+            try:
+                entries = solve_rows(600, 600, grid, k)
+            except ValueError as err:
+                return str(err)
+            return entries.truncation_n[:2].tolist()
+
+        s_values = [1e-3, 100.0]
+        assert outcome(s_values) == outcome(self.padded(s_values))
+        assert outcome(s_values) == ([844, 611] if state > 1080 else
+                                     f"kernel values at state {state}, s=100.0 are not finite: "
+                                     "sigma_bar = 0.0, tau_bar = nan")
+
 
 class TestBoundTest:
     """solve_rows' bound test against the lost-mass test alone (solve_row_adaptive's)."""
