@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Smoke-test the installed `mrenew` entry point: every command once, each
-# exiting 0, and one argument error exiting 2.  Run it with `mrenew` on
+# exiting 0, and argument errors exiting 2.  Run it with `mrenew` on
 # PATH, from any directory, e.g.
 # PYTHONWARNINGS=error::RuntimeWarning bash .github/smoke.sh
 set -euo pipefail
@@ -51,6 +51,18 @@ for args in "--a=-7.19e89 --b=-16.47 --z=-3.17e-78" "--a=-1000.5 --b 2 --z 1"; d
 done
 # a window that ends where the terms fall, far below k = -a (it took 2 s)
 timeout 20 mrenew hyperg --a=-1040153.655 --b 10.71 --z 5.42e-22
+
+# help goes to the parser it names, and exits 0
+mrenew --help > /dev/null
+mrenew transform --help > /dev/null
+# an unknown option is refused by the command's own parser, with exit code 2
+status=0
+mrenew transform --i 0 --j 0 --s-grid 1:1:1 --lambda 1 --alpha 1 --bogus 3 || status=$?
+test "$status" -eq 2
+# a polynomial of degree 2 whose first k with b + k > 0 lies past k = 2^21 (it was refused)
+mrenew hyperg --a=-2 --b=-10000000.5 --z 1
+# top = j: every state kept is a record, and the cut comes at the first level past it
+mrenew transform --i 2 --j 250 --s-grid 0.01:1:6 --lambda 300 --alpha 1
 
 # a time whose inversion rule passes the solvers' floor Re(s) >= 1e-14 is an argument error
 status=0

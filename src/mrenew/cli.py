@@ -85,10 +85,14 @@ def _build_parser() -> argparse.ArgumentParser:
     va = sub.add_parser("validate", help="run the cross-check suites")
     va.add_argument("--quick", action="store_true", help="reduced grids and path counts")
 
+    for name, cmd in sub.choices.items():    # a command's own parser names it as the top level does
+        cmd.set_defaults(command=name)
+    parser.commands = sub.choices
     return parser
 
 
-# built once per process: building costs about ten times a parse
+# built once per process: building costs about ten times a parse; `commands`
+# maps each command's name to its own parser
 _PARSER = _build_parser()
 
 
@@ -171,9 +175,16 @@ _HANDLERS = {
 
 
 def run(argv) -> int:
-    """Parse argv and dispatch; returns the process exit code."""
+    """Parse argv and dispatch; returns the process exit code.
+
+    argv whose first word names a command goes straight to that command's
+    parser, whose Namespace is the top-level parser's: picking the command
+    cost the top-level parse as much again as the command's own.  Help, an
+    unknown command or none goes to the top-level parser.
+    """
+    command = _PARSER.commands.get(argv[0]) if argv else None
     try:
-        args = _PARSER.parse_args(argv)
+        args = command.parse_args(argv[1:]) if command else _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -70,9 +70,12 @@ def generating_function(i: int, x: float, s: float, p: QueueParams) -> float:
     j = np.arange(i + 1, dtype=float)
     t = np.arange(1, i + 1, dtype=float)
     # w_0 = B(a, i+1) = i! / (a)_{i+1};  w_{j+1} / w_j = x (a+j) / (j+1)
-    factors = np.concatenate([[1.0 / a_s], t / (a_s + t)])
-    steps = np.stack([np.full(i, x), (a_s + j[:-1]) / (j[:-1] + 1.0)], axis=1)
-    total = weighted_kummer_sum(factors, steps, a_s + j, i + 1.0 - j, p.rho * (1.0 - x))
+    row = np.empty(3 * i + 1)
+    row[0] = 1.0 / a_s
+    row[1:i + 1] = t / (a_s + t)
+    row[i + 1::2] = x
+    row[i + 2::2] = (a_s + j[:-1]) / (j[:-1] + 1.0)
+    total = weighted_kummer_sum(row, 2, a_s + j, i + 1.0 - j, p.rho * (1.0 - x))
     return p.alpha * total
 
 
@@ -116,26 +119,32 @@ def rbar_closed_form(i: int, n: int, s, p: QueueParams):
     if lo > hi:
         return np.zeros(np.shape(s))[()]
     # The weights are built from j = hi down, so rho enters as a factor of
-    # its own per step and its powers are carried in the exponent.
+    # its own per step and its powers are carried in the exponent: one row
+    # per abscissa holds the F factors of w_hi, then five ratios w_{j-1} / w_j
+    # per j, which `weighted_kummer_sum` takes a running product of.
     # w_hi = C(i, hi) * rho^(n-hi) / (n-hi)! * (q-1)! / (a+hi)_q,  q = |i - n| + 1
+    f = n + 1 + abs(i - n)
+    row = np.empty(a_s.shape[:-1] + (f + 5 * (hi - lo),))
     u = np.arange(1, hi + 1, dtype=float)
     m = np.arange(1, n - hi + 1, dtype=float)
     t = np.arange(1, abs(i - n) + 1, dtype=float)
-    same = np.concatenate([(i - hi + u) / u, rho / m])     # C(i, hi) rho^(n-hi) / (n-hi)! at every abscissa
-    factors = np.concatenate(
-        [np.broadcast_to(same, a_s.shape[:-1] + same.shape), 1.0 / (a_s + hi), t / (a_s + hi + t)], axis=-1)
+    # C(i, hi) rho^(n-hi) / (n-hi)!, the same at every abscissa, then (q-1)! / (a+hi)_q
+    row[..., :hi] = (i - hi + u) / u
+    row[..., hi:n] = rho / m
+    a_hi = a_s + hi
+    row[..., n] = 1.0 / a_hi[..., 0]
+    row[..., n + 1:f] = t / (a_hi + t)
     # w_{j-1} / w_j, with the Beta function's second argument q_j = i + n - 2j + 1
-    j = np.arange(hi, lo, -1, dtype=float)
-    steps = np.stack(np.broadcast_arrays(
-        np.full(j.size, rho),
-        j / (i - j + 1.0),
-        (i + n - 2.0 * j + 2.0) / (n - j + 1.0),
-        (i + n - 2.0 * j + 1.0) / (a_s + i + n - j + 1.0),
-        1.0 / (a_s + (j - 1.0)),
-    ), axis=-1)
     j = np.arange(hi, lo - 1, -1, dtype=float)
+    a, q = a_s + j, i + n + 1.0 - 2.0 * j
+    j, q_j = j[:-1], q[:-1]
+    row[..., f::5] = rho
+    row[..., f + 1::5] = j / (i - j + 1.0)
+    row[..., f + 2::5] = (q_j + 1.0) / (n - j + 1.0)
+    row[..., f + 3::5] = q_j / (a_s + i + n - j + 1.0)
+    row[..., f + 4::5] = 1.0 / a[..., 1:]
     with np.errstate(over="ignore"):    # every term is positive, so only overflow makes an entry not finite
-        total = weighted_kummer_sum(factors, steps, a_s + j, i + n + 1.0 - 2.0 * j, rho)
+        total = weighted_kummer_sum(row, 5, a, q, rho)
         value = (n + rho + a_s[..., 0]) * total
     if not np.isfinite(value).all():
         at = np.asarray(s)[~np.isfinite(value)].flat[0]

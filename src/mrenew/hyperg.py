@@ -186,12 +186,15 @@ def _window(x: float, a: float, q: float, b=None):
     def edge(c, d):
         n = int(-c) if c <= 0 and c == math.floor(c) else math.inf   # a polynomial's degree
         bc = max(abs(c), min(1.0, d))
-        m = _peak(x, bc, d, max(0, math.floor(-d) + 1))
+        start = max(0, math.floor(-d) + 1)   # the first k with d + k > 0, where the bound holds from
+        m = _peak(x, bc, d, start) if start <= n else n   # a degree before start ends the window there
         peak = min(m, n)   # the true term read where the bound peaks, or at the degree
         # e^{-x} |t_peak| past 2^53 times the largest double: the sum passes the double
         # range, or its rounding bound, at least 2^-53 12 of its terms' sizes, reaches it
         if log_term(c, d, peak) - log_term(c, d, 0) - x > (1024 + 53) * math.log(2):
             raise NonConvergenceError(f"the terms pass the largest double: |t_{peak}| is past 2^1077 e^x")
+        if n <= m:
+            return n
         bound = log_term(bc, d, m) + target + math.log(2)
 
         def above(k):   # the bound on the terms past k >= m; r underflows to 0 at x = 5e-324
@@ -355,20 +358,20 @@ def _exp_split(x: float):
     return math.exp(-((x - shift * _LN2_HI) - shift * _LN2_LO)), shift
 
 
-def weighted_kummer_sum(factors, steps, a, q, x: float):
-    """sum_j w_j e^{-x} phi(a_j, a_j + q_j; x) with w_0 = prod(factors), w_{j+1} = w_j prod(steps[j]).
+def weighted_kummer_sum(row, stride: int, a, q, x: float):
+    """sum_j w_j e^{-x} phi(a_j, a_j + q_j; x) with w_j the product of row[..., :F + stride j].
 
-    factors (..., F), steps (..., J-1, K) and a (..., J) share leading
-    axes, which the result keeps; q (J,) holds integers >= 1, and all the
-    series go to one `_window_sum` call.  A step whose size would overflow
-    as one float is passed as several factors.  The weights and the series
-    are multiplied as mantissas and exponents, and each sum is rounded to a
-    float once.
+    row (..., F + stride (J-1)) holds the F factors of w_0, then `stride`
+    factors of each ratio w_{j+1} / w_j; a (..., J) shares its leading
+    axes, which the result keeps.  q (J,) holds integers >= 1, and all the
+    series go to one `_window_sum` call.  A ratio whose size would
+    overflow as one float is passed as several factors.  The weights and
+    the series are multiplied as mantissas and exponents, and each sum is
+    rounded to a float once.
     """
-    *lead, rows, k = steps.shape
-    w_m, w_e = _running_product(np.concatenate([factors, steps.reshape(*lead, rows * k)], axis=-1))
-    at = factors.shape[-1] - 1 + k * np.arange(rows + 1)
-    s_m, s_e = (v.reshape(a.shape) for v in _window_sum(a.ravel(), np.broadcast_to(q, a.shape).ravel(), x))
+    w_m, w_e = _running_product(row)
+    at = slice(row.shape[-1] - 1 - stride * (a.shape[-1] - 1), None, stride)   # F - 1, F - 1 + stride, ...
+    s_m, s_e = (v.reshape(a.shape) for v in _window_sum(a.ravel(), np.tile(q, a.size // q.size), x))
     exponents = w_e[..., at] + s_e
     top = exponents.max(axis=-1)
     return np.ldexp(np.ldexp(w_m[..., at] * s_m, exponents - top[..., None]).sum(axis=-1), top)

@@ -47,7 +47,9 @@ its last level n reads the kernel at n + 1.  Each test reads a product
 the step makes anyway: tau[N] g[N], which the next state divides by its
 pivot for g[N+1], and P[N+1] = q[top] .. q[N], which it multiplies by
 g[N+1] for the next move of x[top].  Each state 0..top keeps one record
-(g, q) for the back substitution.  Kernel values must be
+(g, q) for the back substitution, which `solve_rows` runs from top down
+to j only, the one entry it reads; `solve_row_truncated` runs it down to
+state 0 for the whole row.  Kernel values must be
 finite: a block holding a NaN or an infinity is refused with ValueError,
 naming its first such state and abscissa, before any of it is swept.
 
@@ -174,15 +176,16 @@ def _check_row(i, s, n=0) -> tuple:
     return operator.index(i), operator.index(n)
 
 
-def _back_substitute(kept, x):
-    """Entries 0..top from x[top] = g[top] + x.
+def _back_substitute(kept, x, low: int):
+    """Entries low..top from x[top] = g[top] + x.
 
     kept holds (g[k], q[k]) for states 0..top, each a scalar or a row of
-    columns; x[k] = g[k] + q[k] x[k+1] below top.
+    columns; x[k] = g[k] + q[k] x[k+1] below top, read down to low only.
     """
-    entries = []
-    for g, q in reversed(kept):
-        x = g + q * x if entries else g + x
+    x = kept[-1][0] + x
+    entries = [x]
+    for g, q in reversed(kept[low:-1]):
+        x = g + q * x
         entries.append(x)
     return np.array(entries[::-1])
 
@@ -231,9 +234,9 @@ def _small_pivot(w, row: int, s) -> PivotError:
     return PivotError(f"pivot {w!r} below {_MIN_PIVOT} at row {row}, s={s}")
 
 
-def _eliminate(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int, proven: bool = True):
-    """Row i at each abscissa of the array s, cut at the first N in [n_lo, n_hi]
-    that passes the stop test, else at n_hi.
+def _eliminate(i, s, kernel: KernelTransform, top: int, low: int, n_lo: int, n_hi: int, proven: bool = True):
+    """Entries low..top of row i at each abscissa of the array s, cut at the
+    first N in [n_lo, n_hi] that passes the stop test, else at n_hi.
 
     One record (g[k], q[k]) is kept per state 0..top; the test can pass
     only past top, so top = n_hi cuts at n_hi and keeps every state.  Past
@@ -253,8 +256,8 @@ def _eliminate(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int, pr
     block is stepped, at the lowest such row and, of its columns, the first
     in grid order, naming that abscissa; a cut column steps on with the
     open ones, but its pivots count only up to its level N.  Returns per
-    abscissa: entries 0..top, N, the lost mass |tg| there and whether a
-    test passed.
+    abscissa: entries low..top, back-substituted from top down to low
+    (low <= top), N, the lost mass |tg| there and whether a test passed.
     """
     cols = s.size
     top = min(top, n_hi)
@@ -308,10 +311,10 @@ def _eliminate(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int, pr
             raise _small_pivot(pivots.flat[at].item(), lo + at // cols, s[at % cols])
         if not todo.any():
             break
-    return list(_back_substitute(kept, xs).T), levels, losses, passed
+    return list(_back_substitute(kept, xs, low).T), levels, losses, passed
 
 
-def _eliminate_short(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: int, proven: bool = True):
+def _eliminate_short(i, s, kernel: KernelTransform, top: int, low: int, n_lo: int, n_hi: int, proven: bool = True):
     """`_eliminate` for a short grid s: the same cuts, with each column stepped as Python numbers.
 
     Each block of `_blocks` is split into one list per column and sent to
@@ -321,7 +324,7 @@ def _eliminate_short(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: i
     `_eliminate`'s results as lists.
     """
     top = min(top, n_hi)
-    columns = [_short_column(i, top, n_lo, n_hi, proven) for _ in s]
+    columns = [_short_column(i, top, low, n_lo, n_hi, proven) for _ in s]
     for column in columns:
         next(column)                                # to its first yield, ready for a block
     ends = []
@@ -336,13 +339,14 @@ def _eliminate_short(i, s, kernel: KernelTransform, top: int, n_lo: int, n_hi: i
     return tuple([end[field] for end in ends] for field in range(4))
 
 
-def _short_column(i: int, top: int, n_lo: int, n_hi: int, proven: bool):
+def _short_column(i: int, top: int, low: int, n_lo: int, n_hi: int, proven: bool):
     """One column of `_eliminate_short`: `_eliminate`'s step on Python numbers.
 
     Is sent (lo, sigma, tau, c_re), the lists of one block from state lo;
-    yields None while open, then (entries 0..top, N, the lost mass, whether
-    a test passed) once cut, or (row, pivot) at its first pivot below
-    _MIN_PIVOT, and that again for every later block, stepping no further.
+    yields None while open, then (entries low..top, N, the lost mass,
+    whether a test passed) once cut, or (row, pivot) at its first pivot
+    below _MIN_PIVOT, and that again for every later block, stepping no
+    further.
     """
     first = max(n_lo, top + 1)                      # first N the tests may pass at
     tol, eps = _TOL, _EPS if proven else 0.0
@@ -381,7 +385,7 @@ def _short_column(i: int, top: int, n_lo: int, n_hi: int, proven: bool):
                         abs(move) * (r := abs(move / last)) <= _EPS * (1.0 - r) * x_top)
                 if not hit and k < n_hi:
                     continue
-            end = _back_substitute(kept, x), k, abs(tg), hit
+            end = _back_substitute(kept, x, low), k, abs(tg), hit
             break
     while True:                                     # cut: the same end for every later block
         yield end
@@ -392,7 +396,7 @@ def solve_row_truncated(i: int, s, kernel: KernelTransform, n: int) -> Transform
     i, n = _check_row(i, s, n)
     if not 0 <= i < n:
         raise ValueError(f"start state must satisfy 0 <= i < n, got i={i}, n={n}")
-    (row,), *_ = _eliminate_short(i, np.reshape(s, 1), kernel, n, n, n)
+    (row,), *_ = _eliminate_short(i, np.reshape(s, 1), kernel, n, 0, n, n, n)
     # the residual summed over the row, a check on it apart from the cut's own lost mass
     c = _read_block(kernel, np.arange(n + 1)[:, None], np.reshape(s, 1))[2]
     residual = float(abs(np.sum(c[:, 0] * row) - 1.0))
@@ -428,7 +432,7 @@ def _solve_rows(i, j, s_values, kernel, cfg, proven) -> TransformEntries:
     n_lo = max(cfg.n0, i + 2, j + 2)
     # fewer than _MIN_BATCH abscissas do not pay for the array overhead of a step
     sweep = _eliminate_short if s.size < _MIN_BATCH else _eliminate
-    rows, levels, residuals, passed = sweep(i, s, kernel, max(i + _MARGIN, j), n_lo, max(_N_MAX, n_lo), proven)
+    rows, levels, residuals, passed = sweep(i, s, kernel, max(i + _MARGIN, j), j, n_lo, max(_N_MAX, n_lo), proven)
     if not all(passed):
         k = list(passed).index(False)
         raise NonConvergenceError(
@@ -436,7 +440,7 @@ def _solve_rows(i, j, s_values, kernel, cfg, proven) -> TransformEntries:
             f"lost mass {residuals[k]:.3e} at the cut",
             residual=float(residuals[k]),
         )
-    values = np.array([row[j] for row in rows], dtype=s.dtype)
+    values = np.array([row[0] for row in rows], dtype=s.dtype)    # each row holds x[j] .. x[top]
     return TransformEntries(i, j, s, values, np.array(levels, dtype=int), np.array(residuals, dtype=float))
 
 

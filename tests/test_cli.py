@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mrenew.cli as cli
@@ -22,6 +23,15 @@ def _fresh_interpreter(script):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+
+
+def _benchmark_requests(workload):
+    """The seed-0 argv of a workload of perfbench/workloads.py, which the benchmark sends to cli.run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.requests(workload, 0)
 
 
 class TestTransformCommand:
@@ -279,6 +289,46 @@ class TestArgumentErrors:
         assert "time 1000000000000000.0 is too large" in captured.err
 
 
+class TestDispatch:
+    """run sends argv naming a command to that command's own parser, and help,
+    an unknown command or none to the top-level parser."""
+
+    @staticmethod
+    def same(a, b):
+        assert vars(a).keys() == vars(b).keys()
+        for key, value in vars(a).items():
+            assert np.array_equal(value, vars(b)[key]), key
+
+    @pytest.mark.parametrize("workload", ["inversion", "transform", "simulation"])
+    def test_benchmark_requests_parse_as_the_top_level_parser_does(self, workload, monkeypatch):
+        parser, seen = cli._build_parser(), []
+        for name in cli._HANDLERS:
+            monkeypatch.setitem(cli._HANDLERS, name, lambda args: seen.append(args) or 0)
+        for argv in _benchmark_requests(workload):
+            assert run(argv) == 0
+            self.same(seen.pop(), parser.parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [["--help"], ["transform", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        assert run(argv) == 0
+        assert capsys.readouterr().out.startswith(f"usage: {' '.join(['mrenew', *argv[:-1]])} ")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["nope"], "mrenew: error: argument command: invalid choice: 'nope'"),
+         (["transform", "--i", "0", "--j", "0", "--s-grid", "1:1:1", "--lambda", "1", "--alpha", "1", "--bogus", "3"],
+          "mrenew transform: error: unrecognized arguments: --bogus 3"),
+         (["hyperg", "--a", "1", "--z", "1"], "mrenew hyperg: error: the following arguments are required: --b")],
+        ids=["unknown-command", "unknown-option", "missing-b"],
+    )
+    def test_argument_errors_exit_two(self, argv, message, capsys):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(message)
+        # the usage line of the parser that refused it
+        assert err.startswith(f"usage: mrenew {argv[0]} " if argv[0] in cli._HANDLERS else "usage: mrenew [-h]")
+
+
 class TestNumericalFailureExit:
     def test_nonconvergence_maps_to_one(self, capsys, monkeypatch):
         def _explode(*args, **kwargs):
@@ -302,12 +352,8 @@ class TestBenchmarkContract:
     def test_benchmark_requests_parse(self, workload):
         # perfbench/workloads.py generates the argv the benchmark sends to
         # cli.run; a CLI change must not make any of them an argument error
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
         parser = cli._build_parser()
-        for argv in workloads.requests(workload, 0):
+        for argv in _benchmark_requests(workload):
             try:
                 parser.parse_args(argv)
             except SystemExit:

@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrenew import (
@@ -224,6 +224,69 @@ class TestClosedFormGrid:
     def test_complex_grid_rejected(self):
         with pytest.raises(ValueError, match="transform variable"):
             rbar_closed_form(1, 2, np.array([1.0, 2.0 + 1.0j]), UNIT)
+
+
+def _stacked_rbar(i, n, s, p):
+    """rbar_closed_form's row as it was built by broadcast, stack and concatenate, and summed."""
+    a_s = p.alpha * np.asarray(s, dtype=float)[..., None]
+    rho, hi = p.rho, min(i, n)
+    lo = 0 if rho > 0 else n
+    u = np.arange(1, hi + 1, dtype=float)
+    m = np.arange(1, n - hi + 1, dtype=float)
+    t = np.arange(1, abs(i - n) + 1, dtype=float)
+    same = np.concatenate([(i - hi + u) / u, rho / m])
+    factors = np.concatenate(
+        [np.broadcast_to(same, a_s.shape[:-1] + same.shape), 1.0 / (a_s + hi), t / (a_s + hi + t)], axis=-1)
+    j = np.arange(hi, lo, -1, dtype=float)
+    steps = np.stack(np.broadcast_arrays(
+        np.full(j.size, rho),
+        j / (i - j + 1.0),
+        (i + n - 2.0 * j + 2.0) / (n - j + 1.0),
+        (i + n - 2.0 * j + 1.0) / (a_s + i + n - j + 1.0),
+        1.0 / (a_s + (j - 1.0)),
+    ), axis=-1)
+    j = np.arange(hi, lo - 1, -1, dtype=float)
+    row = np.concatenate([factors, steps.reshape(*steps.shape[:-2], -1)], axis=-1)
+    total = hyperg.weighted_kummer_sum(row, 5, a_s + j, i + n + 1.0 - 2.0 * j, rho)
+    return (n + rho + a_s[..., 0]) * total
+
+
+def _stacked_generating_function(i, x, s, p):
+    a_s = p.alpha * s
+    j = np.arange(i + 1, dtype=float)
+    t = np.arange(1, i + 1, dtype=float)
+    factors = np.concatenate([[1.0 / a_s], t / (a_s + t)])
+    steps = np.stack([np.full(i, x), (a_s + j[:-1]) / (j[:-1] + 1.0)], axis=1)
+    row = np.concatenate([factors, steps.ravel()])
+    return p.alpha * hyperg.weighted_kummer_sum(row, 2, a_s + j, i + 1.0 - j, p.rho * (1.0 - x))
+
+
+class TestRowFilledInPlace:
+    """The row of factors and step ratios is filled by slice assignment: the bits are those
+    of the row built by broadcast, stack and concatenate."""
+
+    @given(i=st.integers(0, 30), n=st.integers(0, 30), rho=st.sampled_from([0.0, 1e-3, 0.7, 12.0, 150.0, 900.0]),
+           s=st.lists(st.floats(1e-4, 1e3), min_size=1, max_size=6), grid=st.booleans())
+    @example(i=4, n=4, rho=3.0, s=[0.5], grid=False)          # i = n
+    @example(i=0, n=7, rho=3.0, s=[0.5, 2.0], grid=True)      # min(i, n) = 0
+    @example(i=9, n=0, rho=3.0, s=[0.5], grid=False)
+    @example(i=6, n=3, rho=0.0, s=[0.5, 2.0], grid=True)      # rho = 0: only j = n is left
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_entries_bit_identical(self, i, n, rho, s, grid):
+        p = QueueParams(rho / 1.3, 1.3)
+        s = np.array(s) if grid else s[0]
+        value = rbar_closed_form(i, n, s, p)
+        if rho == 0 and n > i:
+            assert not np.any(value)
+            return
+        assert np.shape(value) == np.shape(s)
+        assert np.asarray(value).tobytes() == np.asarray(_stacked_rbar(i, n, s, p)).tobytes()
+
+    @pytest.mark.parametrize("i", [0, 1, 6, 25])
+    @pytest.mark.parametrize("x", [-0.5, 0.0, 0.3, 1.0])
+    def test_generating_function_bit_identical(self, i, x):
+        for p in (UNIT, QueueParams(40.0, 0.5), PURE_DEATH):
+            assert generating_function(i, x, 0.7, p) == _stacked_generating_function(i, x, 0.7, p)
 
 
 def _oracle(i, n, s, p):

@@ -2,11 +2,12 @@ import math
 import re
 import time
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mrenew import NonConvergenceError, hyperg, kummer_m
@@ -53,25 +54,36 @@ def _mp_scaled_series(c, b, x):
 
 
 def _mp_value_and_condition(a, b, z):
-    """phi(a, b; z) at 40 digits and the condition number of the series kummer_m sums.
+    """phi(a, b; z) and the condition number of the series kummer_m sums, as doubles.
 
     That series is phi(a, b; z) for z > 0 and e^z phi(b - a, b; -z) for
     z < 0; its condition number is sum |terms| / |sum|.  From the first k
     with c + k > 0 and b + k > 0 on (c its numerator parameter) all terms
     share one sign, so only the terms before it are summed one by one.
+    mp.hyp1f1 is taken from 40 digits up, 20 more at a time, until two
+    precisions give the same doubles: at 40 digits it is off in the 11th
+    digit at (9.002, -213.18, 47.08).  A series summed term by term is
+    taken once, at 40 digits.
     """
     c, x = (a, z) if z > 0 else (b - a, -z)
-    with mp.workdps(40):
-        if round(c) <= 0 and abs(c - round(c)) < 1e-20:
-            value = _mp_scaled_series(mp.mpf(c), mp.mpf(b), mp.mpf(x)) * mp.exp(x)
-        else:
-            value = mp.hyp1f1(c, b, x)
-        term, head, head_abs = mp.mpf(1), mp.mpf(0), mp.mpf(0)
-        for k in range(max(0, math.ceil(-c), math.ceil(-b)) + 1):
-            head, head_abs = head + term, head_abs + abs(term)
-            term *= (c + k) / (mp.mpf(b) + k) * x / (k + 1)
-        condition = (head_abs + abs(value - head)) / abs(value)
-        return float(value * mp.exp(min(z, 0))), float(condition)
+    summed = round(c) <= 0 and abs(c - round(c)) < 1e-20
+    last = None
+    for dps in range(40, 201, 20):
+        with mp.workdps(dps):
+            if summed:
+                value = _mp_scaled_series(mp.mpf(c), mp.mpf(b), mp.mpf(x)) * mp.exp(x)
+            else:
+                value = mp.hyp1f1(c, b, x)
+            term, head, head_abs = mp.mpf(1), mp.mpf(0), mp.mpf(0)
+            for k in range(max(0, math.ceil(-c), math.ceil(-b)) + 1):
+                head, head_abs = head + term, head_abs + abs(term)
+                term *= (c + k) / (mp.mpf(b) + k) * x / (k + 1)
+            condition = (head_abs + abs(value - head)) / abs(value)
+            now = float(value * mp.exp(min(z, 0))), float(condition)
+        if summed or now == last:
+            return now
+        last = now
+    raise AssertionError(f"mp.hyp1f1({c}, {b}, {x}) still moves at 200 digits")
 
 
 class TestKummerValues:
@@ -217,6 +229,8 @@ class TestAgainstMpmath:
         log_x=st.floats(min_value=-3.0, max_value=5.0),
         negative=st.booleans(),
     )
+    # b far below 0: mp.hyp1f1 at 40 digits gave 0.1670555193257 for 0.16705551933334342
+    @example(a=9.002, b=-213.18, log_x=math.log10(47.08), negative=False)
     @settings(max_examples=150, derandomize=True, deadline=None)
     def test_sweep(self, a, b, log_x, negative):
         assume(abs(b - round(b)) > 1e-6 or b > 0.5)
@@ -442,3 +456,21 @@ class TestPolynomialWindow:
         reference, condition = _mp_value_and_condition(a, b, z)
         bound = max(1e-12, 2.0 * 2.0**-52 * condition)
         assert abs(kummer_m(a, b, z) - reference) <= bound * abs(reference)
+
+    @pytest.mark.parametrize("a, b, z", [(-2.0, -1e7 - 0.5, 1.0), (-1.0, -3e6 - 0.5, 2.0),
+                                         (-3.0, -2.5e6 - 0.25, 40.0)])
+    def test_degree_before_a_start_past_the_cap(self, a, b, z):
+        # the first k with b + k > 0 lies past k = 2^21, where the tail bound
+        # starts, but the terms end at the degree: these raised "the terms
+        # peak past k = 2097152" for 1.0000002 and 1.0000006666665555
+        n = int(-a)
+        term, exact = Fraction(1), Fraction(1)
+        for k in range(n):
+            term *= (Fraction(a) + k) / (Fraction(b) + k) * Fraction(z) / (k + 1)
+            exact += term
+        assert kummer_m(a, b, z) == pytest.approx(float(exact), rel=2.0**-51, abs=0.0)
+
+    def test_degree_past_the_cap_still_refused(self):
+        message = f"kummer_m(a=-3000000.0, b=-10000000.5, z=1.0) = ?: Poisson window reaches past k = {2**21}"
+        with pytest.raises(NonConvergenceError, match=re.escape(message)):
+            kummer_m(-3e6, -1e7 - 0.5, 1.0)

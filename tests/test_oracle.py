@@ -234,6 +234,27 @@ class TestSolveRows:
             assert entries.values[col] == row.values[3]
             assert entries.truncation_n[col] == row.truncation_n
 
+    @pytest.mark.parametrize("i, j", [(12, 0), (12, 5), (20, 3), (30, 0), (30, 29), (1, 11), (0, 10), (5, 30),
+                                      (1, 40)])
+    def test_entry_back_substituted_down_to_j_only(self, i, j):
+        # both sweeps back-substitute from top only down to j; the entry has
+        # the bits of the whole row 0..top at the same cut.  For j < i the cut
+        # and top = i + 10 are solve_row_adaptive's, whose row is summed from
+        # its N down instead, so x[top] and the entries below it may differ
+        # in their last bits (at (30, 0), 2 of 20 by up to 3.5 units)
+        p, s_values = self.SPREAD
+        k = kernel(p)
+        top, n_lo = max(i + oracle._MARGIN, j), max(TruncationConfig().n0, i + 2, j + 2)
+        n_hi = max(oracle._N_MAX, n_lo)
+        for grid in (s_values, s_values[:oracle._MIN_BATCH - 1]):
+            entries = solve_rows(i, j, grid, k)
+            sweep = oracle._eliminate_short if grid.size < oracle._MIN_BATCH else oracle._eliminate
+            rows, levels, _, _ = sweep(i, grid, k, top, 0, n_lo, n_hi)
+            assert entries.truncation_n.tolist() == list(levels)
+            assert entries.values.tobytes() == np.array([row[j] for row in rows]).tobytes()
+            for col, s in enumerate(grid.tolist() if j < i else []):
+                assert entries.values[col] == pytest.approx(solve_row_adaptive(i, s, k).values[j], rel=2.0**-50)
+
     @pytest.mark.parametrize("p", [PURE_DEATH, QueueParams(0.1, 1.0)], ids=["no_move", "move"])
     def test_first_level_past_top_judged_without_a_last_move(self, p, monkeypatch):
         # at the floor n0 = 2 the first level judged is top + 1 = 11, where the
@@ -453,7 +474,7 @@ class TestLevelSolve:
         s_values = np.geomspace(0.01, 100.0, count) + shift
         # every state kept, as solve_row_truncated runs it; a short grid steps Python scalars
         sweep = oracle._eliminate_short if count < oracle._MIN_BATCH else oracle._eliminate
-        rows, levels, residuals, _ = sweep(i, s_values, self.K, n, n, n)
+        rows, levels, residuals, _ = sweep(i, s_values, self.K, n, 0, n, n)
         assert list(levels) == [n] * count
         for col, s in enumerate(s_values):
             x, residual = self.dense(i, s, self.K, n)
@@ -699,7 +720,7 @@ class TestBoundTest:
         """Entries 0..top, and N, of one column as solve_rows cuts it, or by the lost-mass test alone."""
         top, n_lo = max(i + oracle._MARGIN, j), max(TruncationConfig().n0, i + 2, j + 2)
         n_hi = max(oracle._N_MAX, n_lo)
-        rows, levels, _, passed = oracle._eliminate_short(i, np.array([s]), k, top, n_lo, n_hi, proven)
+        rows, levels, _, passed = oracle._eliminate_short(i, np.array([s]), k, top, 0, n_lo, n_hi, proven)
         assert all(passed)
         return rows[0], int(levels[0])
 
