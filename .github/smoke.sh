@@ -51,6 +51,11 @@ for args in "--a=-7.19e89 --b=-16.47 --z=-3.17e-78" "--a=-1000.5 --b 2 --z 1"; d
 done
 # a window that ends where the terms fall, far below k = -a (it took 2 s)
 timeout 20 mrenew hyperg --a=-1040153.655 --b 10.71 --z 5.42e-22
+# a million terms below k1, or a start product of a million factors: linear time (they took 0.5 to 7 s)
+timeout 5 mrenew hyperg --a 2.5e204 --b=-1534304.48 --z=-1.59e-264
+timeout 5 mrenew hyperg --a=-9.4e215 --b=-2085543.53 --z 9.69e-223
+timeout 5 mrenew hyperg --a 4.05e51 --b=-916494.7 --z 1.16e-98
+timeout 5 mrenew hyperg --a 0.5 --b 3.5 --z=-1e6
 
 # help goes to the parser it names, and exits 0
 mrenew --help > /dev/null

@@ -47,7 +47,12 @@ def _grid(text: str) -> np.ndarray:
     return np.linspace(a, b, n)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The top-level parser, and the map of each command's name to its own parser.
+
+    Each command's parser names it and its handler as defaults, so that it
+    gives the Namespace the top-level parser gives.
+    """
     parser = argparse.ArgumentParser(
         prog="mrenew",
         description="Renewal-matrix transforms for the M|M|infinity queue: "
@@ -55,8 +60,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def entry_command(name, about, grid):   # one entry (i, j) of one queue, over a grid
+    def command(name, about, handler):
         cmd = sub.add_parser(name, help=about)
+        cmd.set_defaults(command=name, handler=handler)
+        return cmd
+
+    def entry_command(name, about, handler, grid):   # one entry (i, j) of one queue, over a grid
+        cmd = command(name, about, handler)
         cmd.add_argument("--i", type=int, required=True)
         cmd.add_argument("--j", type=int, required=True)
         cmd.add_argument(grid, type=_grid, required=True, metavar="A:B:N")
@@ -64,36 +74,27 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--alpha", type=float, required=True)
         return cmd
 
-    tr = entry_command("transform", "rbar_ij(s) over an s grid (CSV)", "--s-grid")
+    tr = entry_command("transform", "rbar_ij(s) over an s grid (CSV)", _cmd_transform, "--s-grid")
     tr.add_argument("--solver", choices=("oracle", "closedform", "both"), default="both")
 
-    rn = entry_command("renewal", "R_ij(t) by Laplace inversion (CSV)", "--t-grid")
+    rn = entry_command("renewal", "R_ij(t) by Laplace inversion (CSV)", _cmd_renewal, "--t-grid")
     rn.add_argument("--method", choices=("gs", "euler"), required=True)
     rn.add_argument("--order", type=int, default=InversionConfig.order,
                     help="Gaver-Stehfest order (even, 4..18)")
 
-    sm = entry_command("simulate", "Monte Carlo estimate of R_ij(t) (CSV)", "--t-grid")
+    sm = entry_command("simulate", "Monte Carlo estimate of R_ij(t) (CSV)", _cmd_simulate, "--t-grid")
     sm.add_argument("--paths", type=int, required=True)
     sm.add_argument("--seed", type=int, required=True)
     sm.add_argument("--workers", type=int, default=1)
 
-    hg = sub.add_parser("hyperg", help="confluent hypergeometric value")
+    hg = command("hyperg", "confluent hypergeometric value", _cmd_hyperg)
     hg.add_argument("--a", type=float, required=True)
     hg.add_argument("--b", type=float, required=True)
     hg.add_argument("--z", type=float, required=True)
 
-    va = sub.add_parser("validate", help="run the cross-check suites")
+    va = command("validate", "run the cross-check suites", _cmd_validate)
     va.add_argument("--quick", action="store_true", help="reduced grids and path counts")
-
-    for name, cmd in sub.choices.items():    # a command's own parser names it as the top level does
-        cmd.set_defaults(command=name)
-    parser.commands = sub.choices
-    return parser
-
-
-# built once per process: building costs about ten times a parse; `commands`
-# maps each command's name to its own parser
-_PARSER = _build_parser()
+    return parser, sub.choices
 
 
 def _cmd_transform(args) -> int:
@@ -165,13 +166,8 @@ def _cmd_validate(args) -> int:
     return 0 if all_ok else 1
 
 
-_HANDLERS = {
-    "transform": _cmd_transform,
-    "renewal": _cmd_renewal,
-    "simulate": _cmd_simulate,
-    "hyperg": _cmd_hyperg,
-    "validate": _cmd_validate,
-}
+# built once per process: building costs about ten times a parse
+_PARSER, _COMMANDS = _build_parser()
 
 
 def run(argv) -> int:
@@ -182,13 +178,13 @@ def run(argv) -> int:
     cost the top-level parse as much again as the command's own.  Help, an
     unknown command or none goes to the top-level parser.
     """
-    command = _PARSER.commands.get(argv[0]) if argv else None
+    command = _COMMANDS.get(argv[0]) if argv else None
     try:
         args = command.parse_args(argv[1:]) if command else _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (NonConvergenceError, PivotError, EventCapError) as exc:
         print(f"mrenew: numerical failure: {exc}", file=sys.stderr)
         return 1

@@ -81,18 +81,23 @@ def _running_product(factors: np.ndarray):
 
     The k-th product is mantissas[..., k] * 2**exponents[..., k], with the
     mantissas in [0.5, 1) in size; the roundings are those of the plain
-    running product, and no product overflows or underflows.
+    running product, and no product overflows or underflows.  Each block of
+    _PRODUCT_BLOCK factors starts from the last block's mantissa, and its
+    exponents take on one carry per row, the sum of the earlier blocks'
+    last shifts, so the cost is linear in the factors.
     """
     mantissas, exponents = np.frexp(factors)
     exponents = np.cumsum(exponents, axis=-1)
     for lo in range(0, mantissas.shape[-1], _PRODUCT_BLOCK):
         block = mantissas[..., lo:lo + _PRODUCT_BLOCK]
-        if lo:   # carry the last block's product: its mantissa, and its shift to the exponents from here on
+        if lo:   # carry the last block's product
             block[..., 0] *= mantissas[..., lo - 1]
-            exponents[..., lo:] += shift[..., -1:]
         np.cumprod(block, axis=-1, out=block)
         shift = np.frexp(block, out=(block, None))[1]
+        if lo:   # and the earlier blocks' shifts, summed in the last block's last one
+            shift += carry
         exponents[..., lo:lo + _PRODUCT_BLOCK] += shift
+        carry = shift[..., -1:]
     return mantissas, exponents
 
 
@@ -243,8 +248,11 @@ def _window_sum(a: np.ndarray, q: np.ndarray, x: float, b=None):
     The series start at k1, the larger of lo and the first k >= 1 with
     a + k > 0 and b + k > 0 (or hi + 1), from R(k1) = (a)_k1 / (b)_k1: a
     product of k1 factors, or for integer q of min(k1, q) as
-    (a)_q / (a+k1)_q, whose first, a times 1/b, keeps a tiny a exact.  A
-    window from 0 also takes its terms below k1 from that product.  From k1
+    (a)_q / (a+k1)_q, whose first, a times 1/b, keeps a tiny a exact.  The
+    terms below k1, none unless lo = 0 (lo > 0 makes k1 = lo), are taken
+    from that product as one block of k1 - lo rows, one per k, to which
+    each step from k1 on adds its sums as one more row, so the cost is
+    linear in the window and in the F factors of R(k1).  From k1
     on R(k) is the plain running product of (a+k)/(b+k), with b + k formed
     as (a + k) + q for the closed form, over a step of at most
     _SERIES_ELEMENTS terms x series, relative to its start, and each step
@@ -314,12 +322,10 @@ def _window_sum(a: np.ndarray, q: np.ndarray, x: float, b=None):
     m, e = _running_product(np.concatenate([a[:, None], first[:, None], factors], axis=1))
     if not closed:
         m[:, 2:] *= 1.0 + drift
-    carry_m, carry_e = m[:, -1], e[:, -1]
-    sums_m, sums_e = [], []
-    if lo == 0:   # the terms below k1, with R(0) = 1 and R(k) the k-th product
-        m[:, 0], e[:, 0] = 1.0, 0
-        sums_m.extend((w_m[:k1] * m[:, :k1]).T)
-        sums_e.extend((w_e[:k1] + e[:, :k1]).T)
+    carry_m, carry_e = m[:, -1:].T, e[:, -1:].T   # R(k1) as a row
+    # the terms below k1, none unless lo = 0, as one block of rows: R(0) = 1 and R(k) the k-th product
+    m[:, 0], e[:, 0] = 1.0, 0
+    sums_m, sums_e = [(w_m[:k1 - lo] * m[:, :k1 - lo]).T], [(w_e[:k1 - lo] + e[:, :k1 - lo]).T]
     width = max(64, _SERIES_ELEMENTS // max(a.size, 1))
     k0 = k1
     while k0 <= hi:
@@ -339,9 +345,9 @@ def _window_sum(a: np.ndarray, q: np.ndarray, x: float, b=None):
         carry_m, shift = np.frexp(carry_m * ratio[:, -1])
         carry_e = carry_e + shift
         k0 += k.size
-    sums_e = np.array(sums_e)
+    sums_e = np.concatenate(sums_e)
     top = sums_e.max(axis=0)
-    sums = np.ldexp(np.array(sums_m), sums_e - top)
+    sums = np.ldexp(np.concatenate(sums_m), sums_e - top)
     total = sums.sum(axis=0)
     if not closed:   # one series' rounding bound, m still the running product of the F factors of R(k1)
         n = 2 + 4 * m.shape[1] + 10 * (hi - lo + 1)

@@ -396,7 +396,7 @@ def solve_row_truncated(i: int, s, kernel: KernelTransform, n: int) -> Transform
     i, n = _check_row(i, s, n)
     if not 0 <= i < n:
         raise ValueError(f"start state must satisfy 0 <= i < n, got i={i}, n={n}")
-    (row,), *_ = _eliminate_short(i, np.reshape(s, 1), kernel, n, 0, n, n, n)
+    (row,), *_ = _eliminate_short(i, np.reshape(s, 1), kernel, top=n, low=0, n_lo=n, n_hi=n, proven=True)
     # the residual summed over the row, a check on it apart from the cut's own lost mass
     c = _read_block(kernel, np.arange(n + 1)[:, None], np.reshape(s, 1))[2]
     residual = float(abs(np.sum(c[:, 0] * row) - 1.0))

@@ -301,9 +301,13 @@ class TestDispatch:
 
     @pytest.mark.parametrize("workload", ["inversion", "transform", "simulation"])
     def test_benchmark_requests_parse_as_the_top_level_parser_does(self, workload, monkeypatch):
-        parser, seen = cli._build_parser(), []
-        for name in cli._HANDLERS:
-            monkeypatch.setitem(cli._HANDLERS, name, lambda args: seen.append(args) or 0)
+        # every command's handler records its Namespace: parsers built with them stand in for cli's
+        seen = []
+        for name in cli._COMMANDS:
+            monkeypatch.setattr(cli, f"_cmd_{name}", lambda args: seen.append(args) or 0)
+        parser, commands = cli._build_parser()
+        monkeypatch.setattr(cli, "_PARSER", parser)
+        monkeypatch.setattr(cli, "_COMMANDS", commands)
         for argv in _benchmark_requests(workload):
             assert run(argv) == 0
             self.same(seen.pop(), parser.parse_args(argv))
@@ -326,7 +330,7 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert err.splitlines()[-1].startswith(message)
         # the usage line of the parser that refused it
-        assert err.startswith(f"usage: mrenew {argv[0]} " if argv[0] in cli._HANDLERS else "usage: mrenew [-h]")
+        assert err.startswith(f"usage: mrenew {argv[0]} " if argv[0] in cli._COMMANDS else "usage: mrenew [-h]")
 
 
 class TestNumericalFailureExit:
@@ -352,7 +356,7 @@ class TestBenchmarkContract:
     def test_benchmark_requests_parse(self, workload):
         # perfbench/workloads.py generates the argv the benchmark sends to
         # cli.run; a CLI change must not make any of them an argument error
-        parser = cli._build_parser()
+        parser, _ = cli._build_parser()
         for argv in _benchmark_requests(workload):
             try:
                 parser.parse_args(argv)

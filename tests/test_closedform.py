@@ -511,6 +511,33 @@ class TestCrossCheck:
         assert math.isnan(worst) and not worst <= 1e-6
         assert (where["i"], where["n"]) == (1, 0)
 
+    def test_nan_fails_two_oracle_agreement(self, monkeypatch):
+        # the first case's NaN stays the worst through every later, finite one
+        real = crosscheck.neumann_series_sum
+        monkeypatch.setattr(
+            crosscheck, "neumann_series_sum",
+            lambda i, s, kernel, n: real(i, s, kernel, n) * (math.nan if (i, s) == (0, 1.0) else 1.0),
+        )
+        worst, where = crosscheck.two_oracle_agreement((0, 1), (1.0, 10.0), ((1.0, 1.0),))
+        assert math.isnan(worst) and not worst <= 1e-8
+        assert where == {"i": 0, "s": 1.0, "lam": 1.0, "alpha": 1.0}
+
+    def test_nan_fails_inversion_vs_simulation(self, monkeypatch):
+        # a NaN at each target's first time: the last of them is kept
+        real = crosscheck.renewal_function
+        nan_first = np.array([math.nan, 1.0])
+        monkeypatch.setattr(crosscheck, "renewal_function", lambda *args: real(*args) * nan_first)
+        worst, where = crosscheck.inversion_vs_simulation(0, (0, 1), (0.5, 1.0), 1.0, 1.0, n_paths=200, seed=1)
+        assert math.isnan(worst) and not worst <= 3.0
+        assert where == {"j": 1, "t": 0.5}
+
+    def test_worst_keeps_the_first_largest_and_the_last_nan(self):
+        assert crosscheck._worst([]) == (0.0, None)
+        assert crosscheck._worst([(0.0, "a"), (-1.0, "b")]) == (0.0, None)
+        assert crosscheck._worst([(1.0, "a"), (2.0, "b"), (2.0, "c"), (1.5, "d")]) == (2.0, "b")
+        worst, where = crosscheck._worst([(1.0, "a"), (math.nan, "b"), (5.0, "c"), (math.nan, "d"), (6.0, "e")])
+        assert math.isnan(worst) and where == "d"
+
 
 def _taylor_coefficients(fn, n_max, radius=0.5, degree=32):
     """Taylor coefficients at 0 via Chebyshev interpolation of fn on

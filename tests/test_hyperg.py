@@ -39,18 +39,48 @@ def _float_series(a, b, z, terms=400):
 
 
 def _mp_scaled_series(c, b, x):
-    """e^{-x} phi(c, b; x) at the working precision, summed term by term.
+    """e^{-x} phi(c, b; x) at the working precision, summed term by term over a window.
 
     mp.hyp1f1 drops the part of phi proportional to a c within about 1e-20
     of zero or of a negative integer: phi(1.36e-61, -3.5; 100) is
-    1 + 9.5e-12, where mp.hyp1f1 gives 1 at 40 digits.  The terms past
-    k = x + 30 sqrt(x) + 100 are far below the precision.
+    1 + 9.5e-12, where mp.hyp1f1 gives 1 at 40 digits.  As a double, such
+    a c is a non-positive integer, whose terms are 0 past k = -c, or lies
+    within 1e-20 of 0.
+
+    The terms t_k are summed for k below k0, the first k with c + k > 0
+    and b + k > 0, and over lo..hi around the Poisson mode x, lo = max(k0,
+    x - 30 sqrt(x) - 100) and hi = x + 30 sqrt(x) + 100; t_lo is t_k0 times
+    a gamma ratio.  From k0 on the terms share one sign, and t_{k+1} / t_k
+    = x (c+k) / ((k+1)(b+k)) is at least 1 just where the concave
+    f(k) = x (c+k) - (k+1)(b+k) is at least 0: with lo - 1 not past f's
+    upper root (checked), no term between k0 and lo is larger than both
+    t_k0 and t_lo, so the lo - k0 terms left out below lo are at most
+    (lo - k0) max(|t_k0|, |t_lo|), checked to be below 1e-50 of the
+    window's sum.  Past hi, 30 sqrt(x) + 100 past the mode, the ratio is
+    below 1 and the Poisson weights have fallen from the mode by about
+    e^-420 or more, against a gain of (c)_k / (b)_k of at most (hi / x)^30
+    (c - b <= 30 for every series summed here), so the terms past hi are
+    far below the 40 digits too.
     """
+    k0 = max(0, math.floor(-c) + 1, math.floor(-b) + 1)
+    lo, hi = max(k0, int(x - 30.0 * math.sqrt(x)) - 100), int(x + 30.0 * math.sqrt(x)) + 100
     term, total = mp.exp(-x), mp.mpf(0)
-    for k in range(int(x + 30.0 * math.sqrt(x)) + 100):
+    for k in range(k0):
         total += term
         term *= x * (c + k) / ((b + k) * (k + 1))
-    return total
+    if term == 0:   # a polynomial: every later term is 0 too
+        return total
+    first = term
+    term *= x ** (lo - k0) * mp.gammaprod([c + lo, k0 + 1, b + k0], [c + k0, lo + 1, b + lo])
+    left_out = (lo - k0) * max(abs(first), abs(term))
+    # lo - 1 where f >= 0 or below f's vertex, so not past its upper root
+    assert lo == k0 or x * (c + lo - 1) >= lo * (b + lo - 1) or lo - 1 <= (x - b - 1) / 2
+    window = mp.mpf(0)
+    for k in range(lo, hi):
+        window += term
+        term *= x * (c + k) / ((b + k) * (k + 1))
+    assert left_out <= mp.mpf(10) ** -50 * abs(window)
+    return total + window
 
 
 def _mp_value_and_condition(a, b, z):
@@ -394,9 +424,10 @@ class TestHugeParameters:
 
     @pytest.mark.parametrize("a, b, z", [(1e160, 1e160, 1.0), (1e-300, 1e308, 1e6)])
     def test_parameters_whose_squares_overflow(self, a, b, z):
-        # e and about 1: the peak's quadratic is solved scaled, and lgamma(1e308) is not formed
-        with mp.workdps(40):
-            reference = float(mp.hyp1f1(a, b, z))
+        # e and about 1: the peak's quadratic is solved scaled, and lgamma(1e308) is not formed.
+        # The series summed is exact to double at both: the sum of 1 / k!, and 1 plus a k = 1
+        # term a z / b = 1e-602 and smaller ones (mp.hyp1f1 took seconds there)
+        reference = float(_mp_series(a, b, z))
         assert kummer_m(a, b, z) == pytest.approx(reference, rel=1e-12)
 
     @pytest.mark.parametrize("a, z", [(1e200, 1e-190), (1e308, 1e-300)])
@@ -437,6 +468,58 @@ class TestHugeParameters:
         monkeypatch.setattr(hyperg, "_window_sum", lambda *args: (np.array([mantissa]), np.array([0])))
         with pytest.raises(NonConvergenceError, match=re.escape("kummer_m(a=1.0, b=2.0, z=-1.0) = ")):
             kummer_m(1.0, 2.0, -1.0)
+
+
+def _running_product_by_tails(factors):
+    """`hyperg._running_product` as it was first written: each block's last shift added to every
+    later exponent, the whole tail, so that n factors took n^2 / 1024 additions."""
+    mantissas, exponents = np.frexp(factors)
+    exponents = np.cumsum(exponents, axis=-1)
+    for lo in range(0, mantissas.shape[-1], hyperg._PRODUCT_BLOCK):
+        block = mantissas[..., lo:lo + hyperg._PRODUCT_BLOCK]
+        if lo:
+            block[..., 0] *= mantissas[..., lo - 1]
+            exponents[..., lo:] += shift[..., -1:]
+        np.cumprod(block, axis=-1, out=block)
+        shift = np.frexp(block, out=(block, None))[1]
+        exponents[..., lo:lo + hyperg._PRODUCT_BLOCK] += shift
+    return mantissas, exponents
+
+
+class TestLinearCost:
+    """A window sum costs time linear in its window and in the factors of its start product:
+    the running product carries one shift per row from block to block, and the terms below
+    k1 are one array."""
+
+    @pytest.mark.parametrize("shape", [(2**20 + 3,), (3, 5 * 512 + 7)])
+    def test_running_product_bits_are_the_tail_loops(self, shape):
+        # factors of every binade, so that the exponents run both up and down
+        rng = np.random.default_rng(20)
+        factors = np.ldexp(rng.uniform(0.5, 1.0, shape), rng.integers(-1021, 1025, shape))
+        start = time.perf_counter()
+        m, e = hyperg._running_product(factors)
+        assert time.perf_counter() - start < 0.25
+        m_ref, e_ref = _running_product_by_tails(factors)
+        assert e.dtype == e_ref.dtype
+        assert m.tobytes() == m_ref.tobytes() and e.tobytes() == e_ref.tobytes()
+
+    @pytest.mark.parametrize("a, b, z", [(2.5e204, -1534304.48, -1.59e-264), (-9.4e215, -2085543.53, 9.69e-223),
+                                         (4.05e51, -916494.7, 1.16e-98)])
+    def test_start_products_of_a_million_factors(self, a, b, z):
+        # k1 past hi: 1.5e6, 2.1e6 and 9.2e5 terms below k1, and no step.  They took 1.3 to 7 s, in
+        # the tail loops and one array per term.  Each value is 1 + a z / b to double
+        start = time.perf_counter()
+        value = kummer_m(a, b, z)
+        assert time.perf_counter() - start < 1.5
+        assert value == pytest.approx(float(_mp_series(a, b, z)), rel=1e-15)
+
+    def test_start_product_of_a_non_integer_q(self):
+        # b - c = 0.5 at x = 1e6: R(k1) is a product of about 1e6 factors, which took 0.5 s
+        start = time.perf_counter()
+        value = kummer_m(0.5, 3.5, -1e6)
+        assert time.perf_counter() - start < 0.3
+        with mp.workdps(40):
+            assert value == pytest.approx(float(mp.hyp1f1(0.5, 3.5, -1e6)), rel=1e-12)
 
 
 class TestPolynomialWindow:
