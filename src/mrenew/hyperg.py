@@ -82,22 +82,23 @@ def _running_product(factors: np.ndarray):
     The k-th product is mantissas[..., k] * 2**exponents[..., k], with the
     mantissas in [0.5, 1) in size; the roundings are those of the plain
     running product, and no product overflows or underflows.  Each block of
-    _PRODUCT_BLOCK factors starts from the last block's mantissa, and its
-    exponents take on one carry per row, the sum of the earlier blocks'
-    last shifts, so the cost is linear in the factors.
+    _PRODUCT_BLOCK factors starts from the carried state: the last block's
+    mantissa, and one exponent carry per row, the sum of the earlier blocks'
+    last shifts.  That state starts as the identity, a mantissa of 1 and a
+    carry of 0, so the first block takes the same steps as every later one,
+    and the cost is linear in the factors.  No factors give no products.
     """
     mantissas, exponents = np.frexp(factors)
     exponents = np.cumsum(exponents, axis=-1)
+    last, carry = 1.0, 0
     for lo in range(0, mantissas.shape[-1], _PRODUCT_BLOCK):
         block = mantissas[..., lo:lo + _PRODUCT_BLOCK]
-        if lo:   # carry the last block's product
-            block[..., 0] *= mantissas[..., lo - 1]
+        block[..., 0] *= last
         np.cumprod(block, axis=-1, out=block)
         shift = np.frexp(block, out=(block, None))[1]
-        if lo:   # and the earlier blocks' shifts, summed in the last block's last one
-            shift += carry
+        shift += carry
         exponents[..., lo:lo + _PRODUCT_BLOCK] += shift
-        carry = shift[..., -1:]
+        last, carry = block[..., -1], shift[..., -1:]
     return mantissas, exponents
 
 
@@ -240,10 +241,11 @@ def _window_sum(a: np.ndarray, q: np.ndarray, x: float, b=None):
     holds the exact second parameters a + q of one series of any real a and
     b (not 0 or a negative integer).  Sums pi_k R(k) over the K terms of
     `_window`, so each sum is short by at most _WINDOW_TOL of the sum of its
-    terms' sizes.  The Poisson weights are running products of x/k from the
-    mode up and of k/x down, w_k = pi_k / pi_mode, and their sum W over the
-    window stands for 1 / pi_mode; a window from k = 0 instead runs them up
-    from pi_0 = e^{-x}, which `_exp_split` gives exactly.
+    terms' sizes.  The Poisson weights (`_poisson_weights`) of a window from
+    lo > 0 are two running products from the mode, of x/k up and of k/x
+    down, w_k = pi_k / pi_mode, and their sum W over the window stands for
+    1 / pi_mode; a window from k = 0 instead runs them up from
+    pi_0 = e^{-x}, which `_exp_split` gives exactly.
 
     The series start at k1, the larger of lo and the first k >= 1 with
     a + k > 0 and b + k > 0 (or hi + 1), from R(k1) = (a)_k1 / (b)_k1: a
@@ -284,19 +286,7 @@ def _window_sum(a: np.ndarray, q: np.ndarray, x: float, b=None):
     closed = b is None
     spread, least = (float(q.max()), 0.0) if closed else (abs(q[0]), min(0.0, a[0], b[0]))
     lo, hi, mode = _window(x, float(a.min()), spread) if closed else _window(x, a.item(), q.item(), b.item())
-    if lo == 0:
-        first, shift = _exp_split(x)
-        w_m, w_e = _running_product(np.concatenate([[first], x / np.arange(1.0, hi + 1.0)]))
-        w_e -= shift
-        weight = 1.0
-    else:
-        ratios = np.ones((2, max(mode - lo, hi - mode)))
-        ratios[0, :mode - lo] = np.arange(mode, lo, -1.0) / x
-        ratios[1, :hi - mode] = x / np.arange(mode + 1.0, hi + 1.0)
-        m, e = _running_product(ratios)
-        w_m = np.concatenate([np.flip(m[0, :mode - lo]), [1.0], m[1, :hi - mode]])
-        w_e = np.concatenate([np.flip(e[0, :mode - lo]), [0], e[1, :hi - mode]])
-        weight = np.ldexp(w_m, w_e).sum()    # every w_k <= 1, and w_mode = 1
+    w_m, w_e, weight = _poisson_weights(x, lo, hi, mode)
     k1 = max(lo, min(math.floor(-least), hi) + 1)
 
     def quotients(k):   # (a+k) / (b+k) for every series and k, and the drift of their running product
@@ -356,6 +346,26 @@ def _window_sum(a: np.ndarray, q: np.ndarray, x: float, b=None):
             raise NonConvergenceError(f"the terms cancel: their sizes pass 2^53 / {n} times their sum")
     m, e = np.frexp(total / weight)
     return m, e + top
+
+
+def _poisson_weights(x: float, lo: int, hi: int, mode: int):
+    """(mantissas, exponents, W): the Poisson(x) weights w_lo .. w_hi of `_window_sum` and their scale W.
+
+    A window from lo = 0 runs them up from pi_0 = e^{-x}, which `_exp_split`
+    gives exactly, as one running product with the x / k, so w_k = pi_k and
+    W = 1.  A window from lo > 0 takes w_k = pi_k / pi_mode as two running
+    products from w_mode = 1, of x / k up to hi and of k / x down to lo, the
+    lower one flipped, and W their sum over the window, which stands for
+    1 / pi_mode; a window whose first term is its mode has no lower product.
+    """
+    if lo == 0:
+        first, shift = _exp_split(x)
+        w_m, w_e = _running_product(np.concatenate([[first], x / np.arange(1.0, hi + 1.0)]))
+        return w_m, w_e - shift, 1.0
+    down = _running_product(np.arange(mode, lo, -1.0) / x)
+    up = _running_product(x / np.arange(mode + 1.0, hi + 1.0))
+    w_m, w_e = (np.concatenate([np.flip(d), [one], u]) for d, one, u in zip(down, (1.0, 0), up))
+    return w_m, w_e, np.ldexp(w_m, w_e).sum()    # every w_k <= 1, and w_mode = 1
 
 
 def _exp_split(x: float):

@@ -31,6 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import NonConvergenceError
 from .model import KernelTransform
 from .oracle import _S_MIN, solve_rows
 
@@ -107,14 +108,24 @@ def _rule(method: str, t: float, order: int = InversionConfig.order):
 
 
 def _combine(scale: float, weights, samples) -> float:
-    return scale * math.fsum(w * complex(f).real for w, f in zip(weights, samples))
+    """scale * sum_k w_k Re F(s_k); NonConvergenceError where that is not a finite number."""
+    terms = [w * complex(f).real for w, f in zip(weights, samples)]
+    try:
+        value = scale * math.fsum(terms)
+    except (ValueError, OverflowError):     # fsum's -inf + inf, or its partial sums past the largest double
+        value = math.nan
+    if not math.isfinite(value):
+        raise NonConvergenceError(f"the inversion's weighted sum of samples is {value}, not a finite number")
+    return value
 
 
 def gaver_stehfest(transform, t: float, order: int = InversionConfig.order) -> float:
     """Invert an ordinary Laplace transform at time t > 0.
 
     `transform` is called at the real abscissas k ln2 / t, k = 1..order.
-    Deterministic: same inputs, same float result.
+    Deterministic: same inputs, same float result.  Raises
+    NonConvergenceError where the result is not a finite number: a sample
+    is NaN or infinite, or the weighted sum passes the largest double.
     """
     abscissas, scale, weights = _rule("gaver-stehfest", t, order)
     return _combine(scale, weights, map(transform, abscissas))
@@ -125,7 +136,9 @@ def euler_inversion(transform, t: float) -> float:
 
     `transform` must accept complex s with positive real part; only the
     real part of its value is used.  The binomial-averaging and base
-    partial-sum lengths are EULER_DEFAULT_M and EULER_DEFAULT_N.
+    partial-sum lengths are EULER_DEFAULT_M and EULER_DEFAULT_N.  Raises
+    NonConvergenceError where the result is not a finite number, as
+    `gaver_stehfest` does.
     """
     abscissas, scale, weights = _rule("euler", t)
     return _combine(scale, weights, map(transform, abscissas))

@@ -168,12 +168,15 @@ def _check_s(s):
         raise ValueError(f"transform variable must be finite with Re(s) >= {_S_MIN:g}, got {value}")
 
 
-def _check_row(i, s, n=0) -> tuple:
-    """The start state i and the level n as integers, once s is one valid abscissa."""
+def _check_row(i, s, n) -> tuple:
+    """The start state i and the level n as integers, once s is one valid abscissa and 0 <= i <= n."""
     if np.ndim(s) != 0:
         raise ValueError(f"a row takes one transform variable, got shape {np.shape(s)}")
     _check_s(s)
-    return operator.index(i), operator.index(n)
+    i, n = operator.index(i), operator.index(n)
+    if not 0 <= i <= n:
+        raise ValueError(f"start state must satisfy 0 <= i <= n, got i={i}, n={n}")
+    return i, n
 
 
 def _back_substitute(kept, x, low: int):
@@ -346,13 +349,15 @@ def _short_column(i: int, top: int, low: int, n_lo: int, n_hi: int, proven: bool
     yields None while open, then (entries low..top, N, the lost mass,
     whether a test passed) once cut, or (row, pivot) at its first pivot
     below _MIN_PIVOT, and that again for every later block, stepping no
-    further.
+    further.  The tests run only from `first`, the first level they may
+    pass at, so no level below it passes, and every level meets one exit
+    test: the column stays open until a test passes or the level is n_hi.
     """
     first = max(n_lo, top + 1)                      # first N the tests may pass at
     tol, eps = _TOL, _EPS if proven else 0.0
     kept = []
     g = tp = tg = q = x = move = last = 0.0
-    p = 1.0
+    p, hit = 1.0, False                             # no level below first passes
     end = None
     while not end:
         lo, sigma, tau, c_re = yield end
@@ -371,11 +376,7 @@ def _short_column(i: int, top: int, low: int, n_lo: int, n_hi: int, proven: bool
                 kept.append((g, q))
             if k >= top:
                 p = p * q
-            if k < first:
-                if k < n_hi:
-                    continue
-                hit = False
-            else:
+            if k >= first:
                 # level k: the bound test, then the lost-mass test, as in `_eliminate`
                 x_top = abs(kept[top][0] + x)
                 hit = abs(p) < eps * c_re_k * x_top
@@ -383,8 +384,8 @@ def _short_column(i: int, top: int, low: int, n_lo: int, n_hi: int, proven: bool
                     # a zero last move gives no ratio: the test fails unless move is 0 too
                     hit = move == 0 or last != 0 and (
                         abs(move) * (r := abs(move / last)) <= _EPS * (1.0 - r) * x_top)
-                if not hit and k < n_hi:
-                    continue
+            if not hit and k < n_hi:
+                continue
             end = _back_substitute(kept, x, low), k, abs(tg), hit
             break
     while True:                                     # cut: the same end for every later block
@@ -392,10 +393,8 @@ def _short_column(i: int, top: int, low: int, n_lo: int, n_hi: int, proven: bool
 
 
 def solve_row_truncated(i: int, s, kernel: KernelTransform, n: int) -> TransformRowResult:
-    """Solve the truncated system for row i with x[n+1] forced to zero."""
+    """Solve the truncated system for row i, 0 <= i <= n, with x[n+1] forced to zero."""
     i, n = _check_row(i, s, n)
-    if not 0 <= i < n:
-        raise ValueError(f"start state must satisfy 0 <= i < n, got i={i}, n={n}")
     (row,), *_ = _eliminate_short(i, np.reshape(s, 1), kernel, top=n, low=0, n_lo=n, n_hi=n, proven=True)
     # the residual summed over the row, a check on it apart from the cut's own lost mass
     c = _read_block(kernel, np.arange(n + 1)[:, None], np.reshape(s, 1))[2]
@@ -460,7 +459,7 @@ def solve_row_adaptive(
     `solve_rows(i, i, [s])`'s.  Raises NonConvergenceError (carrying the
     lost mass at the cap) if no N up to n_max = _N_MAX passes.
     """
-    _check_row(i, s)
+    _check_row(i, s, i)                 # the level is not known yet: the cut lies past i
     n = int(_solve_rows(i, i, [s], kernel, cfg, proven=False).truncation_n[0])
     return replace(solve_row_truncated(i, s, kernel, n), converged=True)
 
@@ -475,8 +474,6 @@ def neumann_series_sum(i: int, s, kernel: KernelTransform, n: int) -> np.ndarray
     NonConvergenceError if _NEUMANN_TERMS = 200,000 terms come first.
     """
     i, n = _check_row(i, s, n)
-    if not 0 <= i <= n:
-        raise ValueError(f"start state must satisfy 0 <= i <= n, got i={i}, n={n}")
     sigma, tau = (a[:, 0] for a in _read_block(kernel, np.arange(n + 1)[:, None], np.reshape(s, 1))[:2])
     power = np.zeros(n + 1, dtype=sigma.dtype)
     power[i] = 1.0

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mp_reference import mp_scaled_series
 from mrenew import (
     MMInfinityKernel,
     QueueParams,
@@ -299,26 +300,12 @@ def _assert_criterion_4(value, reference):
     assert abs(value - reference) <= max(1e-6 * abs(reference), 1e-9)
 
 
-def _mp_scaled_series(a, b, x):
-    """e^{-x} phi(a, b; x) at the working precision, summed term by term.
-
-    mp.hyp1f1 drops the part of phi proportional to a tiny a: it gives
-    e^{-x} phi(9.47e-204, 9.47e-204 + 61; 731.8) as 1.525e-318, e^{-x}
-    alone, where this sum gives 1.6086e-296.  The terms past
-    k = x + 30 sqrt(x) + 100 are far below the precision.
-    """
-    term, total = mp.exp(-x), mp.mpf(0)
-    for k in range(int(x + 30 * math.sqrt(x)) + 100):
-        total += term
-        term *= x * (a + k) / ((b + k) * (k + 1))
-    return total
-
-
 def _mp_closed_form(i, n, s, p, dps=40):
     """rbar[i][n](s) by the module docstring's j-sum in dps-digit mpmath.
 
-    The Kummer factor of a below 1e-20 is summed term by term, where
-    mp.hyp1f1 would drop its part proportional to a.
+    The Kummer factor of a below 1e-20 is summed term by term
+    (`mp_scaled_series`), where mp.hyp1f1 would drop its part proportional
+    to a.
     """
     with mp.workdps(dps):
         a = mp.mpf(p.alpha) * mp.mpf(s)
@@ -326,7 +313,7 @@ def _mp_closed_form(i, n, s, p, dps=40):
         total = mp.mpf(0)
         for j in range(min(i, n) + 1):
             q = i + n - 2 * j + 1
-            kummer = (_mp_scaled_series(a + j, a + j + q, rho) if a + j < 1e-20
+            kummer = (mp_scaled_series(a + j, a + j + q, rho) if a + j < 1e-20
                       else mp.exp(-rho) * mp.hyp1f1(a + j, a + j + q, rho))
             total += mp.binomial(i, j) * rho ** (n - j) / mp.factorial(n - j) * mp.beta(a + j, q) * kummer
         return (n + rho + a) * total

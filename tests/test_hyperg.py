@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from mp_reference import mp_scaled_series
 from mrenew import NonConvergenceError, hyperg, kummer_m
 
 # Reference value for phi(2, 3; -1), frozen from direct series summation at
@@ -38,51 +39,6 @@ def _float_series(a, b, z, terms=400):
     return total
 
 
-def _mp_scaled_series(c, b, x):
-    """e^{-x} phi(c, b; x) at the working precision, summed term by term over a window.
-
-    mp.hyp1f1 drops the part of phi proportional to a c within about 1e-20
-    of zero or of a negative integer: phi(1.36e-61, -3.5; 100) is
-    1 + 9.5e-12, where mp.hyp1f1 gives 1 at 40 digits.  As a double, such
-    a c is a non-positive integer, whose terms are 0 past k = -c, or lies
-    within 1e-20 of 0.
-
-    The terms t_k are summed for k below k0, the first k with c + k > 0
-    and b + k > 0, and over lo..hi around the Poisson mode x, lo = max(k0,
-    x - 30 sqrt(x) - 100) and hi = x + 30 sqrt(x) + 100; t_lo is t_k0 times
-    a gamma ratio.  From k0 on the terms share one sign, and t_{k+1} / t_k
-    = x (c+k) / ((k+1)(b+k)) is at least 1 just where the concave
-    f(k) = x (c+k) - (k+1)(b+k) is at least 0: with lo - 1 not past f's
-    upper root (checked), no term between k0 and lo is larger than both
-    t_k0 and t_lo, so the lo - k0 terms left out below lo are at most
-    (lo - k0) max(|t_k0|, |t_lo|), checked to be below 1e-50 of the
-    window's sum.  Past hi, 30 sqrt(x) + 100 past the mode, the ratio is
-    below 1 and the Poisson weights have fallen from the mode by about
-    e^-420 or more, against a gain of (c)_k / (b)_k of at most (hi / x)^30
-    (c - b <= 30 for every series summed here), so the terms past hi are
-    far below the 40 digits too.
-    """
-    k0 = max(0, math.floor(-c) + 1, math.floor(-b) + 1)
-    lo, hi = max(k0, int(x - 30.0 * math.sqrt(x)) - 100), int(x + 30.0 * math.sqrt(x)) + 100
-    term, total = mp.exp(-x), mp.mpf(0)
-    for k in range(k0):
-        total += term
-        term *= x * (c + k) / ((b + k) * (k + 1))
-    if term == 0:   # a polynomial: every later term is 0 too
-        return total
-    first = term
-    term *= x ** (lo - k0) * mp.gammaprod([c + lo, k0 + 1, b + k0], [c + k0, lo + 1, b + lo])
-    left_out = (lo - k0) * max(abs(first), abs(term))
-    # lo - 1 where f >= 0 or below f's vertex, so not past its upper root
-    assert lo == k0 or x * (c + lo - 1) >= lo * (b + lo - 1) or lo - 1 <= (x - b - 1) / 2
-    window = mp.mpf(0)
-    for k in range(lo, hi):
-        window += term
-        term *= x * (c + k) / ((b + k) * (k + 1))
-    assert left_out <= mp.mpf(10) ** -50 * abs(window)
-    return total + window
-
-
 def _mp_value_and_condition(a, b, z):
     """phi(a, b; z) and the condition number of the series kummer_m sums, as doubles.
 
@@ -101,7 +57,7 @@ def _mp_value_and_condition(a, b, z):
     for dps in range(40, 201, 20):
         with mp.workdps(dps):
             if summed:
-                value = _mp_scaled_series(mp.mpf(c), mp.mpf(b), mp.mpf(x)) * mp.exp(x)
+                value = mp_scaled_series(mp.mpf(c), mp.mpf(b), mp.mpf(x)) * mp.exp(x)
             else:
                 value = mp.hyp1f1(c, b, x)
             term, head, head_abs = mp.mpf(1), mp.mpf(0), mp.mpf(0)
@@ -491,7 +447,9 @@ class TestLinearCost:
     the running product carries one shift per row from block to block, and the terms below
     k1 are one array."""
 
-    @pytest.mark.parametrize("shape", [(2**20 + 3,), (3, 5 * 512 + 7)])
+    # the first block starts from the identity, and no factors give no products: a window whose
+    # first term is its mode has an empty lower product
+    @pytest.mark.parametrize("shape", [(2**20 + 3,), (3, 5 * 512 + 7), (0,), (1,), (513,)])
     def test_running_product_bits_are_the_tail_loops(self, shape):
         # factors of every binade, so that the exponents run both up and down
         rng = np.random.default_rng(20)
@@ -520,6 +478,38 @@ class TestLinearCost:
         assert time.perf_counter() - start < 0.3
         with mp.workdps(40):
             assert value == pytest.approx(float(mp.hyp1f1(0.5, 3.5, -1e6)), rel=1e-12)
+
+
+def _padded_weights(x, lo, hi, mode):
+    """`hyperg._poisson_weights` from lo > 0 as first written: both sides as the two rows of one
+    running product, the shorter padded with ones."""
+    ratios = np.ones((2, max(mode - lo, hi - mode)))
+    ratios[0, :mode - lo] = np.arange(mode, lo, -1.0) / x
+    ratios[1, :hi - mode] = x / np.arange(mode + 1.0, hi + 1.0)
+    m, e = hyperg._running_product(ratios)
+    w_m = np.concatenate([np.flip(m[0, :mode - lo]), [1.0], m[1, :hi - mode]])
+    w_e = np.concatenate([np.flip(e[0, :mode - lo]), [0], e[1, :hi - mode]])
+    return w_m, w_e, np.ldexp(w_m, w_e).sum()
+
+
+class TestPoissonWeights:
+    @pytest.mark.parametrize("window", [
+        (2000.0, 0.5, 3.0), (1e5, 1e-4, 301.0), (300.0, 1.0, 61.0), (1e6, 0.5, 3.0, 3.5)])
+    def test_two_products_are_the_padded_rows(self, window):
+        # windows from lo > 0 with uneven sides, the longer below or above the mode, over one
+        # block or many
+        x = window[0]
+        lo, hi, mode = hyperg._window(*window)
+        assert 0 < lo and mode - lo != hi - mode
+        weights = hyperg._poisson_weights(x, lo, hi, mode)
+        for got, ref in zip(weights, _padded_weights(x, lo, hi, mode)):
+            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+    def test_window_from_its_mode(self):
+        w_m, w_e, weight = hyperg._poisson_weights(50.5, 50, 80, 50)
+        assert w_m[0] == 1.0 and w_e[0] == 0 and len(w_m) == 31
+        for got, ref in zip((w_m, w_e, weight), _padded_weights(50.5, 50, 80, 50)):
+            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
 
 
 class TestPolynomialWindow:

@@ -11,6 +11,7 @@ from scipy.linalg import expm
 from mrenew import (
     InversionConfig,
     MMInfinityKernel,
+    NonConvergenceError,
     QueueParams,
     TruncationConfig,
     euler_inversion,
@@ -89,6 +90,34 @@ class TestGaverStehfest:
         a = gaver_stehfest(lambda s: 1.0 / (s + 2.0), 0.7)
         b = gaver_stehfest(lambda s: 1.0 / (s + 2.0), 0.7)
         assert a == b
+
+
+class TestNonFiniteRefused:
+    """Neither inverter returns NaN or an infinity, nor lets math.fsum's errors out."""
+
+    @pytest.mark.parametrize("invert_at", [lambda f: gaver_stehfest(f, 1.0), lambda f: euler_inversion(f, 1.0)])
+    @pytest.mark.parametrize("sample", [math.nan, math.inf])
+    def test_non_finite_sample(self, invert_at, sample):
+        # a NaN sample was returned as nan
+        with pytest.raises(NonConvergenceError, match="not a finite number"):
+            invert_at(lambda s: sample)
+
+    def test_infinite_terms_of_both_signs(self):
+        # the weights of order 18 take 1 / s past the largest double with either sign:
+        # a bare ValueError: -inf + inf in fsum
+        with pytest.raises(NonConvergenceError, match="nan, not a finite number"):
+            gaver_stehfest(lambda s: 1.0 / s, 1e300, 18)
+
+    def test_finite_terms_whose_sum_overflows(self):
+        # at t = ln 2 the abscissas are k: four terms of 1e308, whose sum fsum refuses with OverflowError
+        weights = stehfest_weights(4)
+        with pytest.raises(NonConvergenceError, match="nan, not a finite number"):
+            gaver_stehfest(lambda s: 1e308 / weights[round(s) - 1], math.log(2.0), 4)
+
+    def test_finite_sum_that_the_scale_overflows(self):
+        # one finite term, V_1 1e300, times the scale ln 2 / 1e-300
+        with pytest.raises(NonConvergenceError, match="inf, not a finite number"):
+            gaver_stehfest(lambda s: 1e300 if s < 1e300 else 0.0, 1e-300)
 
 
 class TestEulerInversion:

@@ -79,10 +79,14 @@ class TestSolveRowTruncated:
             solve_row_adaptive(0, s, kernel(UNIT))
 
     def test_rejects_start_state_outside_truncation(self):
-        with pytest.raises(ValueError):
-            solve_row_truncated(8, 1.0, kernel(UNIT), 8)
-        with pytest.raises(ValueError):
-            solve_row_truncated(-1, 1.0, kernel(UNIT), 8)
+        # both routines truncate the same operator at n, and both take 0 <= i <= n: i = n was
+        # refused here while the Neumann series accepted it
+        for solve in (solve_row_truncated, neumann_series_sum):
+            for i in (9, -1):
+                with pytest.raises(ValueError, match=f"0 <= i <= n, got i={i}, n=8"):
+                    solve(i, 1.0, kernel(UNIT), 8)
+        res = solve_row_truncated(8, 1.0, kernel(UNIT), 8)
+        np.testing.assert_allclose(res.values, neumann_series_sum(8, 1.0, kernel(UNIT), 8), rtol=1e-10)
 
     def test_rejects_array_s(self):
         # a row is solved at one abscissa; an array gave the row of its first

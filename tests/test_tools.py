@@ -25,10 +25,20 @@ def test_outputs_digest_prints_each_workload_then_both_validate_runs(capsys):
     module = _load("outputs_digest")
     module.main(["0"])
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines] == sorted(module.workloads.WORKLOADS) + ["validate"]
+    assert [line.split()[0] for line in lines] == sorted(module.workloads.WORKLOADS) + ["validate", "hyperg"]
     assert module.VALIDATE == (["validate", "--quick"], ["validate"])
     # a second run in this process prints the same digest
-    assert lines[-1] == f"validate requests=2 sha256={module.digest_requests(module.VALIDATE)}"
+    assert lines[-2] == f"validate requests=2 sha256={module.digest_requests(module.VALIDATE)}"
+
+
+def test_outputs_digest_hyperg_calls_hold_criterion_6_and_all_parse(capsys):
+    module = _load("outputs_digest")
+    # criterion 6: six phi(1, 2; z), then both sides of 150 identity checks
+    assert len(module._CRITERION_6) == 6 + 2 * 150
+    assert module.HYPERG[-1] == ["hyperg", "--a=0.3", "--b=1.1", "--z=-5000.0"]
+    for argv in module.HYPERG:
+        assert module.cli.run(argv) in (0, 1)   # a value, or a numerical failure: no argument error
+    capsys.readouterr()
 
 
 _COUNTED = '''"""A module docstring,

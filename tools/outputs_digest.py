@@ -6,12 +6,13 @@ runs every request of `perfbench/workloads.py` for the given seed (default
 0) through `mrenew.cli.run`, in this process, with mrenew imported from the
 `src/` of the checkout this script sits in.  Each request's exit code,
 stdout and stderr are hashed in order, and one line per workload is
-printed: its name, its request count and the digest.  A last line digests
-`validate --quick` and the full `validate` the same way; they take no
-seed.  Two checkouts whose lines are equal print the same bytes and exit
-codes on every request of that seed and on both validate runs, so a
-refactor that should change no output can be checked by running the
-script in both.
+printed: its name, its request count and the digest.  Two more lines
+digest the same way requests that take no seed: `validate --quick` and the
+full `validate`, then `mrenew hyperg` over a fixed list of one-series
+Kummer sums (`HYPERG`), which no workload sends.  Two checkouts whose
+lines are equal print the same bytes and exit codes on every request of
+that seed and on these, so a refactor that should change no output can be
+checked by running the script in both.
 """
 
 from __future__ import annotations
@@ -31,6 +32,19 @@ import workloads  # noqa: E402  (perfbench/workloads.py)
 from mrenew import cli  # noqa: E402
 
 VALIDATE = (["validate", "--quick"], ["validate"])
+
+# (a, b, z) of acceptance criterion 6: phi(1, 2; z), and both sides of its transformation identity
+_CRITERION_6 = [(1.0, 2.0, z) for z in (-10.0, -1.0, -0.1, 0.1, 1.0, 10.0)] + [
+    abz for a in (0.5, 2.0, 5.5, 11.0, 20.0) for b in (0.5, 2.0, 5.5, 11.0, 20.0)
+    for z in (-10.0, -4.0, -1.0, 1.0, 4.0, 10.0) for abz in ((a, b, z), (b - a, b, -z))]
+# the calls of .github/smoke.sh, refusals included
+_SMOKE = [(1.0, 2.0, 1.0), (1.0, 2.0, -20000.0), (1e300, 1.0, 1.0), (1e200, 1.0, 1e-190), (1e308, 1.0, 1e-300),
+          (-7.19e89, -16.47, -3.17e-78), (-1000.5, 2.0, 1.0), (-1040153.655, 10.71, 5.42e-22),
+          (2.5e204, -1534304.48, -1.59e-264), (-9.4e215, -2085543.53, 9.69e-223),
+          (4.05e51, -916494.7, 1.16e-98), (0.5, 3.5, -1e6), (-2.0, -10000000.5, 1.0)]
+# one-series windows, most from k > 0, on either side of z = 0
+_WINDOWS = [(0.5, 3.5, 2000.0), (0.5, 3.5, 500.0), (3.0, 1.5, -5000.0), (0.3, 1.1, -5000.0)]
+HYPERG = tuple(["hyperg", f"--a={a!r}", f"--b={b!r}", f"--z={z!r}"] for a, b, z in _CRITERION_6 + _SMOKE + _WINDOWS)
 
 
 def digest_requests(argvs) -> str:
@@ -58,6 +72,7 @@ def main(argv) -> None:
         count, hexdigest = digest(workload, seed)
         print(f"{workload} seed={seed} requests={count} sha256={hexdigest}")
     print(f"validate requests={len(VALIDATE)} sha256={digest_requests(VALIDATE)}")
+    print(f"hyperg requests={len(HYPERG)} sha256={digest_requests(HYPERG)}")
 
 
 if __name__ == "__main__":
