@@ -1,9 +1,17 @@
 #!/usr/bin/env bash
 # Smoke-test the installed `mrenew` entry point: every command once, each
-# exiting 0, and argument errors exiting 2.  Run it with `mrenew` on
-# PATH, from any directory, e.g.
+# exiting 0, numerical failures exiting 1 and argument errors 2.  Run it
+# with `mrenew` on PATH, from any directory, e.g.
 # PYTHONWARNINGS=error::RuntimeWarning bash .github/smoke.sh
 set -euo pipefail
+
+# expect_exit CODE CMD ...: run CMD and fail unless it exits with CODE
+expect_exit() {
+  local want=$1 status=0
+  shift
+  "$@" || status=$?
+  test "$status" -eq "$want" || { echo "expected exit $want, got $status: $*" >&2; return 1; }
+}
 
 mrenew validate --quick
 mrenew transform --i 0 --j 0 --s-grid 1:1:1 --lambda 1 --alpha 1
@@ -30,25 +38,17 @@ mrenew hyperg --a 1 --b 2 --z -20000
 
 # a Kummer window past k = 2^21 is a numerical failure, raised at once: these
 # terms peak near k = 1e150, where a step of k no longer moves it
-status=0
-timeout 20 mrenew hyperg --a 1e300 --b 1 --z 1 || status=$?
-test "$status" -eq 1
+expect_exit 1 timeout 20 mrenew hyperg --a 1e300 --b 1 --z 1
 
 # values past the largest double are numerical failures too: phi(a, 1; z) ~ e^{2 sqrt(a z)}
-for args in "--a 1e200 --b 1 --z 1e-190" "--a 1e308 --b 1 --z 1e-300"; do
-  status=0
-  timeout 20 mrenew hyperg $args || status=$?
-  test "$status" -eq 1
-done
+expect_exit 1 timeout 20 mrenew hyperg --a 1e200 --b 1 --z 1e-190
+expect_exit 1 timeout 20 mrenew hyperg --a 1e308 --b 1 --z 1e-300
 
 # terms past 2^53 times the largest double, with b < 0: refused before the sum
 # (it ran on, a step per term), and a sum whose terms cancel past its rounding
 # bound (it printed -4.56e7 for -1.65e-3)
-for args in "--a=-7.19e89 --b=-16.47 --z=-3.17e-78" "--a=-1000.5 --b 2 --z 1"; do
-  status=0
-  timeout 20 mrenew hyperg $args || status=$?
-  test "$status" -eq 1
-done
+expect_exit 1 timeout 20 mrenew hyperg --a=-7.19e89 --b=-16.47 --z=-3.17e-78
+expect_exit 1 timeout 20 mrenew hyperg --a=-1000.5 --b 2 --z 1
 # a window that ends where the terms fall, far below k = -a (it took 2 s)
 timeout 20 mrenew hyperg --a=-1040153.655 --b 10.71 --z 5.42e-22
 # a million terms below k1, or a start product of a million factors: linear time (they took 0.5 to 7 s)
@@ -61,15 +61,14 @@ timeout 5 mrenew hyperg --a 0.5 --b 3.5 --z=-1e6
 mrenew --help > /dev/null
 mrenew transform --help > /dev/null
 # an unknown option is refused by the command's own parser, with exit code 2
-status=0
-mrenew transform --i 0 --j 0 --s-grid 1:1:1 --lambda 1 --alpha 1 --bogus 3 || status=$?
-test "$status" -eq 2
+expect_exit 2 mrenew transform --i 0 --j 0 --s-grid 1:1:1 --lambda 1 --alpha 1 --bogus 3
 # a polynomial of degree 2 whose first k with b + k > 0 lies past k = 2^21 (it was refused)
 mrenew hyperg --a=-2 --b=-10000000.5 --z 1
 # top = j: every state kept is a record, and the cut comes at the first level past it
 mrenew transform --i 2 --j 250 --s-grid 0.01:1:6 --lambda 300 --alpha 1
 
 # a time whose inversion rule passes the solvers' floor Re(s) >= 1e-14 is an argument error
-status=0
-mrenew renewal --i 0 --j 0 --t-grid 1e15:1e15:1 --lambda 1 --alpha 1 --method gs || status=$?
-test "$status" -eq 2
+expect_exit 2 mrenew renewal --i 0 --j 0 --t-grid 1e15:1e15:1 --lambda 1 --alpha 1 --method gs
+# a horizon whose least expected event count passes the event cap is a numerical
+# failure, raised before the walk (it walked 10^7 lock-step iterations, about 150 s)
+expect_exit 1 timeout 5 mrenew simulate --i 0 --j 0 --t-grid 1e9:1e9:1 --lambda 1 --alpha 1 --paths 3 --seed 1

@@ -153,6 +153,10 @@ def simulate_renewal_counts(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if not targets:
         return []
+    # a count that dominates Poisson(expected) stays within the cap with probability below Phi(-10)
+    if (expected := kernel.least_rate * times[-1]) > _MAX_EVENTS + 10 * math.sqrt(_MAX_EVENTS):
+        raise EventCapError(f"paths are expected to take at least {expected:g} events by t={times[-1]}, "
+                            f"past max_events={_MAX_EVENTS} by more than 10 standard deviations")
 
     n_paths = cfg.n_paths
     n_blocks = -(-n_paths // _BLOCK)

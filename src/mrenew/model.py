@@ -88,8 +88,13 @@ class KernelTransform(ABC):
     sojourn T with E[e^{-sT}; down] = sigma_bar(j, s) and
     E[e^{-sT}; up] = tau_bar(j, s); an absorbing j stays, with T = inf.
     It must not write into its arguments: the simulator keeps the states
-    it passes until it matches their entries.
+    it passes until it matches their entries.  ``least_rate`` is a rate
+    that no state's jumps fall below, so a path's jumps by time t
+    stochastically dominate Poisson(least_rate t); the simulator refuses at
+    once a horizon where that count passes its event cap.  0 claims nothing.
     """
+
+    least_rate = 0.0
 
     @abstractmethod
     def transforms(self, j, s) -> tuple:
@@ -108,6 +113,11 @@ class MMInfinityKernel(KernelTransform):
     """
 
     params: QueueParams
+
+    @property
+    def least_rate(self) -> float:
+        """The up clock runs at lam in every state."""
+        return self.params.lam
 
     def transforms(self, j, s) -> tuple:
         _check_state_and_s(j, s)

@@ -40,37 +40,39 @@ real s every entry 0..top by less, relative to its value, as above.  The
 bound test cuts rows whose states past top drift strongly upwards (top
 well below rho for M|M|inf) long before their mass runs out; the two
 tests may give different N, so `solve_row_adaptive`, whose contract is the
-whole row's normalization, does not share `solve_rows`' N.  The kernel
-is read one state ahead of the elimination, so each level N is judged
-once, at state N, by both tests against one x[top], and a row swept to
-its last level n reads the kernel at n + 1.  Each test reads a product
-the step makes anyway: tau[N] g[N], which the next state divides by its
-pivot for g[N+1], and P[N+1] = q[top] .. q[N], which it multiplies by
-g[N+1] for the next move of x[top].  Each state 0..top keeps one record
-(g, q) for the back substitution, which `solve_rows` runs from top down
-to j only, the one entry it reads; `solve_row_truncated` runs it down to
-state 0 for the whole row.  Kernel values must be
-finite: a block holding a NaN or an infinity is refused with ValueError,
-naming its first such state and abscissa, before any of it is swept.
+whole row's normalization, does not share `solve_rows`' N.
+
+Both sweeps take one step per state k, in one order, with the kernel read
+one state ahead (sigma_bar and c(Re s) of state k + 1 step state k): the
+pivot w[k] and g[k]; past top, the move g[k] P[k] of x[top], with
+P[k] = q[top] .. q[k-1], added to S = q[top] x[top+1]; then tau[k] g[k]
+and q[k]; the record (g[k], q[k]) up to top; and from top on P[k+1].  So
+the tests read products the step makes anyway, and state N judges level N
+once, by both tests against one |x[top]|.  The cut: a column is cut at the
+first level from first = max(n_lo, top + 1) that passes a test (the
+bound test only for `solve_rows`), else at the last level n_hi, which
+reads the kernel at n_hi + 1, and once cut it is silent: no later test,
+pivot or move counts for it.  top = n_hi cuts at n_hi and keeps every state.
+Its entries are back-substituted from x[top] = g[top] + S, down to j only
+for `solve_rows`, the one entry it reads, and down to state 0 for
+`solve_row_truncated`.  Kernel values must be finite: a block holding a
+NaN or an infinity is refused with ValueError, naming its first such
+state and abscissa, before any of it is swept.
 
 A column keeps O(top) state whatever N is, and `solve_rows` sweeps every
 abscissa of a request in one pass, each cut at its own N: a grid of at
 least _MIN_BATCH = 17 abscissas as columns of numpy arrays, a shorter one
 column by column in Python numbers, where the array bookkeeping would cost
-more than the steps.  17 is the measured crossover of real grids; complex
-ones cross lower (near 12), but the CLI sends them only from Euler's 27
-abscissas per time.  Both passes walk one block schedule (`_blocks`),
-which reads each kernel block once for every abscissa of the grid and
-sizes the blocks of a short grid as if it had _MIN_BATCH columns, and a
-pivot counts only while its column is open, so a real column gets the
-same bits, or the same error, from a short grid and from its padding to
-_MIN_BATCH columns, a bad kernel value past every column's cut included.
+more than the steps.  Both walk one block schedule (`_blocks`), which
+reads each kernel block once for every abscissa of the grid, and both
+step every open column through a block before a small pivot is reported,
+so a real column gets the same bits, or the same error, from a short grid
+and from its padding to _MIN_BATCH columns, a bad kernel value past every
+column's cut included.
 The residual `solve_rows` reports is the mass its cut loses,
 |tau[N] g[N]|, which by the sum above is the normalization residual of
 the row cut at N without the rounding of a second sum: at most _TOL
-where the lost-mass test cut, and not small where the bound test cut,
-since the mass past N is not (0.999 at i = 14, j = 9, rho = 790,
-s = 0.01).
+where the lost-mass test cut, and not small where the bound test cut.
 `solve_row_truncated` sums the residual over the row it returns instead,
 a check apart from the cut.  `neumann_series_sum` accumulates
 row i of sum_m Qbar(s)^m over the same truncated operator and is the
@@ -238,29 +240,14 @@ def _small_pivot(w, row: int, s) -> PivotError:
 
 
 def _eliminate(i, s, kernel: KernelTransform, top: int, low: int, n_lo: int, n_hi: int, proven: bool = True):
-    """Entries low..top of row i at each abscissa of the array s, cut at the
-    first N in [n_lo, n_hi] that passes the stop test, else at n_hi.
+    """`solve_rows`' sweep of the array s: each abscissa a column of numpy
+    arrays, all stepped state by state, block by block of `_blocks`.
 
-    One record (g[k], q[k]) is kept per state 0..top; the test can pass
-    only past top, so top = n_hi cuts at n_hi and keeps every state.  Past
-    top, only S = q[top] x[top+1] = sum_M g[M] P[M] (P[M] = q[top] ..
-    q[M-1], so the cut at M moves x[top] by g[M] P[M]) is carried.  The
-    kernel is read one state ahead, and state k steps in one order: the
-    pivot w[k] and g[k] = tg / w[k]; past top, the move of S, with q[k-1];
-    then tg = tau[k] g[k] and q[k] = sigma[k+1] / w[k]; the record, up to
-    top; and from top on p = P[k+1].  So state N judges level N once, by
-    both tests against one |x[top]|, from the step's own products: the
-    lost-mass test |tg| <= _TOL, and with proven also the bound test
-    |p| < 2**-52 c[N+1](Re s) |x[top]|.  Every abscissa is a column of
-    arrays stepped state by state, block by block of `_blocks`, until each
-    is cut; `_eliminate_short` steps each column of a short grid in the
-    same operations on Python numbers, so a real column gives the same
-    bits in either.  A pivot below _MIN_PIVOT raises PivotError once its
-    block is stepped, at the lowest such row and, of its columns, the first
-    in grid order, naming that abscissa; a cut column steps on with the
-    open ones, but its pivots count only up to its level N.  Returns per
-    abscissa: entries low..top, back-substituted from top down to low
-    (low <= top), N, the lost mass |tg| there and whether a test passed.
+    The columns share every step, so a cut column steps on with the open
+    ones; the mask `todo` of open columns keeps it out of every later test
+    and cut, and a pivot past its level does not count.  Returns per abscissa:
+    entries low..top (low <= top), N, the lost mass |tau[N] g[N]| there and
+    whether a test passed.
     """
     cols = s.size
     top = min(top, n_hi)
@@ -271,9 +258,7 @@ def _eliminate(i, s, kernel: KernelTransform, top: int, low: int, n_lo: int, n_h
     zero = np.zeros(cols)
     xs = losses = zero                              # S and the lost mass |tg| where each column was cut
     g, tp, tg, q, p, x, move, last = 0.0, 0.0, 0.0, 0.0, zero + 1.0, zero, zero, zero
-    hit = False                                     # no level below first passes
-    # lost mass and bound test factor allowed; -1 and 0 once cut, and 0 throughout unless proven
-    bound, eps = zero + _TOL, zero + (_EPS if proven else 0.0)
+    hit, eps = False, _EPS if proven else 0.0       # no level below first passes
     for lo, sigma, tau, c_re in _blocks(kernel, s, n_lo, n_hi):
         pivots = np.ones_like(sigma)
         with np.errstate(all="ignore"):         # a bad pivot is reported below
@@ -289,21 +274,20 @@ def _eliminate(i, s, kernel: KernelTransform, top: int, low: int, n_lo: int, n_h
                     kept.append((g, q))
                 if k >= top:
                     p = p * q
-                # level k: the bound test (the cut at k moves x[top] by p x[k+1], and
-                # |x[k+1]| <= 1 / c_re_k), then the lost-mass test, against one |x[top]|
-                if (k < first or not (hit := abs(p) < eps * c_re_k * (x_top := abs(kept[top][0] + x))).any()
-                        and not (abs(tg) <= bound).any()) and k < n_hi:
+                if k >= first:
+                    # level k of the open columns: the bound test (the cut at k moves x[top]
+                    # by p x[k+1], and |x[k+1]| <= 1 / c_re_k), then the lost-mass test
+                    x_top = abs(kept[top][0] + x)
+                    hit = todo & (abs(p) < eps * c_re_k * x_top)
+                    if (lost := todo & (abs(tg) <= _TOL)).any():
+                        # the moves still to come, shrinking by r per state, sum to |move| r / (1 - r)
+                        r = abs(move) / abs(last)
+                        hit = hit | lost & ((move == 0) | (abs(move) * r <= _EPS * (1.0 - r) * x_top))
+                if k < n_hi and (k < first or not hit.any()):
                     continue
-                if (lost := (k >= first) & (abs(tg) <= bound)).any():
-                    # the moves still to come, shrinking by r per state, sum to |move| r / (1 - r)
-                    r = abs(move) / abs(last)
-                    hit = hit | lost & ((move == 0) | (abs(move) * r <= _EPS * (1.0 - r) * x_top))
-                if k < n_hi and not hit.any():
-                    continue
-                cut = todo & (hit | (k == n_hi))
+                cut = hit | todo & (k == n_hi)
                 levels[cut], todo[cut] = k, False
-                passed, bound = np.where(cut, hit, passed), np.where(cut, -1.0, bound)
-                eps = np.where(cut, 0.0, eps)
+                passed = np.where(cut, hit, passed)
                 xs, losses = np.where(cut, x, xs), np.where(cut, abs(tg), losses)
                 if not todo.any():
                     break
@@ -318,21 +302,20 @@ def _eliminate(i, s, kernel: KernelTransform, top: int, low: int, n_lo: int, n_h
 
 
 def _eliminate_short(i, s, kernel: KernelTransform, top: int, low: int, n_lo: int, n_hi: int, proven: bool = True):
-    """`_eliminate` for a short grid s: the same cuts, with each column stepped as Python numbers.
+    """`_eliminate` for a short grid s, one `_short_column` per abscissa.
 
     Each block of `_blocks` is split into one list per column and sent to
-    every column's `_short_column`, a cut one included, which answers with
-    its result again.  A small pivot is reported by `_eliminate`'s rule:
-    every open column steps through the block first.  Returns
-    `_eliminate`'s results as lists.
+    every column whose end is still None.  Returns `_eliminate`'s results
+    as lists.
     """
     top = min(top, n_hi)
     columns = [_short_column(i, top, low, n_lo, n_hi, proven) for _ in s]
     for column in columns:
         next(column)                                # to its first yield, ready for a block
-    ends = []
+    ends = [None] * s.size
     for lo, *block in _blocks(kernel, s, n_lo, n_hi):
-        ends = [column.send((lo, *lists)) for column, lists in zip(columns, zip(*(a.T.tolist() for a in block)))]
+        ends = [column.send((lo, *lists)) if end is None else end
+                for column, end, lists in zip(columns, ends, zip(*(a.T.tolist() for a in block)))]
         # (row, column, pivot) of each pivot below _MIN_PIVOT
         if small := [(end[0], col, end[1]) for col, end in enumerate(ends) if end and len(end) == 2]:
             row, col, w = min(small)                # the lowest row, then the first column
@@ -346,12 +329,9 @@ def _short_column(i: int, top: int, low: int, n_lo: int, n_hi: int, proven: bool
     """One column of `_eliminate_short`: `_eliminate`'s step on Python numbers.
 
     Is sent (lo, sigma, tau, c_re), the lists of one block from state lo;
-    yields None while open, then (entries low..top, N, the lost mass,
-    whether a test passed) once cut, or (row, pivot) at its first pivot
-    below _MIN_PIVOT, and that again for every later block, stepping no
-    further.  The tests run only from `first`, the first level they may
-    pass at, so no level below it passes, and every level meets one exit
-    test: the column stays open until a test passes or the level is n_hi.
+    yields None while open, then once its end: (entries low..top, N, the
+    lost mass, whether a test passed) at its cut, or (row, pivot) at its
+    first pivot below _MIN_PIVOT.
     """
     first = max(n_lo, top + 1)                      # first N the tests may pass at
     tol, eps = _TOL, _EPS if proven else 0.0
@@ -360,7 +340,7 @@ def _short_column(i: int, top: int, low: int, n_lo: int, n_hi: int, proven: bool
     p, hit = 1.0, False                             # no level below first passes
     end = None
     while not end:
-        lo, sigma, tau, c_re = yield end
+        lo, sigma, tau, c_re = yield
         # sigma and c_re of state k + 1 step state k
         for k, sigma_k, tau_k, c_re_k in zip(count(lo), sigma[1:], tau, c_re[1:]):
             w = 1.0 - tp * q
@@ -388,8 +368,7 @@ def _short_column(i: int, top: int, low: int, n_lo: int, n_hi: int, proven: bool
                 continue
             end = _back_substitute(kept, x, low), k, abs(tg), hit
             break
-    while True:                                     # cut: the same end for every later block
-        yield end
+    yield end
 
 
 def solve_row_truncated(i: int, s, kernel: KernelTransform, n: int) -> TransformRowResult:

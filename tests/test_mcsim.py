@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import warnings
 from functools import partial
 
@@ -19,7 +20,7 @@ from mrenew import (
     simulate_renewal_counts,
     validate_kernel,
 )
-from mrenew import mcsim
+from mrenew import cli, mcsim
 from mrenew.mcsim import _BLOCK
 
 UNIT = MMInfinityKernel(QueueParams(1.0, 1.0))
@@ -373,6 +374,37 @@ class TestBlockContract:
             simulate_renewal_counts(5, [0], [50.0], PURE_DEATH, cfg)
             assert len(calls) == 6 * blocks
             assert sum(calls) == 6 * n_paths
+
+
+class TestEventCapBeforeTheWalk:
+    """A horizon whose least expected jump count passes the cap by 10 standard
+    deviations is refused before any path is walked."""
+
+    def test_cli_refuses_a_billion_events_at_once(self, capsys):
+        argv = "simulate --i 0 --j 0 --t-grid 1e9:1e9:1 --lambda 1 --alpha 1 --paths 3 --seed 1".split()
+        start = time.perf_counter()
+        assert cli.run(argv) == 1
+        assert time.perf_counter() - start < 1.0    # it walked 10^7 iterations, about 150 s
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "1e+09 events by t=1000000000.0" in err
+        assert "max_events=10000000 " in err
+
+    def test_threshold_is_the_cap_plus_ten_standard_deviations(self, monkeypatch):
+        # cap 100: refused from lam t > 100 + 10 sqrt(100) = 200; at 200 the walk runs into the cap itself
+        monkeypatch.setattr(mcsim, "_MAX_EVENTS", 100)
+        cfg = SimConfig(n_paths=3, seed=1)
+        assert UNIT.least_rate == 1.0
+        with pytest.raises(EventCapError, match=r"at least 200\.5 events by t=200\.5, past max_events=100 "):
+            simulate_renewal_counts(0, [0], [200.5], UNIT, cfg)
+        with pytest.raises(EventCapError, match=r"path \d+ exceeded max_events=100 before t=200\.0"):
+            simulate_renewal_counts(0, [0], [200.0], UNIT, cfg)
+
+    def test_kernel_that_claims_no_rate_still_walks(self, monkeypatch):
+        monkeypatch.setattr(mcsim, "_MAX_EVENTS", 3)
+        kernel = _MM1Kernel(lam=5.0, mu=1.0)
+        assert kernel.least_rate == 0.0 and PURE_DEATH.least_rate == 0.0
+        with pytest.raises(EventCapError, match=r"path \d+ exceeded max_events=3 before t=10\.0"):
+            simulate_renewal_counts(0, [0], [10.0], kernel, SimConfig(n_paths=10, seed=5))
 
 
 def _reference_mm_step(params, states, u_time, u_dir):

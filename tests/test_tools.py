@@ -41,6 +41,18 @@ def test_outputs_digest_hyperg_calls_hold_criterion_6_and_all_parse(capsys):
     capsys.readouterr()
 
 
+def test_outputs_digest_reads_the_13_hyperg_calls_of_the_smoke_script():
+    module = _load("outputs_digest")
+    calls = module.smoke_hyperg_calls()
+    assert len(calls) == 13 and len(module.HYPERG) == 323
+    assert calls[0] == ["hyperg", "--a", "1", "--b", "2", "--z", "1"]
+    assert calls[-1] == ["hyperg", "--a=-2", "--b=-10000000.5", "--z", "1"]   # file order
+    assert all(call in module.HYPERG for call in calls)
+    hyperg = module.cli._COMMANDS["hyperg"]
+    for argv in calls:
+        hyperg.parse_args(argv[1:])             # an argument error would exit 2
+
+
 _COUNTED = '''"""A module docstring,
 over two lines."""
 

@@ -8,11 +8,12 @@ runs every request of `perfbench/workloads.py` for the given seed (default
 stdout and stderr are hashed in order, and one line per workload is
 printed: its name, its request count and the digest.  Two more lines
 digest the same way requests that take no seed: `validate --quick` and the
-full `validate`, then `mrenew hyperg` over a fixed list of one-series
-Kummer sums (`HYPERG`), which no workload sends.  Two checkouts whose
-lines are equal print the same bytes and exit codes on every request of
-that seed and on these, so a refactor that should change no output can be
-checked by running the script in both.
+full `validate`, then `mrenew hyperg` over one-series Kummer sums
+(`HYPERG`), which no workload sends: criterion 6's, the calls of
+`.github/smoke.sh`, read from it, and a few windows from k > 0.  Two
+checkouts whose lines are equal print the same bytes and exit codes on
+every request of that seed and on these, so a refactor that should change
+no output can be checked by running the script in both.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import shlex
 import sys
 from pathlib import Path
 
@@ -37,14 +39,25 @@ VALIDATE = (["validate", "--quick"], ["validate"])
 _CRITERION_6 = [(1.0, 2.0, z) for z in (-10.0, -1.0, -0.1, 0.1, 1.0, 10.0)] + [
     abz for a in (0.5, 2.0, 5.5, 11.0, 20.0) for b in (0.5, 2.0, 5.5, 11.0, 20.0)
     for z in (-10.0, -4.0, -1.0, 1.0, 4.0, 10.0) for abz in ((a, b, z), (b - a, b, -z))]
-# the calls of .github/smoke.sh, refusals included
-_SMOKE = [(1.0, 2.0, 1.0), (1.0, 2.0, -20000.0), (1e300, 1.0, 1.0), (1e200, 1.0, 1e-190), (1e308, 1.0, 1e-300),
-          (-7.19e89, -16.47, -3.17e-78), (-1000.5, 2.0, 1.0), (-1040153.655, 10.71, 5.42e-22),
-          (2.5e204, -1534304.48, -1.59e-264), (-9.4e215, -2085543.53, 9.69e-223),
-          (4.05e51, -916494.7, 1.16e-98), (0.5, 3.5, -1e6), (-2.0, -10000000.5, 1.0)]
 # one-series windows, most from k > 0, on either side of z = 0
 _WINDOWS = [(0.5, 3.5, 2000.0), (0.5, 3.5, 500.0), (3.0, 1.5, -5000.0), (0.3, 1.1, -5000.0)]
-HYPERG = tuple(["hyperg", f"--a={a!r}", f"--b={b!r}", f"--z={z!r}"] for a, b, z in _CRITERION_6 + _SMOKE + _WINDOWS)
+
+
+def smoke_hyperg_calls() -> list:
+    """The argv of every `mrenew hyperg` call of .github/smoke.sh, refusals included, in file order."""
+    calls = []
+    for line in (ROOT / ".github" / "smoke.sh").read_text().splitlines():
+        words = shlex.split(line, comments=True)
+        if "mrenew" in words and (argv := words[words.index("mrenew") + 1:])[:1] == ["hyperg"]:
+            calls.append(argv)
+    return calls
+
+
+def _hyperg(abz) -> list:
+    return [["hyperg", f"--a={a!r}", f"--b={b!r}", f"--z={z!r}"] for a, b, z in abz]
+
+
+HYPERG = tuple(_hyperg(_CRITERION_6) + smoke_hyperg_calls() + _hyperg(_WINDOWS))
 
 
 def digest_requests(argvs) -> str:
