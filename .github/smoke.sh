@@ -25,7 +25,11 @@ mrenew renewal --i 2 --j 2 --t-grid 1:1:1 --lambda 3 --alpha 1 --method gs --ord
 mrenew renewal --i 5 --j 3 --t-grid 0.5:50:2 --lambda 20 --alpha 1 --method euler
 mrenew renewal --i 14 --j 9 --t-grid 1:300:3 --lambda 1000 --alpha 1 --method euler
 mrenew transform --i 14 --j 9 --s-grid 0.01:100:6 --lambda 1000 --alpha 1
-# a short grid swept together: six columns cut at N = 2,081 to 2,422, over three kernel blocks
+# cuts judged at every eighth level past the floor, in both sweeps: 54 Euler columns
+# cut at N = 72 to 136, and 14 Gaver-Stehfest columns in the short sweep at N = 136 to 144
+mrenew renewal --i 8 --j 6 --t-grid 2.41577:4.83154:2 --lambda 128.945 --alpha 0.556887 --method euler
+mrenew renewal --i 15 --j 14 --t-grid 249.64:249.64:1 --lambda 57.0432 --alpha 1.13165 --method gs --order 14
+# a short grid swept together: six columns cut at N = 2,082 to 2,426, over three kernel blocks
 mrenew transform --i 0 --j 2000 --s-grid 0.01:100:6 --lambda 2000 --alpha 1 --solver oracle
 # the closed form's Poisson window reaches rho = 1e5
 mrenew transform --i 5 --j 30 --s-grid 0.01:1:3 --lambda 100000 --alpha 1 --solver closedform
@@ -64,7 +68,7 @@ mrenew transform --help > /dev/null
 expect_exit 2 mrenew transform --i 0 --j 0 --s-grid 1:1:1 --lambda 1 --alpha 1 --bogus 3
 # a polynomial of degree 2 whose first k with b + k > 0 lies past k = 2^21 (it was refused)
 mrenew hyperg --a=-2 --b=-10000000.5 --z 1
-# top = j: every state kept is a record, and the cut comes at the first level past it
+# top = j: every state kept is a record, and the first level judged, j + 2, lies past it
 mrenew transform --i 2 --j 250 --s-grid 0.01:1:6 --lambda 300 --alpha 1
 
 # a time whose inversion rule passes the solvers' floor Re(s) >= 1e-14 is an argument error

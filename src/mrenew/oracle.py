@@ -21,15 +21,15 @@ first in grid order.  The rows sum to
 
 so the cut at N loses the mass |tau[N] g[N]|, and moving it from N - 1 to N
 moves x[m] by g[N] q[m] .. q[N-1].  `solve_row_truncated` cuts at a given
-n.  `solve_row_adaptive` cuts at the first N from a floor up to
+n.  `solve_row_adaptive` cuts at the first judged N (below) up to
 _N_MAX = 2**16 that passes the lost-mass test: the lost mass is at most
 _TOL = 1e-10 and the moves of x[top] still to come, |move| r / (1 - r)
 with r the ratio of the last two moves, are at most 2**-52 of x[top].
 For real s all terms are positive, so no entry 0..top moves more,
 relative to its value; top is max(i + 10, j).
 
-`solve_rows` cuts at the first N that passes the lost-mass test or the
-bound test: |q[top] .. q[N]| < 2**-52 c[N+1](Re s) |x[top]|, with
+`solve_rows` cuts at the first judged N that passes the lost-mass test or
+the bound test: |q[top] .. q[N]| < 2**-52 c[N+1](Re s) |x[top]|, with
 c = 1 - sigma_bar - tau_bar.  The exact row restricted to 0..N solves the
 system cut at N with boundary value x[N+1], so the cut moves x[top] by
 exactly q[top] .. q[N] x[N+1].  At real s, x >= 0 and
@@ -48,11 +48,15 @@ pivot w[k] and g[k]; past top, the move g[k] P[k] of x[top], with
 P[k] = q[top] .. q[k-1], added to S = q[top] x[top+1]; then tau[k] g[k]
 and q[k]; the record (g[k], q[k]) up to top; and from top on P[k+1].  So
 the tests read products the step makes anyway, and state N judges level N
-once, by both tests against one |x[top]|.  The cut: a column is cut at the
-first level from first = max(n_lo, top + 1) that passes a test (the
-bound test only for `solve_rows`), else at the last level n_hi, which
-reads the kernel at n_hi + 1, and once cut it is silent: no later test,
-pivot or move counts for it.  top = n_hi cuts at n_hi and keeps every state.
+once, by both tests against one |x[top]|.  The judged levels are
+first = max(n_lo, top + 1), every _STRIDE = 8th level past it,
+first + 8, first + 16, ..., and the last level n_hi, which reads the
+kernel at n_hi + 1: each test is a proof at whatever level it passes,
+and a judged level costs the array sweep 12 numpy calls on top of the
+step's 9.  The cut: a column is cut at the first judged level that passes
+a test (the bound test only for `solve_rows`), else at n_hi, and once cut
+it is silent: no later test, pivot or move counts for it.  top = n_hi
+judges no level, cuts at n_hi and keeps every state.
 Its entries are back-substituted from x[top] = g[top] + S, down to j only
 for `solve_rows`, the one entry it reads, and down to state 0 for
 `solve_row_truncated`.  Kernel values must be finite: a block holding a
@@ -101,6 +105,7 @@ _SWEEP_ELEMENTS = 6144     # states x columns of one block of kernel values
 _MIN_BATCH = 17            # fewest columns worth sweeping together (measured real crossover)
 _EPS = 2.0**-52            # moves still to come allowed, relative to x[top]
 _MARGIN = 10               # entries past i that the stop test covers: top = max(i + _MARGIN, j)
+_STRIDE = 8                # levels from one judged level to the next (module docstring)
 _N_MAX = 2**16             # largest cut N of an adaptive solve
 _TOL = 1e-10               # lost mass |tau_bar(N) x[N]| allowed at the cut
 _NEUMANN_STOP = 1e-12      # largest Neumann term left out of the sum
@@ -133,11 +138,12 @@ class TransformEntries:
     """rbar_ij(s) at many abscissas, from `solve_rows`.
 
     values[k], truncation_n[k] and normalization_residual[k] belong to
-    s[k]; each abscissa was cut at its own truncation level N.  s is a copy
-    of the caller's abscissas.  The residual is the mass the cut loses,
-    |tau_bar(N) x[N]|, which is `TransformRowResult`'s summed residual of
-    the row cut at N up to that sum's rounding; it is not small where the
-    bound test cut (see the module docstring).
+    s[k]; each abscissa was cut at its own truncation level N, one of the
+    judged levels of the module docstring.  s is a copy of the caller's
+    abscissas.  The residual is the mass the cut loses, |tau_bar(N) x[N]|,
+    which is `TransformRowResult`'s summed residual of the row cut at N up
+    to that sum's rounding; it is not small where the bound test cut (see
+    the module docstring).
     """
 
     i: int
@@ -259,6 +265,7 @@ def _eliminate(i, s, kernel: KernelTransform, top: int, low: int, n_lo: int, n_h
     xs = losses = zero                              # S and the lost mass |tg| where each column was cut
     g, tp, tg, q, p, x, move, last = 0.0, 0.0, 0.0, 0.0, zero + 1.0, zero, zero, zero
     hit, eps = False, _EPS if proven else 0.0       # no level below first passes
+    test_at = first                                 # the next level judged
     for lo, sigma, tau, c_re in _blocks(kernel, s, n_lo, n_hi):
         pivots = np.ones_like(sigma)
         with np.errstate(all="ignore"):         # a bad pivot is reported below
@@ -274,16 +281,19 @@ def _eliminate(i, s, kernel: KernelTransform, top: int, low: int, n_lo: int, n_h
                     kept.append((g, q))
                 if k >= top:
                     p = p * q
-                if k >= first:
+                if k == test_at:
                     # level k of the open columns: the bound test (the cut at k moves x[top]
                     # by p x[k+1], and |x[k+1]| <= 1 / c_re_k), then the lost-mass test
+                    test_at = min(k + _STRIDE, n_hi)
                     x_top = abs(kept[top][0] + x)
                     hit = todo & (abs(p) < eps * c_re_k * x_top)
                     if (lost := todo & (abs(tg) <= _TOL)).any():
                         # the moves still to come, shrinking by r per state, sum to |move| r / (1 - r)
                         r = abs(move) / abs(last)
                         hit = hit | lost & ((move == 0) | (abs(move) * r <= _EPS * (1.0 - r) * x_top))
-                if k < n_hi and (k < first or not hit.any()):
+                    if k < n_hi and not hit.any():
+                        continue
+                elif k < n_hi:                      # hit still holds the last judged level's columns
                     continue
                 cut = hit | todo & (k == n_hi)
                 levels[cut], todo[cut] = k, False
@@ -338,6 +348,7 @@ def _short_column(i: int, top: int, low: int, n_lo: int, n_hi: int, proven: bool
     kept = []
     g = tp = tg = q = x = move = last = 0.0
     p, hit = 1.0, False                             # no level below first passes
+    test_at = first                                 # the next level judged
     end = None
     while not end:
         lo, sigma, tau, c_re = yield
@@ -356,8 +367,9 @@ def _short_column(i: int, top: int, low: int, n_lo: int, n_hi: int, proven: bool
                 kept.append((g, q))
             if k >= top:
                 p = p * q
-            if k >= first:
+            if k == test_at:
                 # level k: the bound test, then the lost-mass test, as in `_eliminate`
+                test_at = min(k + _STRIDE, n_hi)
                 x_top = abs(kept[top][0] + x)
                 hit = abs(p) < eps * c_re_k * x_top
                 if not hit and abs(tg) <= tol:
@@ -390,11 +402,13 @@ def solve_rows(
 ) -> TransformEntries:
     """rbar_ij(s) at every abscissa of s_values, solved together.
 
-    Each abscissa is cut at its own N >= max(cfg.n0, i + 2, j + 2), by the
-    lost-mass test or the bound test of the module docstring, whichever
-    passes first, with top = max(i + 10, j).  Raises NonConvergenceError
-    naming the first abscissa that has passed neither by n_max = _N_MAX,
-    with the mass its cut there loses as the residual.
+    Each abscissa is cut at its own N, the first judged level that passes
+    the lost-mass test or the bound test of the module docstring, with
+    top = max(i + 10, j).  The levels judged are
+    first = max(cfg.n0, i + 11, j + 2), first + 8, first + 16, ... and
+    n_max = _N_MAX.  Raises NonConvergenceError naming the first abscissa
+    that has passed neither by n_max, with the mass its cut there loses as
+    the residual.
     """
     return _solve_rows(i, j, s_values, kernel, cfg, proven=True)
 
@@ -428,15 +442,17 @@ def solve_row_adaptive(
     kernel: KernelTransform,
     cfg: TruncationConfig = TruncationConfig(),
 ) -> TransformRowResult:
-    """Row i solved at the first N >= max(cfg.n0, i + 2) that passes the lost-mass test.
+    """Row i solved at the first judged N that passes the lost-mass test.
 
-    The test (module docstring, top = i + 10) bounds the mass lost at N by
-    _TOL, so the whole row's normalization residual is small, and what is
-    still to come of the moves of values[0 .. i+10] by 2**-52 of their
-    values; entries past i + 10 carry the error of the cut.  The bound
-    test of `solve_rows` is not used, so this N can lie deeper than
-    `solve_rows(i, i, [s])`'s.  Raises NonConvergenceError (carrying the
-    lost mass at the cap) if no N up to n_max = _N_MAX passes.
+    The levels judged are first = max(cfg.n0, i + 11), first + 8,
+    first + 16, ... and n_max.  The test (module docstring, top = i + 10)
+    bounds the mass lost at N by _TOL, so the whole row's normalization
+    residual is small, and what is still to come of the moves of
+    values[0 .. i+10] by 2**-52 of their values; entries past i + 10 carry
+    the error of the cut.  The bound test of `solve_rows` is not used, so
+    this N can lie deeper than `solve_rows(i, i, [s])`'s.  Raises
+    NonConvergenceError (carrying the lost mass at the cap) if no N up to
+    n_max = _N_MAX passes.
     """
     _check_row(i, s, i)                 # the level is not known yet: the cut lies past i
     n = int(_solve_rows(i, i, [s], kernel, cfg, proven=False).truncation_n[0])

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 
@@ -213,16 +214,37 @@ class _WellKernel(KernelTransform):
         return np.where(j == 0, 0.0, 1.0 / (1.0 + s) - up), np.where(j == 0, 1.0 / (1.0 + s), up)
 
 
+@st.composite
+def _lattice_problems(draw):
+    """(i, j, kernel, s, n0, cap): M|M|inf at rho over [1e-3, 2000], 1 to 2 _MIN_BATCH real
+    abscissas over [1e-4, 1e3] or as many Euler abscissas A/2t + i k pi/t, k = 0, 1, ...,
+    a floor n0 of 2 to 64, and a cap n_max of _N_MAX, or one time in two 0 to 40 levels
+    past the first level judged.
+
+    rho, s and t are spread evenly over decades.
+    """
+    i, j, n0 = draw(st.integers(0, 30)), draw(st.integers(0, 30)), draw(st.integers(2, 64))
+    k = kernel(QueueParams(1e-3 * 2e6 ** draw(st.floats(0.0, 1.0)), 1.0))
+    width = draw(st.integers(1, 2 * oracle._MIN_BATCH))
+    if draw(st.booleans()):
+        t = 0.05 * 1e3 ** draw(st.floats(0.0, 1.0))
+        s_values = [complex(18.4 / (2.0 * t), m * math.pi / t) for m in range(width)]
+    else:
+        s_values = [1e-4 * 1e7 ** u for u in draw(st.lists(st.floats(0.0, 1.0), min_size=width, max_size=width))]
+    cap = max(n0, i + 11, j + 2) + draw(st.integers(0, 40)) if draw(st.booleans()) else None
+    return i, j, k, s_values, n0, cap
+
+
 class TestSolveRows:
     # rho = 50 over s in 1e-3..1e3: for (i, j) = (1, 3) the lost-mass test,
-    # not the bound test, cuts the columns, at 14 levels from N = 64 to 115
+    # not the bound test, cuts the columns, at 6 judged levels from N = 64 to 120
     SPREAD = (QueueParams(50.0, 1.0), np.geomspace(1e-3, 1e3, 20))
 
     def test_real_columns_bit_identical_to_one_column_solves(self):
         p, s_values = self.SPREAD
         k = kernel(p)
         entries = solve_rows(1, 3, s_values, k)
-        assert len(set(entries.truncation_n.tolist())) == 14
+        assert set(entries.truncation_n.tolist()) == {64, 80, 96, 104, 112, 120}
         widest = oracle._MIN_BATCH - 1     # the widest grid swept as a short one
         short = solve_rows(1, 3, s_values[:widest], k)
         for field in ("values", "truncation_n", "normalization_residual"):
@@ -264,14 +286,45 @@ class TestSolveRows:
         # at the floor n0 = 2 the first level judged is top + 1 = 11, where the
         # lost mass is below tol but no move of x[top] came before: without
         # arrivals this move is 0 too and the cut is there; at rho = 0.1 it is
-        # not, and the move test waits for a ratio of two moves
+        # not, and the move test waits for a ratio of two moves, to level 19
         cfg = TruncationConfig(n0=2)
         short = solve_rows(0, 0, [1.0], kernel(p), cfg)
-        assert short.truncation_n.tolist() == [11 if p is PURE_DEATH else 17]
+        assert short.truncation_n.tolist() == [11 if p is PURE_DEATH else 19]
         monkeypatch.setattr(oracle, "_MIN_BATCH", 1)
         array = solve_rows(0, 0, [1.0], kernel(p), cfg)
         for field in ("values", "truncation_n", "normalization_residual"):
             np.testing.assert_array_equal(getattr(short, field), getattr(array, field))
+
+    @pytest.mark.parametrize("width", [2, oracle._MIN_BATCH])
+    def test_the_last_level_is_judged_off_the_lattice(self, width, monkeypatch):
+        # at the floor n0 = 8 the levels judged are 11, 19, 27, ...; judged at
+        # every level, s = 10 first passes a test at 19, s = 1 at 22 and
+        # s = 0.01 at 23, so at the cap n_max = 22 s = 1 passes only there
+        monkeypatch.setattr(oracle, "_N_MAX", 22)
+        k, cfg = kernel(UNIT), TruncationConfig(n0=8)
+        entries = solve_rows(0, 0, [10.0] + [1.0] * (width - 1), k, cfg)
+        assert entries.truncation_n.tolist() == [19] + [22] * (width - 1)
+        assert (entries.normalization_residual <= oracle._TOL).all()
+        assert entries.values[-1] == solve_row_truncated(0, 1.0, k, 22).values[0]
+        with pytest.raises(NonConvergenceError, match=r"s=0\.01\) did not converge by n_max=22;"):
+            solve_rows(0, 0, [1.0] + [0.01] * (width - 1), k, cfg)
+
+    @given(_lattice_problems())
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_every_cut_is_a_judged_level(self, problem):
+        # first + 8m or n_max, for solve_rows at any width and for solve_row_adaptive
+        i, j, k, s_values, n0, cap = problem
+        with pytest.MonkeyPatch.context() as patch:
+            if cap is not None:
+                patch.setattr(oracle, "_N_MAX", cap)
+            cfg = TruncationConfig(n0=n0)
+            cuts = []       # (first level judged, N) of each column that converged
+            with contextlib.suppress(NonConvergenceError):
+                cuts += [(max(n0, i + 11, j + 2), int(n)) for n in solve_rows(i, j, s_values, k, cfg).truncation_n]
+            with contextlib.suppress(NonConvergenceError):
+                cuts.append((max(n0, i + 11), solve_row_adaptive(i, s_values[0], k, cfg).truncation_n))
+            for first, n in cuts:
+                assert n == oracle._N_MAX or n >= first and (n - first) % 8 == 0, (first, n)
 
     def test_complex_columns_match_one_column_solves_and_conjugates(self):
         k = kernel(QueueParams(2.0, 1.0))
@@ -694,7 +747,7 @@ class TestSweepFork:
 
     @pytest.mark.parametrize("state", [1000, 1100, 1200])
     def test_a_nan_past_every_cut_gives_one_outcome_at_either_width(self, state):
-        # the columns are cut at N = 844 and 611; a block held 6144 // columns
+        # the columns are cut at N = 851 and 611; a block held 6144 // columns
         # states, so at 2 columns the block from state 603 reached 1206 and met
         # the NaN at 1100 or 1200, where 17 columns, in blocks of 360 states,
         # answered; both now read blocks of 360 states, up to 1080
@@ -709,7 +762,7 @@ class TestSweepFork:
 
         s_values = [1e-3, 100.0]
         assert outcome(s_values) == outcome(self.padded(s_values))
-        assert outcome(s_values) == ([844, 611] if state > 1080 else
+        assert outcome(s_values) == ([851, 611] if state > 1080 else
                                      f"kernel values at state {state}, s=100.0 are not finite: "
                                      "sigma_bar = 0.0, tau_bar = nan")
 
