@@ -17,7 +17,8 @@ mrenew validate --quick
 mrenew transform --i 0 --j 0 --s-grid 1:1:1 --lambda 1 --alpha 1
 mrenew renewal --i 0 --j 1 --t-grid 0.5:2:4 --lambda 1 --alpha 1 --method gs
 mrenew renewal --i 0 --j 1 --t-grid 0.5:2:4 --lambda 1 --alpha 1 --method euler
-# one time's 14 Gaver-Stehfest abscissas: a real grid short enough for the short sweep
+# one time's 14 Gaver-Stehfest abscissas: a real grid one column short of the
+# array sweep, which takes 15 or more, so it takes the short sweep
 mrenew renewal --i 3 --j 2 --t-grid 2:2:1 --lambda 5 --alpha 1 --method gs
 # order 18: 18 real abscissas in the array sweep, with the largest weight table
 mrenew renewal --i 2 --j 2 --t-grid 1:1:1 --lambda 3 --alpha 1 --method gs --order 18
@@ -73,6 +74,10 @@ mrenew transform --i 2 --j 250 --s-grid 0.01:1:6 --lambda 300 --alpha 1
 
 # a time whose inversion rule passes the solvers' floor Re(s) >= 1e-14 is an argument error
 expect_exit 2 mrenew renewal --i 0 --j 0 --t-grid 1e15:1e15:1 --lambda 1 --alpha 1 --method gs
+# an abscissa whose alpha s passes the largest double is an argument error, in either
+# solver (a traceback out of numpy's overflow warning, exit 1)
+expect_exit 2 mrenew transform --i 3 --j 2 --s-grid 1e10:1e10:1 --lambda 1e-300 --alpha 1e300 --solver oracle
+expect_exit 2 mrenew transform --i 3 --j 2 --s-grid 1e10:1e10:1 --lambda 1e-300 --alpha 1e300 --solver closedform
 # a horizon whose least expected event count passes the event cap is a numerical
 # failure, raised before the walk (it walked 10^7 lock-step iterations, about 150 s)
 expect_exit 1 timeout 5 mrenew simulate --i 0 --j 0 --t-grid 1e9:1e9:1 --lambda 1 --alpha 1 --paths 3 --seed 1

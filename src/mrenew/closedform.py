@@ -46,10 +46,11 @@ from .hyperg import weighted_kummer_sum
 from .model import QueueParams
 
 def _check_s(s, alpha):
-    with np.errstate(divide="ignore", over="ignore"):    # the weight factor 1 / (alpha s) must be finite too
-        if np.iscomplexobj(s) or not (
-                np.greater(s, 0) & (np.maximum(s, 1 / (alpha * np.asarray(s))) < math.inf)).all():
-            raise ValueError(f"transform variable must be real and > 0 with s and 1/(alpha s) finite, got {s}")
+    with np.errstate(divide="ignore", over="ignore"):    # alpha s and the weight factor 1 / (alpha s) must be finite
+        a_s = alpha * np.asarray(s)
+        if np.iscomplexobj(s) or not (np.greater(s, 0) & (np.maximum(a_s, 1 / a_s) < math.inf)).all():
+            raise ValueError(f"transform variable must be real and > 0 with alpha s and 1/(alpha s) finite, "
+                             f"got s={s} with alpha={alpha}")
 
 
 def generating_function(i: int, x: float, s: float, p: QueueParams) -> float:

@@ -86,7 +86,8 @@ def _walk_block(kernel, i, targets, t_grid, cfg, block):
     absorbed are dropped.  A path still live after _MAX_EVENTS events
     raises EventCapError.  Every lock-step iteration makes new arrays and
     writes none in place, so it records them as they are, and the entries
-    are matched once per _CHUNK records.
+    are matched once per _CHUNK records and once more when no path is
+    live; the last record is then empty.
     """
     horizon = t_grid[-1]
     size = min(_BLOCK, cfg.n_paths - block * _BLOCK)
@@ -96,33 +97,28 @@ def _walk_block(kernel, i, targets, t_grid, cfg, block):
     elapsed = np.zeros(size)
     steps, hits = [], []
     events = 0
-    while True:
+    while live.size:
         u = rng.random((2, live.size))
         state, sojourn = kernel.step(state, u[0], u[1])
         elapsed = elapsed + sojourn
         keep = elapsed <= horizon       # an absorbed path's elapsed is inf
         if np.count_nonzero(keep) != live.size:
             live, state, elapsed = live[keep], state[keep], elapsed[keep]
-            if live.size == 0:
-                break
         events += 1
-        if events > _MAX_EVENTS:
+        if events > _MAX_EVENTS and live.size:
             raise EventCapError(
                 f"path {block * _BLOCK + live[0]} exceeded max_events={_MAX_EVENTS} "
                 f"before t={horizon}"
             )
         steps.append((live, state, elapsed))
-        if len(steps) == _CHUNK:
+        if len(steps) == _CHUNK or not live.size:
             hits.append(_entries(targets, steps))
             steps = []
-    if steps:
-        hits.append(_entries(targets, steps))
     marks = np.zeros((size, targets.size, t_grid.size))
-    if hits:
-        paths, cols, entered = map(np.concatenate, zip(*hits))
-        # an entry at time e counts at every grid time t >= e; e <= horizon
-        first = np.searchsorted(t_grid, entered, side="left")
-        np.add.at(marks, (paths, cols, first), 1.0)
+    paths, cols, entered = map(np.concatenate, zip(*hits))
+    # an entry at time e counts at every grid time t >= e; e <= horizon
+    first = np.searchsorted(t_grid, entered, side="left")
+    np.add.at(marks, (paths, cols, first), 1.0)
     return np.cumsum(marks, axis=2)
 
 

@@ -107,7 +107,9 @@ class MMInfinityKernel(KernelTransform):
 
     ``transforms`` additionally accepts complex s with nonnegative real
     part, so the same evaluator can feed complex-abscissa Laplace
-    inversion; the rational formulas extend verbatim.  Without arrivals
+    inversion; the rational formulas extend verbatim.  An s whose
+    denominator j + rho + alpha s is past the largest double is refused
+    with ValueError, naming s and alpha.  Without arrivals
     both entries vanish at j = 0 for every s, including the corner s = 0
     where the ratios are formally 0/0.
     """
@@ -122,7 +124,12 @@ class MMInfinityKernel(KernelTransform):
     def transforms(self, j, s) -> tuple:
         _check_state_and_s(j, s)
         p = self.params
-        denom = j + p.rho + p.alpha * s
+        with np.errstate(over="ignore"):    # an infinite denominator is refused below
+            denom = j + p.rho + p.alpha * s
+        if (past := np.isinf(denom)).any():
+            at = np.broadcast_to(s, past.shape)[past].flat[0]
+            raise ValueError(f"transform variable s={at} with alpha={p.alpha}: "
+                             f"j + rho + alpha s is past the largest double")
         if p.rho == 0.0:
             # sigma = j / denom and tau = 0 / denom are exactly 0 at j = 0
             # for any nonzero denominator; 1 keeps the corner finite

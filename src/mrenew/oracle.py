@@ -48,15 +48,19 @@ pivot w[k] and g[k]; past top, the move g[k] P[k] of x[top], with
 P[k] = q[top] .. q[k-1], added to S = q[top] x[top+1]; then tau[k] g[k]
 and q[k]; the record (g[k], q[k]) up to top; and from top on P[k+1].  So
 the tests read products the step makes anyway, and state N judges level N
-once, by both tests against one |x[top]|.  The judged levels are
-first = max(n_lo, top + 1), every _STRIDE = 8th level past it,
-first + 8, first + 16, ..., and the last level n_hi, which reads the
-kernel at n_hi + 1: each test is a proof at whatever level it passes,
-and a judged level costs the array sweep 12 numpy calls on top of the
-step's 9.  The cut: a column is cut at the first judged level that passes
-a test (the bound test only for `solve_rows`), else at n_hi, and once cut
-it is silent: no later test, pivot or move counts for it.  top = n_hi
-judges no level, cuts at n_hi and keeps every state.
+once, by both tests against one |x[top]|.  The caller states each row's
+lattice once: it passes top, the first judged level first <= n_hi and
+the cap n_hi, and the levels judged are first, every _STRIDE = 8th level
+past it, first + 8, first + 16, ..., and the cap n_hi, which is always
+judged and reads the kernel at n_hi + 1: each test is a proof at
+whatever level it passes, and a judged level costs the array sweep 12
+numpy calls on top of the step's 9.  `solve_rows` passes
+first = max(n0, top + 1, j + 2), past top and the floor
+max(n0, i + 2, j + 2), and n_hi = max(_N_MAX, first);
+`solve_row_truncated` passes top = first = n_hi = n.  The cut: a column
+is cut at the first judged level that passes a test (the bound test only
+for `solve_rows`), else at n_hi, and once cut it is silent: no later
+test, pivot or move counts for it.
 Its entries are back-substituted from x[top] = g[top] + S, down to j only
 for `solve_rows`, the one entry it reads, and down to state 0 for
 `solve_row_truncated`.  Kernel values must be finite: a block holding a
@@ -65,14 +69,16 @@ state and abscissa, before any of it is swept.
 
 A column keeps O(top) state whatever N is, and `solve_rows` sweeps every
 abscissa of a request in one pass, each cut at its own N: a grid of at
-least _MIN_BATCH = 17 abscissas as columns of numpy arrays, a shorter one
+least _MIN_BATCH = 15 abscissas as columns of numpy arrays, a shorter one
 column by column in Python numbers, where the array bookkeeping would cost
-more than the steps.  Both walk one block schedule (`_blocks`), which
-reads each kernel block once for every abscissa of the grid, and both
-step every open column through a block before a small pivot is reported,
-so a real column gets the same bits, or the same error, from a short grid
-and from its padding to _MIN_BATCH columns, a bad kernel value past every
-column's cut included.
+more than the steps (README *The fork*): one time's Gaver-Stehfest grid
+of order 14 takes the short sweep, of order 16 or 18 the array sweep, as
+do Euler's 27 complex abscissas per time.  Both walk one block schedule
+(`_blocks`), which reads each kernel block once for every abscissa of
+the grid, and both step every open column through a block before a small
+pivot is reported, so a real column gets the same bits, or the same
+error, from a short grid and from its padding to _MIN_BATCH columns, a
+bad kernel value past every column's cut included.
 The residual `solve_rows` reports is the mass its cut loses,
 |tau[N] g[N]|, which by the sum above is the normalization residual of
 the row cut at N without the rounding of a second sum: at most _TOL
@@ -102,7 +108,7 @@ from .model import KernelTransform
 
 _MIN_PIVOT = 1e-14
 _SWEEP_ELEMENTS = 6144     # states x columns of one block of kernel values
-_MIN_BATCH = 17            # fewest columns worth sweeping together (measured real crossover)
+_MIN_BATCH = 15            # fewest columns worth sweeping together (measured real crossover, README *The fork*)
 _EPS = 2.0**-52            # moves still to come allowed, relative to x[top]
 _MARGIN = 10               # entries past i that the stop test covers: top = max(i + _MARGIN, j)
 _STRIDE = 8                # levels from one judged level to the next (module docstring)
@@ -221,21 +227,21 @@ def _read_block(kernel: KernelTransform, states, s) -> tuple:
     return sigma, tau, c, c_re
 
 
-def _blocks(kernel: KernelTransform, s, n_lo: int, n_hi: int):
+def _blocks(kernel: KernelTransform, s, first: int, n_hi: int):
     """The kernel blocks both sweeps step, as (lo, sigma_bar, tau_bar, c(Re s)):
     states lo..hi, the row read ahead included, at every abscissa of s.
 
-    The first block reaches past the floor n_lo, each later one is as long
-    as all before it, and none holds more than _SWEEP_ELEMENTS states x
-    columns, a grid of fewer than _MIN_BATCH columns counted as _MIN_BATCH,
-    so a short grid and its padding to _MIN_BATCH columns read the same
-    blocks; the last reads state n_hi + 1.  A block is read only when the
+    The first block reaches past the first judged level, each later one is
+    as long as all before it, and none holds more than _SWEEP_ELEMENTS
+    states x columns, a grid of fewer than _MIN_BATCH columns counted as
+    _MIN_BATCH, so a short grid and its padding to _MIN_BATCH columns read
+    the same blocks; the last reads state n_hi + 1.  A block is read only when the
     next one is asked for, and an empty grid reads none.
     """
     budget = max(1, _SWEEP_ELEMENTS // max(s.size, _MIN_BATCH) - 1)    # states stepped per block, which reads one more
     lo = 0
     while s.size and lo <= n_hi:
-        hi = min(lo + min(budget, max(n_lo + 1, lo)), n_hi + 1)
+        hi = min(lo + min(budget, max(first + 1, lo)), n_hi + 1)
         sigma, tau, _, c_re = _read_block(kernel, np.arange(lo, hi + 1)[:, None], s)
         yield lo, sigma, tau, c_re
         lo = hi
@@ -245,9 +251,12 @@ def _small_pivot(w, row: int, s) -> PivotError:
     return PivotError(f"pivot {w!r} below {_MIN_PIVOT} at row {row}, s={s}")
 
 
-def _eliminate(i, s, kernel: KernelTransform, top: int, low: int, n_lo: int, n_hi: int, proven: bool = True):
+def _eliminate(i, s, kernel: KernelTransform, top: int, low: int, first: int, n_hi: int, proven: bool = True):
     """`solve_rows`' sweep of the array s: each abscissa a column of numpy
     arrays, all stepped state by state, block by block of `_blocks`.
+
+    Judges the levels first, first + _STRIDE, ... and n_hi, given
+    top < first <= n_hi, or top = first = n_hi (module docstring).
 
     The columns share every step, so a cut column steps on with the open
     ones; the mask `todo` of open columns keeps it out of every later test
@@ -256,17 +265,15 @@ def _eliminate(i, s, kernel: KernelTransform, top: int, low: int, n_lo: int, n_h
     whether a test passed.
     """
     cols = s.size
-    top = min(top, n_hi)
-    first = max(n_lo, top + 1)                      # first N the tests may pass at
     # an open column's level is n_hi, past every row it may still step
     levels, passed, todo = np.full(cols, n_hi), np.zeros(cols, dtype=bool), np.ones(cols, dtype=bool)
     kept = []
     zero = np.zeros(cols)
     xs = losses = zero                              # S and the lost mass |tg| where each column was cut
     g, tp, tg, q, p, x, move, last = 0.0, 0.0, 0.0, 0.0, zero + 1.0, zero, zero, zero
-    hit, eps = False, _EPS if proven else 0.0       # no level below first passes
+    eps = _EPS if proven else 0.0
     test_at = first                                 # the next level judged
-    for lo, sigma, tau, c_re in _blocks(kernel, s, n_lo, n_hi):
+    for lo, sigma, tau, c_re in _blocks(kernel, s, first, n_hi):
         pivots = np.ones_like(sigma)
         with np.errstate(all="ignore"):         # a bad pivot is reported below
             # sigma and c_re of state k + 1 step state k
@@ -281,19 +288,18 @@ def _eliminate(i, s, kernel: KernelTransform, top: int, low: int, n_lo: int, n_h
                     kept.append((g, q))
                 if k >= top:
                     p = p * q
-                if k == test_at:
-                    # level k of the open columns: the bound test (the cut at k moves x[top]
-                    # by p x[k+1], and |x[k+1]| <= 1 / c_re_k), then the lost-mass test
-                    test_at = min(k + _STRIDE, n_hi)
-                    x_top = abs(kept[top][0] + x)
-                    hit = todo & (abs(p) < eps * c_re_k * x_top)
-                    if (lost := todo & (abs(tg) <= _TOL)).any():
-                        # the moves still to come, shrinking by r per state, sum to |move| r / (1 - r)
-                        r = abs(move) / abs(last)
-                        hit = hit | lost & ((move == 0) | (abs(move) * r <= _EPS * (1.0 - r) * x_top))
-                    if k < n_hi and not hit.any():
-                        continue
-                elif k < n_hi:                      # hit still holds the last judged level's columns
+                if k != test_at:
+                    continue
+                # level k of the open columns: the bound test (the cut at k moves x[top]
+                # by p x[k+1], and |x[k+1]| <= 1 / c_re_k), then the lost-mass test
+                test_at = min(k + _STRIDE, n_hi)
+                x_top = abs(kept[top][0] + x)
+                hit = todo & (abs(p) < eps * c_re_k * x_top)
+                if (lost := todo & (abs(tg) <= _TOL)).any():
+                    # the moves still to come, shrinking by r per state, sum to |move| r / (1 - r)
+                    r = abs(move) / abs(last)
+                    hit = hit | lost & ((move == 0) | (abs(move) * r <= _EPS * (1.0 - r) * x_top))
+                if k < n_hi and not hit.any():
                     continue
                 cut = hit | todo & (k == n_hi)
                 levels[cut], todo[cut] = k, False
@@ -311,19 +317,18 @@ def _eliminate(i, s, kernel: KernelTransform, top: int, low: int, n_lo: int, n_h
     return list(_back_substitute(kept, xs, low).T), levels, losses, passed
 
 
-def _eliminate_short(i, s, kernel: KernelTransform, top: int, low: int, n_lo: int, n_hi: int, proven: bool = True):
+def _eliminate_short(i, s, kernel: KernelTransform, top: int, low: int, first: int, n_hi: int, proven: bool = True):
     """`_eliminate` for a short grid s, one `_short_column` per abscissa.
 
     Each block of `_blocks` is split into one list per column and sent to
-    every column whose end is still None.  Returns `_eliminate`'s results
-    as lists.
+    every column whose end is still None.  Takes `_eliminate`'s levels and
+    returns its results as lists.
     """
-    top = min(top, n_hi)
-    columns = [_short_column(i, top, low, n_lo, n_hi, proven) for _ in s]
+    columns = [_short_column(i, top, low, first, n_hi, proven) for _ in s]
     for column in columns:
         next(column)                                # to its first yield, ready for a block
     ends = [None] * s.size
-    for lo, *block in _blocks(kernel, s, n_lo, n_hi):
+    for lo, *block in _blocks(kernel, s, first, n_hi):
         ends = [column.send((lo, *lists)) if end is None else end
                 for column, end, lists in zip(columns, ends, zip(*(a.T.tolist() for a in block)))]
         # (row, column, pivot) of each pivot below _MIN_PIVOT
@@ -335,19 +340,19 @@ def _eliminate_short(i, s, kernel: KernelTransform, top: int, low: int, n_lo: in
     return tuple([end[field] for end in ends] for field in range(4))
 
 
-def _short_column(i: int, top: int, low: int, n_lo: int, n_hi: int, proven: bool):
-    """One column of `_eliminate_short`: `_eliminate`'s step on Python numbers.
+def _short_column(i: int, top: int, low: int, first: int, n_hi: int, proven: bool):
+    """One column of `_eliminate_short`: `_eliminate`'s step on Python numbers,
+    judging `_eliminate`'s levels, given top < first <= n_hi or top = first = n_hi.
 
     Is sent (lo, sigma, tau, c_re), the lists of one block from state lo;
     yields None while open, then once its end: (entries low..top, N, the
     lost mass, whether a test passed) at its cut, or (row, pivot) at its
     first pivot below _MIN_PIVOT.
     """
-    first = max(n_lo, top + 1)                      # first N the tests may pass at
-    tol, eps = _TOL, _EPS if proven else 0.0
+    eps = _EPS if proven else 0.0
     kept = []
     g = tp = tg = q = x = move = last = 0.0
-    p, hit = 1.0, False                             # no level below first passes
+    p = 1.0
     test_at = first                                 # the next level judged
     end = None
     while not end:
@@ -367,15 +372,16 @@ def _short_column(i: int, top: int, low: int, n_lo: int, n_hi: int, proven: bool
                 kept.append((g, q))
             if k >= top:
                 p = p * q
-            if k == test_at:
-                # level k: the bound test, then the lost-mass test, as in `_eliminate`
-                test_at = min(k + _STRIDE, n_hi)
-                x_top = abs(kept[top][0] + x)
-                hit = abs(p) < eps * c_re_k * x_top
-                if not hit and abs(tg) <= tol:
-                    # a zero last move gives no ratio: the test fails unless move is 0 too
-                    hit = move == 0 or last != 0 and (
-                        abs(move) * (r := abs(move / last)) <= _EPS * (1.0 - r) * x_top)
+            if k != test_at:
+                continue
+            # level k: the bound test, then the lost-mass test, as in `_eliminate`
+            test_at = min(k + _STRIDE, n_hi)
+            x_top = abs(kept[top][0] + x)
+            hit = abs(p) < eps * c_re_k * x_top
+            if not hit and abs(tg) <= _TOL:
+                # a zero last move gives no ratio: the test fails unless move is 0 too
+                hit = move == 0 or last != 0 and (
+                    abs(move) * (r := abs(move / last)) <= _EPS * (1.0 - r) * x_top)
             if not hit and k < n_hi:
                 continue
             end = _back_substitute(kept, x, low), k, abs(tg), hit
@@ -386,7 +392,7 @@ def _short_column(i: int, top: int, low: int, n_lo: int, n_hi: int, proven: bool
 def solve_row_truncated(i: int, s, kernel: KernelTransform, n: int) -> TransformRowResult:
     """Solve the truncated system for row i, 0 <= i <= n, with x[n+1] forced to zero."""
     i, n = _check_row(i, s, n)
-    (row,), *_ = _eliminate_short(i, np.reshape(s, 1), kernel, top=n, low=0, n_lo=n, n_hi=n, proven=True)
+    (row,), *_ = _eliminate_short(i, np.reshape(s, 1), kernel, top=n, low=0, first=n, n_hi=n, proven=True)
     # the residual summed over the row, a check on it apart from the cut's own lost mass
     c = _read_block(kernel, np.arange(n + 1)[:, None], np.reshape(s, 1))[2]
     residual = float(abs(np.sum(c[:, 0] * row) - 1.0))
@@ -421,10 +427,11 @@ def _solve_rows(i, j, s_values, kernel, cfg, proven) -> TransformEntries:
     i, j = operator.index(i), operator.index(j)
     if i < 0 or j < 0:
         raise ValueError(f"states must be >= 0, got i={i}, j={j}")
-    n_lo = max(cfg.n0, i + 2, j + 2)
+    top = max(i + _MARGIN, j)
+    first = max(cfg.n0, top + 1, j + 2)             # the floor max(n0, i + 2, j + 2), past top
     # fewer than _MIN_BATCH abscissas do not pay for the array overhead of a step
     sweep = _eliminate_short if s.size < _MIN_BATCH else _eliminate
-    rows, levels, residuals, passed = sweep(i, s, kernel, max(i + _MARGIN, j), j, n_lo, max(_N_MAX, n_lo), proven)
+    rows, levels, residuals, passed = sweep(i, s, kernel, top, j, first, max(_N_MAX, first), proven)
     if not all(passed):
         k = list(passed).index(False)
         raise NonConvergenceError(

@@ -270,6 +270,23 @@ class TestArgumentErrors:
         assert captured.out == ""
         assert "transform variable" in captured.err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "transform --i 3 --j 2 --s-grid 1e10:1e10:1 --lambda 1e-300 --alpha 1e300 --solver oracle",
+            "transform --i 3 --j 2 --s-grid 1e10:1e10:1 --lambda 1e-300 --alpha 1e300 --solver closedform",
+            "renewal --i 0 --j 0 --t-grid 1e-9:1e-9:1 --lambda 1e-300 --alpha 1e300 --method gs",
+            "renewal --i 0 --j 0 --t-grid 1e-9:1e-9:1 --lambda 1e-300 --alpha 1e300 --method euler",
+        ],
+        ids=["oracle", "closedform", "gs", "euler"],
+    )
+    def test_alpha_s_past_the_largest_double_maps_to_two(self, argv, capsys):
+        # the oracle printed 0 and the closed form inf, each after numpy's overflow warning
+        assert run(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "transform variable" in captured.err and "alpha=1e+300" in captured.err
 
     def test_oracle_s_below_the_floor_maps_to_two(self, capsys):
         # the oracle printed 7891239400913106 and exited 0; the entry is past the double range

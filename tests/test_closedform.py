@@ -177,6 +177,20 @@ class TestClosedFormRow:
         # just inside the range the entry is finite: rbar_00 = (1 + a) e^-1 phi(a, a+1; 1) / a
         assert rbar_closed_form(0, 0, 1e-300, UNIT) == pytest.approx(math.exp(-1.0) * 1e300, rel=1e-13)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_s_whose_alpha_s_is_past_the_largest_double_rejected(self):
+        # numpy warned of an overflow in alpha * s, and the entry, 0 to double
+        # precision, was reported as inf past the largest double
+        p = QueueParams(1e-300, 1e300)
+        message = r"alpha s and 1/\(alpha s\) finite, got s=.* with alpha=1e\+300$"
+        for s in (1e10, np.array([1.0, 1e10])):
+            with pytest.raises(ValueError, match=message):
+                rbar_closed_form(3, 2, s, p)
+        with pytest.raises(ValueError, match=message):
+            generating_function(2, 0.5, 1e10, p)
+        # just inside the range the entry is answered: 0 to double precision
+        assert rbar_closed_form(3, 2, 1e8, p) == 0.0
+
 
 class TestClosedFormGrid:
     """An array of abscissas is summed in one call and gives an array back."""

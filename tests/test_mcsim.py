@@ -468,6 +468,9 @@ class TestAgainstReferenceWalker:
     @example(30.0, 1.0, False, 0, [30, 31, 30], [0.5, 3.0], 375, 0)
     # M|M|1 over two blocks, 120-135 lock-step iterations a block
     @example(0.8, 1.0, True, 1, [0, 2], [5.0, 60.0], _BLOCK + 100, 3)
+    # the last live path leaves at lock-step iteration 65: a full chunk of 64
+    # records is matched inside the loop, then the empty final record alone
+    @example(5.0, 1.0, False, 0, [1, 3], [2.5, 5.0], 50, 20)
     @settings(max_examples=40, derandomize=True, deadline=None)
     def test_counts_match_bit_for_bit(self, lam, alpha, mm1, i, targets, times, n_paths, seed):
         if mm1:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -362,7 +363,9 @@ class TestKernelArrays:
 
 class TestDomainCheck:
     """The kernel's domain check refuses a negative state and Re(s) < 0 with one
-    message each, whether j and s come as Python numbers, lists or arrays."""
+    message each, whether j and s come as Python numbers, lists or arrays; the
+    kernel also refuses an s whose denominator j + rho + alpha s is past the
+    largest double."""
 
     KERNEL = MMInfinityKernel(QueueParams(1.5, 0.5))
 
@@ -389,6 +392,20 @@ class TestDomainCheck:
         if not isinstance(j, list):
             with pytest.raises(ValueError, match=r"^state index must be >= 0, got -1$"):
                 self.KERNEL.transforms(j, 1.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "p, s, named",
+        [(QueueParams(1e-300, 1e300), 1e10, "10000000000.0"),
+         (QueueParams(1e-300, 1e300), np.array([1.0, 1e10]), "10000000000.0"),
+         (QueueParams(1e-300, 1e300), np.array([1.0, complex(1e10, 1.0)]), "(10000000000+1j)"),
+         (QueueParams(1.0, 1e308), 1.0, "1.0")],
+        ids=["alpha-s", "alpha-s-in-a-grid", "alpha-s-complex", "rho-plus-alpha-s"])
+    def test_denominator_past_the_largest_double_refused(self, p, s, named):
+        # numpy warned of an overflow in alpha * s, and both entries came back 0
+        message = f"transform variable s={named} with alpha={p.alpha}: j + rho + alpha s is past the largest double"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MMInfinityKernel(p).transforms(np.arange(3)[:, None], s)
 
     @pytest.mark.parametrize(
         "s", [-0.5, np.float64(-0.5), complex(-0.5, 1.0), [1.0, -0.5], [1.0 + 1j, -0.5 + 3j],

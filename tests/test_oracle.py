@@ -270,12 +270,12 @@ class TestSolveRows:
         # in their last bits (at (30, 0), 2 of 20 by up to 3.5 units)
         p, s_values = self.SPREAD
         k = kernel(p)
-        top, n_lo = max(i + oracle._MARGIN, j), max(TruncationConfig().n0, i + 2, j + 2)
-        n_hi = max(oracle._N_MAX, n_lo)
+        top = max(i + oracle._MARGIN, j)
+        first = max(TruncationConfig().n0, top + 1, j + 2)     # the first level judged
         for grid in (s_values, s_values[:oracle._MIN_BATCH - 1]):
             entries = solve_rows(i, j, grid, k)
             sweep = oracle._eliminate_short if grid.size < oracle._MIN_BATCH else oracle._eliminate
-            rows, levels, _, _ = sweep(i, grid, k, top, 0, n_lo, n_hi)
+            rows, levels, _, _ = sweep(i, grid, k, top, 0, first, max(oracle._N_MAX, first))
             assert entries.truncation_n.tolist() == list(levels)
             assert entries.values.tobytes() == np.array([row[j] for row in rows]).tobytes()
             for col, s in enumerate(grid.tolist() if j < i else []):
@@ -357,7 +357,8 @@ class TestSolveRows:
 
     def test_nonconvergent_column_named_with_its_residual(self, monkeypatch):
         monkeypatch.setattr(oracle, "_N_MAX", 22)
-        s_values = [10.0, 1.0, 0.01, 5.0]    # 0.01 is cut at N = 23, the others by 22
+        # 0.01 first passes a test at N = 23, past the cap 22; the levels judged are 11, 19 and 22
+        s_values = [10.0, 1.0, 0.01, 5.0]
         with pytest.raises(NonConvergenceError) as err:
             solve_rows(0, 0, s_values, kernel(UNIT), TruncationConfig(n0=8))
         assert "s=0.01" in str(err.value)
@@ -745,12 +746,15 @@ class TestSweepFork:
 
         assert outcome(s_values) == outcome(self.padded(s_values))
 
-    @pytest.mark.parametrize("state", [1000, 1100, 1200])
+    @pytest.mark.parametrize("state", [1000, 1100, 1200, 1300])
     def test_a_nan_past_every_cut_gives_one_outcome_at_either_width(self, state):
         # the columns are cut at N = 851 and 611; a block held 6144 // columns
         # states, so at 2 columns the block from state 603 reached 1206 and met
         # the NaN at 1100 or 1200, where 17 columns, in blocks of 360 states,
-        # answered; both now read blocks of 360 states, up to 1080
+        # answered; both widths now read blocks of 6144 // _MIN_BATCH - 1
+        # states, up to the end of the block that steps state 851
+        block = oracle._SWEEP_ELEMENTS // oracle._MIN_BATCH - 1
+        reach = block * (851 // block + 1)
         k = _PlantedKernel(600.0, 50.0, {state: (0.0, math.nan)})
 
         def outcome(grid):
@@ -762,7 +766,7 @@ class TestSweepFork:
 
         s_values = [1e-3, 100.0]
         assert outcome(s_values) == outcome(self.padded(s_values))
-        assert outcome(s_values) == ([851, 611] if state > 1080 else
+        assert outcome(s_values) == ([851, 611] if state > reach else
                                      f"kernel values at state {state}, s=100.0 are not finite: "
                                      "sigma_bar = 0.0, tau_bar = nan")
 
@@ -775,9 +779,10 @@ class TestBoundTest:
     @staticmethod
     def cut(i, j, s, k, proven):
         """Entries 0..top, and N, of one column as solve_rows cuts it, or by the lost-mass test alone."""
-        top, n_lo = max(i + oracle._MARGIN, j), max(TruncationConfig().n0, i + 2, j + 2)
-        n_hi = max(oracle._N_MAX, n_lo)
-        rows, levels, _, passed = oracle._eliminate_short(i, np.array([s]), k, top, 0, n_lo, n_hi, proven)
+        top = max(i + oracle._MARGIN, j)
+        first = max(TruncationConfig().n0, top + 1, j + 2)     # the first level judged
+        rows, levels, _, passed = oracle._eliminate_short(i, np.array([s]), k, top, 0, first,
+                                                          max(oracle._N_MAX, first), proven)
         assert all(passed)
         return rows[0], int(levels[0])
 
