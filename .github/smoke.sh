@@ -26,11 +26,11 @@ mrenew renewal --i 2 --j 2 --t-grid 1:1:1 --lambda 3 --alpha 1 --method gs --ord
 mrenew renewal --i 5 --j 3 --t-grid 0.5:50:2 --lambda 20 --alpha 1 --method euler
 mrenew renewal --i 14 --j 9 --t-grid 1:300:3 --lambda 1000 --alpha 1 --method euler
 mrenew transform --i 14 --j 9 --s-grid 0.01:100:6 --lambda 1000 --alpha 1
-# cuts judged at every eighth level past the floor, in both sweeps: 54 Euler columns
-# cut at N = 72 to 136, and 14 Gaver-Stehfest columns in the short sweep at N = 136 to 144
+# cuts judged at every eighth level past the first, in both sweeps: 54 Euler columns
+# cut at N = 41 to 49, and 14 Gaver-Stehfest columns in the short sweep at N = 136
 mrenew renewal --i 8 --j 6 --t-grid 2.41577:4.83154:2 --lambda 128.945 --alpha 0.556887 --method euler
 mrenew renewal --i 15 --j 14 --t-grid 249.64:249.64:1 --lambda 57.0432 --alpha 1.13165 --method gs --order 14
-# a short grid swept together: six columns cut at N = 2,082 to 2,426, over three kernel blocks
+# a short grid swept together: six columns cut at N = 2,082 to 2,426, over six kernel blocks
 mrenew transform --i 0 --j 2000 --s-grid 0.01:100:6 --lambda 2000 --alpha 1 --solver oracle
 # the closed form's Poisson window reaches rho = 1e5
 mrenew transform --i 5 --j 30 --s-grid 0.01:1:3 --lambda 100000 --alpha 1 --solver closedform
@@ -78,6 +78,14 @@ expect_exit 2 mrenew renewal --i 0 --j 0 --t-grid 1e15:1e15:1 --lambda 1 --alpha
 # solver (a traceback out of numpy's overflow warning, exit 1)
 expect_exit 2 mrenew transform --i 3 --j 2 --s-grid 1e10:1e10:1 --lambda 1e-300 --alpha 1e300 --solver oracle
 expect_exit 2 mrenew transform --i 3 --j 2 --s-grid 1e10:1e10:1 --lambda 1e-300 --alpha 1e300 --solver closedform
+# a row judged at its first level past top = i and at the cap n_max = 65536 (judged
+# once, past the cap, it was refused as not converged), and a row whose top passes
+# n_max - 2, where no two moves are left to judge a cut, refused as out of range
+mrenew transform --i 65530 --j 0 --s-grid 1:1:1 --lambda 1 --alpha 1 --solver oracle
+expect_exit 2 mrenew transform --i 65535 --j 0 --s-grid 1:1:1 --lambda 1 --alpha 1 --solver oracle
+# an Euler abscissa whose alpha s is below the largest double, but numpy's complex
+# division by it overflows, is an argument error too (it printed 1.0000000060766321)
+expect_exit 2 mrenew renewal --i 0 --j 0 --t-grid 4.6e-7:4.6e-7:1 --lambda 1e-300 --alpha 1e300 --method euler
 # a horizon whose least expected event count passes the event cap is a numerical
 # failure, raised before the walk (it walked 10^7 lock-step iterations, about 150 s)
 expect_exit 1 timeout 5 mrenew simulate --i 0 --j 0 --t-grid 1e9:1e9:1 --lambda 1 --alpha 1 --paths 3 --seed 1

@@ -108,8 +108,9 @@ class MMInfinityKernel(KernelTransform):
     ``transforms`` additionally accepts complex s with nonnegative real
     part, so the same evaluator can feed complex-abscissa Laplace
     inversion; the rational formulas extend verbatim.  An s whose
-    denominator j + rho + alpha s is past the largest double is refused
-    with ValueError, naming s and alpha.  Without arrivals
+    denominator j + rho + alpha s is past the largest double, or at complex
+    s so near it that numpy's complex division overflows, is refused with
+    ValueError, naming s and alpha.  Without arrivals
     both entries vanish at j = 0 for every s, including the corner s = 0
     where the ratios are formally 0/0.
     """
@@ -126,17 +127,24 @@ class MMInfinityKernel(KernelTransform):
         p = self.params
         with np.errstate(over="ignore"):    # an infinite denominator is refused below
             denom = j + p.rho + p.alpha * s
-        if (past := np.isinf(denom)).any():
-            at = np.broadcast_to(s, past.shape)[past].flat[0]
-            raise ValueError(f"transform variable s={at} with alpha={p.alpha}: "
-                             f"j + rho + alpha s is past the largest double")
         if p.rho == 0.0:
             # sigma = j / denom and tau = 0 / denom are exactly 0 at j = 0
             # for any nonzero denominator; 1 keeps the corner finite
             denom = denom + (j == 0)
-        sigma = j / denom
-        tau = p.rho / denom
-        return sigma, tau
+        if not (past := np.isinf(denom)).any():
+            try:
+                with np.errstate(over="raise"):
+                    return j / denom, p.rho / denom
+            except FloatingPointError:
+                # numpy divides by a complex number through Smith's scale big + small (small / big)
+                # of its parts' sizes, which can pass the largest double where they do not
+                parts = np.abs(denom.real), np.abs(denom.imag)
+                big, small = np.maximum(*parts), np.minimum(*parts)
+                with np.errstate(over="ignore"):
+                    past = np.isinf(big + small * (small / big))
+        at = np.broadcast_to(s, past.shape)[past].flat[0]
+        raise ValueError(f"transform variable s={at} with alpha={p.alpha}: "
+                         f"j + rho + alpha s is past the largest double")
 
     def step(self, states, u_time, u_dir) -> tuple:
         """One jump: the race of an up clock at rate lam and a down clock at rate

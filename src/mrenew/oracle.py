@@ -26,10 +26,12 @@ _N_MAX = 2**16 that passes the lost-mass test: the lost mass is at most
 _TOL = 1e-10 and the moves of x[top] still to come, |move| r / (1 - r)
 with r the ratio of the last two moves, are at most 2**-52 of x[top].
 For real s all terms are positive, so no entry 0..top moves more,
-relative to its value; top is max(i + 10, j).
+relative to its value; top is i + 10, so the test covers the row up to
+there.
 
 `solve_rows` cuts at the first judged N that passes the lost-mass test or
-the bound test: |q[top] .. q[N]| < 2**-52 c[N+1](Re s) |x[top]|, with
+the bound test, with top = max(i, j), the highest state it needs:
+|q[top] .. q[N]| < 2**-52 c[N+1](Re s) |x[top]|, with
 c = 1 - sigma_bar - tau_bar.  The exact row restricted to 0..N solves the
 system cut at N with boundary value x[N+1], so the cut moves x[top] by
 exactly q[top] .. q[N] x[N+1].  At real s, x >= 0 and
@@ -54,13 +56,15 @@ the cap n_hi, and the levels judged are first, every _STRIDE = 8th level
 past it, first + 8, first + 16, ..., and the cap n_hi, which is always
 judged and reads the kernel at n_hi + 1: each test is a proof at
 whatever level it passes, and a judged level costs the array sweep 12
-numpy calls on top of the step's 9.  `solve_rows` passes
-first = max(n0, top + 1, j + 2), past top and the floor
-max(n0, i + 2, j + 2), and n_hi = max(_N_MAX, first);
-`solve_row_truncated` passes top = first = n_hi = n.  The cut: a column
-is cut at the first judged level that passes a test (the bound test only
-for `solve_rows`), else at n_hi, and once cut it is silent: no later
-test, pivot or move counts for it.
+numpy calls on top of the step's 9.  `solve_rows` and
+`solve_row_adaptive` pass first = max(n0, top + 1, j + 2), past top and
+the floor max(n0, i + 2, j + 2), and n_hi = _N_MAX; a row whose top lies
+past n_max - 2, where its cut would have no two moves of x[top] to judge,
+is refused with ValueError.  `solve_row_truncated` passes
+top = first = n_hi = n.  The cut: a column is cut at the first judged
+level that passes a test (the bound test only for `solve_rows`), else at
+n_hi, and once cut it is silent: no later test, pivot or move counts for
+it.
 Its entries are back-substituted from x[top] = g[top] + S, down to j only
 for `solve_rows`, the one entry it reads, and down to state 0 for
 `solve_row_truncated`.  Kernel values must be finite: a block holding a
@@ -75,7 +79,8 @@ more than the steps (README *The fork*): one time's Gaver-Stehfest grid
 of order 14 takes the short sweep, of order 16 or 18 the array sweep, as
 do Euler's 27 complex abscissas per time.  Both walk one block schedule
 (`_blocks`), which reads each kernel block once for every abscissa of
-the grid, and both step every open column through a block before a small
+the grid, the first through state first and at least _FIRST_BLOCK = 65
+states, and both step every open column through a block before a small
 pivot is reported, so a real column gets the same bits, or the same
 error, from a short grid and from its padding to _MIN_BATCH columns, a
 bad kernel value past every column's cut included.
@@ -108,9 +113,10 @@ from .model import KernelTransform
 
 _MIN_PIVOT = 1e-14
 _SWEEP_ELEMENTS = 6144     # states x columns of one block of kernel values
+_FIRST_BLOCK = 65          # fewest states stepped by the first block (README *Batched rows*)
 _MIN_BATCH = 15            # fewest columns worth sweeping together (measured real crossover, README *The fork*)
 _EPS = 2.0**-52            # moves still to come allowed, relative to x[top]
-_MARGIN = 10               # entries past i that the stop test covers: top = max(i + _MARGIN, j)
+_MARGIN = 10               # entries past i that `solve_row_adaptive`'s stop test covers: top = i + _MARGIN
 _STRIDE = 8                # levels from one judged level to the next (module docstring)
 _N_MAX = 2**16             # largest cut N of an adaptive solve
 _TOL = 1e-10               # lost mass |tau_bar(N) x[N]| allowed at the cut
@@ -145,7 +151,8 @@ class TransformEntries:
 
     values[k], truncation_n[k] and normalization_residual[k] belong to
     s[k]; each abscissa was cut at its own truncation level N, one of the
-    judged levels of the module docstring.  s is a copy of the caller's
+    judged levels of the module docstring, past top = max(i, j) and at
+    least cfg.n0.  s is a copy of the caller's
     abscissas.  The residual is the mass the cut loses, |tau_bar(N) x[N]|,
     which is `TransformRowResult`'s summed residual of the row cut at N up
     to that sum's rounding; it is not small where the bound test cut (see
@@ -165,10 +172,12 @@ class TruncationConfig:
     """The floor of the cut of `solve_row_adaptive` and `solve_rows`.
 
     The cut N for start state i (and target j) is at least
-    max(n0, i + 2, j + 2); n0 may not exceed the cap n_max = _N_MAX.
+    max(n0, i + 2, j + 2), and past top (module docstring); n0 may not
+    exceed the cap n_max = _N_MAX.  The default 2 sets no floor beyond
+    the row's own, since each stop test is a proof at any judged level.
     """
 
-    n0: int = 64
+    n0: int = 2
 
     def __post_init__(self):
         if not 2 <= operator.index(self.n0) <= _N_MAX:
@@ -231,8 +240,9 @@ def _blocks(kernel: KernelTransform, s, first: int, n_hi: int):
     """The kernel blocks both sweeps step, as (lo, sigma_bar, tau_bar, c(Re s)):
     states lo..hi, the row read ahead included, at every abscissa of s.
 
-    The first block reaches past the first judged level, each later one is
-    as long as all before it, and none holds more than _SWEEP_ELEMENTS
+    The first block steps at least _FIRST_BLOCK states and reaches past
+    the first judged level, each later one is as long as all before it,
+    and none holds more than _SWEEP_ELEMENTS
     states x columns, a grid of fewer than _MIN_BATCH columns counted as
     _MIN_BATCH, so a short grid and its padding to _MIN_BATCH columns read
     the same blocks; the last reads state n_hi + 1.  A block is read only when the
@@ -241,7 +251,7 @@ def _blocks(kernel: KernelTransform, s, first: int, n_hi: int):
     budget = max(1, _SWEEP_ELEMENTS // max(s.size, _MIN_BATCH) - 1)    # states stepped per block, which reads one more
     lo = 0
     while s.size and lo <= n_hi:
-        hi = min(lo + min(budget, max(first + 1, lo)), n_hi + 1)
+        hi = min(lo + min(budget, max(_FIRST_BLOCK, first + 1, lo)), n_hi + 1)
         sigma, tau, _, c_re = _read_block(kernel, np.arange(lo, hi + 1)[:, None], s)
         yield lo, sigma, tau, c_re
         lo = hi
@@ -410,16 +420,16 @@ def solve_rows(
 
     Each abscissa is cut at its own N, the first judged level that passes
     the lost-mass test or the bound test of the module docstring, with
-    top = max(i + 10, j).  The levels judged are
-    first = max(cfg.n0, i + 11, j + 2), first + 8, first + 16, ... and
+    top = max(i, j).  The levels judged are
+    first = max(cfg.n0, top + 1, j + 2), first + 8, first + 16, ... and
     n_max = _N_MAX.  Raises NonConvergenceError naming the first abscissa
     that has passed neither by n_max, with the mass its cut there loses as
-    the residual.
+    the residual, and ValueError if top passes n_max - 2.
     """
-    return _solve_rows(i, j, s_values, kernel, cfg, proven=True)
+    return _solve_rows(i, j, s_values, kernel, cfg, margin=0, proven=True)
 
 
-def _solve_rows(i, j, s_values, kernel, cfg, proven) -> TransformEntries:
+def _solve_rows(i, j, s_values, kernel, cfg, margin, proven) -> TransformEntries:
     s = np.array(s_values, dtype=complex if np.iscomplexobj(s_values) else float)
     if s.ndim != 1:
         raise ValueError(f"s_values must be one-dimensional, got shape {s.shape}")
@@ -427,11 +437,15 @@ def _solve_rows(i, j, s_values, kernel, cfg, proven) -> TransformEntries:
     i, j = operator.index(i), operator.index(j)
     if i < 0 or j < 0:
         raise ValueError(f"states must be >= 0, got i={i}, j={j}")
-    top = max(i + _MARGIN, j)
+    top = max(i + margin, j)
+    if top > _N_MAX - 2:
+        # a cut is judged by two moves of x[top], at states past it up to n_max
+        raise ValueError(f"states past n_max - 2 = {_N_MAX - 2} are out of range: "
+                         f"row (i={i}, j={j}) keeps states up to {top}")
     first = max(cfg.n0, top + 1, j + 2)             # the floor max(n0, i + 2, j + 2), past top
     # fewer than _MIN_BATCH abscissas do not pay for the array overhead of a step
     sweep = _eliminate_short if s.size < _MIN_BATCH else _eliminate
-    rows, levels, residuals, passed = sweep(i, s, kernel, top, j, first, max(_N_MAX, first), proven)
+    rows, levels, residuals, passed = sweep(i, s, kernel, top, j, first, _N_MAX, proven)
     if not all(passed):
         k = list(passed).index(False)
         raise NonConvergenceError(
@@ -459,10 +473,10 @@ def solve_row_adaptive(
     the error of the cut.  The bound test of `solve_rows` is not used, so
     this N can lie deeper than `solve_rows(i, i, [s])`'s.  Raises
     NonConvergenceError (carrying the lost mass at the cap) if no N up to
-    n_max = _N_MAX passes.
+    n_max = _N_MAX passes, and ValueError if i + 10 passes n_max - 2.
     """
     _check_row(i, s, i)                 # the level is not known yet: the cut lies past i
-    n = int(_solve_rows(i, i, [s], kernel, cfg, proven=False).truncation_n[0])
+    n = int(_solve_rows(i, i, [s], kernel, cfg, margin=_MARGIN, proven=False).truncation_n[0])
     return replace(solve_row_truncated(i, s, kernel, n), converged=True)
 
 

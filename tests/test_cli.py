@@ -278,15 +278,27 @@ class TestArgumentErrors:
             "transform --i 3 --j 2 --s-grid 1e10:1e10:1 --lambda 1e-300 --alpha 1e300 --solver closedform",
             "renewal --i 0 --j 0 --t-grid 1e-9:1e-9:1 --lambda 1e-300 --alpha 1e300 --method gs",
             "renewal --i 0 --j 0 --t-grid 1e-9:1e-9:1 --lambda 1e-300 --alpha 1e300 --method euler",
+            "renewal --i 0 --j 0 --t-grid 4.6e-7:4.6e-7:1 --lambda 1e-300 --alpha 1e300 --method euler",
         ],
-        ids=["oracle", "closedform", "gs", "euler"],
+        ids=["oracle", "closedform", "gs", "euler", "euler-complex-division"],
     )
     def test_alpha_s_past_the_largest_double_maps_to_two(self, argv, capsys):
-        # the oracle printed 0 and the closed form inf, each after numpy's overflow warning
+        # the oracle printed 0 and the closed form inf, each after numpy's overflow warning;
+        # at t = 4.6e-7 alpha s stays below the largest double, but numpy's complex division
+        # by it overflowed, and Euler printed 1.0000000060766321
         assert run(argv.split()) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "transform variable" in captured.err and "alpha=1e+300" in captured.err
+
+    @pytest.mark.parametrize("i", [65535, 70000])
+    def test_row_past_the_last_judged_state_maps_to_two(self, i, capsys):
+        # judged once, past the cap, these rows exited 1, "did not converge by n_max=65536"
+        argv = f"transform --i {i} --j 0 --s-grid 1:1:1 --lambda 1 --alpha 1 --solver oracle"
+        assert run(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"states past n_max - 2 = 65534 are out of range: row (i={i}, j=0) keeps states up to {i}" in captured.err
 
     def test_oracle_s_below_the_floor_maps_to_two(self, capsys):
         # the oracle printed 7891239400913106 and exited 0; the entry is past the double range

@@ -13,12 +13,11 @@ from mrenew import (
     MMInfinityKernel,
     NonConvergenceError,
     QueueParams,
-    TruncationConfig,
     euler_inversion,
     gaver_stehfest,
     rbar_closed_form,
     renewal_function,
-    solve_row_adaptive,
+    solve_rows,
 )
 import mrenew.invert as invert
 from mrenew.invert import stehfest_weights
@@ -401,8 +400,7 @@ class TestBatchedAbscissas:
     KERNEL = MMInfinityKernel(QueueParams(3.0, 0.5))
 
     def _one_at_a_time(self, i, j, s):
-        row = solve_row_adaptive(i, s, self.KERNEL, TruncationConfig(n0=max(64, j + 2)))
-        return row.values[j] / s
+        return solve_rows(i, j, [s], self.KERNEL).values[0] / s
 
     def test_gaver_stehfest_bit_identical_to_one_solve_per_abscissa(self):
         times = [0.3, 1.0, 2.0, 7.5]

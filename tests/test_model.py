@@ -399,13 +399,29 @@ class TestDomainCheck:
         [(QueueParams(1e-300, 1e300), 1e10, "10000000000.0"),
          (QueueParams(1e-300, 1e300), np.array([1.0, 1e10]), "10000000000.0"),
          (QueueParams(1e-300, 1e300), np.array([1.0, complex(1e10, 1.0)]), "(10000000000+1j)"),
-         (QueueParams(1.0, 1e308), 1.0, "1.0")],
-        ids=["alpha-s", "alpha-s-in-a-grid", "alpha-s-complex", "rho-plus-alpha-s"])
+         (QueueParams(1.0, 1e308), 1.0, "1.0"),
+         (QueueParams(1e-300, 1e300), np.array([1.0, complex(2e7, 177568280.42029268)]),
+          "(20000000+177568280.42029268j)")],
+        ids=["alpha-s", "alpha-s-in-a-grid", "alpha-s-complex", "rho-plus-alpha-s", "complex-division"])
     def test_denominator_past_the_largest_double_refused(self, p, s, named):
-        # numpy warned of an overflow in alpha * s, and both entries came back 0
+        # numpy warned of an overflow in alpha * s, and both entries came back 0; at
+        # 2e307 + 1.78e308i, below the largest double, its complex division overflowed
         message = f"transform variable s={named} with alpha={p.alpha}: j + rho + alpha s is past the largest double"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             MMInfinityKernel(p).transforms(np.arange(3)[:, None], s)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_complex_denominator_whose_division_stays_finite_answered(self):
+        # numpy divides by a complex number through Smith's scale big + small (small / big) of
+        # its parts' sizes, refused where it passes the largest double; at 1.5e308 + 0.5e308i
+        # the parts' sum passes it, the scale, 1.67e308, does not, and the quotients stand
+        k = MMInfinityKernel(QueueParams(1e-300, 1e300))
+        states, inside = np.arange(3)[:, None], np.array([complex(1.5e8, 0.5e8), complex(2e7, 1.7e8)])
+        sigma, tau = k.transforms(states, inside)
+        rho = k.params.rho
+        denom = states + rho + 1e300 * inside
+        assert sigma.tobytes() == (states / denom).tobytes() and tau.tobytes() == (rho / denom).tobytes()
+        assert np.all(sigma[1:] != 0.0)
 
     @pytest.mark.parametrize(
         "s", [-0.5, np.float64(-0.5), complex(-0.5, 1.0), [1.0, -0.5], [1.0 + 1j, -0.5 + 3j],

@@ -154,9 +154,10 @@ class TestSolveRowAdaptive:
         assert res.values[100] >= 1.0
 
     def test_nonconvergence_reports_last_residual(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_N_MAX", 8)
+        # top = i + 10 = 10: the levels judged are 11 and the cap 16
+        monkeypatch.setattr(oracle, "_N_MAX", 16)
         monkeypatch.setattr(oracle, "_TOL", 1e-16)
-        with pytest.raises(NonConvergenceError, match="n_max=8;") as err:
+        with pytest.raises(NonConvergenceError, match="n_max=16;") as err:
             solve_row_adaptive(0, 0.01, kernel(UNIT), TruncationConfig(n0=4))
         assert err.value.residual is not None
         assert err.value.residual > 0.0
@@ -219,7 +220,7 @@ def _lattice_problems(draw):
     """(i, j, kernel, s, n0, cap): M|M|inf at rho over [1e-3, 2000], 1 to 2 _MIN_BATCH real
     abscissas over [1e-4, 1e3] or as many Euler abscissas A/2t + i k pi/t, k = 0, 1, ...,
     a floor n0 of 2 to 64, and a cap n_max of _N_MAX, or one time in two 0 to 40 levels
-    past the first level judged.
+    past max(n0, i + 12, j + 2), where both solvers judge two levels or more.
 
     rho, s and t are spread evenly over decades.
     """
@@ -231,20 +232,23 @@ def _lattice_problems(draw):
         s_values = [complex(18.4 / (2.0 * t), m * math.pi / t) for m in range(width)]
     else:
         s_values = [1e-4 * 1e7 ** u for u in draw(st.lists(st.floats(0.0, 1.0), min_size=width, max_size=width))]
-    cap = max(n0, i + 11, j + 2) + draw(st.integers(0, 40)) if draw(st.booleans()) else None
+    cap = max(n0, i + 12, j + 2) + draw(st.integers(0, 40)) if draw(st.booleans()) else None
     return i, j, k, s_values, n0, cap
 
 
 class TestSolveRows:
-    # rho = 50 over s in 1e-3..1e3: for (i, j) = (1, 3) the lost-mass test,
-    # not the bound test, cuts the columns, at 6 judged levels from N = 64 to 120
+    # rho = 50 over s in 1e-3..1e3: for (i, j) = (1, 3) the columns are cut at
+    # 7 judged levels from N = 13 to 117, where the lost-mass test passes
+    # at the ends of the grid and the bound test, earlier, between them
     SPREAD = (QueueParams(50.0, 1.0), np.geomspace(1e-3, 1e3, 20))
 
     def test_real_columns_bit_identical_to_one_column_solves(self):
         p, s_values = self.SPREAD
         k = kernel(p)
         entries = solve_rows(1, 3, s_values, k)
-        assert set(entries.truncation_n.tolist()) == {64, 80, 96, 104, 112, 120}
+        assert set(entries.truncation_n.tolist()) == {13, 21, 29, 37, 53, 109, 117}
+        lost_mass = oracle._solve_rows(1, 3, s_values, k, TruncationConfig(), margin=0, proven=False)
+        assert (lost_mass.truncation_n > entries.truncation_n).sum() == 6
         widest = oracle._MIN_BATCH - 1     # the widest grid swept as a short one
         short = solve_rows(1, 3, s_values[:widest], k)
         for field in ("values", "truncation_n", "normalization_residual"):
@@ -254,28 +258,28 @@ class TestSolveRows:
             assert entries.values[col] == one.values[0]
             assert entries.truncation_n[col] == one.truncation_n[0]
             assert entries.normalization_residual[col] == one.normalization_residual[0]
-            # the adaptive row is a full back-substitution at the same N; its
-            # residual sits on its rounding floor, so only the entry is pinned
-            row = solve_row_adaptive(1, s, k)
-            assert entries.values[col] == row.values[3]
-            assert entries.truncation_n[col] == row.truncation_n
+            # the lost-mass test alone never cuts earlier, and where it cuts at
+            # the same N the sweep is the same, bit for bit
+            assert entries.truncation_n[col] <= lost_mass.truncation_n[col]
+            if entries.truncation_n[col] == lost_mass.truncation_n[col]:
+                assert entries.values[col] == lost_mass.values[col]
 
     @pytest.mark.parametrize("i, j", [(12, 0), (12, 5), (20, 3), (30, 0), (30, 29), (1, 11), (0, 10), (5, 30),
                                       (1, 40)])
     def test_entry_back_substituted_down_to_j_only(self, i, j):
         # both sweeps back-substitute from top only down to j; the entry has
-        # the bits of the whole row 0..top at the same cut.  For j < i the cut
-        # and top = i + 10 are solve_row_adaptive's, whose row is summed from
-        # its N down instead, so x[top] and the entries below it may differ
-        # in their last bits (at (30, 0), 2 of 20 by up to 3.5 units)
+        # the bits of the whole row 0..top at the same cut.  For j < i,
+        # solve_row_adaptive's row holds entry j too, cut deeper (top = i + 10)
+        # and summed from its N down: each moves entry j by less than 2**-52
+        # of it, and rounding by a few units more (at (20, 3), 3.6 units)
         p, s_values = self.SPREAD
         k = kernel(p)
-        top = max(i + oracle._MARGIN, j)
+        top = max(i, j)
         first = max(TruncationConfig().n0, top + 1, j + 2)     # the first level judged
         for grid in (s_values, s_values[:oracle._MIN_BATCH - 1]):
             entries = solve_rows(i, j, grid, k)
             sweep = oracle._eliminate_short if grid.size < oracle._MIN_BATCH else oracle._eliminate
-            rows, levels, _, _ = sweep(i, grid, k, top, 0, first, max(oracle._N_MAX, first))
+            rows, levels, _, _ = sweep(i, grid, k, top, 0, first, oracle._N_MAX)
             assert entries.truncation_n.tolist() == list(levels)
             assert entries.values.tobytes() == np.array([row[j] for row in rows]).tobytes()
             for col, s in enumerate(grid.tolist() if j < i else []):
@@ -283,31 +287,32 @@ class TestSolveRows:
 
     @pytest.mark.parametrize("p", [PURE_DEATH, QueueParams(0.1, 1.0)], ids=["no_move", "move"])
     def test_first_level_past_top_judged_without_a_last_move(self, p, monkeypatch):
-        # at the floor n0 = 2 the first level judged is top + 1 = 11, where the
+        # for (i, j) = (10, 0) the first level judged is top + 1 = 11, where the
         # lost mass is below tol but no move of x[top] came before: without
         # arrivals this move is 0 too and the cut is there; at rho = 0.1 it is
         # not, and the move test waits for a ratio of two moves, to level 19
         cfg = TruncationConfig(n0=2)
-        short = solve_rows(0, 0, [1.0], kernel(p), cfg)
+        short = solve_rows(10, 0, [1.0], kernel(p), cfg)
         assert short.truncation_n.tolist() == [11 if p is PURE_DEATH else 19]
         monkeypatch.setattr(oracle, "_MIN_BATCH", 1)
-        array = solve_rows(0, 0, [1.0], kernel(p), cfg)
+        array = solve_rows(10, 0, [1.0], kernel(p), cfg)
         for field in ("values", "truncation_n", "normalization_residual"):
             np.testing.assert_array_equal(getattr(short, field), getattr(array, field))
 
     @pytest.mark.parametrize("width", [2, oracle._MIN_BATCH])
     def test_the_last_level_is_judged_off_the_lattice(self, width, monkeypatch):
-        # at the floor n0 = 8 the levels judged are 11, 19, 27, ...; judged at
-        # every level, s = 10 first passes a test at 19, s = 1 at 22 and
-        # s = 0.01 at 23, so at the cap n_max = 22 s = 1 passes only there
+        # for (i, j) = (10, 0) at the floor n0 = 8 the levels judged are 11,
+        # 19, 27, ...; judged at every level, s = 10 first passes a test at 19,
+        # s = 1 at 22 and s = 0.01 at 23, so at the cap n_max = 22 s = 1
+        # passes only there
         monkeypatch.setattr(oracle, "_N_MAX", 22)
         k, cfg = kernel(UNIT), TruncationConfig(n0=8)
-        entries = solve_rows(0, 0, [10.0] + [1.0] * (width - 1), k, cfg)
+        entries = solve_rows(10, 0, [10.0] + [1.0] * (width - 1), k, cfg)
         assert entries.truncation_n.tolist() == [19] + [22] * (width - 1)
         assert (entries.normalization_residual <= oracle._TOL).all()
-        assert entries.values[-1] == solve_row_truncated(0, 1.0, k, 22).values[0]
+        assert entries.values[-1] == solve_row_truncated(10, 1.0, k, 22).values[0]
         with pytest.raises(NonConvergenceError, match=r"s=0\.01\) did not converge by n_max=22;"):
-            solve_rows(0, 0, [1.0] + [0.01] * (width - 1), k, cfg)
+            solve_rows(10, 0, [1.0] + [0.01] * (width - 1), k, cfg)
 
     @given(_lattice_problems())
     @settings(max_examples=200, derandomize=True, deadline=None)
@@ -320,7 +325,7 @@ class TestSolveRows:
             cfg = TruncationConfig(n0=n0)
             cuts = []       # (first level judged, N) of each column that converged
             with contextlib.suppress(NonConvergenceError):
-                cuts += [(max(n0, i + 11, j + 2), int(n)) for n in solve_rows(i, j, s_values, k, cfg).truncation_n]
+                cuts += [(max(n0, i + 1, j + 2), int(n)) for n in solve_rows(i, j, s_values, k, cfg).truncation_n]
             with contextlib.suppress(NonConvergenceError):
                 cuts.append((max(n0, i + 11), solve_row_adaptive(i, s_values[0], k, cfg).truncation_n))
             for first, n in cuts:
@@ -337,13 +342,14 @@ class TestSolveRows:
         np.testing.assert_allclose(entries.values[12:], np.conj(entries.values[:12]), rtol=1e-15)
 
     def test_complex_column_with_a_subnormal_last_move_cut_as_a_short_one(self):
-        # at rho = 0.001 the last move of x[top] before N = 64 is subnormal: the
-        # ratio of the complex moves must stay finite there, or the move test
-        # fails and the array columns sweep on (to N = 66)
-        k = kernel(QueueParams(0.001, 1.0))
+        # at rho = 0.001, with top = j = 15, the last move of x[top] before
+        # N = 64 is subnormal and the bound test fails there: the ratio of the
+        # complex moves must stay finite, or the move test fails and the array
+        # columns sweep on (to N = 72)
+        k, cfg = kernel(QueueParams(0.001, 1.0)), TruncationConfig(n0=64)
         s = 12.57 + 90.15j
-        one = solve_rows(5, 0, [s], k)
-        entries = solve_rows(5, 0, [s] * oracle._MIN_BATCH, k)
+        one = solve_rows(5, 15, [s], k, cfg)
+        entries = solve_rows(5, 15, [s] * oracle._MIN_BATCH, k, cfg)
         assert one.truncation_n.tolist() == [64]
         assert entries.truncation_n.tolist() == [64] * oracle._MIN_BATCH
         np.testing.assert_allclose(entries.values, one.values[0], rtol=1e-15)
@@ -357,15 +363,16 @@ class TestSolveRows:
 
     def test_nonconvergent_column_named_with_its_residual(self, monkeypatch):
         monkeypatch.setattr(oracle, "_N_MAX", 22)
-        # 0.01 first passes a test at N = 23, past the cap 22; the levels judged are 11, 19 and 22
+        # for (i, j) = (10, 0), 0.01 first passes a test at N = 23, past the cap
+        # 22; the levels judged are 11, 19 and 22
         s_values = [10.0, 1.0, 0.01, 5.0]
         with pytest.raises(NonConvergenceError) as err:
-            solve_rows(0, 0, s_values, kernel(UNIT), TruncationConfig(n0=8))
+            solve_rows(10, 0, s_values, kernel(UNIT), TruncationConfig(n0=8))
         assert "s=0.01" in str(err.value)
         # the residual is the mass the cut at the cap loses, |tau_bar(22) x[22]|
         k = kernel(UNIT)
         tau = k.transforms(np.array([[22]]), np.array([0.01]))[1].item()
-        assert err.value.residual == abs(tau * solve_row_truncated(0, 0.01, k, 22).values[22])
+        assert err.value.residual == abs(tau * solve_row_truncated(10, 0.01, k, 22).values[22])
 
     def test_pivot_error_still_raised(self):
         # forward elimination meets the zero pivot at row 1 first
@@ -378,11 +385,12 @@ class TestSolveRows:
     @pytest.mark.parametrize("grid, named", [([20.0, 10.0], 10.0), ([20.0, 10.4, 9.6], 10.4)])
     def test_pivot_error_names_the_lowest_row_then_the_first_abscissa(self, grid, named):
         # both sweeps step every open column of a block before they report its
-        # lowest small pivot; 10.4 and 9.6 meet theirs at one row
+        # lowest small pivot; 10.4 and 9.6 meet theirs at one row, which the
+        # target j = 10 keeps them from cutting before
         padded = grid + grid[-1:] * (oracle._MIN_BATCH - len(grid))
         for s_values, s in ((grid, named), (padded, named), (grid[::-1], grid[-1])):
             with pytest.raises(PivotError, match=rf"^pivot 0\.0 below 1e-14 at row 10, s={s}$"):
-                solve_rows(0, 0, s_values, _PivotAtSKernel())
+                solve_rows(0, 10, s_values, _PivotAtSKernel())
 
     def test_short_grid_reads_each_block_once(self, monkeypatch):
         calls = []      # (lowest state, highest state, columns) per kernel call
@@ -395,7 +403,8 @@ class TestSolveRows:
         monkeypatch.setattr(MMInfinityKernel, "transforms", spy)
         p, s_values = self.SPREAD
         solve_rows(1, 3, s_values[:6], kernel(p))
-        # the floor N = 64 and the row read ahead: states 0..65, all six columns at once
+        # the first block steps _FIRST_BLOCK = 65 states, past the first level
+        # judged, 5, and reads one more: states 0..65, all six columns at once
         assert [call for call in calls if call[0] == 0] == [(0, 65, 6)]
         assert all(columns <= 6 for _, _, columns in calls)
 
@@ -476,6 +485,25 @@ class TestSolveRows:
         entries = solve_rows(0, 1000, grid, kernel(QueueParams(1000.0, 1.0)))
         assert entries.truncation_n.min() >= 1024
         assert all(len(j) == 2 and len(s) == 1 and s[0] >= oracle._MIN_BATCH for j, s in shapes)
+
+    def test_row_below_the_cap_judged_twice(self):
+        # top = i = 65530: the levels judged are 65531 and the cap 65536.  With
+        # top = i + 10 the row was judged once, at 65541, past the cap, with no
+        # ratio of moves for the lost-mass test, and refused as not converged
+        k = kernel(UNIT)
+        entries = solve_rows(65530, 0, [1.0], k)
+        assert entries.truncation_n.tolist() == [65536]
+        assert entries.values[0] == 1.1227817521312554e-05
+        closed = rbar_closed_form(65530, 0, 1.0, UNIT)
+        assert abs(entries.values[0] - closed) <= 1e-13 * closed        # 8.9e-14 of it
+
+    def test_rows_past_the_last_judged_state_refused(self):
+        # a cut is judged by two moves of x[top], so top may reach n_max - 2 at most
+        k = kernel(UNIT)
+        for call in (lambda: solve_rows(65535, 0, [1.0], k), lambda: solve_rows(0, 65535, [1.0], k),
+                     lambda: solve_rows(70000, 0, [1.0], k), lambda: solve_row_adaptive(65525, 1.0, k)):
+            with pytest.raises(ValueError, match=r"^states past n_max - 2 = 65534 are out of range"):
+                call()
 
     def test_rejects_bad_arguments(self):
         k = kernel(UNIT)
@@ -590,6 +618,52 @@ class TestAgainstBandedSolve:
         assert share <= 1.0
 
 
+@st.composite
+def _low_cut_problems(draw):
+    """(i, j, rho, s): i, j <= 30, rho over [1e-3, 5], and 1 to 2 _MIN_BATCH real abscissas
+    over [1e-4, 1e3] or as many Euler abscissas A/2t + i k pi/t, k = 0, 1, ...
+
+    rho, s and t are spread evenly over decades.
+    """
+    i, j, rho = draw(st.integers(0, 30)), draw(st.integers(0, 30)), 1e-3 * 5e3 ** draw(st.floats(0.0, 1.0))
+    width = draw(st.integers(1, 2 * oracle._MIN_BATCH))
+    if draw(st.booleans()):
+        t = 0.05 * 1e3 ** draw(st.floats(0.0, 1.0))
+        return i, j, rho, [complex(18.4 / (2.0 * t), m * math.pi / t) for m in range(width)]
+    return i, j, rho, [1e-4 * 1e7 ** u for u in draw(st.lists(st.floats(0.0, 1.0), min_size=width, max_size=width))]
+
+
+class TestLowCuts:
+    """Rows cut below 64 states, the old floor, at rho <= 5, against a banded LU solve of
+    the same system cut at twice the deeper of solve_rows' N and solve_row_adaptive's,
+    at TestAgainstBandedSolve's bound: solve_rows' entry, and solve_row_adaptive's entries
+    0..i+10, whose stop test covers them."""
+
+    @given(_low_cut_problems())
+    @settings(max_examples=125, derandomize=True, deadline=None)
+    def test_rows_match_a_deeper_banded_solve(self, problem):
+        i, j, rho, s_values = problem
+        k = kernel(QueueParams(rho, 1.0))
+        entries = solve_rows(i, j, s_values, k)
+        assert entries.truncation_n.max() < 64
+        worst = 0.0
+        for s, value, cut in zip(s_values, entries.values, entries.truncation_n.tolist()):
+            row = solve_row_adaptive(i, s, k)
+            assert row.truncation_n < 64
+            n = 2 * max(cut, row.truncation_n)
+            sigma, tau = k.transforms(np.arange(n + 1), s)
+            bands = np.zeros((3, n + 1), dtype=sigma.dtype)    # equation k, as in the module docstring
+            bands[0, 1:], bands[1], bands[2, :-1] = -sigma[1:], 1.0, -tau[:-1]
+            unit = np.zeros(n + 1)
+            unit[i] = 1.0
+            x = solve_banded((1, 1), bands, unit)
+            bound = 1e-12 * max(1.0, 0.01 / abs(s))
+            worst = max(worst, abs(value - x[j]) / (bound * np.max(np.abs(x[: max(i + 10, j) + 1]))),
+                        np.max(np.abs(row.values[: i + 11] - x[: i + 11])) / (bound * np.max(np.abs(x[: i + 11]))))
+        target(worst)    # steer the search to the worst case
+        assert worst <= 1.0
+
+
 class TestLostMassResidual:
     """solve_rows reports the mass its cut loses, |tau_bar(N) x[N]| of the row cut at N.
 
@@ -692,7 +766,7 @@ class _PlantedKernel(KernelTransform):
 @st.composite
 def _planted_pivot_problems(draw):
     """(i, j, kernel, s): a `_PlantedKernel` at rho over [1, 2000] whose pivot at a row
-    1 to 200 states past the floor N = 64 is 0 (sigma_bar = 1 there, tau_bar = 1 one
+    1 to 200 states past the default floor n0 = 2 is 0 (sigma_bar = 1 there, tau_bar = 1 one
     state below) at the abscissas from a threshold on, with 1 to _MIN_BATCH - 1 real
     abscissas over [1e-4, 1e3].
 
@@ -733,7 +807,7 @@ class TestSweepFork:
     def test_a_planted_pivot_gives_one_outcome_at_either_width(self, problem):
         # a pivot counts only while its column is open: the array sweep steps a
         # cut column on with the open ones, and raised at a zero pivot past its
-        # cut where the short sweep answered (N = 64 and 97 in the example)
+        # cut where the short sweep answered (N = 42 and 82 in the example)
         i, j, k, s_values = problem
 
         def outcome(grid):
@@ -748,13 +822,13 @@ class TestSweepFork:
 
     @pytest.mark.parametrize("state", [1000, 1100, 1200, 1300])
     def test_a_nan_past_every_cut_gives_one_outcome_at_either_width(self, state):
-        # the columns are cut at N = 851 and 611; a block held 6144 // columns
+        # the columns are cut at N = 850 and 602; a block held 6144 // columns
         # states, so at 2 columns the block from state 603 reached 1206 and met
         # the NaN at 1100 or 1200, where 17 columns, in blocks of 360 states,
         # answered; both widths now read blocks of 6144 // _MIN_BATCH - 1
-        # states, up to the end of the block that steps state 851
+        # states, up to the end of the block that steps state 850
         block = oracle._SWEEP_ELEMENTS // oracle._MIN_BATCH - 1
-        reach = block * (851 // block + 1)
+        reach = block * (850 // block + 1)
         k = _PlantedKernel(600.0, 50.0, {state: (0.0, math.nan)})
 
         def outcome(grid):
@@ -766,7 +840,7 @@ class TestSweepFork:
 
         s_values = [1e-3, 100.0]
         assert outcome(s_values) == outcome(self.padded(s_values))
-        assert outcome(s_values) == ([851, 611] if state > reach else
+        assert outcome(s_values) == ([850, 602] if state > reach else
                                      f"kernel values at state {state}, s=100.0 are not finite: "
                                      "sigma_bar = 0.0, tau_bar = nan")
 
@@ -779,21 +853,22 @@ class TestBoundTest:
     @staticmethod
     def cut(i, j, s, k, proven):
         """Entries 0..top, and N, of one column as solve_rows cuts it, or by the lost-mass test alone."""
-        top = max(i + oracle._MARGIN, j)
+        top = max(i, j)
         first = max(TruncationConfig().n0, top + 1, j + 2)     # the first level judged
         rows, levels, _, passed = oracle._eliminate_short(i, np.array([s]), k, top, 0, first,
-                                                          max(oracle._N_MAX, first), proven)
+                                                          oracle._N_MAX, proven)
         assert all(passed)
         return rows[0], int(levels[0])
 
     @pytest.mark.parametrize("method", ["gaver-stehfest", "euler"])
     def test_cuts_far_below_rho_at_the_floor_with_the_same_bits(self, method):
-        # the abscissas renewal_function sends for each time
+        # the abscissas renewal_function sends for each time; top = 14, and the
+        # levels judged are 15, 23, 31, ...
         s_values = [s for t in (0.5, 5.0, 300.0) for s in invert._rule(method, t)[0]]
         k = kernel(self.FAR)
         entries = solve_rows(14, 9, s_values, k)
-        assert entries.truncation_n.tolist() == [64] * len(s_values)
-        lost_mass = oracle._solve_rows(14, 9, s_values, k, TruncationConfig(), proven=False)
+        assert entries.truncation_n.tolist() == [31] * len(s_values)
+        lost_mass = oracle._solve_rows(14, 9, s_values, k, TruncationConfig(), margin=0, proven=False)
         assert lost_mass.truncation_n.min() > 100
         assert np.array_equal(entries.values, lost_mass.values)
 
@@ -805,7 +880,7 @@ class TestBoundTest:
         row, n = self.cut(i, j, s, k, proven=True)
         reference, n_lost_mass = self.cut(i, j, s, k, proven=False)
         assert n <= n_lost_mass
-        top = max(i + oracle._MARGIN, j)
+        top = max(i, j)
         # the cut moves x[top] by less than 2**-52 of it; then rounding, 2**-52 of the entry
         assert abs(row[j] - reference[j]) <= 2.0**-52 * (abs(reference[top]) + abs(reference[j]))
 
@@ -815,7 +890,7 @@ class TestBoundTest:
         # 1 / c[N+1] cut at N = 26 and moved the entry by 2.6e-10 at s = 1e-9
         cfg = TruncationConfig(n0=2)
         value = solve_rows(0, 10, [s], _WellKernel(), cfg).values[0]
-        reference = oracle._solve_rows(0, 10, [s], _WellKernel(), cfg, proven=False).values[0]
+        reference = oracle._solve_rows(0, 10, [s], _WellKernel(), cfg, margin=0, proven=False).values[0]
         assert abs(value - reference) <= 2.0**-52 * 2 * abs(reference)
 
     @pytest.mark.parametrize("s", [1.0, 0.5 + 3j], ids=["real", "complex"])
@@ -824,7 +899,7 @@ class TestBoundTest:
         # with the lost-mass test switched off, only the bound test could cut
         monkeypatch.setattr(oracle, "_TOL", -1.0)
         monkeypatch.setattr(oracle, "_N_MAX", 300)
-        assert solve_rows(14, 9, [s] * count, kernel(self.FAR)).truncation_n.tolist() == [64] * count
+        assert solve_rows(14, 9, [s] * count, kernel(self.FAR)).truncation_n.tolist() == [31] * count
         # c = 1 - sigma_bar - tau_bar = 0 everywhere, and at rho = 0 x[top] = 0
         for k in (_ConservativeKernel(), kernel(PURE_DEATH)):
             with pytest.raises(NonConvergenceError, match="n_max=300;"):
@@ -900,7 +975,7 @@ class TestNonFiniteKernel:
                 solve_rows(0, 0, s_values, Spoilt())
 
     def test_read_for_a_column_past_its_cut_at_either_width(self):
-        # s = 100 is cut at N = 64, but s = 1e-3 reads on to N = 97: every
+        # s = 100 is cut at N = 42, but s = 1e-3 reads on to N = 82: every
         # block is read for every abscissa, so both widths meet the NaN at
         # state 100; the short sweep read only the open columns and answered
         k = _PlantedKernel(200.0, 50.0, {100: (0.0, math.nan)})
@@ -955,7 +1030,7 @@ class TestKernelCallShape:
 class TestTruncationConfig:
     def test_defaults_valid(self):
         assert [f.name for f in dataclasses.fields(TruncationConfig)] == ["n0"]
-        assert TruncationConfig().n0 == 64
+        assert TruncationConfig().n0 == 2
         assert oracle._N_MAX == 2**16 and oracle._TOL == 1e-10
         assert TruncationConfig(n0=2**16).n0 == 2**16
 
