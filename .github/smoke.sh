@@ -22,6 +22,8 @@ mrenew renewal --i 0 --j 1 --t-grid 0.5:2:4 --lambda 1 --alpha 1 --method euler
 mrenew renewal --i 3 --j 2 --t-grid 2:2:1 --lambda 5 --alpha 1 --method gs
 # order 18: 18 real abscissas in the array sweep, with the largest weight table
 mrenew renewal --i 2 --j 2 --t-grid 1:1:1 --lambda 3 --alpha 1 --method gs --order 18
+# order 16, the acceptance order (criterion 7), on its pure-death row: 16 real abscissas in the array sweep
+mrenew renewal --i 1 --j 0 --t-grid 1:1:1 --lambda 0 --alpha 1 --method gs --order 16
 # two times of 27 Euler abscissas each: one complex grid of 54 columns in the array sweep
 mrenew renewal --i 5 --j 3 --t-grid 0.5:50:2 --lambda 20 --alpha 1 --method euler
 mrenew renewal --i 14 --j 9 --t-grid 1:300:3 --lambda 1000 --alpha 1 --method euler

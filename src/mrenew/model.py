@@ -63,9 +63,10 @@ class KernelTransform(ABC):
 
     Implementations return the pair ``(sigma_bar, tau_bar)`` for integer
     states j >= 0 and transform variables s.  Both arguments may be numpy
-    arrays, and the result must broadcast over them: the solvers in
-    `mrenew.oracle` ask for a block of states as a column (rows, 1)
-    against every abscissa of a request as a row (cols,), in one call.
+    arrays, a number being the 0-d array it is, and the result must
+    broadcast over them: the solvers in `mrenew.oracle` ask for a block of
+    states as a column (rows, 1) against every abscissa of a request as a
+    row (cols,), in one call.
     A valid kernel satisfies, for every j and every s >= 0:
 
     * sigma_bar and tau_bar are finite (the solvers refuse a NaN or an
@@ -110,7 +111,9 @@ class MMInfinityKernel(KernelTransform):
     inversion; the rational formulas extend verbatim.  An s whose
     denominator j + rho + alpha s is past the largest double, or at complex
     s so near it that numpy's complex division overflows, is refused with
-    ValueError, naming s and alpha.  Without arrivals
+    ValueError, naming s and alpha.  j and s pass through ``np.asarray``
+    once, so a number divides as a 0-d array, is refused as one, and gives
+    numpy's scalar.  Without arrivals
     both entries vanish at j = 0 for every s, including the corner s = 0
     where the ratios are formally 0/0.
     """
@@ -123,6 +126,7 @@ class MMInfinityKernel(KernelTransform):
         return self.params.lam
 
     def transforms(self, j, s) -> tuple:
+        j, s = np.asarray(j), np.asarray(s)     # a number divides as a 0-d array, by numpy's rule
         _check_state_and_s(j, s)
         p = self.params
         with np.errstate(over="ignore"):    # an infinite denominator is refused below

@@ -56,15 +56,16 @@ the cap n_hi, and the levels judged are first, every _STRIDE = 8th level
 past it, first + 8, first + 16, ..., and the cap n_hi, which is always
 judged and reads the kernel at n_hi + 1: each test is a proof at
 whatever level it passes, and a judged level costs the array sweep 12
-numpy calls on top of the step's 9.  `solve_rows` and
-`solve_row_adaptive` pass first = max(n0, top + 1, j + 2), past top and
-the floor max(n0, i + 2, j + 2), and n_hi = _N_MAX; a row whose top lies
-past n_max - 2, where its cut would have no two moves of x[top] to judge,
-is refused with ValueError.  `solve_row_truncated` passes
-top = first = n_hi = n.  The cut: a column is cut at the first judged
-level that passes a test (the bound test only for `solve_rows`), else at
-n_hi, and once cut it is silent: no later test, pivot or move counts for
-it.
+numpy calls on top of the step's 9.  `solve_rows` passes
+first = max(top + 1, j + 2), i + 1 for i > j (`solve_rows(5, 0, ...)`
+judges 6, 14, ...) and j + 2 otherwise, and `solve_row_adaptive`
+first = max(n0, i + 11), with the floor n0 of its `TruncationConfig`;
+both pass n_hi = _N_MAX, and a row whose top lies past n_max - 2, where
+its cut would have no two moves of x[top] to judge, is refused with
+ValueError.  `solve_row_truncated` passes top = first = n_hi = n.  The
+cut: a column is cut at the first judged level that passes a test (the
+bound test only for `solve_rows`), else at n_hi, and once cut it is
+silent: no later test, pivot or move counts for it.
 Its entries are back-substituted from x[top] = g[top] + S, down to j only
 for `solve_rows`, the one entry it reads, and down to state 0 for
 `solve_row_truncated`.  Kernel values must be finite: a block holding a
@@ -151,12 +152,12 @@ class TransformEntries:
 
     values[k], truncation_n[k] and normalization_residual[k] belong to
     s[k]; each abscissa was cut at its own truncation level N, one of the
-    judged levels of the module docstring, past top = max(i, j) and at
-    least cfg.n0.  s is a copy of the caller's
-    abscissas.  The residual is the mass the cut loses, |tau_bar(N) x[N]|,
-    which is `TransformRowResult`'s summed residual of the row cut at N up
-    to that sum's rounding; it is not small where the bound test cut (see
-    the module docstring).
+    judged levels of the module docstring, at least max(top + 1, j + 2)
+    with top = max(i, j).  s is a copy of the caller's abscissas.  The
+    residual is the mass the cut loses, |tau_bar(N) x[N]|, which is
+    `TransformRowResult`'s summed residual of the row cut at N up to that
+    sum's rounding; it is not small where the bound test cut (see the
+    module docstring).
     """
 
     i: int
@@ -169,12 +170,14 @@ class TransformEntries:
 
 @dataclass(frozen=True)
 class TruncationConfig:
-    """The floor of the cut of `solve_row_adaptive` and `solve_rows`.
+    """The floor of the cut of `solve_row_adaptive`.
 
-    The cut N for start state i (and target j) is at least
-    max(n0, i + 2, j + 2), and past top (module docstring); n0 may not
-    exceed the cap n_max = _N_MAX.  The default 2 sets no floor beyond
-    the row's own, since each stop test is a proof at any judged level.
+    The cut N for start state i is at least max(n0, i + 11), past
+    top = i + 10 (module docstring); n0 may not exceed the cap
+    n_max = _N_MAX.  The default 2 sets no floor beyond the row's own,
+    since each stop test is a proof at any judged level; a larger n0
+    gives a deeper reference solve of the same row.  `solve_rows` takes
+    no config: its first judged level is the row's own.
     """
 
     n0: int = 2
@@ -414,19 +417,18 @@ def solve_rows(
     j: int,
     s_values,
     kernel: KernelTransform,
-    cfg: TruncationConfig = TruncationConfig(),
 ) -> TransformEntries:
     """rbar_ij(s) at every abscissa of s_values, solved together.
 
     Each abscissa is cut at its own N, the first judged level that passes
     the lost-mass test or the bound test of the module docstring, with
-    top = max(i, j).  The levels judged are
-    first = max(cfg.n0, top + 1, j + 2), first + 8, first + 16, ... and
-    n_max = _N_MAX.  Raises NonConvergenceError naming the first abscissa
-    that has passed neither by n_max, with the mass its cut there loses as
-    the residual, and ValueError if top passes n_max - 2.
+    top = max(i, j).  The levels judged are first = max(top + 1, j + 2),
+    first + 8, first + 16, ... and n_max = _N_MAX.  Raises
+    NonConvergenceError naming the first abscissa that has passed neither
+    by n_max, with the mass its cut there loses as the residual, and
+    ValueError if top passes n_max - 2.
     """
-    return _solve_rows(i, j, s_values, kernel, cfg, margin=0, proven=True)
+    return _solve_rows(i, j, s_values, kernel, TruncationConfig(), margin=0, proven=True)
 
 
 def _solve_rows(i, j, s_values, kernel, cfg, margin, proven) -> TransformEntries:
@@ -442,7 +444,7 @@ def _solve_rows(i, j, s_values, kernel, cfg, margin, proven) -> TransformEntries
         # a cut is judged by two moves of x[top], at states past it up to n_max
         raise ValueError(f"states past n_max - 2 = {_N_MAX - 2} are out of range: "
                          f"row (i={i}, j={j}) keeps states up to {top}")
-    first = max(cfg.n0, top + 1, j + 2)             # the floor max(n0, i + 2, j + 2), past top
+    first = max(cfg.n0, top + 1, j + 2)             # past top, and past j + 1 where top = j
     # fewer than _MIN_BATCH abscissas do not pay for the array overhead of a step
     sweep = _eliminate_short if s.size < _MIN_BATCH else _eliminate
     rows, levels, residuals, passed = sweep(i, s, kernel, top, j, first, _N_MAX, proven)

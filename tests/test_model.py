@@ -365,7 +365,7 @@ class TestDomainCheck:
     """The kernel's domain check refuses a negative state and Re(s) < 0 with one
     message each, whether j and s come as Python numbers, lists or arrays; the
     kernel also refuses an s whose denominator j + rho + alpha s is past the
-    largest double."""
+    largest double, and takes a number as the 0-d array it is."""
 
     KERNEL = MMInfinityKernel(QueueParams(1.5, 0.5))
 
@@ -378,8 +378,8 @@ class TestDomainCheck:
     )
     def test_accepts_numbers_lists_and_arrays(self, j, s):
         model._check_state_and_s(j, s)
-        j, s = np.asarray(j), np.asarray(s)    # the kernel's arithmetic takes numbers and arrays
         sigma, tau = self.KERNEL.transforms(j, s)
+        j, s = np.asarray(j), np.asarray(s)
         denom = j + 0.75 + 0.5 * s
         np.testing.assert_allclose(sigma, j / denom, rtol=1e-15)
         np.testing.assert_allclose(tau, 0.75 / denom, rtol=1e-15)
@@ -389,9 +389,8 @@ class TestDomainCheck:
     def test_negative_state_refused(self, j):
         with pytest.raises(ValueError, match=r"^state index must be >= 0, got -1$"):
             model._check_state_and_s(j, 1.0)
-        if not isinstance(j, list):
-            with pytest.raises(ValueError, match=r"^state index must be >= 0, got -1$"):
-                self.KERNEL.transforms(j, 1.0)
+        with pytest.raises(ValueError, match=r"^state index must be >= 0, got -1$"):
+            self.KERNEL.transforms(j, 1.0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -409,6 +408,22 @@ class TestDomainCheck:
         message = f"transform variable s={named} with alpha={p.alpha}: j + rho + alpha s is past the largest double"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             MMInfinityKernel(p).transforms(np.arange(3)[:, None], s)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("s", [complex(2e7, 177568280.42029268), np.complex128(complex(2e7, 177568280.42029268)),
+                                   np.array(complex(2e7, 177568280.42029268))], ids=["complex", "numpy-complex", "0-d"])
+    def test_number_divides_as_a_0d_array(self, s):
+        # Python's complex division returned (-0j, -0j) at this s, where numpy's overflows
+        message = ("transform variable s=(20000000+177568280.42029268j) with alpha=1e+300: "
+                   "j + rho + alpha s is past the largest double")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MMInfinityKernel(QueueParams(1e-300, 1e300)).transforms(3, s)
+
+    @pytest.mark.parametrize("s", [0.3, 7.0, complex(0.5, 2.0), complex(1.0, -40.0)])
+    def test_number_gives_the_bits_of_a_one_element_array(self, s):
+        sigma, tau = self.KERNEL.transforms(3, s)
+        array = self.KERNEL.transforms(np.array([3]), np.array([s]))
+        assert (sigma.tobytes(), tau.tobytes()) == (array[0].tobytes(), array[1].tobytes())
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_complex_denominator_whose_division_stays_finite_answered(self):
@@ -432,6 +447,5 @@ class TestDomainCheck:
         message = r"^transform variable needs Re\(s\) >= 0, got Re\(s\) = -0\.5$"
         with pytest.raises(ValueError, match=message):
             model._check_state_and_s(np.arange(3)[:, None], s)
-        if not isinstance(s, list):
-            with pytest.raises(ValueError, match=message):
-                self.KERNEL.transforms(np.arange(3)[:, None], s)
+        with pytest.raises(ValueError, match=message):
+            self.KERNEL.transforms(np.arange(3)[:, None], s)

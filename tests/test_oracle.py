@@ -275,7 +275,7 @@ class TestSolveRows:
         p, s_values = self.SPREAD
         k = kernel(p)
         top = max(i, j)
-        first = max(TruncationConfig().n0, top + 1, j + 2)     # the first level judged
+        first = max(top + 1, j + 2)     # the first level judged
         for grid in (s_values, s_values[:oracle._MIN_BATCH - 1]):
             entries = solve_rows(i, j, grid, k)
             sweep = oracle._eliminate_short if grid.size < oracle._MIN_BATCH else oracle._eliminate
@@ -291,11 +291,10 @@ class TestSolveRows:
         # lost mass is below tol but no move of x[top] came before: without
         # arrivals this move is 0 too and the cut is there; at rho = 0.1 it is
         # not, and the move test waits for a ratio of two moves, to level 19
-        cfg = TruncationConfig(n0=2)
-        short = solve_rows(10, 0, [1.0], kernel(p), cfg)
+        short = solve_rows(10, 0, [1.0], kernel(p))
         assert short.truncation_n.tolist() == [11 if p is PURE_DEATH else 19]
         monkeypatch.setattr(oracle, "_MIN_BATCH", 1)
-        array = solve_rows(10, 0, [1.0], kernel(p), cfg)
+        array = solve_rows(10, 0, [1.0], kernel(p))
         for field in ("values", "truncation_n", "normalization_residual"):
             np.testing.assert_array_equal(getattr(short, field), getattr(array, field))
 
@@ -307,12 +306,12 @@ class TestSolveRows:
         # passes only there
         monkeypatch.setattr(oracle, "_N_MAX", 22)
         k, cfg = kernel(UNIT), TruncationConfig(n0=8)
-        entries = solve_rows(10, 0, [10.0] + [1.0] * (width - 1), k, cfg)
+        entries = oracle._solve_rows(10, 0, [10.0] + [1.0] * (width - 1), k, cfg, margin=0, proven=True)
         assert entries.truncation_n.tolist() == [19] + [22] * (width - 1)
         assert (entries.normalization_residual <= oracle._TOL).all()
         assert entries.values[-1] == solve_row_truncated(10, 1.0, k, 22).values[0]
         with pytest.raises(NonConvergenceError, match=r"s=0\.01\) did not converge by n_max=22;"):
-            solve_rows(10, 0, [1.0] + [0.01] * (width - 1), k, cfg)
+            oracle._solve_rows(10, 0, [1.0] + [0.01] * (width - 1), k, cfg, margin=0, proven=True)
 
     @given(_lattice_problems())
     @settings(max_examples=200, derandomize=True, deadline=None)
@@ -325,7 +324,8 @@ class TestSolveRows:
             cfg = TruncationConfig(n0=n0)
             cuts = []       # (first level judged, N) of each column that converged
             with contextlib.suppress(NonConvergenceError):
-                cuts += [(max(n0, i + 1, j + 2), int(n)) for n in solve_rows(i, j, s_values, k, cfg).truncation_n]
+                rows = oracle._solve_rows(i, j, s_values, k, cfg, margin=0, proven=True)
+                cuts += [(max(n0, i + 1, j + 2), int(n)) for n in rows.truncation_n]
             with contextlib.suppress(NonConvergenceError):
                 cuts.append((max(n0, i + 11), solve_row_adaptive(i, s_values[0], k, cfg).truncation_n))
             for first, n in cuts:
@@ -348,8 +348,8 @@ class TestSolveRows:
         # columns sweep on (to N = 72)
         k, cfg = kernel(QueueParams(0.001, 1.0)), TruncationConfig(n0=64)
         s = 12.57 + 90.15j
-        one = solve_rows(5, 15, [s], k, cfg)
-        entries = solve_rows(5, 15, [s] * oracle._MIN_BATCH, k, cfg)
+        one = oracle._solve_rows(5, 15, [s], k, cfg, margin=0, proven=True)
+        entries = oracle._solve_rows(5, 15, [s] * oracle._MIN_BATCH, k, cfg, margin=0, proven=True)
         assert one.truncation_n.tolist() == [64]
         assert entries.truncation_n.tolist() == [64] * oracle._MIN_BATCH
         np.testing.assert_allclose(entries.values, one.values[0], rtol=1e-15)
@@ -367,7 +367,7 @@ class TestSolveRows:
         # 22; the levels judged are 11, 19 and 22
         s_values = [10.0, 1.0, 0.01, 5.0]
         with pytest.raises(NonConvergenceError) as err:
-            solve_rows(10, 0, s_values, kernel(UNIT), TruncationConfig(n0=8))
+            oracle._solve_rows(10, 0, s_values, kernel(UNIT), TruncationConfig(n0=8), margin=0, proven=True)
         assert "s=0.01" in str(err.value)
         # the residual is the mass the cut at the cap loses, |tau_bar(22) x[22]|
         k = kernel(UNIT)
@@ -515,6 +515,11 @@ class TestSolveRows:
             solve_rows(0, -1, [1.0], k)
         with pytest.raises(ValueError):
             solve_rows(-1, 0, [1.0], k)
+
+    def test_config_option_removed(self):
+        # the first judged level is the row's own: only solve_row_adaptive takes a floor
+        with pytest.raises(TypeError):
+            solve_rows(0, 0, [1.0], kernel(UNIT), TruncationConfig())
 
     def test_record_keeps_its_own_abscissas(self):
         for s_values in (np.array([0.5, 1.0]), np.array([0.5 + 1j, 1.0 - 2j])):
@@ -766,13 +771,12 @@ class _PlantedKernel(KernelTransform):
 @st.composite
 def _planted_pivot_problems(draw):
     """(i, j, kernel, s): a `_PlantedKernel` at rho over [1, 2000] whose pivot at a row
-    1 to 200 states past the default floor n0 = 2 is 0 (sigma_bar = 1 there, tau_bar = 1 one
-    state below) at the abscissas from a threshold on, with 1 to _MIN_BATCH - 1 real
-    abscissas over [1e-4, 1e3].
+    3 to 202 is 0 (sigma_bar = 1 there, tau_bar = 1 one state below) at the abscissas
+    from a threshold on, with 1 to _MIN_BATCH - 1 real abscissas over [1e-4, 1e3].
 
     rho, s and the threshold are spread evenly over decades.
     """
-    i, j, row = draw(st.integers(0, 30)), draw(st.integers(0, 30)), TruncationConfig().n0 + draw(st.integers(1, 200))
+    i, j, row = draw(st.integers(0, 30)), draw(st.integers(0, 30)), 2 + draw(st.integers(1, 200))
     rho, threshold = 2e3 ** draw(st.floats(0.0, 1.0)), 1e-4 * 1e7 ** draw(st.floats(0.0, 1.0))
     k = _PlantedKernel(rho, threshold, {row: (1.0, 0.0), row - 1: (0.0, 1.0)})
     decades = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=oracle._MIN_BATCH - 1)
@@ -854,7 +858,7 @@ class TestBoundTest:
     def cut(i, j, s, k, proven):
         """Entries 0..top, and N, of one column as solve_rows cuts it, or by the lost-mass test alone."""
         top = max(i, j)
-        first = max(TruncationConfig().n0, top + 1, j + 2)     # the first level judged
+        first = max(top + 1, j + 2)     # the first level judged
         rows, levels, _, passed = oracle._eliminate_short(i, np.array([s]), k, top, 0, first,
                                                           oracle._N_MAX, proven)
         assert all(passed)
@@ -888,9 +892,8 @@ class TestBoundTest:
     def test_holds_where_the_row_piles_up_past_the_cut(self, s):
         # x[N+1] reaches ~1e6 below state 30; bounding it by 1 instead of
         # 1 / c[N+1] cut at N = 26 and moved the entry by 2.6e-10 at s = 1e-9
-        cfg = TruncationConfig(n0=2)
-        value = solve_rows(0, 10, [s], _WellKernel(), cfg).values[0]
-        reference = oracle._solve_rows(0, 10, [s], _WellKernel(), cfg, margin=0, proven=False).values[0]
+        value = solve_rows(0, 10, [s], _WellKernel()).values[0]
+        reference = oracle._solve_rows(0, 10, [s], _WellKernel(), TruncationConfig(), margin=0, proven=False).values[0]
         assert abs(value - reference) <= 2.0**-52 * 2 * abs(reference)
 
     @pytest.mark.parametrize("s", [1.0, 0.5 + 3j], ids=["real", "complex"])
