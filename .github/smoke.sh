@@ -85,6 +85,11 @@ expect_exit 2 mrenew transform --i 3 --j 2 --s-grid 1e10:1e10:1 --lambda 1e-300 
 # n_max - 2, where no two moves are left to judge a cut, refused as out of range
 mrenew transform --i 65530 --j 0 --s-grid 1:1:1 --lambda 1 --alpha 1 --solver oracle
 expect_exit 2 mrenew transform --i 65535 --j 0 --s-grid 1:1:1 --lambda 1 --alpha 1 --solver oracle
+# every route takes the same states, 0..n_max - 2: past them the simulator raised a bare
+# OverflowError at 2^63 and walked 132 s at 10^12, and the closed form asked for 7.28 TiB
+expect_exit 2 timeout 20 mrenew simulate --i 9223372036854775808 --j 0 --t-grid 1:1:1 --lambda 1 --alpha 1 --paths 10 --seed 1
+expect_exit 2 timeout 20 mrenew transform --i 1000000000000 --j 0 --s-grid 1:1:1 --lambda 1 --alpha 1 --solver closedform
+expect_exit 2 timeout 20 mrenew simulate --i 1000000000000 --j 0 --t-grid 1:1:1 --lambda 1 --alpha 1 --paths 3 --seed 1
 # an Euler abscissa whose alpha s is below the largest double, but numpy's complex
 # division by it overflows, is an argument error too (it printed 1.0000000060766321)
 expect_exit 2 mrenew renewal --i 0 --j 0 --t-grid 4.6e-7:4.6e-7:1 --lambda 1e-300 --alpha 1e300 --method euler

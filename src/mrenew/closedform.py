@@ -37,13 +37,12 @@ final sum is rounded to one float.  See README "Formula notes".
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
 from .errors import NonConvergenceError
 from .hyperg import weighted_kummer_sum
-from .model import QueueParams
+from .model import QueueParams, _index
 
 def _check_s(s, alpha):
     with np.errstate(divide="ignore", over="ignore"):    # alpha s and the weight factor 1 / (alpha s) must be finite
@@ -64,9 +63,7 @@ def generating_function(i: int, x: float, s: float, p: QueueParams) -> float:
     _check_s(s, p.alpha)
     if not -1.0 < x <= 1.0:
         raise ValueError(f"argument must lie in (-1, 1], got {x}")
-    i = operator.index(i)
-    if i < 0:
-        raise ValueError(f"start state must be >= 0, got {i}")
+    i = _index(i, "i")
     a_s = p.alpha * s
     j = np.arange(i + 1, dtype=float)
     t = np.arange(1, i + 1, dtype=float)
@@ -110,9 +107,7 @@ def rbar_closed_form(i: int, n: int, s, p: QueueParams):
     1.45e6, where the window sum stops.
     """
     _check_s(s, p.alpha)
-    i, n = operator.index(i), operator.index(n)
-    if i < 0 or n < 0:
-        raise ValueError(f"states must be >= 0, got i={i}, n={n}")
+    i, n = _index(i, "i"), _index(n, "n")
     a_s = p.alpha * np.asarray(s, dtype=float)[..., None]    # one row per abscissa
     rho = p.rho
     hi = min(i, n)

@@ -25,14 +25,13 @@ whose rule reaches below the solvers' floor Re(s) >= 1e-14.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import NonConvergenceError
-from .model import KernelTransform
+from .model import KernelTransform, _index, _time_grid
 from .oracle import _S_MIN, solve_rows
 
 EULER_DEFAULT_M = 11   # binomial averaging length
@@ -57,15 +56,16 @@ class InversionConfig:
         if self.method not in ("gaver-stehfest", "euler"):
             raise ValueError(f"unknown inversion method {self.method!r}")
         if self.method == "gaver-stehfest":
-            stehfest_weights(operator.index(self.order))    # rejects an order it has no weights for
+            stehfest_weights(self.order)    # rejects an order it has no weights for
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)    # typed: 16.0 is not the key of 16, so it reaches the check
 def stehfest_weights(order: int) -> tuple:
     """Salzer weights V_1..V_order: (-1)^(k+h) sum_j j^(h+1) C(h, j) C(2j, j) C(j, k-j) / h!,
     h = order / 2, summed exactly in integers then rounded once."""
-    if order % 2 != 0 or not 4 <= order <= 18:
-        raise ValueError(f"order must be even and within [4, 18], got {order}")
+    order = _index(order, "order", 4, 18)
+    if order % 2 != 0:
+        raise ValueError(f"order must be even, got {order}")
     half = order // 2
     return tuple(
         (-1) ** (k + half)
@@ -96,7 +96,7 @@ def _rule(method: str, t: float, order: int = InversionConfig.order):
     if method == "gaver-stehfest":
         scale = math.log(2.0) / t
         abscissas = [k * scale for k in range(1, order + 1)]
-        weights = stehfest_weights(operator.index(order))
+        weights = stehfest_weights(order)
     else:
         weights = _euler_weights()
         scale = math.exp(_EULER_A / 2.0) / t
@@ -153,9 +153,7 @@ def renewal_function(
 ) -> np.ndarray:
     """Recover R_ij(t) of `kernel` on a time grid by inverting s -> rbar_ij(s) / s,
     with rbar from one `solve_rows` call over each distinct abscissa of the grid."""
-    times = np.asarray(t_grid, dtype=float)
-    if times.ndim != 1:
-        raise ValueError("t_grid must be one-dimensional")
+    times = _time_grid(t_grid)
     if times.size and not (np.isfinite(times).all() and times.min() >= T_MIN):
         raise ValueError(f"all times must be finite and >= T_MIN = {T_MIN}")
 

@@ -25,14 +25,13 @@ array and all statistics are reduced over that array in a fixed order.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .errors import EventCapError
-from .model import KernelTransform
+from .model import KernelTransform, _index, _time_grid
 
 _BLOCK = 1024  # paths per random stream; fixed, so results do not depend on workers
 _MAX_EVENTS = 10_000_000  # events a path may take before the run is aborted
@@ -45,11 +44,9 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if operator.index(self.n_paths) < 1:
-            raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
-        if not 0 <= operator.index(self.seed) < 2**64:
-            # the Philox key holds 64 bits; a seed outside would alias one inside
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        _index(self.n_paths, "n_paths", 1, math.inf)
+        # the Philox key holds 64 bits; a seed outside would alias one inside
+        _index(self.seed, "seed", 0, 2**64 - 1)
 
 
 @dataclass(frozen=True)
@@ -137,16 +134,10 @@ def simulate_renewal_counts(
     t_grid; an empty j_set walks no path.  Deterministic for a fixed
     cfg.seed regardless of `workers`.
     """
-    i, targets = operator.index(i), list(map(operator.index, j_set))
-    times = np.asarray(t_grid, dtype=float)
-    if times.ndim != 1:
-        raise ValueError("t_grid must be one-dimensional")
+    i, targets, times = _index(i, "i"), [_index(j, "j") for j in j_set], _time_grid(t_grid)
     if times.size == 0 or not np.isfinite(times).all() or times[0] <= 0 or np.any(np.diff(times) < 0):
         raise ValueError("t_grid must be nonempty, finite, > 0 and ascending")
-    if i < 0 or any(j < 0 for j in targets):
-        raise ValueError(f"states must be >= 0, got i={i}, j_set={targets}")
-    if operator.index(workers) < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _index(workers, "workers", 1, math.inf)
     if not targets:
         return []
     # a count that dominates Poisson(expected) stays within the cap with probability below Phi(-10)

@@ -12,6 +12,11 @@ service rate 1/alpha:
 A kernel owns its law in both domains: `transforms` for the solvers and
 the inverters, and `step`, one jump of the embedded chain, for the
 simulator in `mcsim`.
+
+Every route imports this module, so it also holds the argument checks
+they share: `_index`, the one check of an integer argument, whose
+default range 0.._LAST_STATE = n_max - 2 is every route's states, and
+`_time_grid`, the shape of a time grid.
 """
 
 from __future__ import annotations
@@ -25,6 +30,28 @@ import numpy as np
 
 _INVARIANT_TOL = 1e-12  # slack allowed in each kernel invariant
 _TINY_UNIFORM = 1e-300  # floor on the time uniform of `step`; keeps sojourns strictly positive
+_N_MAX = 2**16          # largest cut N of the sweeps of `mrenew.oracle`
+_LAST_STATE = _N_MAX - 2    # every route's last state: the oracle judges a cut by two moves past it
+
+
+def _index(value, name: str, lo=0, hi=_LAST_STATE) -> int:
+    """value as an int, by `operator.index` (TypeError for 1.5 and 16.0), if lo <= value <= hi.
+
+    The one check of every integer argument of the package; the default
+    range is that of a state.  Raises ValueError outside [lo, hi].
+    """
+    value = operator.index(value)
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must be in [{lo}, {hi}], got {value}")
+    return value
+
+
+def _time_grid(t_grid) -> np.ndarray:
+    """t_grid as a one-dimensional array of floats; ValueError for any other shape."""
+    times = np.asarray(t_grid, dtype=float)
+    if times.ndim != 1:
+        raise ValueError("t_grid must be one-dimensional")
+    return times
 
 
 @dataclass(frozen=True)
@@ -179,10 +206,9 @@ def validate_kernel(kernel: KernelTransform, j_max: int, s_grid) -> list:
     A NaN or an infinity gets one message per (j, s), and no other check
     there; monotonicity in s is checked between consecutive grid points
     whose values are finite.  Each inequality allows a slack of 1e-12.
+    j_max is a state, in [0, n_max - 2].
     """
-    j_max = operator.index(j_max)
-    if j_max < 0:
-        raise ValueError(f"j_max must be >= 0, got {j_max}")
+    j_max = _index(j_max, "j_max")
     s_values = sorted(s_grid)
     if not s_values:
         raise ValueError("s_grid must be nonempty")

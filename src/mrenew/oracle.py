@@ -60,12 +60,13 @@ numpy calls on top of the step's 9.  `solve_rows` passes
 first = max(top + 1, j + 2), i + 1 for i > j (`solve_rows(5, 0, ...)`
 judges 6, 14, ...) and j + 2 otherwise, and `solve_row_adaptive`
 first = max(n0, i + 11), with the floor n0 of its `TruncationConfig`;
-both pass n_hi = _N_MAX, and a row whose top lies past n_max - 2, where
-its cut would have no two moves of x[top] to judge, is refused with
-ValueError.  `solve_row_truncated` passes top = first = n_hi = n.  The
-cut: a column is cut at the first judged level that passes a test (the
-bound test only for `solve_rows`), else at n_hi, and once cut it is
-silent: no later test, pivot or move counts for it.
+both pass n_hi = _N_MAX, and every state, top included, lies in
+[0, n_max - 2] (`model._LAST_STATE`): past it a cut would have no two
+moves of x[top] to judge, and a state outside is refused with
+ValueError.  `solve_row_truncated` passes top = first = n_hi = n, with
+i <= n <= n_max.  The cut: a column is cut at the first judged level
+that passes a test (the bound test only for `solve_rows`), else at n_hi,
+and once cut it is silent: no later test, pivot or move counts for it.
 Its entries are back-substituted from x[top] = g[top] + S, down to j only
 for `solve_rows`, the one entry it reads, and down to state 0 for
 `solve_row_truncated`.  Kernel values must be finite: a block holding a
@@ -103,14 +104,13 @@ below s = 1e-14 it passes the entries' own size, and no digit is backed.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
 from itertools import count
 
 import numpy as np
 
 from .errors import NonConvergenceError, PivotError
-from .model import KernelTransform
+from .model import _LAST_STATE, _N_MAX, KernelTransform, _index
 
 _MIN_PIVOT = 1e-14
 _SWEEP_ELEMENTS = 6144     # states x columns of one block of kernel values
@@ -119,7 +119,6 @@ _MIN_BATCH = 15            # fewest columns worth sweeping together (measured re
 _EPS = 2.0**-52            # moves still to come allowed, relative to x[top]
 _MARGIN = 10               # entries past i that `solve_row_adaptive`'s stop test covers: top = i + _MARGIN
 _STRIDE = 8                # levels from one judged level to the next (module docstring)
-_N_MAX = 2**16             # largest cut N of an adaptive solve
 _TOL = 1e-10               # lost mass |tau_bar(N) x[N]| allowed at the cut
 _NEUMANN_STOP = 1e-12      # largest Neumann term left out of the sum
 _NEUMANN_TERMS = 200_000   # most terms of a Neumann sum
@@ -183,8 +182,7 @@ class TruncationConfig:
     n0: int = 2
 
     def __post_init__(self):
-        if not 2 <= operator.index(self.n0) <= _N_MAX:
-            raise ValueError(f"n0 must be in [2, n_max={_N_MAX}], got {self.n0}")
+        _index(self.n0, "n0", 2, _N_MAX)
 
 
 def _check_s(s):
@@ -195,14 +193,12 @@ def _check_s(s):
 
 
 def _check_row(i, s, n) -> tuple:
-    """The start state i and the level n as integers, once s is one valid abscissa and 0 <= i <= n."""
+    """The start state i and the level n as integers, once s is one valid abscissa and i <= n <= n_max."""
     if np.ndim(s) != 0:
         raise ValueError(f"a row takes one transform variable, got shape {np.shape(s)}")
     _check_s(s)
-    i, n = operator.index(i), operator.index(n)
-    if not 0 <= i <= n:
-        raise ValueError(f"start state must satisfy 0 <= i <= n, got i={i}, n={n}")
-    return i, n
+    i = _index(i, "i")
+    return i, _index(n, "n", i, _N_MAX)
 
 
 def _back_substitute(kept, x, low: int):
@@ -403,7 +399,7 @@ def _short_column(i: int, top: int, low: int, first: int, n_hi: int, proven: boo
 
 
 def solve_row_truncated(i: int, s, kernel: KernelTransform, n: int) -> TransformRowResult:
-    """Solve the truncated system for row i, 0 <= i <= n, with x[n+1] forced to zero."""
+    """Solve the truncated system for row i, i <= n <= n_max, with x[n+1] forced to zero."""
     i, n = _check_row(i, s, n)
     (row,), *_ = _eliminate_short(i, np.reshape(s, 1), kernel, top=n, low=0, first=n, n_hi=n, proven=True)
     # the residual summed over the row, a check on it apart from the cut's own lost mass
@@ -426,7 +422,7 @@ def solve_rows(
     first + 8, first + 16, ... and n_max = _N_MAX.  Raises
     NonConvergenceError naming the first abscissa that has passed neither
     by n_max, with the mass its cut there loses as the residual, and
-    ValueError if top passes n_max - 2.
+    ValueError for i or j outside [0, n_max - 2].
     """
     return _solve_rows(i, j, s_values, kernel, TruncationConfig(), margin=0, proven=True)
 
@@ -436,14 +432,9 @@ def _solve_rows(i, j, s_values, kernel, cfg, margin, proven) -> TransformEntries
     if s.ndim != 1:
         raise ValueError(f"s_values must be one-dimensional, got shape {s.shape}")
     _check_s(s)
-    i, j = operator.index(i), operator.index(j)
-    if i < 0 or j < 0:
-        raise ValueError(f"states must be >= 0, got i={i}, j={j}")
+    # top = i + margin is a state too: a cut is judged by two moves of x[top], at states up to n_max
+    i, j = _index(i, "i", hi=_LAST_STATE - margin), _index(j, "j")
     top = max(i + margin, j)
-    if top > _N_MAX - 2:
-        # a cut is judged by two moves of x[top], at states past it up to n_max
-        raise ValueError(f"states past n_max - 2 = {_N_MAX - 2} are out of range: "
-                         f"row (i={i}, j={j}) keeps states up to {top}")
     first = max(cfg.n0, top + 1, j + 2)             # past top, and past j + 1 where top = j
     # fewer than _MIN_BATCH abscissas do not pay for the array overhead of a step
     sweep = _eliminate_short if s.size < _MIN_BATCH else _eliminate

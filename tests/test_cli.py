@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +198,22 @@ class TestHypergCommand:
         assert "numerical failure" in captured.err and "largest double" in captured.err
 
 
+_SIM = "--t-grid 1:1:1 --lambda 1 --alpha 1 --paths 10 --seed 1"
+_CLOSED = "--s-grid 1:1:1 --lambda 1 --alpha 1 --solver closedform"
+# (argv, argument, state) of the one error line of states past every route's range [0, 65534]: a
+# bare OverflowError at 2^63, numpy's "Maximum allowed dimension exceeded", a 7.28 TiB array at
+# 10^12 and a walk of 132 s that ended in EventCapError; 65535 had no route to back it
+_STATES_PAST_THE_RANGE = [
+    (f"simulate --i 9223372036854775808 --j 0 {_SIM}", "i", 2**63),
+    (f"simulate --i 0 --j 9223372036854775808 {_SIM}", "j", 2**63),
+    (f"transform --i 9223372036854775808 --j 0 {_CLOSED}", "i", 2**63),
+    (f"transform --i 1000000000000 --j 0 {_CLOSED}", "i", 10**12),
+    ("simulate --i 1000000000000 --j 0 --t-grid 1:1:1 --lambda 1 --alpha 1 --paths 3 --seed 1", "i", 10**12),
+    (f"transform --i 65535 --j 0 {_CLOSED}", "i", 65535),
+    (f"simulate --i 65535 --j 0 {_SIM}", "i", 65535),
+]
+
+
 class TestArgumentErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -214,11 +231,26 @@ class TestArgumentErrors:
              "--paths", "5", "--seed", "-1"],
             ["simulate", "--i", "0", "--j", "0", "--t-grid", "1:1:1", "--lambda", "1", "--alpha", "1",
              "--paths", "5", "--seed", str(2**64)],
-        ],
+        ] + [argv.split() for argv, _, _ in _STATES_PAST_THE_RANGE],
     )
     def test_exit_code_two(self, argv, capsys):
+        start = time.perf_counter()
         assert run(argv) == 2
+        assert time.perf_counter() - start < 1.0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, name, state", _STATES_PAST_THE_RANGE)
+    def test_state_past_the_range_is_one_line(self, argv, name, state, capsys):
+        assert run(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"mrenew: invalid arguments: {name} must be in [0, 65534], got {state}\n"
+
+    def test_the_last_state_still_answers(self, capsys):
+        assert run(f"transform --i 65534 --j 0 {_CLOSED}".split()) == 0
+        assert capsys.readouterr().out == "s,rbar_closedform\n1,1.1227132208801034e-05\n"
+        assert run("simulate --i 65534 --j 0 --t-grid 1:1:1 --lambda 1 --alpha 1 --paths 5 --seed 1".split()) == 0
+        assert capsys.readouterr().out == "t,mean,std_error\n1,0,0\n"
 
     def test_unparsable_grid_is_a_bad_grid(self, capsys):
         argv = "transform --i 0 --j 0 --s-grid 1:x:3 --lambda 1 --alpha 1".split()
@@ -298,7 +330,7 @@ class TestArgumentErrors:
         assert run(argv.split()) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"states past n_max - 2 = 65534 are out of range: row (i={i}, j=0) keeps states up to {i}" in captured.err
+        assert captured.err == f"mrenew: invalid arguments: i must be in [0, 65534], got {i}\n"
 
     def test_oracle_s_below_the_floor_maps_to_two(self, capsys):
         # the oracle printed 7891239400913106 and exited 0; the entry is past the double range

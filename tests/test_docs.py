@@ -10,7 +10,9 @@ import pytest
 import mrenew
 from mrenew import cli
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
+SUPPORTED_RANGE = README.split("## Supported range\n", 1)[1].split("\n## ", 1)[0]
 
 
 @pytest.mark.parametrize("name", mrenew.__all__)
@@ -22,6 +24,13 @@ def test_public_name_is_documented(name):
 def test_cited_name_is_importable(name):
     if not hasattr(mrenew, name):
         importlib.import_module(f"mrenew.{name}")
+
+
+@pytest.mark.parametrize("path, names", re.findall(r"`(tests/\w+\.py)::([\w:]+)`", SUPPORTED_RANGE))
+def test_supported_range_names_tests_that_exist(path, names):
+    source = (ROOT / path).read_text()
+    for name in names.split("::"):
+        assert re.search(rf"^ *(def|class) {name}\b", source, re.M), f"{path} has no {name}"
 
 
 def _examples():

@@ -366,7 +366,7 @@ class TestRenewalFunction:
 
     def test_negative_target_state_rejected(self):
         for times in ([1.0], []):
-            with pytest.raises(ValueError, match="states must be >= 0"):
+            with pytest.raises(ValueError, match=r"^j must be in \[0, 65534\], got -1$"):
                 renewal_function(0, -1, times, UNIT)
 
     def test_solver_option_removed(self):

@@ -209,7 +209,7 @@ class TestSimulateRenewalCounts:
             simulate_renewal_counts(0, [0], [], UNIT, cfg)
         with pytest.raises(ValueError):
             simulate_renewal_counts(0, [-1], [0.5], UNIT, cfg)
-        with pytest.raises(ValueError, match="states must be >= 0"):
+        with pytest.raises(ValueError, match=r"^i must be in \[0, 65534\], got -1$"):
             simulate_renewal_counts(-1, [0], [0.5], UNIT, cfg)
         with pytest.raises(ValueError):
             simulate_renewal_counts(0, [0], [0.5], UNIT, cfg, workers=0)

@@ -80,11 +80,11 @@ class TestSolveRowTruncated:
             solve_row_adaptive(0, s, kernel(UNIT))
 
     def test_rejects_start_state_outside_truncation(self):
-        # both routines truncate the same operator at n, and both take 0 <= i <= n: i = n was
+        # both routines truncate the same operator at n, and both take a state i <= n: i = n was
         # refused here while the Neumann series accepted it
         for solve in (solve_row_truncated, neumann_series_sum):
-            for i in (9, -1):
-                with pytest.raises(ValueError, match=f"0 <= i <= n, got i={i}, n=8"):
+            for i, message in ((9, r"n must be in \[9, 65536\], got 8"), (-1, r"i must be in \[0, 65534\], got -1")):
+                with pytest.raises(ValueError, match=f"^{message}$"):
                     solve(i, 1.0, kernel(UNIT), 8)
         res = solve_row_truncated(8, 1.0, kernel(UNIT), 8)
         np.testing.assert_allclose(res.values, neumann_series_sum(8, 1.0, kernel(UNIT), 8), rtol=1e-10)
@@ -498,11 +498,14 @@ class TestSolveRows:
         assert abs(entries.values[0] - closed) <= 1e-13 * closed        # 8.9e-14 of it
 
     def test_rows_past_the_last_judged_state_refused(self):
-        # a cut is judged by two moves of x[top], so top may reach n_max - 2 at most
+        # a cut is judged by two moves of x[top], so top may reach n_max - 2 at most:
+        # every state is refused past it, and i past it less 10 where top = i + 10
         k = kernel(UNIT)
-        for call in (lambda: solve_rows(65535, 0, [1.0], k), lambda: solve_rows(0, 65535, [1.0], k),
-                     lambda: solve_rows(70000, 0, [1.0], k), lambda: solve_row_adaptive(65525, 1.0, k)):
-            with pytest.raises(ValueError, match=r"^states past n_max - 2 = 65534 are out of range"):
+        for call, message in ((lambda: solve_rows(65535, 0, [1.0], k), r"i must be in \[0, 65534\], got 65535"),
+                              (lambda: solve_rows(0, 65535, [1.0], k), r"j must be in \[0, 65534\], got 65535"),
+                              (lambda: solve_rows(70000, 0, [1.0], k), r"i must be in \[0, 65534\], got 70000"),
+                              (lambda: solve_row_adaptive(65525, 1.0, k), r"i must be in \[0, 65524\], got 65525")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 call()
 
     def test_rejects_bad_arguments(self):
