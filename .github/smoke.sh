@@ -37,7 +37,8 @@ mrenew transform --i 0 --j 2000 --s-grid 0.01:100:6 --lambda 2000 --alpha 1 --so
 # the closed form's Poisson window reaches rho = 1e5
 mrenew transform --i 5 --j 30 --s-grid 0.01:1:3 --lambda 100000 --alpha 1 --solver closedform
 mrenew simulate --i 0 --j 1 --t-grid 0.5:2:4 --lambda 1 --alpha 1 --paths 2000 --seed 7 --workers 2
-# pure death over two blocks: state 0 absorbs, through step's guarded division by a rate of 0
+# pure death over two blocks: state 0 absorbs, through step's division by a rate of 0,
+# which the walker's one np.errstate per block lets pass as a sojourn of inf
 mrenew simulate --i 3 --j 0 --t-grid 1:5:3 --lambda 0 --alpha 1 --paths 2000 --seed 7
 mrenew hyperg --a 1 --b 2 --z 1
 # kummer_m sums over the Poisson window too: no term cap stops it at |z| = 2e4
@@ -96,3 +97,12 @@ expect_exit 2 mrenew renewal --i 0 --j 0 --t-grid 4.6e-7:4.6e-7:1 --lambda 1e-30
 # a horizon whose least expected event count passes the event cap is a numerical
 # failure, raised before the walk (it walked 10^7 lock-step iterations, about 150 s)
 expect_exit 1 timeout 5 mrenew simulate --i 0 --j 0 --t-grid 1e9:1e9:1 --lambda 1 --alpha 1 --paths 3 --seed 1
+# numpy's complex division by a subnormal j + rho + alpha s overflows: an argument
+# error, one line (a bare IndexError traceback)
+expect_exit 2 mrenew renewal --i 15 --j 1 --t-grid 54.3841035790151:54.3841035790151:1 --lambda 0.01072308656014151 --alpha 1e-310 --method euler
+# a subnormal rate and a subnormal alpha walk under the walker's np.errstate, with no
+# warning (step warned of an overflow in its division), and a horizon whose lam t
+# passes the largest double is refused at once (a warning from the scalar product)
+mrenew simulate --i 15 --j 9 --t-grid 2381.1404699317522:2381.1404699317522:1 --lambda 5e-324 --alpha 2.89392404696635e-59 --paths 20 --seed 1
+mrenew simulate --i 40 --j 30 --t-grid 1.454540807929017e-05:1.454540807929017e-05:1 --lambda 185.77022894139077 --alpha 5e-324 --paths 20 --seed 1
+expect_exit 1 timeout 5 mrenew simulate --i 0 --j 2 --t-grid 3.542742223259935e+257:3.542742223259935e+257:1 --lambda 2.9640887344869473e+264 --alpha 1.6140879367420947e-121 --paths 20 --seed 1

@@ -94,23 +94,24 @@ def _walk_block(kernel, i, targets, t_grid, cfg, block):
     elapsed = np.zeros(size)
     steps, hits = [], []
     events = 0
-    while live.size:
-        u = rng.random((2, live.size))
-        state, sojourn = kernel.step(state, u[0], u[1])
-        elapsed = elapsed + sojourn
-        keep = elapsed <= horizon       # an absorbed path's elapsed is inf
-        if np.count_nonzero(keep) != live.size:
-            live, state, elapsed = live[keep], state[keep], elapsed[keep]
-        events += 1
-        if events > _MAX_EVENTS and live.size:
-            raise EventCapError(
-                f"path {block * _BLOCK + live[0]} exceeded max_events={_MAX_EVENTS} "
-                f"before t={horizon}"
-            )
-        steps.append((live, state, elapsed))
-        if len(steps) == _CHUNK or not live.size:
-            hits.append(_entries(targets, steps))
-            steps = []
+    with np.errstate(all="ignore"):     # step's rate of 0 or inf reads as a sojourn of inf or 0
+        while live.size:
+            u = rng.random((2, live.size))
+            state, sojourn = kernel.step(state, u[0], u[1])
+            elapsed = elapsed + sojourn
+            keep = elapsed <= horizon       # an absorbed path's elapsed is inf
+            if np.count_nonzero(keep) != live.size:
+                live, state, elapsed = live[keep], state[keep], elapsed[keep]
+            events += 1
+            if events > _MAX_EVENTS and live.size:
+                raise EventCapError(
+                    f"path {block * _BLOCK + live[0]} exceeded max_events={_MAX_EVENTS} "
+                    f"before t={horizon}"
+                )
+            steps.append((live, state, elapsed))
+            if len(steps) == _CHUNK or not live.size:
+                hits.append(_entries(targets, steps))
+                steps = []
     marks = np.zeros((size, targets.size, t_grid.size))
     paths, cols, entered = map(np.concatenate, zip(*hits))
     # an entry at time e counts at every grid time t >= e; e <= horizon
@@ -141,7 +142,7 @@ def simulate_renewal_counts(
     if not targets:
         return []
     # a count that dominates Poisson(expected) stays within the cap with probability below Phi(-10)
-    if (expected := kernel.least_rate * times[-1]) > _MAX_EVENTS + 10 * math.sqrt(_MAX_EVENTS):
+    if (expected := float(kernel.least_rate) * float(times[-1])) > _MAX_EVENTS + 10 * math.sqrt(_MAX_EVENTS):
         raise EventCapError(f"paths are expected to take at least {expected:g} events by t={times[-1]}, "
                             f"past max_events={_MAX_EVENTS} by more than 10 standard deviations")
 

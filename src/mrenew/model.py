@@ -116,10 +116,13 @@ class KernelTransform(ABC):
     sojourn T with E[e^{-sT}; down] = sigma_bar(j, s) and
     E[e^{-sT}; up] = tau_bar(j, s); an absorbing j stays, with T = inf.
     It must not write into its arguments: the simulator keeps the states
-    it passes until it matches their entries.  ``least_rate`` is a rate
-    that no state's jumps fall below, so a path's jumps by time t
-    stochastically dominate Poisson(least_rate t); the simulator refuses at
-    once a horizon where that count passes its event cap.  0 claims nothing.
+    it passes until it matches their entries.  The simulator calls it under
+    one ``np.errstate(all="ignore")`` per block of paths, so no kernel's
+    ``step`` guards its own division: a rate of 0 gives a sojourn of inf.
+    ``least_rate`` is a rate that no state's jumps fall below, so a path's
+    jumps by time t stochastically dominate Poisson(least_rate t); the
+    simulator refuses at once a horizon where that count passes its event
+    cap.  0 claims nothing.
     """
 
     least_rate = 0.0
@@ -135,10 +138,12 @@ class MMInfinityKernel(KernelTransform):
 
     ``transforms`` additionally accepts complex s with nonnegative real
     part, so the same evaluator can feed complex-abscissa Laplace
-    inversion; the rational formulas extend verbatim.  An s whose
-    denominator j + rho + alpha s is past the largest double, or at complex
-    s so near it that numpy's complex division overflows, is refused with
-    ValueError, naming s and alpha.  j and s pass through ``np.asarray``
+    inversion; the rational formulas extend verbatim.  An s for which
+    numpy raises its overflow flag, in j + rho + alpha s or in the division
+    by it, is refused with ValueError, naming s and alpha: at either end of
+    the range, a denominator past the largest double or a complex one so
+    small (subnormal) that numpy's complex division overflows.  The first
+    such s in flat order is named.  j and s pass through ``np.asarray``
     once, so a number divides as a 0-d array, is refused as one, and gives
     numpy's scalar.  Without arrivals
     both entries vanish at j = 0 for every s, including the corner s = 0
@@ -152,46 +157,41 @@ class MMInfinityKernel(KernelTransform):
         """The up clock runs at lam in every state."""
         return self.params.lam
 
+    def _divide(self, j, s) -> tuple:
+        p = self.params
+        with np.errstate(over="raise"):
+            denom = j + p.rho + p.alpha * s
+            if p.rho == 0.0:
+                # sigma = j / denom and tau = 0 / denom are exactly 0 at j = 0
+                # for any nonzero denominator; 1 keeps the corner finite
+                denom = denom + (j == 0)
+            return j / denom, p.rho / denom
+
     def transforms(self, j, s) -> tuple:
         j, s = np.asarray(j), np.asarray(s)     # a number divides as a 0-d array, by numpy's rule
         _check_state_and_s(j, s)
-        p = self.params
-        with np.errstate(over="ignore"):    # an infinite denominator is refused below
-            denom = j + p.rho + p.alpha * s
-        if p.rho == 0.0:
-            # sigma = j / denom and tau = 0 / denom are exactly 0 at j = 0
-            # for any nonzero denominator; 1 keeps the corner finite
-            denom = denom + (j == 0)
-        if not (past := np.isinf(denom)).any():
-            try:
-                with np.errstate(over="raise"):
-                    return j / denom, p.rho / denom
-            except FloatingPointError:
-                # numpy divides by a complex number through Smith's scale big + small (small / big)
-                # of its parts' sizes, which can pass the largest double where they do not
-                parts = np.abs(denom.real), np.abs(denom.imag)
-                big, small = np.maximum(*parts), np.minimum(*parts)
-                with np.errstate(over="ignore"):
-                    past = np.isinf(big + small * (small / big))
-        at = np.broadcast_to(s, past.shape)[past].flat[0]
-        raise ValueError(f"transform variable s={at} with alpha={p.alpha}: "
-                         f"j + rho + alpha s is past the largest double")
+        try:
+            return self._divide(j, s)
+        except FloatingPointError:
+            # name the first abscissa, in flat order, whose own division overflows
+            for j_k, s_k in np.broadcast(j, s):
+                try:
+                    self._divide(np.asarray(j_k), np.asarray(s_k))
+                except FloatingPointError:
+                    raise ValueError(f"transform variable s={s_k} with alpha={self.params.alpha}: "
+                                     f"j + rho + alpha s, or numpy's division by it, overflows") from None
+            raise
 
     def step(self, states, u_time, u_dir) -> tuple:
         """One jump: the race of an up clock at rate lam and a down clock at rate
         j / alpha, whose transforms are (sigma_bar, tau_bar) = (down, up) /
-        (up + down + s).  Without arrivals state 0 is absorbing.  No call
-        raises a numpy warning: a rate of 0, the only division by zero, needs
-        lam == 0, and only then is numpy's warning switched off."""
+        (up + down + s).  Without arrivals state 0 is absorbing: no clock runs,
+        so it stays (0) after a sojourn draw / 0 = inf."""
         up, down = self.params.lam, states / self.params.alpha
         rate = up + down
         draw = -np.log1p(-np.maximum(u_time, _TINY_UNIFORM))
-        if up > 0.0:
-            # every clock runs: up (1) where the up clock wins, else down (-1)
-            return states + ((u_dir * rate < up) * 2 - 1), draw / rate
-        # without arrivals no clock runs at state 0: it stays (0), after draw / 0 = inf
-        with np.errstate(divide="ignore"):
-            return states + ((u_dir * rate < up) * 2 - (rate > 0.0)), draw / rate
+        # up (1) where the up clock wins, else down (-1); a state whose rate is 0 stays (0)
+        return states + ((u_dir * rate < up) * 2 - (1 if up > 0.0 else rate > 0.0)), draw / rate
 
 
 def validate_kernel(kernel: KernelTransform, j_max: int, s_grid) -> list:

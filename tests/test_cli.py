@@ -323,6 +323,26 @@ class TestArgumentErrors:
         assert captured.out == ""
         assert "transform variable" in captured.err and "alpha=1e+300" in captured.err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            ("renewal --i 15 --j 1 --t-grid 54.3841035790151:54.3841035790151:1 --lambda 0.01072308656014151 "
+             "--alpha 1e-310 --method euler", "s=(0.16916707998382738+0j) with alpha=1e-310"),
+            ("renewal --i 0 --j 0 --t-grid 1e11:1e11:1 --lambda 1e-10 --alpha 1e-300 --method euler",
+             "s=(9.199999999999999e-11+0j) with alpha=1e-300"),
+        ],
+        ids=["subnormal-alpha", "subnormal-rho"],
+    )
+    def test_subnormal_complex_denominator_maps_to_two(self, argv, named, capsys):
+        # numpy's complex division by a subnormal j + rho + alpha s overflows; the refusal
+        # looked for an infinite denominator and died with a bare IndexError
+        assert run(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"mrenew: invalid arguments: transform variable {named}: "
+                                f"j + rho + alpha s, or numpy's division by it, overflows\n")
+
     @pytest.mark.parametrize("i", [65535, 70000])
     def test_row_past_the_last_judged_state_maps_to_two(self, i, capsys):
         # judged once, past the cap, these rows exited 1, "did not converge by n_max=65536"

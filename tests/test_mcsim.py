@@ -51,12 +51,16 @@ class TestStepEmbedded:
     """MMInfinityKernel.step, the embedded-chain step the simulator walks."""
 
     def test_absorbed_at_empty_system_without_arrivals(self):
-        # no clock runs: the sojourn is 1 / 0 = inf, and numpy's warning
-        # for that division stays inside step, at any lam
+        # no clock runs: the sojourn is draw / 0 = inf.  step leaves numpy's flag for
+        # that division to its caller: a bare call warns, and under the walker's
+        # np.errstate no call warns; at lam > 0 no rate is 0, and a bare call is silent
+        with pytest.warns(RuntimeWarning, match="divide by zero"):
+            _step(0, PURE_DEATH, 0.5, 0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            state, sojourn = _step(0, PURE_DEATH, 0.5, 0.5)
-            states, sojourns = PURE_DEATH.step(np.array([0, 1, 4]), np.array([0.0, 0.5, 0.9]), np.array([0.5] * 3))
+            with np.errstate(all="ignore"):
+                state, sojourn = _step(0, PURE_DEATH, 0.5, 0.5)
+                states, sojourns = PURE_DEATH.step(np.array([0, 1, 4]), np.array([0.0, 0.5, 0.9]), np.array([0.5] * 3))
             for u_time in (0.0, 0.5):
                 _step(0, UNIT, u_time, 0.5)
         assert math.isinf(sojourn)
@@ -405,6 +409,35 @@ class TestEventCapBeforeTheWalk:
         assert kernel.least_rate == 0.0 and PURE_DEATH.least_rate == 0.0
         with pytest.raises(EventCapError, match=r"path \d+ exceeded max_events=3 before t=10\.0"):
             simulate_renewal_counts(0, [0], [10.0], kernel, SimConfig(n_paths=10, seed=5))
+
+
+class TestWarningFreeExtremes:
+    """Rates at the ends of the double range walk without a numpy warning: the walker
+    owns the step's error policy, and the pre-walk product is taken in Python floats."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv, code, out",
+        [
+            # step warned of an overflow in draw / 5e-324 at state 0
+            ("simulate --i 15 --j 9 --t-grid 2381.1404699317522:2381.1404699317522:1 --lambda 5e-324 "
+             "--alpha 2.89392404696635e-59 --paths 20 --seed 1", 0, "t,mean,std_error\n2381.1404699317522,1,0\n"),
+            # step warned of an overflow in states / 5e-324
+            ("simulate --i 40 --j 30 --t-grid 1.454540807929017e-05:1.454540807929017e-05:1 "
+             "--lambda 185.77022894139077 --alpha 5e-324 --paths 20 --seed 1", 0,
+             "t,mean,std_error\n1.454540807929017e-05,1,0\n"),
+            # lam t passes the largest double: "overflow encountered in scalar multiply"
+            ("simulate --i 0 --j 2 --t-grid 3.542742223259935e+257:3.542742223259935e+257:1 "
+             "--lambda 2.9640887344869473e+264 --alpha 1.6140879367420947e-121 --paths 20 --seed 1", 1, ""),
+        ],
+        ids=["subnormal-rate", "subnormal-alpha", "horizon-product"],
+    )
+    def test_parent_outcome_without_a_warning(self, argv, code, out, capsys):
+        assert cli.run(argv.split()) == code
+        captured = capsys.readouterr()
+        assert captured.out == out
+        if code:
+            assert captured.err.startswith("mrenew: numerical failure: paths are expected to take at least inf events")
 
 
 def _reference_mm_step(params, states, u_time, u_dir):

@@ -15,6 +15,8 @@ from mrenew import (
 )
 from mrenew import model
 
+OVERFLOWS = "j + rho + alpha s, or numpy's division by it, overflows"   # the kernel's one refusal of an s
+
 
 class TestQueueParams:
     def test_rho_is_always_derived(self):
@@ -302,7 +304,8 @@ class TestRates:
                 np.testing.assert_allclose(got[live], np.broadcast_to(want, got.shape)[live], rtol=1e-15, atol=0)
 
         u_time, u_dir = np.random.default_rng(7).random((2, 201))
-        moved, sojourns = kernel.step(states[:, 0], u_time, u_dir)
+        with np.errstate(all="ignore"):     # the walker's policy: a rate of 0 divides to a sojourn of inf
+            moved, sojourns = kernel.step(states[:, 0], u_time, u_dir)
         rate = (up + down)[:, 0]
         live = rate > 0
         np.testing.assert_allclose(sojourns[live] * rate[live], -np.log1p(-u_time[live]), rtol=1e-15, atol=0)
@@ -364,8 +367,8 @@ class TestKernelArrays:
 class TestDomainCheck:
     """The kernel's domain check refuses a negative state and Re(s) < 0 with one
     message each, whether j and s come as Python numbers, lists or arrays; the
-    kernel also refuses an s whose denominator j + rho + alpha s is past the
-    largest double, and takes a number as the 0-d array it is."""
+    kernel also refuses an s where numpy's overflow flag rises in j + rho + alpha s
+    or in the division by it, and takes a number as the 0-d array it is."""
 
     KERNEL = MMInfinityKernel(QueueParams(1.5, 0.5))
 
@@ -405,17 +408,31 @@ class TestDomainCheck:
     def test_denominator_past_the_largest_double_refused(self, p, s, named):
         # numpy warned of an overflow in alpha * s, and both entries came back 0; at
         # 2e307 + 1.78e308i, below the largest double, its complex division overflowed
-        message = f"transform variable s={named} with alpha={p.alpha}: j + rho + alpha s is past the largest double"
+        message = f"transform variable s={named} with alpha={p.alpha}: {OVERFLOWS}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             MMInfinityKernel(p).transforms(np.arange(3)[:, None], s)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "p, j, s, named",
+        [(QueueParams(1e-310, 1.0), 0, 1e-320j, "1e-320j"),
+         (QueueParams(1e-300, 1e-10), 0, 1e-300j, "1e-300j"),
+         (QueueParams(1e-300, 1e-10), np.arange(3)[:, None], np.array([1.0, 1e-300j, 2e-300j]), "1e-300j")],
+        ids=["subnormal-rho", "subnormal-alpha-s", "subnormal-in-a-grid"])
+    def test_subnormal_complex_denominator_refused(self, p, j, s, named):
+        # numpy's complex division by a subnormal denominator overflows although the
+        # quotient is below 1; the refusal ran into an IndexError looking for an
+        # infinite denominator
+        message = f"transform variable s={named} with alpha={p.alpha}: {OVERFLOWS}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MMInfinityKernel(p).transforms(j, s)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("s", [complex(2e7, 177568280.42029268), np.complex128(complex(2e7, 177568280.42029268)),
                                    np.array(complex(2e7, 177568280.42029268))], ids=["complex", "numpy-complex", "0-d"])
     def test_number_divides_as_a_0d_array(self, s):
         # Python's complex division returned (-0j, -0j) at this s, where numpy's overflows
-        message = ("transform variable s=(20000000+177568280.42029268j) with alpha=1e+300: "
-                   "j + rho + alpha s is past the largest double")
+        message = f"transform variable s=(20000000+177568280.42029268j) with alpha=1e+300: {OVERFLOWS}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             MMInfinityKernel(QueueParams(1e-300, 1e300)).transforms(3, s)
 
@@ -428,8 +445,9 @@ class TestDomainCheck:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_complex_denominator_whose_division_stays_finite_answered(self):
         # numpy divides by a complex number through Smith's scale big + small (small / big) of
-        # its parts' sizes, refused where it passes the largest double; at 1.5e308 + 0.5e308i
-        # the parts' sum passes it, the scale, 1.67e308, does not, and the quotients stand
+        # its parts' sizes, and raises its overflow flag where that passes the largest double;
+        # at 1.5e308 + 0.5e308i the parts' sum passes it, the scale, 1.67e308, does not, and
+        # the quotients stand
         k = MMInfinityKernel(QueueParams(1e-300, 1e300))
         states, inside = np.arange(3)[:, None], np.array([complex(1.5e8, 0.5e8), complex(2e7, 1.7e8)])
         sigma, tau = k.transforms(states, inside)
