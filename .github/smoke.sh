@@ -81,12 +81,15 @@ expect_exit 2 mrenew renewal --i 0 --j 0 --t-grid 1e15:1e15:1 --lambda 1 --alpha
 # solver (a traceback out of numpy's overflow warning, exit 1)
 expect_exit 2 mrenew transform --i 3 --j 2 --s-grid 1e10:1e10:1 --lambda 1e-300 --alpha 1e300 --solver oracle
 expect_exit 2 mrenew transform --i 3 --j 2 --s-grid 1e10:1e10:1 --lambda 1e-300 --alpha 1e300 --solver closedform
-# a row judged at its first level past top = i and at the cap n_max = 65536 (judged
-# once, past the cap, it was refused as not converged), and a row whose top passes
-# n_max - 2, where no two moves are left to judge a cut, refused as out of range
+# rows at the end of the state range, cut far below the cap n_max = 2**17 (with the cap
+# at 2**16 they were judged at the cap alone and refused as not converged), and a state
+# past the range, refused as out of range
 mrenew transform --i 65530 --j 0 --s-grid 1:1:1 --lambda 1 --alpha 1 --solver oracle
+mrenew renewal --i 65534 --j 65534 --t-grid 1:1:1 --lambda 1 --alpha 1 --method euler
 expect_exit 2 mrenew transform --i 65535 --j 0 --s-grid 1:1:1 --lambda 1 --alpha 1 --solver oracle
-# every route takes the same states, 0..n_max - 2: past them the simulator raised a bare
+# a grid of more than 10,000 points is an argument error (a bare MemoryError for 728 TiB)
+expect_exit 2 mrenew transform --i 0 --j 0 --s-grid 1:2:100000000000000 --lambda 1 --alpha 1
+# every route takes the same states, 0..65534: past them the simulator raised a bare
 # OverflowError at 2^63 and walked 132 s at 10^12, and the closed form asked for 7.28 TiB
 expect_exit 2 timeout 20 mrenew simulate --i 9223372036854775808 --j 0 --t-grid 1:1:1 --lambda 1 --alpha 1 --paths 10 --seed 1
 expect_exit 2 timeout 20 mrenew transform --i 1000000000000 --j 0 --s-grid 1:1:1 --lambda 1 --alpha 1 --solver closedform

@@ -18,7 +18,7 @@ from .hyperg import kummer_m
 from .invert import InversionConfig, renewal_function
 from .mcsim import SimConfig, simulate_renewal_counts
 # perfbench/checks.py reads MMInfinityKernel, QueueParams, TruncationConfig, solve_row_adaptive here
-from .model import MMInfinityKernel, QueueParams
+from .model import MMInfinityKernel, QueueParams, _index
 from .oracle import TruncationConfig, solve_row_adaptive, solve_rows  # noqa: F401
 
 
@@ -34,16 +34,15 @@ def _print_csv(*columns) -> None:
 
 
 def _grid(text: str) -> np.ndarray:
-    """Parse 'A:B:N' into N points linearly spaced over [A, B] inclusive."""
+    """Parse 'A:B:N' into N points linearly spaced over [A, B] inclusive, 1 <= N <= 10,000."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"grid must look like A:B:N, got {text!r}")
     try:
-        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+        # at most 10,000 points: N = 10**14 asked numpy for 728 TiB
+        a, b, n = float(parts[0]), float(parts[1]), _index(int(parts[2]), "N", 1, 10_000)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"grid needs N >= 1, got {n}")
     return np.linspace(a, b, n)
 
 

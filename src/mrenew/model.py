@@ -15,7 +15,7 @@ simulator in `mcsim`.
 
 Every route imports this module, so it also holds the argument checks
 they share: `_index`, the one check of an integer argument, whose
-default range 0.._LAST_STATE = n_max - 2 is every route's states, and
+default range 0.._LAST_STATE = 2**16 - 2 is every route's states, and
 `_time_grid`, the shape of a time grid.
 """
 
@@ -30,8 +30,7 @@ import numpy as np
 
 _INVARIANT_TOL = 1e-12  # slack allowed in each kernel invariant
 _TINY_UNIFORM = 1e-300  # floor on the time uniform of `step`; keeps sojourns strictly positive
-_N_MAX = 2**16          # largest cut N of the sweeps of `mrenew.oracle`
-_LAST_STATE = _N_MAX - 2    # every route's last state: the oracle judges a cut by two moves past it
+_LAST_STATE = 2**16 - 2  # every route's last state
 
 
 def _index(value, name: str, lo=0, hi=_LAST_STATE) -> int:
@@ -206,7 +205,7 @@ def validate_kernel(kernel: KernelTransform, j_max: int, s_grid) -> list:
     A NaN or an infinity gets one message per (j, s), and no other check
     there; monotonicity in s is checked between consecutive grid points
     whose values are finite.  Each inequality allows a slack of 1e-12.
-    j_max is a state, in [0, n_max - 2].
+    j_max is a state, in [0, 65534].
     """
     j_max = _index(j_max, "j_max")
     s_values = sorted(s_grid)

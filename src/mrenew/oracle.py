@@ -22,7 +22,7 @@ first in grid order.  The rows sum to
 so the cut at N loses the mass |tau[N] g[N]|, and moving it from N - 1 to N
 moves x[m] by g[N] q[m] .. q[N-1].  `solve_row_truncated` cuts at a given
 n.  `solve_row_adaptive` cuts at the first judged N (below) up to
-_N_MAX = 2**16 that passes the lost-mass test: the lost mass is at most
+_N_MAX = 2**17 that passes the lost-mass test: the lost mass is at most
 _TOL = 1e-10 and the moves of x[top] still to come, |move| r / (1 - r)
 with r the ratio of the last two moves, are at most 2**-52 of x[top].
 For real s all terms are positive, so no entry 0..top moves more,
@@ -60,10 +60,10 @@ numpy calls on top of the step's 9.  `solve_rows` passes
 first = max(top + 1, j + 2), i + 1 for i > j (`solve_rows(5, 0, ...)`
 judges 6, 14, ...) and j + 2 otherwise, and `solve_row_adaptive`
 first = max(n0, i + 11), with the floor n0 of its `TruncationConfig`;
-both pass n_hi = _N_MAX, and every state, top included, lies in
-[0, n_max - 2] (`model._LAST_STATE`): past it a cut would have no two
-moves of x[top] to judge, and a state outside is refused with
-ValueError.  `solve_row_truncated` passes top = first = n_hi = n, with
+both pass n_hi = _N_MAX.  Every state lies in [0, 65534]
+(`model._LAST_STATE`), and a state outside is refused with ValueError;
+the cap lies 2**16 + 2 levels past the last state.
+`solve_row_truncated` passes top = first = n_hi = n, with
 i <= n <= n_max.  The cut: a column is cut at the first judged level
 that passes a test (the bound test only for `solve_rows`), else at n_hi,
 and once cut it is silent: no later test, pivot or move counts for it.
@@ -110,8 +110,9 @@ from itertools import count
 import numpy as np
 
 from .errors import NonConvergenceError, PivotError
-from .model import _LAST_STATE, _N_MAX, KernelTransform, _index
+from .model import KernelTransform, _index
 
+_N_MAX = 2**17             # largest level of every sweep: the judged cap, a fixed level n and the floor n0
 _MIN_PIVOT = 1e-14
 _SWEEP_ELEMENTS = 6144     # states x columns of one block of kernel values
 _FIRST_BLOCK = 65          # fewest states stepped by the first block (README *Batched rows*)
@@ -173,10 +174,10 @@ class TruncationConfig:
 
     The cut N for start state i is at least max(n0, i + 11), past
     top = i + 10 (module docstring); n0 may not exceed the cap
-    n_max = _N_MAX.  The default 2 sets no floor beyond the row's own,
-    since each stop test is a proof at any judged level; a larger n0
-    gives a deeper reference solve of the same row.  `solve_rows` takes
-    no config: its first judged level is the row's own.
+    n_max = _N_MAX = 2**17.  The default 2 sets no floor beyond the
+    row's own, since each stop test is a proof at any judged level; a
+    larger n0 gives a deeper reference solve of the same row.
+    `solve_rows` takes no config: its first judged level is the row's own.
     """
 
     n0: int = 2
@@ -422,7 +423,7 @@ def solve_rows(
     first + 8, first + 16, ... and n_max = _N_MAX.  Raises
     NonConvergenceError naming the first abscissa that has passed neither
     by n_max, with the mass its cut there loses as the residual, and
-    ValueError for i or j outside [0, n_max - 2].
+    ValueError for i or j outside [0, 65534].
     """
     return _solve_rows(i, j, s_values, kernel, TruncationConfig(), margin=0, proven=True)
 
@@ -432,8 +433,7 @@ def _solve_rows(i, j, s_values, kernel, cfg, margin, proven) -> TransformEntries
     if s.ndim != 1:
         raise ValueError(f"s_values must be one-dimensional, got shape {s.shape}")
     _check_s(s)
-    # top = i + margin is a state too: a cut is judged by two moves of x[top], at states up to n_max
-    i, j = _index(i, "i", hi=_LAST_STATE - margin), _index(j, "j")
+    i, j = _index(i, "i"), _index(j, "j")
     top = max(i + margin, j)
     first = max(cfg.n0, top + 1, j + 2)             # past top, and past j + 1 where top = j
     # fewer than _MIN_BATCH abscissas do not pay for the array overhead of a step
@@ -466,7 +466,7 @@ def solve_row_adaptive(
     the error of the cut.  The bound test of `solve_rows` is not used, so
     this N can lie deeper than `solve_rows(i, i, [s])`'s.  Raises
     NonConvergenceError (carrying the lost mass at the cap) if no N up to
-    n_max = _N_MAX passes, and ValueError if i + 10 passes n_max - 2.
+    n_max = _N_MAX passes, and ValueError for i outside [0, 65534].
     """
     _check_row(i, s, i)                 # the level is not known yet: the cut lies past i
     n = int(_solve_rows(i, i, [s], kernel, cfg, margin=_MARGIN, proven=False).truncation_n[0])

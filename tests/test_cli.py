@@ -114,6 +114,25 @@ class TestRenewalCommand:
         assert capsys.readouterr() == four
 
 
+class TestLastStateRow:
+    # the row of the last state, i = j = 65534: with the cap at 2**16 it was judged at the
+    # cap alone and each command exited 1, "did not converge by n_max=65536"
+    def test_transform_oracle_is_the_closed_form(self, capsys):
+        assert run("transform --i 65534 --j 65534 --s-grid 1:1:1 --lambda 1 --alpha 1 --solver both".split()) == 0
+        header, rows = _rows(capsys.readouterr().out)
+        assert header == ["s", "rbar_oracle", "rbar_closedform", "rel_diff"]
+        assert float(rows[0][3]) <= 1e-12
+
+    def test_euler_and_gaver_stehfest_agree(self, capsys):
+        values = {}
+        for method in ("euler", "gs"):
+            argv = f"renewal --i 65534 --j 65534 --t-grid 1:1:1 --lambda 1 --alpha 1 --method {method}"
+            assert run(argv.split()) == 0
+            values[method] = float(_rows(capsys.readouterr().out)[1][0][1])
+        # Gaver-Stehfest order 14 is within 1.2e-2 R + 8.5e-3 of R (README), here R from Euler
+        assert abs(values["gs"] - values["euler"]) <= 1.2e-2 * values["euler"] + 8.5e-3
+
+
 class TestSimulateCommand:
     ARGS = "simulate --i 0 --j 0 --t-grid 0.5:1:2 --lambda 1 --alpha 1 --paths 400 --seed 9".split()
 
@@ -251,6 +270,16 @@ class TestArgumentErrors:
         assert capsys.readouterr().out == "s,rbar_closedform\n1,1.1227132208801034e-05\n"
         assert run("simulate --i 65534 --j 0 --t-grid 1:1:1 --lambda 1 --alpha 1 --paths 5 --seed 1".split()) == 0
         assert capsys.readouterr().out == "t,mean,std_error\n1,0,0\n"
+
+    def test_grid_past_its_largest_size_maps_to_two(self, capsys):
+        # N = 10^14 asked numpy for 728 TiB and escaped run as a bare MemoryError
+        argv = "transform --i 0 --j 0 --s-grid 1:2:100000000000000 --lambda 1 --alpha 1".split()
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(": N must be in [1, 10000], got 100000000000000\n")
+        assert run("transform --i 0 --j 0 --s-grid 1:2:10000 --lambda 1 --alpha 1 --solver closedform".split()) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 10001
 
     def test_unparsable_grid_is_a_bad_grid(self, capsys):
         argv = "transform --i 0 --j 0 --s-grid 1:x:3 --lambda 1 --alpha 1".split()

@@ -83,7 +83,7 @@ class TestSolveRowTruncated:
         # both routines truncate the same operator at n, and both take a state i <= n: i = n was
         # refused here while the Neumann series accepted it
         for solve in (solve_row_truncated, neumann_series_sum):
-            for i, message in ((9, r"n must be in \[9, 65536\], got 8"), (-1, r"i must be in \[0, 65534\], got -1")):
+            for i, message in ((9, r"n must be in \[9, 131072\], got 8"), (-1, r"i must be in \[0, 65534\], got -1")):
                 with pytest.raises(ValueError, match=f"^{message}$"):
                     solve(i, 1.0, kernel(UNIT), 8)
         res = solve_row_truncated(8, 1.0, kernel(UNIT), 8)
@@ -487,26 +487,55 @@ class TestSolveRows:
         assert all(len(j) == 2 and len(s) == 1 and s[0] >= oracle._MIN_BATCH for j, s in shapes)
 
     def test_row_below_the_cap_judged_twice(self):
-        # top = i = 65530: the levels judged are 65531 and the cap 65536.  With
-        # top = i + 10 the row was judged once, at 65541, past the cap, with no
-        # ratio of moves for the lost-mass test, and refused as not converged
+        # top = i = 65530: the levels judged are 65531, 65539, ..., and the row is cut at
+        # the second, far below the cap n_max = 2**17.  With top = i + 10 the row was once
+        # judged past a cap of 65536, with no ratio of moves, and refused as not converged
         k = kernel(UNIT)
         entries = solve_rows(65530, 0, [1.0], k)
-        assert entries.truncation_n.tolist() == [65536]
+        assert entries.truncation_n.tolist() == [65539]
         assert entries.values[0] == 1.1227817521312554e-05
         closed = rbar_closed_form(65530, 0, 1.0, UNIT)
         assert abs(entries.values[0] - closed) <= 1e-13 * closed        # 8.9e-14 of it
 
     def test_rows_past_the_last_judged_state_refused(self):
-        # a cut is judged by two moves of x[top], so top may reach n_max - 2 at most:
-        # every state is refused past it, and i past it less 10 where top = i + 10
+        # every route's states end at 65534, whatever its top: solve_row_adaptive's
+        # i + 10 no longer narrows its range (it refused i past 65524)
         k = kernel(UNIT)
         for call, message in ((lambda: solve_rows(65535, 0, [1.0], k), r"i must be in \[0, 65534\], got 65535"),
                               (lambda: solve_rows(0, 65535, [1.0], k), r"j must be in \[0, 65534\], got 65535"),
                               (lambda: solve_rows(70000, 0, [1.0], k), r"i must be in \[0, 65534\], got 70000"),
-                              (lambda: solve_row_adaptive(65525, 1.0, k), r"i must be in \[0, 65524\], got 65525")):
+                              (lambda: solve_row_adaptive(65535, 1.0, k), r"i must be in \[0, 65534\], got 65535")):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 call()
+
+    @pytest.mark.parametrize("rho", [1.0, 100.0, 2000.0, 30000.0])
+    @pytest.mark.parametrize("top", [65492, 65534])
+    def test_rows_at_the_end_of_the_range_cut_below_the_cap(self, top, rho):
+        # with the cap at 2**16 these rows were refused as not converged: the first failing
+        # top of solve_rows(top, 0, [1.0]) was 65534 at rho = 1 and 65492 at rho = 30000.
+        # Each entry is within the rounding bound of the largest of entries 0..top of the
+        # row cut 64 levels deeper, absolute since the j = 0 entries underflow to 0 at
+        # rho >= 2000; j = top is the row of `renewal --i 65534 --j 65534`
+        k = kernel(QueueParams(rho, 1.0))
+        real = np.array([0.01, 1.0, 100.0])
+        euler = np.array([complex(9.2, m * math.pi) for m in range(27)])    # Euler's abscissas at t = 1
+        for grid, targets in ((real, (0, top)), (euler, (top,))):
+            entries = [solve_rows(top, j, grid, k) for j in targets]
+            cut = max(int(e.truncation_n.max()) for e in entries)
+            assert cut < oracle._N_MAX
+            n = cut + 64
+            # solve_row_truncated's sweep at n, over the whole grid in one pass
+            sweep = oracle._eliminate_short if grid.size < oracle._MIN_BATCH else oracle._eliminate
+            rows = sweep(top, grid, k, n, 0, n, n)[0]
+            for j, e in zip(targets, entries):
+                for s, value, row in zip(grid, e.values, rows):
+                    assert abs(value - row[j]) <= 1e-12 * max(1.0, 0.01 / abs(s)) * np.max(np.abs(row[: top + 1]))
+
+    def test_adaptive_row_at_the_last_state_converges(self):
+        # top = i + 10 = 65544 lies past the last state: its range was [0, 65524]
+        res = solve_row_adaptive(65534, 1.0, kernel(UNIT))
+        assert res.converged and res.truncation_n < oracle._N_MAX
+        assert res.normalization_residual <= 1e-10
 
     def test_rejects_bad_arguments(self):
         k = kernel(UNIT)
@@ -1037,16 +1066,16 @@ class TestTruncationConfig:
     def test_defaults_valid(self):
         assert [f.name for f in dataclasses.fields(TruncationConfig)] == ["n0"]
         assert TruncationConfig().n0 == 2
-        assert oracle._N_MAX == 2**16 and oracle._TOL == 1e-10
-        assert TruncationConfig(n0=2**16).n0 == 2**16
+        assert oracle._N_MAX == 2**17 and oracle._TOL == 1e-10
+        assert TruncationConfig(n0=2**17).n0 == 2**17
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"n0": 1},
             {"n0": -64},
-            {"n0": 2**16 + 1},    # above the cap n_max
-            {"n0": 2**17},
+            {"n0": 2**17 + 1},    # above the cap n_max
+            {"n0": 2**18},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -1066,7 +1095,7 @@ class TestTruncationConfig:
 
     def test_real_cap_is_named(self):
         # a symmetric walk killed at rate s ~ 1e-12 decays over ~1e6 states
-        with pytest.raises(NonConvergenceError, match=r"by n_max=65536;"):
+        with pytest.raises(NonConvergenceError, match=r"by n_max=131072;"):
             solve_rows(0, 0, [1e-12], _SlowWalkKernel())
 
 
